@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -110,7 +109,6 @@ _EVALUATE_SPEC = {
     "tol": (float, 1e-15),
     "max_iter": (int, 1_000_000),
     "seed": (int, 0),
-    "workers": (int, 1),
     "out": (str, None),
     "format": (str, "json"),
 }
@@ -130,7 +128,6 @@ _SWEEP_SPEC = {
     "tol": (float, 1e-15),
     "max_iter": (int, 1_000_000),
     "seed": (int, 0),
-    "workers": (int, 1),
     "out": (str, None),
     "format": (str, "csv"),
 }
@@ -199,27 +196,6 @@ def _fmt(value) -> str:
 # subcommands
 
 
-def _maximin_policy(reward: rw.RewardFunction, p: float) -> pol.StationaryPolicy:
-    if reward.kind == "awgn":
-        return pol.MaximinAwgnPolicy(reward.gamma, p)
-    return pol.MaximinPolicy(reward, p)
-
-
-def _curve_endpoints(reward: rw.RewardFunction, p: float, x_max: float) -> list[tuple[int, float, float]]:
-    # kinks of the maximin curve: x_k where the ladder first gains a rung
-    rows = [(0, 0.0, 0.0)]
-    scale = 1.0 / (1.0 - p)
-    for k in range(1, 500):
-        y = float(rw.step_down_cutoff(reward, scale**k))
-        x = float(rw.ladder_sum(reward, scale, y))
-        if not (math.isfinite(x) and math.isfinite(y)):
-            break
-        rows.append((k, x, y))
-        if x > x_max:
-            break
-    return rows
-
-
 def cmd_curve(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, _CURVE_SPEC)
     if not 0.0 < cfg["p"] < 1.0:
@@ -231,30 +207,32 @@ def cmd_curve(ns: argparse.Namespace) -> int:
     x = np.linspace(0.0, cfg["x_max"], cfg["points"])
     columns = [
         x,
-        _maximin_policy(reward, p).evaluate(x),
+        pol.maximin_policy(reward, p).evaluate(x),
         pol.FixedFractionPolicy(p).evaluate(x),
         pol.GreedyPolicy().evaluate(x),
     ]
     lines = ["x,omega,phi,greedy"]
     for row in zip(*columns):
         lines.append(",".join(repr(float(v)) for v in row))
-    _emit("\n".join(lines) + "\n", cfg["out"])
 
     endpoints_out = cfg["endpoints_out"]
     if endpoints_out is None and cfg["out"] is not None:
         target = Path(cfg["out"])
         endpoints_out = str(target.with_name(target.stem + ".endpoints" + target.suffix))
+    ep_lines = ["k,x,y"]
     if endpoints_out is not None:
-        ep_lines = ["k,x,y"]
-        for k, ex, ey in _curve_endpoints(reward, p, cfg["x_max"]):
-            ep_lines.append(f"{k},{ex!r},{ey!r}")
+        # listed before anything is written, so a refused list leaves no output
+        for e in pol.maximin_kinks(reward, p, cfg["x_max"]):
+            ep_lines.append(f"{e.k},{e.x!r},{e.y!r}")
+    _emit("\n".join(lines) + "\n", cfg["out"])
+    if endpoints_out is not None:
         _emit("\n".join(ep_lines) + "\n", endpoints_out)
     return 0
 
 
 def cmd_evaluate(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, _EVALUATE_SPEC)
-    _require_positive(cfg, "c", "n", "paths", "grid_n", "eps", "tol", "max_iter", "workers")
+    _require_positive(cfg, "c", "n", "paths", "grid_n", "eps", "tol", "max_iter")
     if cfg["seed"] < 0:
         raise UsageError("seed must be nonnegative")
     if cfg["format"] not in ("json", "csv"):
@@ -284,10 +262,8 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
         result = ev.policy_gain(model, policy, eps=cfg["eps"], max_iter=cfg["max_iter"])
         knobs = {"grid": cfg["grid_n"], "eps": cfg["eps"]}
     else:
-        result = ev.simulate(
-            policy, dist, reward, cfg["n"], cfg["paths"], cfg["seed"], workers=cfg["workers"]
-        )
-        knobs = {"n": cfg["n"], "paths": cfg["paths"], "seed": cfg["seed"], "workers": cfg["workers"]}
+        result = ev.simulate(policy, dist, reward, cfg["n"], cfg["paths"], cfg["seed"])
+        knobs = {"n": cfg["n"], "paths": cfg["paths"], "seed": cfg["seed"]}
 
     record = result.as_dict()
     record.update(knobs)
@@ -314,7 +290,7 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, _SWEEP_SPEC)
-    _require_positive(cfg, "n", "paths", "grid_n", "eps", "tol", "max_iter", "workers")
+    _require_positive(cfg, "n", "paths", "grid_n", "eps", "tol", "max_iter")
     if cfg["seed"] < 0:
         raise UsageError("seed must be nonnegative")
     if cfg["format"] not in ("csv", "json"):
@@ -348,7 +324,6 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             mc_slots=cfg["n"],
             mc_paths=cfg["paths"],
             seed=cfg["seed"],
-            workers=cfg["workers"],
             max_iter=cfg["max_iter"],
         )
     except ValueError as exc:
@@ -411,7 +386,6 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
         "tol": ("--tol", "series tail tolerance"),
         "max_iter": ("--max-iter", "iteration cap before giving up (vi)"),
         "seed": ("--seed", "root seed for any randomized step"),
-        "workers": ("--workers", "worker threads (result is worker-count invariant)"),
         "out": ("--out", "output file (default: standard output)"),
         "format": ("--format", "output format: csv or json"),
         "x_max": ("--x-max", "largest battery level on the curve"),
@@ -436,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(
         p_eval,
         "reward", "family", "c", "p", "nmcr", "policy", "method",
-        "n", "paths", "grid_n", "eps", "tol", "max_iter", "seed", "workers", "out", "format",
+        "n", "paths", "grid_n", "eps", "tol", "max_iter", "seed", "out", "format",
     )
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -444,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(
         p_sweep,
         "reward", "family", "c", "c_grid", "p", "nmcr", "policies", "method",
-        "n", "paths", "grid_n", "eps", "tol", "max_iter", "seed", "workers", "out", "format",
+        "n", "paths", "grid_n", "eps", "tol", "max_iter", "seed", "out", "format",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 

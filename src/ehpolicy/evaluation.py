@@ -13,8 +13,8 @@ Three evaluators of the long-run average reward per slot:
     the next full charge, so the average reward is a weighted sum of the
     rewards along that ladder.
   * simulate: Monte Carlo over independent finite paths started empty, with
-    one RNG stream per path spawned from the master seed (results are
-    byte-identical for any worker count).
+    one RNG stream per path spawned from the master seed, so a seed fixes
+    the result bit for bit.
   * optimal_gain / policy_gain: relative value iteration on the capacity
     grid.  Arrivals are discretized onto the same grid, so post-decision
     transitions are exact index shifts and the transition matrix is never
@@ -24,15 +24,14 @@ Three evaluators of the long-run average reward per slot:
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import fftconvolve
 
 from .arrivals import ArrivalDistribution, BernoulliArrivals
-from .policies import MaximinAwgnPolicy, MaximinPolicy, StationaryPolicy
-from .rewards import RewardFunction, ladder_sum, step_down_cutoff
+from .policies import StationaryPolicy, maximin_kinks, maximin_policy
+from .rewards import RewardFunction
 
 __all__ = [
     "SlotOutcome",
@@ -171,29 +170,8 @@ class DerivativeCheck:
     fd_slope: float | None
     analytic_slope: float
     skipped: bool
-    nearest_kink: float | None
+    nearest_kink: float
     h: float
-
-
-def _maximin_for(reward: RewardFunction, p: float) -> StationaryPolicy:
-    if reward.kind == "awgn":
-        return MaximinAwgnPolicy(reward.gamma, p)
-    return MaximinPolicy(reward, p)
-
-
-def _policy_kink_levels(reward: RewardFunction, p: float, upto: float) -> list[float]:
-    """Stored levels where the maximin policy's slope jumps, up to `upto`."""
-    s = 1.0 / (1.0 - p)
-    out: list[float] = []
-    for k in range(1, 10_000):
-        scale_k = s**k
-        if not np.isfinite(scale_k):
-            break
-        x = float(ladder_sum(reward, s, step_down_cutoff(reward, scale_k)))
-        if x > upto:
-            break
-        out.append(x)
-    return out
 
 
 def bernoulli_derivative_check(
@@ -212,11 +190,11 @@ def bernoulli_derivative_check(
     c, p, h = float(c), float(p), float(h)
     if not (c > 0 and 0 < p < 1 and 0 < h < c):
         raise ValueError("need c > 0, p in (0, 1), 0 < h < c")
-    policy = _maximin_for(reward, p)
+    policy = maximin_policy(reward, p)
     analytic = p * float(reward.marginal(policy.evaluate(c)))
-    kinks = _policy_kink_levels(reward, p, upto=c + 2.0 * h)
-    nearest = min(kinks, key=lambda x: abs(x - c)) if kinks else None
-    if nearest is not None and abs(nearest - c) <= h:
+    kinks = maximin_kinks(reward, p, upto=c + 2.0 * h)[1:]
+    nearest = min((e.x for e in kinks), key=lambda x: abs(x - c))
+    if abs(nearest - c) <= h:
         warnings.warn(
             f"c={c!r} is within h of a policy kink at {nearest!r}; "
             "finite-difference comparison skipped",
@@ -241,29 +219,6 @@ def bernoulli_derivative_check(
     )
 
 
-def _run_paths(
-    seeds,
-    policy: StationaryPolicy,
-    arrivals: ArrivalDistribution,
-    reward: RewardFunction,
-    n: int,
-) -> np.ndarray:
-    k = len(seeds)
-    c = arrivals.c
-    draws = np.empty((n, k))
-    for idx, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        draws[:, idx] = arrivals.sample(rng, n)
-    stored = np.zeros(k)
-    totals = np.zeros(k)
-    for t in range(n):
-        lvl = np.minimum(stored + draws[t], c)
-        u = np.minimum(policy.evaluate(lvl), lvl)
-        totals += reward.value(u)
-        stored = lvl - u
-    return totals / n
-
-
 def simulate(
     policy: StationaryPolicy,
     arrivals: ArrivalDistribution,
@@ -271,33 +226,29 @@ def simulate(
     n: int,
     paths: int,
     seed: int,
-    workers: int = 1,
 ) -> EvaluationResult:
     """Monte Carlo estimate of the long-run average reward per slot.
 
     Runs `paths` independent n-slot trajectories started with an empty
     battery and averages their per-slot rewards.  Each path draws from its
-    own generator spawned from the master seed, and the final reduction runs
-    in path order, so the result is byte-identical for any `workers`.
-    stderr is the sample standard error over paths.
+    own generator spawned from the master seed, so a seed fixes the result
+    bit for bit.  stderr is the sample standard error over paths.
     """
-    n, paths, workers = int(n), int(paths), int(workers)
-    if n < 1 or paths < 2 or workers < 1:
-        raise ValueError("need n >= 1, paths >= 2, workers >= 1")
-    seeds = np.random.SeedSequence(int(seed)).spawn(paths)
-    bounds = np.linspace(0, paths, min(workers, paths) + 1).astype(int)
-    chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    means = np.empty(paths)
-    if len(chunks) == 1:
-        means[:] = _run_paths(seeds, policy, arrivals, reward, n)
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = {
-                pool.submit(_run_paths, seeds[a:b], policy, arrivals, reward, n): (a, b)
-                for a, b in chunks
-            }
-            for fut, (a, b) in futures.items():
-                means[a:b] = fut.result()
+    n, paths = int(n), int(paths)
+    if n < 1 or paths < 2:
+        raise ValueError("need n >= 1, paths >= 2")
+    c = arrivals.c
+    draws = np.empty((n, paths))
+    for idx, seed_seq in enumerate(np.random.SeedSequence(int(seed)).spawn(paths)):
+        draws[:, idx] = arrivals.sample(np.random.default_rng(seed_seq), n)
+    stored = np.zeros(paths)
+    totals = np.zeros(paths)
+    for t in range(n):
+        lvl = np.minimum(stored + draws[t], c)
+        u = np.minimum(policy.evaluate(lvl), lvl)
+        totals += reward.value(u)
+        stored = lvl - u
+    means = totals / n
     value = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / np.sqrt(paths))
     return EvaluationResult(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,9 +40,9 @@ from .evaluation import (
 from .policies import (
     FixedFractionPolicy,
     GreedyPolicy,
-    MaximinAwgnPolicy,
     MaximinPolicy,
     StationaryPolicy,
+    maximin_policy,
 )
 from .rewards import RewardFunction
 
@@ -141,9 +141,7 @@ def small_capacity_factor_limit(p: float) -> float:
 def make_policy(kind: str, reward: RewardFunction, mcr: float) -> StationaryPolicy:
     """Instantiate a policy kind matched to an arrival mean-to-capacity ratio."""
     if kind == "maximin":
-        if reward.kind == "awgn":
-            return MaximinAwgnPolicy(reward.gamma, mcr)
-        return MaximinPolicy(reward, mcr)
+        return maximin_policy(reward, mcr)
     if kind == "fixed_fraction":
         return FixedFractionPolicy(mcr)
     if kind == "greedy":
@@ -174,7 +172,6 @@ def sweep(
     mc_slots: int = 100_000,
     mc_paths: int = 64,
     seed: int = 0,
-    workers: int = 1,
     max_iter: int = 10**6,
 ) -> list[GapReport]:
     """Gap/factor reports over a (c, ratio) grid for each policy kind.
@@ -185,6 +182,12 @@ def sweep(
     optimal there); other families use the grid MDP: value iteration for the
     optimum and, per `policy_evaluator`, value iteration ("vi") or Monte
     Carlo ("mc") for the policy gain.
+
+    The bisection maximin reference (MaximinPolicy) consumes within
+    inversion_tol = d of the exact policy.  Its reserve map has slope in
+    [0, 1], so rung i consumes at most i d off, and under the series weights
+    p (1-p)**(i-1) that costs at most marginal(0) d / p of reward; this slack
+    is added to the optimal gain's tolerance.
     """
     if policy_evaluator not in ("vi", "mc"):
         raise ValueError("policy_evaluator must be 'vi' or 'mc'")
@@ -206,6 +209,9 @@ def sweep(
             if isinstance(dist, BernoulliArrivals):
                 reference = make_policy("maximin", reward, mcr)
                 best = bernoulli_reward(reference, reward, c, mcr, tol=series_tol)
+                if isinstance(reference, MaximinPolicy):
+                    slack = float(reward.marginal(0.0)) * reference.inversion_tol / mcr
+                    best = replace(best, tolerance=best.tolerance + slack)
                 model = None
             else:
                 model = build_mdp(reward, dist, grid_cells)
@@ -218,8 +224,7 @@ def sweep(
                     mine = policy_gain(model, policy, eps=vi_eps, max_iter=max_iter)
                 else:
                     mine = simulate(
-                        policy, dist, reward, mc_slots, mc_paths,
-                        seed=seed + cell_index, workers=workers,
+                        policy, dist, reward, mc_slots, mc_paths, seed=seed + cell_index
                     )
                 gap, factor = gap_and_factor(mine.value, best.value)
                 reports.append(

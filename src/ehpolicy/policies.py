@@ -18,15 +18,18 @@ Its defining property is ladder_sum(reward, 1/(1-p), policy(x)) == x.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rewards import (
+    _LADDER_CAP,
     RewardFunction,
     depletion_steps,
     ladder_sum,
+    step_down_cutoff,
     step_down_iter,
 )
 
@@ -36,7 +39,9 @@ __all__ = [
     "FixedFractionPolicy",
     "MaximinPolicy",
     "MaximinAwgnPolicy",
+    "maximin_policy",
     "Endpoint",
+    "maximin_kinks",
     "awgn_segment_index",
     "awgn_endpoints",
     "ergodic_levels",
@@ -210,20 +215,60 @@ def awgn_segment_index(gamma: float, p: float, x):
     return int(m) if scalar else m
 
 
+def maximin_policy(reward: RewardFunction, p: float) -> MaximinPolicy | MaximinAwgnPolicy:
+    """The maximin policy at ratio p: closed form for awgn, bisection otherwise."""
+    if reward.kind == "awgn":
+        return MaximinAwgnPolicy(reward.gamma, p)
+    return MaximinPolicy(reward, p)
+
+
 @dataclass(frozen=True)
 class Endpoint:
-    """Kink of the piecewise-linear awgn maximin policy: value y at level x."""
+    """Kink of the maximin policy: consumption y at stored level x."""
 
     k: int
     x: float
     y: float
 
 
+def maximin_kinks(reward: RewardFunction, p: float, upto: float) -> list[Endpoint]:
+    """Kinks E_0, E_1, ... of the maximin policy, through the first with x > upto.
+
+    E_k is where the ladder gains its k-th rung: y = step_down_cutoff(reward,
+    s**k) is the largest head that reaches 0 in k steps and x =
+    ladder_sum(reward, s, y), with s = 1/(1-p); E_0 is the origin.  Raises
+    ValueError when more than _LADDER_CAP kinks, or a float overflow, lie
+    below upto.
+    """
+    p = _check_fraction(p)
+    s = 1.0 / (1.0 - p)
+    out = [Endpoint(k=0, x=0.0, y=0.0)]
+    with np.errstate(over="ignore"):  # overflow is caught below and reported
+        for k in range(1, _LADDER_CAP + 1):
+            try:
+                y = float(step_down_cutoff(reward, s**k))
+            except OverflowError:
+                break
+            if not math.isfinite(y):
+                break
+            x = float(ladder_sum(reward, s, y))
+            if not math.isfinite(x):
+                break
+            out.append(Endpoint(k=k, x=x, y=y))
+            if x > upto:
+                return out
+    raise ValueError(
+        f"maximin kinks at p={p!r} do not pass upto={upto!r} "
+        f"within {_LADDER_CAP} kinks and float range"
+    )
+
+
 def awgn_endpoints(gamma: float, p: float, k_max: int) -> list[Endpoint]:
     """Segment endpoints E_0..E_k_max of the awgn maximin policy.
 
     E_k has stored level ((1-p)**-k - 1) / p - k and consumption
-    (1-p)**-k - 1, both divided by gamma; E_0 is the origin.
+    (1-p)**-k - 1, both divided by gamma; E_0 is the origin.  This closed
+    form is the independent reference for maximin_kinks and the policy.
     """
     gamma = float(gamma)
     if not gamma > 0:

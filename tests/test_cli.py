@@ -71,6 +71,18 @@ class TestCurve:
             assert main(["curve", "--p", "0.3", "--out", str(target)]) == 0
         assert read(a) == read(b)
 
+    def test_endpoints_reach_past_x_max_at_small_p(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--p", "1e-5", "--x-max", "10", "--out", str(out)]) == 0
+        rows = read(tmp_path / "curve.endpoints.csv").splitlines()[1:]
+        xs = [float(row.split(",")[1]) for row in rows]
+        assert xs[-2] <= 10.0 < xs[-1]
+
+    def test_unreachable_x_max_rejected_without_output(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--p", "0.5", "--x-max", "1e308", "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_bad_p_rejected(self):
         assert main(["curve", "--p", "1.5"]) == 1
         assert main(["curve", "--p", "oops"]) == 1
@@ -147,6 +159,7 @@ class TestEvaluate:
         assert main(base + ["--p", "0.5", "--format", "xml"]) == 1
         assert main(["evaluate", "--family", "uniform", "--c", "1",
                      "--nmcr", "0.5", "--method", "series"]) == 1
+        assert main(base + ["--p", "0.5", "--workers", "2"]) == 1
 
     def test_nonconvergence_exit_code(self, tmp_path):
         # c=2 keeps the policy below full drain, so coupling is gradual
@@ -179,7 +192,7 @@ class TestSweep:
         ]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b), "--workers", "3"]) == 0
+        assert main(args + ["--out", str(b)]) == 0
         assert read(a) == read(b)
 
     def test_range_grid_syntax(self, tmp_path):
@@ -253,6 +266,11 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("family=bernoulli\nc=1\np=0.5\nmode=fast\n")
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+
+    def test_workers_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family=bernoulli\nc=1\np=0.5\nworkers=2\n")
         assert main(["evaluate", "--config", str(cfg)]) == 1
 
     def test_malformed_line_rejected(self, tmp_path):

@@ -126,6 +126,14 @@ class TestDerivativeCheck:
         assert check.skipped
         assert check.nearest_kink == pytest.approx(4.0, abs=1e-9)
 
+    def test_kink_far_out_at_small_p_is_skipped(self):
+        # at p = 1e-5 the kink past x = 600 is the 10 758th
+        kink = pol.maximin_kinks(AWGN1, 1e-5, 600.0)[-1]
+        with pytest.warns(UserWarning):
+            check = ev.bernoulli_derivative_check(AWGN1, 1e-5, kink.x)
+        assert check.skipped
+        assert check.nearest_kink == kink.x
+
     @pytest.mark.parametrize("p", [0.3, 0.7])
     @pytest.mark.parametrize("c", [0.6, 1.7, 3.3])
     def test_identity_across_cells(self, p, c):
@@ -245,14 +253,10 @@ class TestSimulate:
         assert mc.stderr > 0.0
         assert abs(mc.value - series.value) <= 4.0 * mc.stderr
 
-    def test_reproducible_across_worker_counts(self):
+    def test_workers_argument_removed(self):
         dist = arr.LimitedUniformArrivals(1.0, 1.4)
-        runs = [
-            ev.simulate(pol.FixedFractionPolicy(0.4), dist, AWGN1, 2_000, 8, seed=5, workers=w)
-            for w in (1, 2, 5)
-        ]
-        assert runs[0].value == runs[1].value == runs[2].value
-        assert runs[0].stderr == runs[1].stderr == runs[2].stderr
+        with pytest.raises(TypeError):
+            ev.simulate(pol.FixedFractionPolicy(0.4), dist, AWGN1, 2_000, 8, seed=5, workers=2)
 
     def test_seed_controls_stream(self):
         dist = arr.LimitedExponentialArrivals(1.0, 1.0)

@@ -112,6 +112,18 @@ class TestSweepBernoulli:
             assert r.tolerance >= 0.0
 
 
+class TestSweepTolerance:
+    def test_bisection_reference_tolerance_bounds_every_policy(self):
+        # the bisection maximin reference sits up to marginal(0) * 1e-12 / p
+        # below the exact optimum, which greedy can beat by 3e-13
+        reports = mx.sweep(
+            SQRT, mx.POLICY_KINDS, "bernoulli", (0.5, 2.0, 8.0),
+            p_values=(0.01, 0.1, 0.3, 0.5, 0.9),
+        )
+        for r in reports:
+            assert r.policy_gain <= r.optimal_gain + r.tolerance, r
+
+
 class TestSweepGridFamilies:
     def test_uniform_rows(self):
         reports = mx.sweep(

@@ -114,6 +114,43 @@ class TestMaximinAwgn:
             pol.MaximinAwgnPolicy(1.0, 1.0)
 
 
+class TestMaximinKinks:
+    def test_factory_picks_closed_form_for_awgn(self):
+        assert isinstance(pol.maximin_policy(AWGN1, 0.5), pol.MaximinAwgnPolicy)
+        assert isinstance(pol.maximin_policy(SQRT, 0.5), pol.MaximinPolicy)
+
+    @pytest.mark.parametrize("p", [0.01, 0.5, 0.9])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_awgn_matches_closed_form(self, gamma, p):
+        kinks = pol.maximin_kinks(rw.RewardFunction.awgn(gamma), p, 50.0)
+        closed = pol.awgn_endpoints(gamma, p, len(kinks) - 1)
+        assert (kinks[0].x, kinks[0].y) == (0.0, 0.0)
+        for got, want in zip(kinks[1:], closed[1:]):
+            assert got.k == want.k
+            assert abs(got.x - want.x) <= 1e-12 * want.x
+            assert abs(got.y - want.y) <= 1e-12 * want.y
+
+    def test_sqrt_kinks_on_curve_through_first_past_upto(self):
+        kinks = pol.maximin_kinks(SQRT, 0.3, 8.0)
+        assert kinks[-2].x <= 8.0 < kinks[-1].x
+        omega = pol.MaximinPolicy(SQRT, 0.3)
+        for e in kinks:
+            assert omega.evaluate(e.x) == pytest.approx(e.y, abs=1e-10)
+
+    def test_covers_far_upto_at_small_p(self):
+        kinks = pol.maximin_kinks(AWGN1, 1e-5, 600.0)
+        assert kinks[-2].x <= 600.0 < kinks[-1].x
+
+    def test_cap_raises_instead_of_truncating(self, monkeypatch):
+        monkeypatch.setattr(pol, "_LADDER_CAP", 10)
+        with pytest.raises(ValueError, match=r"p=0\.01 .*upto=100\.0"):
+            pol.maximin_kinks(AWGN1, 0.01, 100.0)
+
+    def test_overflow_raises(self):
+        with pytest.raises(ValueError, match=r"p=0\.5 .*upto=1e\+308"):
+            pol.maximin_kinks(SQRT, 0.5, 1e308)
+
+
 class TestMaximinGeneric:
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
