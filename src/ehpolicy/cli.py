@@ -85,56 +85,6 @@ def _parse_policies(text: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # config handling
 
-# dest -> (converter, default); used both for flags and for config keys
-_CURVE_SPEC = {
-    "reward": (_parse_reward_spec, rw.RewardFunction.awgn(1.0)),
-    "p": (float, 0.5),
-    "x_max": (float, 8.0),
-    "points": (int, 201),
-    "out": (str, None),
-    "endpoints_out": (str, None),
-}
-_EVALUATE_SPEC = {
-    "reward": (_parse_reward_spec, rw.RewardFunction.awgn(1.0)),
-    "family": (str, "bernoulli"),
-    "c": (float, 1.0),
-    "p": (float, None),
-    "nmcr": (float, None),
-    "policy": (str, "maximin"),
-    "method": (str, "series"),
-    "n": (int, 100_000),
-    "paths": (int, 64),
-    "grid_n": (int, 2000),
-    "eps": (float, 1e-9),
-    "tol": (float, 1e-15),
-    "max_iter": (int, 1_000_000),
-    "seed": (int, 0),
-    "out": (str, None),
-    "format": (str, "json"),
-}
-_SWEEP_SPEC = {
-    "reward": (_parse_reward_spec, rw.RewardFunction.awgn(1.0)),
-    "family": (str, None),
-    "c": (float, None),
-    "c_grid": (_parse_grid, None),
-    "p": (_parse_grid, None),
-    "nmcr": (_parse_grid, None),
-    "policies": (_parse_policies, mx.POLICY_KINDS),
-    "method": (str, "vi"),
-    "n": (int, 100_000),
-    "paths": (int, 64),
-    "grid_n": (int, 2000),
-    "eps": (float, 1e-9),
-    "tol": (float, 1e-15),
-    "max_iter": (int, 1_000_000),
-    "seed": (int, 0),
-    "out": (str, None),
-    "format": (str, "csv"),
-}
-_VERIFY_SPEC = {
-    "seed": (int, 0),
-}
-
 
 def _load_config(path: str) -> dict[str, str]:
     try:
@@ -153,31 +103,25 @@ def _load_config(path: str) -> dict[str, str]:
     return mapping
 
 
-def _resolve(ns: argparse.Namespace, table: dict) -> dict:
-    """Merge flags over config over defaults, converting strings once."""
-    config = _load_config(ns.config) if getattr(ns, "config", None) else {}
-    unknown = set(config) - set(table)
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    resolved = {}
-    for dest, (convert, default) in table.items():
-        raw = getattr(ns, dest, None)
-        if raw is None:
-            raw = config.get(dest)
-        if raw is None:
-            resolved[dest] = default
-            continue
-        try:
-            resolved[dest] = convert(raw)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad value for {dest}: {raw!r} ({exc})")
-    return resolved
-
-
 def _require_positive(cfg: dict, *keys: str) -> None:
     for key in keys:
         if cfg[key] is not None and not cfg[key] > 0:
             raise UsageError(f"{key} must be positive, got {cfg[key]!r}")
+
+
+def _check_run(cfg: dict) -> None:
+    """Checks shared by evaluate and sweep."""
+    _require_positive(cfg, "n", "paths", "grid_n", "eps", "tol", "max_iter")
+    if cfg["seed"] < 0:
+        raise UsageError("seed must be nonnegative")
+    if cfg["format"] not in ("csv", "json"):
+        raise UsageError(f"format must be csv or json, not {cfg['format']!r}")
+    if (cfg["p"] is None) == (cfg["nmcr"] is None):
+        raise UsageError("give exactly one of p or nmcr")
+    if cfg["method"] not in ("series", "vi", "mc"):
+        raise UsageError(f"unknown method {cfg['method']!r}; expected series, vi, or mc")
+    if cfg["method"] == "series" and cfg["family"] != "bernoulli":
+        raise UsageError("method=series needs family=bernoulli")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -196,8 +140,7 @@ def _fmt(value) -> str:
 # subcommands
 
 
-def cmd_curve(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, _CURVE_SPEC)
+def cmd_curve(cfg: dict) -> int:
     if not 0.0 < cfg["p"] < 1.0:
         raise UsageError(f"p must lie in (0, 1), got {cfg['p']!r}")
     _require_positive(cfg, "x_max")
@@ -230,19 +173,11 @@ def cmd_curve(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evaluate(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, _EVALUATE_SPEC)
-    _require_positive(cfg, "c", "n", "paths", "grid_n", "eps", "tol", "max_iter")
-    if cfg["seed"] < 0:
-        raise UsageError("seed must be nonnegative")
-    if cfg["format"] not in ("json", "csv"):
-        raise UsageError(f"evaluate emits json or csv, not {cfg['format']!r}")
-    if (cfg["p"] is None) == (cfg["nmcr"] is None):
-        raise UsageError("give exactly one of p or nmcr")
+def cmd_evaluate(cfg: dict) -> int:
+    _require_positive(cfg, "c")
+    _check_run(cfg)
     if cfg["policy"] not in mx.POLICY_KINDS:
         raise UsageError(f"unknown policy {cfg['policy']!r}; expected one of {mx.POLICY_KINDS}")
-    if cfg["method"] not in ("series", "vi", "mc"):
-        raise UsageError(f"unknown method {cfg['method']!r}; expected series, vi, or mc")
 
     reward, family, c = cfg["reward"], cfg["family"], cfg["c"]
     try:
@@ -253,8 +188,6 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
 
     method = cfg["method"]
     if method == "series":
-        if family != "bernoulli":
-            raise UsageError("method=series needs family=bernoulli")
         result = ev.bernoulli_reward(policy, reward, c, cfg["p"], tol=cfg["tol"])
         knobs = {"tol": cfg["tol"]}
     elif method == "vi":
@@ -288,23 +221,12 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, _SWEEP_SPEC)
-    _require_positive(cfg, "n", "paths", "grid_n", "eps", "tol", "max_iter")
-    if cfg["seed"] < 0:
-        raise UsageError("seed must be nonnegative")
-    if cfg["format"] not in ("csv", "json"):
-        raise UsageError(f"sweep emits csv or json, not {cfg['format']!r}")
+def cmd_sweep(cfg: dict) -> int:
     if cfg["family"] is None:
         raise UsageError("family is required (bernoulli, uniform, or exponential)")
+    _check_run(cfg)
     if (cfg["c"] is None) == (cfg["c_grid"] is None):
         raise UsageError("give exactly one of c or c-grid")
-    if (cfg["p"] is None) == (cfg["nmcr"] is None):
-        raise UsageError("give exactly one of p or nmcr")
-    if cfg["method"] not in ("series", "vi", "mc"):
-        raise UsageError(f"unknown method {cfg['method']!r}; expected series, vi, or mc")
-    if cfg["method"] == "series" and cfg["family"] != "bernoulli":
-        raise UsageError("method=series needs family=bernoulli")
 
     c_values = (cfg["c"],) if cfg["c"] is not None else cfg["c_grid"]
     if any(v <= 0 for v in c_values):
@@ -343,8 +265,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, _VERIFY_SPEC)
+def cmd_verify(cfg: dict) -> int:
     if cfg["seed"] < 0:
         raise UsageError("seed must be nonnegative")
     results = checks.run_all(cfg["seed"])
@@ -368,63 +289,93 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 # parser assembly
 
 
-def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
-    table = {
-        "reward": ("--reward", "reward curve: awgn, awgn:GAMMA, or sqrt"),
-        "family": ("--family", "arrival family: bernoulli, uniform, or exponential"),
-        "c": ("--c", "battery capacity"),
-        "c_grid": ("--c-grid", "capacity grid: list 'a,b,c' or range 'lo:hi:count'"),
-        "p": ("--p", "mean-to-capacity ratio (grids allowed where noted)"),
-        "nmcr": ("--nmcr", "nominal mean-to-capacity ratio (uniform/exponential)"),
-        "policy": ("--policy", "policy kind: maximin, fixed_fraction, or greedy"),
-        "policies": ("--policies", "comma-separated policy kinds for sweeps"),
-        "method": ("--method", "evaluator: series, vi, or mc"),
-        "n": ("--n", "simulated slots per path (mc)"),
-        "paths": ("--paths", "independent sample paths (mc)"),
-        "grid_n": ("--grid-N", "battery grid cells (vi)"),
-        "eps": ("--eps", "span stopping threshold (vi)"),
-        "tol": ("--tol", "series tail tolerance"),
-        "max_iter": ("--max-iter", "iteration cap before giving up (vi)"),
-        "seed": ("--seed", "root seed for any randomized step"),
-        "out": ("--out", "output file (default: standard output)"),
-        "format": ("--format", "output format: csv or json"),
-        "x_max": ("--x-max", "largest battery level on the curve"),
-        "points": ("--points", "number of curve samples"),
-        "endpoints_out": ("--endpoints-out", "where to write the kink list"),
-    }
-    for name in names:
-        flag, help_text = table[name]
-        parser.add_argument(flag, dest=name, default=None, help=help_text)
-    parser.add_argument("--config", default=None, help="key=value file; flags win")
+# dest -> (flag, converter, help); the converter reads flag and config values alike
+_OPTIONS = {
+    "reward": ("--reward", _parse_reward_spec, "reward curve: awgn, awgn:GAMMA, or sqrt"),
+    "family": ("--family", str, "arrival family: bernoulli, uniform, or exponential"),
+    "c": ("--c", float, "battery capacity"),
+    "c_grid": ("--c-grid", _parse_grid, "capacity grid: list 'a,b,c' or range 'lo:hi:count'"),
+    "p": ("--p", float, "mean-to-capacity ratio (grids allowed where noted)"),
+    "nmcr": ("--nmcr", float, "nominal mean-to-capacity ratio (uniform/exponential)"),
+    "policy": ("--policy", str, "policy kind: maximin, fixed_fraction, or greedy"),
+    "policies": ("--policies", _parse_policies, "comma-separated policy kinds for sweeps"),
+    "method": ("--method", str, "evaluator: series, vi, or mc"),
+    "n": ("--n", int, "simulated slots per path (mc)"),
+    "paths": ("--paths", int, "independent sample paths (mc)"),
+    "grid_n": ("--grid-N", int, "battery grid cells (vi)"),
+    "eps": ("--eps", float, "span stopping threshold (vi)"),
+    "tol": ("--tol", float, "series tail tolerance"),
+    "max_iter": ("--max-iter", int, "iteration cap before giving up (vi)"),
+    "seed": ("--seed", int, "root seed for any randomized step"),
+    "out": ("--out", str, "output file (default: standard output)"),
+    "format": ("--format", str, "output format: csv or json"),
+    "x_max": ("--x-max", float, "largest battery level on the curve"),
+    "points": ("--points", int, "number of curve samples"),
+    "endpoints_out": ("--endpoints-out", str, "where to write the kink list"),
+}
+
+# evaluator options shared by evaluate and sweep, in flag order
+_RUN_DEFAULTS = {
+    "n": 100_000,
+    "paths": 64,
+    "grid_n": 2000,
+    "eps": 1e-9,
+    "tol": 1e-15,
+    "max_iter": 1_000_000,
+    "seed": 0,
+    "out": None,
+}
+_AWGN1 = rw.RewardFunction.awgn(1.0)
+
+# name -> (help, handler, {dest: default} in flag order, {dest: converter override})
+_COMMANDS = {
+    "curve": (
+        "sample policy curves and their kinks",
+        cmd_curve,
+        {"reward": _AWGN1, "p": 0.5, "x_max": 8.0, "points": 201, "out": None,
+         "endpoints_out": None},
+        {},
+    ),
+    "evaluate": (
+        "long-run reward of one policy in one cell",
+        cmd_evaluate,
+        {"reward": _AWGN1, "family": "bernoulli", "c": 1.0, "p": None, "nmcr": None,
+         "policy": "maximin", "method": "series", **_RUN_DEFAULTS, "format": "json"},
+        {},
+    ),
+    "sweep": (
+        "gap/factor table over a parameter grid",
+        cmd_sweep,
+        {"reward": _AWGN1, "family": None, "c": None, "c_grid": None, "p": None,
+         "nmcr": None, "policies": mx.POLICY_KINDS, "method": "vi", **_RUN_DEFAULTS,
+         "format": "csv"},
+        {"p": _parse_grid, "nmcr": _parse_grid},
+    ),
+    "verify": ("run every invariant suite", cmd_verify, {"seed": 0}, {}),
+}
+
+
+def _reported(convert):
+    """The converter, with its own ValueError text kept in argparse's error."""
+    def checked(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad value {text!r} ({exc})")
+    return checked
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ehpolicy", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
-
-    p_curve = sub.add_parser("curve", help="sample policy curves and their kinks")
-    _add_common(p_curve, "reward", "p", "x_max", "points", "out", "endpoints_out")
-    p_curve.set_defaults(func=cmd_curve)
-
-    p_eval = sub.add_parser("evaluate", help="long-run reward of one policy in one cell")
-    _add_common(
-        p_eval,
-        "reward", "family", "c", "p", "nmcr", "policy", "method",
-        "n", "paths", "grid_n", "eps", "tol", "max_iter", "seed", "out", "format",
-    )
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_sweep = sub.add_parser("sweep", help="gap/factor table over a parameter grid")
-    _add_common(
-        p_sweep,
-        "reward", "family", "c", "c_grid", "p", "nmcr", "policies", "method",
-        "n", "paths", "grid_n", "eps", "tol", "max_iter", "seed", "out", "format",
-    )
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_verify = sub.add_parser("verify", help="run every invariant suite")
-    _add_common(p_verify, "seed")
-    p_verify.set_defaults(func=cmd_verify)
+    for name, (summary, handler, defaults, converters) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for dest, default in defaults.items():
+            flag, convert, help_text = _OPTIONS[dest]
+            convert = _reported(converters.get(dest, convert))
+            command.add_argument(flag, dest=dest, type=convert, default=default, help=help_text)
+        command.add_argument("--config", default=None, help="key=value file; flags win")
+        command.set_defaults(func=handler, parser=command)
     return parser
 
 
@@ -435,7 +386,16 @@ def main(argv=None) -> int:
         if getattr(ns, "command", None) is None:
             parser.print_usage(sys.stderr)
             return 1
-        return ns.func(ns)
+        if ns.config is not None:
+            # config values become the subcommand's string defaults, which
+            # argparse converts like flags; flags given on the line still win
+            config = _load_config(ns.config)
+            unknown = set(config) - set(_COMMANDS[ns.command][2])
+            if unknown:
+                raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+            ns.parser.set_defaults(**config)
+            ns = parser.parse_args(argv)
+        return ns.func(vars(ns))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

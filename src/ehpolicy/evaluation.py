@@ -102,8 +102,9 @@ class EvaluationResult:
     """A long-run average-reward estimate and its accuracy tags.
 
     tolerance is the evaluator's own accuracy budget: the series tail bound,
-    3 standard errors for Monte Carlo, or the span half-width plus a grid
-    term for value iteration.
+    or the span half-width plus a grid term for value iteration.  For Monte
+    Carlo it is 3 standard errors, which is not a bound: it leaves out the
+    bias of starting every path empty, at most marginal(0) * c / n.
     """
 
     value: float

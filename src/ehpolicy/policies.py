@@ -27,6 +27,7 @@ import numpy as np
 from .rewards import (
     _LADDER_CAP,
     RewardFunction,
+    _prepare,
     depletion_steps,
     ladder_sum,
     step_down_cutoff,
@@ -51,13 +52,6 @@ __all__ = [
 ]
 
 
-def _prepare(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0):
-        raise ValueError("stored energy must be finite and nonnegative")
-    return arr, arr.ndim == 0
-
-
 def _check_fraction(p: float) -> float:
     p = float(p)
     if not 0.0 < p < 1.0:
@@ -77,7 +71,7 @@ class StationaryPolicy(ABC):
 
     def evaluate(self, x):
         """Energy consumed at stored level x; satisfies 0 <= result <= x."""
-        arr, scalar = _prepare(x)
+        arr, scalar = _prepare(x, "stored energy")
         out = self._evaluate(arr.ravel()).reshape(arr.shape)
         return float(out) if scalar else out
 
@@ -85,15 +79,13 @@ class StationaryPolicy(ABC):
 
     def reserve(self, x):
         """Energy carried to the next slot: x - evaluate(x), clipped at 0."""
-        arr, scalar = _prepare(x)
-        out = np.maximum(arr - self._evaluate(arr.ravel()).reshape(arr.shape), 0.0)
-        return float(out) if scalar else out
+        return self.reserve_iter(1, x)
 
     def reserve_iter(self, i: int, x):
         """i-fold composition of the reserve map."""
         if i < 0 or int(i) != i:
             raise ValueError("i must be a nonnegative integer")
-        arr, scalar = _prepare(x)
+        arr, scalar = _prepare(x, "stored energy")
         out = arr.copy()
         for _ in range(int(i)):
             out = np.maximum(out - self._evaluate(out.ravel()).reshape(out.shape), 0.0)
@@ -127,18 +119,17 @@ class MaximinPolicy(StationaryPolicy):
     evaluate(x) is the unique u in [0, x] with ladder_sum(reward, s, u) == x,
     s = 1/(1-p), found by bisection on the residual (ladder_sum(u) - x).
     ladder_sum(0) = 0 and ladder_sum(x) >= x bracket the root, and the slope
-    is at least 1, so the residual bounds the error in u.
+    is at least 1, so the residual, at most inversion_tol, bounds the error
+    in u.
     """
 
     kind = "maximin_generic"
+    inversion_tol = 1e-12
 
-    def __init__(self, reward: RewardFunction, p: float, inversion_tol: float = 1e-12):
+    def __init__(self, reward: RewardFunction, p: float):
         self.reward = reward
         self.p = _check_fraction(p)
         self.scale = 1.0 / (1.0 - self.p)
-        if not inversion_tol > 0:
-            raise ValueError("inversion_tol must be positive")
-        self.inversion_tol = float(inversion_tol)
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         lo = np.zeros_like(arr)
@@ -190,18 +181,33 @@ class MaximinAwgnPolicy(StationaryPolicy):
         return awgn_segment_index(self.gamma, self.p, x)
 
 
+def _past_segment(p: float, gx: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return (1.0 + p * (gx + m)) * (1.0 - p) ** m >= 1.0
+
+
 def _segment_index_1d(gamma: float, p: float, arr: np.ndarray) -> np.ndarray:
-    gx = gamma * arr
-    m = np.ones(arr.shape, dtype=np.int64)
     # least m >= 1 with (1 + p (gamma x + m)) (1-p)**m strictly below 1;
     # ties (exact segment endpoints) push the search one segment further,
-    # where continuity makes both formulas agree
-    pending = (1.0 + p * (gx + m)) * (1.0 - p) ** m >= 1.0
-    while np.any(pending):
-        m[pending] += 1
-        still = (1.0 + p * (gx[pending] + m[pending])) * (1.0 - p) ** m[pending] >= 1.0
-        pending[pending] = still
-    return m
+    # where continuity makes both formulas agree.  The left side is
+    # log-concave in m and at least 1 at m = 0, so it stays >= 1 before the
+    # answer and < 1 from it on.  Doubling brackets the answer in
+    # (hi // 2, hi]; the widest bracket, 2**(doublings - 1), closes after
+    # doublings - 1 bisection steps, and a closed bracket stays put
+    gx = gamma * arr
+    hi = np.ones(arr.shape, dtype=np.int64)
+    up = _past_segment(p, gx, hi)
+    doublings = 0
+    while np.any(up):
+        hi[up] *= 2
+        up[up] = _past_segment(p, gx[up], hi[up])
+        doublings += 1
+    lo = hi // 2
+    for _ in range(doublings - 1):
+        mid = (lo + hi) // 2
+        past = _past_segment(p, gx, mid)
+        lo = np.where(past, mid, lo)
+        hi = np.where(past, hi, mid)
+    return hi
 
 
 def awgn_segment_index(gamma: float, p: float, x):
@@ -210,7 +216,7 @@ def awgn_segment_index(gamma: float, p: float, x):
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     p = _check_fraction(p)
-    arr, scalar = _prepare(x)
+    arr, scalar = _prepare(x, "stored energy")
     m = _segment_index_1d(gamma, p, arr.ravel()).reshape(arr.shape)
     return int(m) if scalar else m
 

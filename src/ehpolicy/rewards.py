@@ -234,26 +234,36 @@ def _marginal_ratio(rw: RewardFunction, arr: np.ndarray) -> np.ndarray:
     return np.asarray(rw.marginal(0.0) / rw.marginal(arr), dtype=float)
 
 
-def depletion_steps(rw: RewardFunction, s: float, x):
-    """Number of ladder steps from x down to exactly 0.
+def _ladder_length(rw: RewardFunction, s: float, x, upper: bool):
+    """Least m >= 0 with s**m * marginal(x) at or above (upper: strictly
+    above) marginal(0).
 
-    This is the least m >= 0 with s**m * marginal(x) >= marginal(0); the
-    log-based guess is corrected against that inequality so exact integer
-    boundaries resolve the way the defining ceiling does.
+    The log-based guess (a ceiling, or a floor plus one for upper) is
+    corrected against that inequality so exact integer boundaries resolve
+    the way the defining count does.
     """
     s = _check_scale(s)
     arr, scalar = _prepare(x)
     ratio = _marginal_ratio(rw, arr)
     with np.errstate(divide="ignore"):
         q = np.log(ratio) / np.log(s)
-    m = np.ceil(q).astype(np.int64)
+    reaches = np.greater if upper else np.greater_equal
+    m = (np.floor(q).astype(np.int64) + 1) if upper else np.ceil(q).astype(np.int64)
     m = np.maximum(m, 0)
-    dec = (m > 0) & (np.power(s, np.maximum(m - 1, 0)) >= ratio)
+    dec = (m > 0) & reaches(np.power(s, np.maximum(m - 1, 0)), ratio)
     m = np.where(dec, m - 1, m)
-    m = np.where(np.power(s, m) < ratio, m + 1, m)
+    m = np.where(reaches(np.power(s, m), ratio), m, m + 1)
     if scalar:
         return int(m)
     return m
+
+
+def depletion_steps(rw: RewardFunction, s: float, x):
+    """Number of ladder steps from x down to exactly 0.
+
+    This is the least m >= 0 with s**m * marginal(x) >= marginal(0).
+    """
+    return _ladder_length(rw, s, x, upper=False)
 
 
 def depletion_steps_upper(rw: RewardFunction, s: float, x):
@@ -264,19 +274,7 @@ def depletion_steps_upper(rw: RewardFunction, s: float, x):
     larger; the extra ladder term is exactly 0 there, so both counts truncate
     ladder_sum identically.
     """
-    s = _check_scale(s)
-    arr, scalar = _prepare(x)
-    ratio = _marginal_ratio(rw, arr)
-    with np.errstate(divide="ignore"):
-        q = np.log(ratio) / np.log(s)
-    m = np.floor(q).astype(np.int64) + 1
-    m = np.maximum(m, 0)
-    dec = (m > 0) & (np.power(s, np.maximum(m - 1, 0)) > ratio)
-    m = np.where(dec, m - 1, m)
-    m = np.where(np.power(s, m) <= ratio, m + 1, m)
-    if scalar:
-        return int(m)
-    return m
+    return _ladder_length(rw, s, x, upper=True)
 
 
 def ladder_sum(rw: RewardFunction, s: float, x):

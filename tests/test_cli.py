@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -273,6 +274,33 @@ class TestConfigFile:
         cfg.write_text("family=bernoulli\nc=1\np=0.5\nworkers=2\n")
         assert main(["evaluate", "--config", str(cfg)]) == 1
 
+    def test_sweep_config_matches_flags_byte_for_byte(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = bernoulli\np = 0.5\nc-grid = 0.5:2:4\npolicies = greedy\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main(["sweep", "--family", "bernoulli", "--p", "0.5", "--c-grid", "0.5:2:4",
+                     "--policies", "greedy", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_flag_overrides_config_grid(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family=bernoulli\nc=1\np = 0.2,0.3\npolicies=maximin\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--p", "0.5", "--out", str(out)]) == 0
+        rows = read(out).splitlines()[1:]
+        assert [float(r.split(",")[2]) for r in rows] == [0.5]
+
+    def test_bad_config_value_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p = oops\n")
+        assert main(["curve", "--config", str(cfg)]) == 1
+
+    def test_key_of_another_subcommand_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family=bernoulli\nc=1\np=0.5\nx-max = 3\n")
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("family bernoulli\n")
@@ -280,6 +308,26 @@ class TestConfigFile:
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["evaluate", "--config", str(tmp_path / "absent.cfg")]) == 1
+
+
+_RUN_FLAGS = ["--n", "--paths", "--grid-N", "--eps", "--tol", "--max-iter", "--seed",
+              "--out", "--format", "--config"]
+FLAGS = {
+    "curve": ["--help", "--reward", "--p", "--x-max", "--points", "--out",
+              "--endpoints-out", "--config"],
+    "evaluate": ["--help", "--reward", "--family", "--c", "--p", "--nmcr", "--policy",
+                 "--method"] + _RUN_FLAGS,
+    "sweep": ["--help", "--reward", "--family", "--c", "--c-grid", "--p", "--nmcr",
+              "--policies", "--method"] + _RUN_FLAGS,
+    "verify": ["--help", "--seed", "--config"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_help_lists_each_flag_once_in_order(command, capsys):
+    assert main([command, "--help"]) == 0
+    shown = re.findall(r"^  (?:-h, )?(--?[\w-]+)", capsys.readouterr().out, re.M)
+    assert shown == FLAGS[command]
 
 
 class TestTopLevel:

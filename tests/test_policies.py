@@ -102,6 +102,31 @@ class TestMaximinAwgn:
         np.testing.assert_array_equal(idx, [1, 2, 3, 4])
         assert pol.awgn_segment_index(1.0, 0.5, 2.0) == 2
 
+    def test_segment_index_just_inside_far_kinks_at_small_p(self):
+        # the segment ending at kink E_k has index k; at p = 1e-5 the kinks
+        # below x = 600 reach k = 10 758
+        kinks = pol.maximin_kinks(AWGN1, 1e-5, 600.0)
+        x = np.array([e.x for e in kinks])
+        inside = x[1:] - 1e-3 * np.diff(x)
+        idx = pol.awgn_segment_index(1.0, 1e-5, inside)
+        np.testing.assert_array_equal(idx, [e.k for e in kinks[1:]])
+
+    @pytest.mark.parametrize("p", [1e-3, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("gamma", [0.5, 2.0])
+    def test_segment_index_matches_linear_search(self, gamma, p):
+        x = np.concatenate([
+            np.linspace(0.0, 50.0, 2001),
+            [e.x for e in pol.awgn_endpoints(gamma, p, 40)],
+        ])
+        gx = gamma * x
+        want = np.ones(x.shape, dtype=np.int64)
+        while True:
+            past = (1.0 + p * (gx + want)) * (1.0 - p) ** want >= 1.0
+            if not past.any():
+                break
+            want += past
+        np.testing.assert_array_equal(pol.awgn_segment_index(gamma, p, x), want)
+
     def test_nondecreasing_and_concave(self):
         for p in (0.1, 0.5, 0.9):
             report = pol.normality_check(pol.MaximinAwgnPolicy(1.0, p), 25.0)
@@ -187,6 +212,8 @@ class TestReserve:
             omega.reserve(x), x - omega.evaluate(x), atol=1e-12
         )
         assert np.all(omega.reserve(x) >= 0.0)
+        np.testing.assert_array_equal(omega.reserve(x), omega.reserve_iter(1, x))
+        assert omega.reserve(3.0) == omega.reserve_iter(1, 3.0)
 
     def test_reserve_iter_composes(self):
         omega = pol.MaximinAwgnPolicy(1.0, 0.4)
