@@ -237,6 +237,20 @@ class Endpoint:
     y: float
 
 
+def _kink(reward: RewardFunction, s: float, k: int) -> Endpoint | None:
+    """Kink E_k, or None when s**k, its cutoff or its ladder sum overflows."""
+    try:
+        y = float(step_down_cutoff(reward, s**k))
+    except OverflowError:
+        return None
+    if not math.isfinite(y):
+        return None
+    x = float(ladder_sum(reward, s, y))
+    if not math.isfinite(x):
+        return None
+    return Endpoint(k=k, x=x, y=y)
+
+
 def maximin_kinks(reward: RewardFunction, p: float, upto: float) -> list[Endpoint]:
     """Kinks E_0, E_1, ... of the maximin policy, through the first with x > upto.
 
@@ -248,25 +262,24 @@ def maximin_kinks(reward: RewardFunction, p: float, upto: float) -> list[Endpoin
     """
     p = _check_fraction(p)
     s = 1.0 / (1.0 - p)
-    out = [Endpoint(k=0, x=0.0, y=0.0)]
-    with np.errstate(over="ignore"):  # overflow is caught below and reported
-        for k in range(1, _LADDER_CAP + 1):
-            try:
-                y = float(step_down_cutoff(reward, s**k))
-            except OverflowError:
-                break
-            if not math.isfinite(y):
-                break
-            x = float(ladder_sum(reward, s, y))
-            if not math.isfinite(x):
-                break
-            out.append(Endpoint(k=k, x=x, y=y))
-            if x > upto:
-                return out
-    raise ValueError(
+    refusal = (
         f"maximin kinks at p={p!r} do not pass upto={upto!r} "
         f"within {_LADDER_CAP} kinks and float range"
     )
+    out = [Endpoint(k=0, x=0.0, y=0.0)]
+    with np.errstate(over="ignore"):  # overflow is caught below and reported
+        last = _kink(reward, s, _LADDER_CAP)
+        if last is not None and last.x <= upto:
+            # kinks increase with k, so the walk would end at the cap anyway
+            raise ValueError(refusal)
+        for k in range(1, _LADDER_CAP + 1):
+            kink = _kink(reward, s, k)
+            if kink is None:
+                break
+            out.append(kink)
+            if kink.x > upto:
+                return out
+    raise ValueError(refusal)
 
 
 def awgn_endpoints(gamma: float, p: float, k_max: int) -> list[Endpoint]:

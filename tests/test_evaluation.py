@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ehpolicy import arrivals as arr
 from ehpolicy import evaluation as ev
@@ -13,6 +15,10 @@ from ehpolicy import rewards as rw
 
 AWGN1 = rw.RewardFunction.awgn(1.0)
 SQRT = rw.RewardFunction.sqrt_rate()
+# convex, so its reward table is not concave and the sweep takes the exact scan
+CONVEX = rw.RewardFunction.custom(
+    lambda u: u * u, lambda u: 2.0 * u, lambda y: 0.5 * y, validate=False
+)
 
 # frozen series values, computed once from the level walk by hand
 T_MAXIMIN_C1_P05 = 0.17328679513998632   # = 0.25 * ln 2
@@ -176,16 +182,17 @@ class TestOptimalGain:
         assert actions[1] == 1
 
     @pytest.mark.parametrize(
-        "dist",
+        "reward, dist",
         [
-            arr.BernoulliArrivals(1.0, 0.4),
-            arr.LimitedUniformArrivals(1.0, 1.0),
-            arr.LimitedUniformArrivals(1.0, 1.8),
+            pytest.param(AWGN1, arr.BernoulliArrivals(1.0, 0.4), id="dist0"),
+            pytest.param(AWGN1, arr.LimitedUniformArrivals(1.0, 1.0), id="dist1"),
+            pytest.param(AWGN1, arr.LimitedUniformArrivals(1.0, 1.8), id="dist2"),
+            pytest.param(CONVEX, arr.LimitedUniformArrivals(1.0, 1.8), id="convex_reward"),
         ],
     )
     @pytest.mark.parametrize("cells", [2, 3])
-    def test_matches_brute_force_enumeration(self, dist, cells):
-        model = ev.build_mdp(AWGN1, dist, cells)
+    def test_matches_brute_force_enumeration(self, reward, dist, cells):
+        model = ev.build_mdp(reward, dist, cells)
         res, _ = ev.optimal_gain(model, eps=1e-11)
         assert res.value == pytest.approx(brute_force_best(model), abs=1e-8)
 
@@ -208,6 +215,83 @@ class TestOptimalGain:
         res, _ = ev.optimal_gain(model, eps=1e-9)
         assert res.method == "value_iteration"
         assert res.tolerance > 0.0
+
+    @pytest.mark.parametrize(
+        "dist, cells",
+        [
+            (arr.from_nmcr("uniform", 2.0, 0.5), 1000),
+            (arr.from_nmcr("exponential", 1.0, 0.5), 1000),
+            (arr.BernoulliArrivals(2.0, 0.1), 500),
+        ],
+    )
+    def test_slope_merge_matches_exact_scan_bit_for_bit(self, dist, cells, monkeypatch):
+        model = ev.build_mdp(AWGN1, dist, cells)
+        concave = []
+        is_concave = ev._is_concave
+
+        def recorded(seq):
+            concave.append(is_concave(seq))
+            return concave[-1]
+
+        monkeypatch.setattr(ev, "_is_concave", recorded)
+        merged, merged_actions = ev.optimal_gain(model)
+        assert concave and all(concave)  # every sweep took the slope merge
+        monkeypatch.setattr(ev, "_is_concave", lambda seq: False)
+        exact, exact_actions = ev.optimal_gain(model)
+        assert (merged.value, merged.residual, merged.tolerance) == (
+            exact.value,
+            exact.residual,
+            exact.tolerance,
+        )
+        np.testing.assert_array_equal(merged_actions, exact_actions)
+
+
+@st.composite
+def _concave_pairs(draw):
+    """Two concave sequences of one length, with slopes from a shared pool,
+    and whether their sums are exact.
+
+    A small pool gives many tied slopes, within and across the two.  On a
+    grid of 2**-bits the sums are exact, so ties stay ties; with unrounded
+    slopes a pair is kept only if it is still concave as computed, which is
+    the condition the merge relies on.
+    """
+    n = draw(st.integers(2, 300))
+    distinct = draw(st.integers(1, 2 * n))
+    bits = draw(st.sampled_from([3, 20, None]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.uniform(-10.0, 10.0, distinct)
+    if bits is not None:
+        pool = np.round(pool * 2.0**bits) / 2.0**bits
+
+    def sequence():
+        slopes = np.sort(rng.choice(pool, n - 1))[::-1]
+        return rng.integers(-80, 81) / 8.0 + np.concatenate([[0.0], np.cumsum(slopes)])
+
+    rewards, w = sequence(), sequence()
+    assume(ev._is_concave(rewards) and ev._is_concave(w))
+    return rewards, w, bits is not None
+
+
+class TestSlopeMerge:
+    @settings(max_examples=200, deadline=None)
+    @given(_concave_pairs())
+    def test_attains_the_exact_max_within_four_ulps(self, case):
+        rewards, w, exact = case
+        n = len(w)
+        actions = ev._best_actions(rewards, w, rewards_concave=True)
+        states = np.arange(n)
+        assert actions.shape == (n,)
+        assert np.all((0 <= actions) & (actions <= states))
+        got = rewards[actions] + w[states - actions]
+        # every candidate sum rewards[j] + w[i - j], j <= i, as a plain matrix
+        # (entries with j > i index w in range and are masked out)
+        j = states[None, :]
+        cand = np.where(j <= states[:, None], rewards[j] + w[np.abs(states[:, None] - j)], -np.inf)
+        best = cand.max(axis=1)
+        assert np.all(np.abs(got - best) <= 4.0 * np.spacing(np.abs(best)))
+        if exact:  # tied sums are truly tied, and the smallest j must win
+            np.testing.assert_array_equal(actions, cand.argmax(axis=1))
 
 
 class TestPolicyGain:

@@ -1,6 +1,8 @@
 """Unit tests for the stationary control policies."""
 
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -170,6 +172,13 @@ class TestMaximinKinks:
         monkeypatch.setattr(pol, "_LADDER_CAP", 10)
         with pytest.raises(ValueError, match=r"p=0\.01 .*upto=100\.0"):
             pol.maximin_kinks(AWGN1, 0.01, 100.0)
+
+    def test_refusal_at_the_cap_is_fast(self):
+        started = time.perf_counter()
+        message = "maximin kinks at p=1e-09 do not pass upto=10 within 100000 kinks and float range"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pol.maximin_kinks(AWGN1, 1e-9, upto=10)
+        assert time.perf_counter() - started < 1.0
 
     def test_overflow_raises(self):
         with pytest.raises(ValueError, match=r"p=0\.5 .*upto=1e\+308"):
