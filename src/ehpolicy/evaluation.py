@@ -318,6 +318,10 @@ def _expected_next(v: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return fftconvolve(vext, mass[::-1], mode="valid")
 
 
+# candidate sums held at once by the exact scan in _best_actions (2 MiB)
+_SCAN_BLOCK = 2**18
+
+
 def _is_concave(seq: np.ndarray) -> bool:
     """Whether the slopes of seq are nonincreasing, exactly as computed."""
     return bool(np.all(np.diff(seq, 2) <= 0))
@@ -332,20 +336,23 @@ def _best_actions(
     sum for state i takes the i largest of the two sequences' slopes, and
     those are a prefix of each, so j[i] counts the reward slopes among them.
     w's slopes come first in the stable sort, so exact ties keep j smallest.
-    Otherwise an exact O(n**2) scan picks the smallest maximizing j.
+    Otherwise an exact O(n**2) scan takes the first argmax over j of every
+    candidate sum, a block of states at a time so that each block holds at
+    most _SCAN_BLOCK sums.
     """
     n = len(w)
     if rewards_concave and _is_concave(w):
         slopes = np.concatenate([np.diff(w), np.diff(action_rewards)])
         kept = np.argsort(-slopes, kind="stable")[: n - 1]
         return np.concatenate([[0], np.cumsum(kept >= n - 1)])
-    best_val = np.full(n, -np.inf)
-    best = np.zeros(n, dtype=np.int64)
-    for j in range(n):
-        cand = action_rewards[j] + w[: n - j]
-        better = cand > best_val[j:]
-        best_val[j:] = np.where(better, cand, best_val[j:])
-        best[j:] = np.where(better, j, best[j:])
+    # shifted[i, j] = w[i - j] for j <= i and -inf above the diagonal (a view)
+    padded = np.concatenate([np.full(n - 1, -np.inf), w])
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1]
+    rows = max(1, _SCAN_BLOCK // n)
+    best = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        best[lo:hi] = np.argmax(action_rewards[:hi] + shifted[lo:hi, :hi], axis=1)
     return best
 
 

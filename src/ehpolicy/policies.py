@@ -268,10 +268,13 @@ def maximin_kinks(reward: RewardFunction, p: float, upto: float) -> list[Endpoin
     )
     out = [Endpoint(k=0, x=0.0, y=0.0)]
     with np.errstate(over="ignore"):  # overflow is caught below and reported
-        last = _kink(reward, s, _LADDER_CAP)
-        if last is not None and last.x <= upto:
-            # kinks increase with k, so the walk would end at the cap anyway
-            raise ValueError(refusal)
+        # kinks increase with k, so a last kink inside upto means the walk
+        # would end at the cap; only the built-in kinds sum a ladder in closed
+        # form, a custom one steps down every rung and has 10**5 rungs there
+        if reward.kind != "custom":
+            last = _kink(reward, s, _LADDER_CAP)
+            if last is not None and last.x <= upto:
+                raise ValueError(refusal)
         for k in range(1, _LADDER_CAP + 1):
             kink = _kink(reward, s, k)
             if kink is None:

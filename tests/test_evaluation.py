@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from ehpolicy import arrivals as arr
 from ehpolicy import evaluation as ev
@@ -246,52 +244,66 @@ class TestOptimalGain:
         np.testing.assert_array_equal(merged_actions, exact_actions)
 
 
-@st.composite
-def _concave_pairs(draw):
-    """Two concave sequences of one length, with slopes from a shared pool,
-    and whether their sums are exact.
+def _candidates(rewards, w):
+    """Every candidate sum rewards[j] + w[i - j] as a plain matrix, -inf for j > i."""
+    states = np.arange(len(w))
+    i, j = states[:, None], states[None, :]
+    return np.where(j <= i, rewards[j] + w[np.abs(i - j)], -np.inf)
 
-    A small pool gives many tied slopes, within and across the two.  On a
-    grid of 2**-bits the sums are exact, so ties stay ties; with unrounded
-    slopes a pair is kept only if it is still concave as computed, which is
-    the condition the merge relies on.
+
+def _concave_pair(seed):
+    """Two concave sequences of one length 2-300, with slopes from a shared
+    pool, and whether their sums are exact.
+
+    On a grid of 2**-3 or 2**-20 the sums are exact, so ties stay ties; a
+    small pool gives many tied slopes, within and across the two.  Unrounded
+    slopes are drawn without replacement, so each sequence's slopes are
+    distinct and it stays concave as computed; ties are then only across
+    the two.
     """
-    n = draw(st.integers(2, 300))
-    distinct = draw(st.integers(1, 2 * n))
-    bits = draw(st.sampled_from([3, 20, None]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pool = rng.uniform(-10.0, 10.0, distinct)
-    if bits is not None:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 301))
+    bits = (3, 20, None)[seed % 3]
+    if bits is None:
+        pool = rng.uniform(-10.0, 10.0, int(rng.integers(n - 1, 2 * n + 1)))
+    else:
+        pool = rng.uniform(-10.0, 10.0, int(rng.integers(1, 2 * n + 1)))
         pool = np.round(pool * 2.0**bits) / 2.0**bits
 
     def sequence():
-        slopes = np.sort(rng.choice(pool, n - 1))[::-1]
+        slopes = np.sort(rng.choice(pool, n - 1, replace=bits is not None))[::-1]
         return rng.integers(-80, 81) / 8.0 + np.concatenate([[0.0], np.cumsum(slopes)])
 
-    rewards, w = sequence(), sequence()
-    assume(ev._is_concave(rewards) and ev._is_concave(w))
-    return rewards, w, bits is not None
+    return sequence(), sequence(), bits is not None
 
 
-class TestSlopeMerge:
-    @settings(max_examples=200, deadline=None)
-    @given(_concave_pairs())
-    def test_attains_the_exact_max_within_four_ulps(self, case):
-        rewards, w, exact = case
+class TestBestActions:
+    @pytest.mark.parametrize("seed", range(200))
+    def test_slope_merge_attains_the_exact_max_within_four_ulps(self, seed):
+        rewards, w, exact = _concave_pair(seed)
+        assert ev._is_concave(rewards) and ev._is_concave(w)
         n = len(w)
         actions = ev._best_actions(rewards, w, rewards_concave=True)
         states = np.arange(n)
         assert actions.shape == (n,)
         assert np.all((0 <= actions) & (actions <= states))
         got = rewards[actions] + w[states - actions]
-        # every candidate sum rewards[j] + w[i - j], j <= i, as a plain matrix
-        # (entries with j > i index w in range and are masked out)
-        j = states[None, :]
-        cand = np.where(j <= states[:, None], rewards[j] + w[np.abs(states[:, None] - j)], -np.inf)
+        cand = _candidates(rewards, w)
         best = cand.max(axis=1)
         assert np.all(np.abs(got - best) <= 4.0 * np.spacing(np.abs(best)))
         if exact:  # tied sums are truly tied, and the smallest j must win
             np.testing.assert_array_equal(actions, cand.argmax(axis=1))
+
+    @pytest.mark.parametrize("block", [1, 100, 280, 2**18])  # n=40: 1, 2, 7, 40 rows
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_exact_scan_takes_the_smallest_maximizer(self, block, n, monkeypatch):
+        # small integers, not concave, with many tied sums
+        rng = np.random.default_rng(1000 * n + block)
+        rewards = rng.integers(0, 4, n).astype(float)
+        w = rng.integers(0, 4, n).astype(float)
+        monkeypatch.setattr(ev, "_SCAN_BLOCK", block)
+        actions = ev._best_actions(rewards, w, rewards_concave=False)
+        np.testing.assert_array_equal(actions, _candidates(rewards, w).argmax(axis=1))
 
 
 class TestPolicyGain:

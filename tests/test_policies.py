@@ -180,6 +180,21 @@ class TestMaximinKinks:
             pol.maximin_kinks(AWGN1, 1e-9, upto=10)
         assert time.perf_counter() - started < 1.0
 
+    def test_custom_reward_at_small_p_walks_like_closed_form(self):
+        # custom ladders are stepped rung by rung, so no kink at the cap is
+        # computed up front; the walk stops near k = 100
+        custom = rw.RewardFunction.custom(
+            value=lambda u: 0.5 * np.log1p(u),
+            marginal=lambda u: 0.5 / (1.0 + u),
+            marginal_inverse=lambda y: 0.5 / y - 1.0,
+        )
+        kinks = pol.maximin_kinks(custom, 1e-3, 5.0)
+        closed = pol.maximin_kinks(AWGN1, 1e-3, 5.0)
+        assert [e.k for e in kinks] == [e.k for e in closed]
+        for got, want in zip(kinks, closed):
+            assert got.x == pytest.approx(want.x, rel=1e-9)
+            assert got.y == pytest.approx(want.y, rel=1e-9)
+
     def test_overflow_raises(self):
         with pytest.raises(ValueError, match=r"p=0\.5 .*upto=1e\+308"):
             pol.maximin_kinks(SQRT, 0.5, 1e308)
