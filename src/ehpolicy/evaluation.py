@@ -14,7 +14,8 @@ Three evaluators of the long-run average reward per slot:
     rewards along that ladder.
   * simulate: Monte Carlo over independent finite paths started empty, with
     one RNG stream per path spawned from the master seed, so a seed fixes
-    the result bit for bit.
+    the result bit for bit.  Draws come in time blocks, so memory stays flat
+    in the number of slots, and rewards are evaluated once per block.
   * optimal_gain / policy_gain: relative value iteration on the capacity
     grid.  Arrivals are discretized onto the same grid, so post-decision
     transitions are exact index shifts and the transition matrix is never
@@ -139,7 +140,10 @@ def bernoulli_reward(
     Sums p (1-p)**(i-1) * r(consumption at the i-th ladder level), walking
     the policy's reserve map down from a full battery.  Stops exactly once
     the reserve hits 0 (maximin policies get there in finitely many steps)
-    or once the geometric tail bound r(c) (1-p)**i drops below tol.
+    or once the geometric tail bound r(c) (1-p)**i drops below tol.  Each
+    rung runs the policy's and the reward's raw kernels on a one-element
+    array: levels are finite and nonnegative by construction, and a
+    consumption that is not is rejected as reward.value would reject it.
     """
     c, p = float(c), float(p)
     if not c > 0:
@@ -151,9 +155,14 @@ def bernoulli_reward(
     level = c
     survivor = 1.0  # (1-p)**(i-1)
     residual = 0.0
+    cell = np.empty(1)  # the rung's level, then its consumption
     for _ in range(1_000_000):
-        u = min(float(policy.evaluate(level)), level)
-        total += p * survivor * float(reward.value(u))
+        cell[0] = level
+        u = min(float(policy._evaluate(cell)[0]), level)
+        if not 0.0 <= u <= level:
+            raise ValueError("u must be finite and nonnegative")
+        cell[0] = u
+        total += p * survivor * float(reward._value(cell)[0])
         level = max(level - u, 0.0)
         survivor *= 1.0 - p
         if level == 0.0:
@@ -225,6 +234,11 @@ def bernoulli_derivative_check(
     )
 
 
+# slots per simulate block: a block holds two block-by-paths arrays and costs
+# one `sample` call per path, so blocks are long but memory stays flat in n
+_SLOT_BLOCK = 1024
+
+
 def simulate(
     policy: StationaryPolicy,
     arrivals: ArrivalDistribution,
@@ -239,21 +253,34 @@ def simulate(
     battery and averages their per-slot rewards.  Each path draws from its
     own generator spawned from the master seed, so a seed fixes the result
     bit for bit.  stderr is the sample standard error over paths.
+
+    Draws come in time blocks of _SLOT_BLOCK slots, each path's generator
+    continuing where the last block stopped, so memory does not grow with n
+    and the draws equal one n-slot draw per path.  A slot runs only the
+    battery arithmetic and the policy's raw kernel, whose levels are finite
+    and nonnegative by construction.  Rewards are evaluated once per block
+    through reward.value, which rejects NaN or negative consumption, and
+    added to each path's total in slot order.
     """
     n, paths = int(n), int(paths)
     if n < 1 or paths < 2:
         raise ValueError("need n >= 1, paths >= 2")
     c = arrivals.c
-    draws = np.empty((n, paths))
-    for idx, seed_seq in enumerate(np.random.SeedSequence(int(seed)).spawn(paths)):
-        draws[:, idx] = arrivals.sample(np.random.default_rng(seed_seq), n)
+    seeds = np.random.SeedSequence(int(seed)).spawn(paths)
+    streams = [np.random.default_rng(seed_seq) for seed_seq in seeds]
+    block = np.empty((min(n, _SLOT_BLOCK), paths))
     stored = np.zeros(paths)
     totals = np.zeros(paths)
-    for t in range(n):
-        lvl = np.minimum(stored + draws[t], c)
-        u = np.minimum(policy.evaluate(lvl), lvl)
-        totals += reward.value(u)
-        stored = lvl - u
+    for start in range(0, n, len(block)):
+        rows = block[: n - start]
+        for idx, rng in enumerate(streams):
+            rows[:, idx] = arrivals.sample(rng, len(rows))
+        for row in rows:  # the slot's draws, overwritten by its consumption
+            lvl = np.minimum(stored + row, c)
+            np.minimum(policy._evaluate(lvl), lvl, out=row)
+            stored = lvl - row
+        for gain in reward.value(rows):
+            totals += gain
     means = totals / n
     value = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / np.sqrt(paths))

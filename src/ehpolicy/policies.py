@@ -191,15 +191,17 @@ def _segment_index_1d(gamma: float, p: float, arr: np.ndarray) -> np.ndarray:
     # where continuity makes both formulas agree.  The left side is
     # log-concave in m and at least 1 at m = 0, so it stays >= 1 before the
     # answer and < 1 from it on.  Doubling brackets the answer in
-    # (hi // 2, hi]; the widest bracket, 2**(doublings - 1), closes after
-    # doublings - 1 bisection steps, and a closed bracket stays put
+    # (hi // 2, hi]: each pass doubles hi where `up` holds and re-tests the
+    # whole array, and `up` once cleared stays cleared, so no mask is needed.
+    # The widest bracket, 2**(doublings - 1), closes after doublings - 1
+    # bisection steps, and a closed bracket stays put
     gx = gamma * arr
     hi = np.ones(arr.shape, dtype=np.int64)
     up = _past_segment(p, gx, hi)
     doublings = 0
-    while np.any(up):
-        hi[up] *= 2
-        up[up] = _past_segment(p, gx[up], hi[up])
+    while up.any():
+        hi <<= up
+        up &= _past_segment(p, gx, hi)
         doublings += 1
     lo = hi // 2
     for _ in range(doublings - 1):

@@ -121,14 +121,16 @@ class RewardFunction:
     def value(self, u):
         """Reward earned by consuming u >= 0 in one slot."""
         arr, scalar = _prepare(u, "u")
+        return _finish(self._value(arr), scalar)
+
+    def _value(self, arr: np.ndarray) -> np.ndarray:
+        """value() on a float array already known finite and nonnegative."""
         if self.kind == "awgn":
-            out = 0.5 * np.log1p(self.gamma * arr)
-        elif self.kind == "sqrt":
+            return 0.5 * np.log1p(self.gamma * arr)
+        if self.kind == "sqrt":
             # algebraically sqrt(1+u) - 1, stable for small u
-            out = arr / (np.sqrt(1.0 + arr) + 1.0)
-        else:
-            out = np.asarray(self.value_fn(arr), dtype=float)
-        return _finish(out, scalar)
+            return arr / (np.sqrt(1.0 + arr) + 1.0)
+        return np.asarray(self.value_fn(arr), dtype=float)
 
     def marginal(self, u):
         """Slope r'(u); positive and strictly decreasing."""

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,17 @@ CONVEX = rw.RewardFunction.custom(
 T_MAXIMIN_C1_P05 = 0.17328679513998632   # = 0.25 * ln 2
 T_MAXIMIN_C2_P05 = 0.28116757230940415
 T_FRACTION_C1_P05 = 0.13915766824910514
+
+
+class _AfterCalls(pol.StationaryPolicy):
+    """Consumes half the battery for `calls` evaluations, then `bad`."""
+
+    def __init__(self, calls, bad):
+        self.calls, self.bad = calls, bad
+
+    def _evaluate(self, arr):
+        self.calls -= 1
+        return 0.5 * arr if self.calls >= 0 else np.full_like(arr, self.bad)
 
 
 def stationary_gain(P: np.ndarray, rewards_by_state: np.ndarray) -> float:
@@ -115,6 +127,12 @@ class TestBernoulliSeries:
     def test_probability_validated(self):
         with pytest.raises(ValueError):
             ev.bernoulli_reward(pol.GreedyPolicy(), AWGN1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [-0.25, math.nan])
+    @pytest.mark.parametrize("calls", [0, 3])
+    def test_invalid_consumption_is_rejected(self, bad, calls):
+        with pytest.raises(ValueError, match="u must be finite and nonnegative"):
+            ev.bernoulli_reward(_AfterCalls(calls, bad), AWGN1, 1.0, 0.5, tol=1e-300)
 
 
 class TestDerivativeCheck:
@@ -341,7 +359,74 @@ class TestPolicyGain:
             ev.policy_gain(model, pol.GreedyPolicy(), eps=1e-30, max_iter=25)
 
 
+def per_slot_simulate(policy, arrivals, reward, n, paths, seed):
+    """simulate's result from the plain per-slot loop: all n x paths draws at
+    once, then the public evaluate and value on every slot."""
+    draws = np.empty((n, paths))
+    for idx, seed_seq in enumerate(np.random.SeedSequence(seed).spawn(paths)):
+        draws[:, idx] = arrivals.sample(np.random.default_rng(seed_seq), n)
+    stored = np.zeros(paths)
+    totals = np.zeros(paths)
+    for t in range(n):
+        lvl = np.minimum(stored + draws[t], arrivals.c)
+        u = np.minimum(policy.evaluate(lvl), lvl)
+        totals += reward.value(u)
+        stored = lvl - u
+    means = totals / n
+    return float(np.mean(means)), float(np.std(means, ddof=1) / np.sqrt(paths))
+
+
+SIM_LAWS = {
+    "bernoulli": arr.BernoulliArrivals(2.0, 0.3),
+    "uniform": arr.from_mcr("uniform", 2.0, 0.5),
+    "exponential": arr.from_nmcr("exponential", 1.0, 0.5),
+}
+SIM_POLICIES = {
+    "greedy": (pol.GreedyPolicy(), AWGN1),
+    "fixed_fraction": (pol.FixedFractionPolicy(0.3), SQRT),
+    "maximin_awgn": (pol.MaximinAwgnPolicy(1.0, 0.4), AWGN1),
+    "maximin_sqrt": (pol.MaximinPolicy(SQRT, 0.4), SQRT),
+}
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("law", sorted(SIM_LAWS))
+    @pytest.mark.parametrize("kind", sorted(SIM_POLICIES))
+    @pytest.mark.parametrize("paths", [2, 64])
+    def test_matches_the_per_slot_loop_bit_for_bit(self, law, kind, paths, monkeypatch):
+        # the bisection policy is slow per slot, so its blocks are shortened;
+        # the block boundaries are then crossed as often as at full length
+        if kind == "maximin_sqrt":
+            monkeypatch.setattr(ev, "_SLOT_BLOCK", 8)
+        block = ev._SLOT_BLOCK
+        policy, reward = SIM_POLICIES[kind]
+        for n in (1, block - 1, block, block + 1, 3 * block + 7):
+            res = ev.simulate(policy, SIM_LAWS[law], reward, n, paths, seed=n)
+            want = per_slot_simulate(policy, SIM_LAWS[law], reward, n, paths, seed=n)
+            assert (res.value, res.stderr) == want, n
+
+    @pytest.mark.parametrize("bad", [-0.25, math.nan])
+    @pytest.mark.parametrize("calls", [0, ev._SLOT_BLOCK + 3])
+    def test_invalid_consumption_is_rejected(self, bad, calls):
+        dist = arr.from_mcr("uniform", 2.0, 0.5)
+        with pytest.raises(ValueError, match="u must be finite and nonnegative"):
+            ev.simulate(_AfterCalls(calls, bad), dist, AWGN1, 2 * ev._SLOT_BLOCK, 4, seed=0)
+
+    def test_memory_does_not_grow_with_slots(self):
+        dist = arr.BernoulliArrivals(2.0, 0.5)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                ev.simulate(pol.GreedyPolicy(), dist, AWGN1, n, 16, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(ev._SLOT_BLOCK)  # first-call allocations
+        short, long = peak(2 * ev._SLOT_BLOCK), peak(20 * ev._SLOT_BLOCK)
+        assert long <= 1.1 * short, (short, long)
+
     def test_agrees_with_series(self):
         omega = pol.MaximinAwgnPolicy(1.0, 0.5)
         series = ev.bernoulli_reward(omega, AWGN1, 2.0, 0.5)

@@ -1,9 +1,11 @@
 """Byte-for-byte checks of CLI outputs that refactors must leave unchanged.
 
 Each file under tests/data is the output of the command next to it in
-GOLDEN.  They were written before `simulate` lost its `workers` option, so
-the Monte Carlo record had a `workers` key, which was then deleted from it;
-every other byte is as the command wrote it.
+GOLDEN.  Most were written before `simulate` lost its `workers` option, so
+the Bernoulli Monte Carlo record had a `workers` key, which was then deleted
+from it; every other byte is as the command wrote it.  The uniform Monte
+Carlo record spans several of simulate's time blocks; it was written, as is,
+before simulate drew its arrivals in time blocks.
 """
 
 from pathlib import Path
@@ -31,6 +33,11 @@ GOLDEN = {
     "evaluate_mc": (
         ["evaluate", "--method", "mc", "--n", "2000", "--paths", "8", "--c", "2", "--p", "0.1"],
         {"--out": "evaluate_mc.json"},
+    ),
+    "evaluate_mc_uniform": (
+        ["evaluate", "--method", "mc", "--family", "uniform", "--c", "2", "--p", "0.5",
+         "--n", "5000", "--paths", "16"],
+        {"--out": "evaluate_mc_uniform.json"},
     ),
 }
 
