@@ -16,15 +16,17 @@ Three evaluators of the long-run average reward per slot:
     one RNG stream per path spawned from the master seed, so a seed fixes
     the result bit for bit.  Draws come in time blocks, so memory stays flat
     in the number of slots, and rewards are evaluated once per block.
-  * optimal_gain / policy_gain: relative value iteration on the capacity
-    grid.  Arrivals are discretized onto the same grid, so post-decision
+  * optimal_gain / policy_gain: one relative value iteration loop on the
+    capacity grid; they differ only in how a sweep picks its actions.
+    Arrivals are discretized onto the same grid, so post-decision
     transitions are exact index shifts and the transition matrix is never
-    materialized; the expectation step is a correlation.  optimal_gain's
-    maximization over actions is a max-plus convolution of the reward table
-    with the expected next value; when both are concave it merges their
-    slopes in O(n) per sweep, otherwise it scans every action exactly in
-    O(n**2).  The merge always returns one of the candidate sums, and on
-    every concave model tested it matches the scan bit for bit.
+    materialized; the expectation step is a correlation, by FFT against the
+    arrival spectrum held for the whole call.  optimal_gain's maximization
+    is a max-plus convolution of the reward table with the expected next
+    value; when both are concave it merges their slopes in O(n) per sweep,
+    otherwise it scans every action exactly in O(n**2).  The merge always
+    returns one of the candidate sums, and on every concave model tested it
+    matches the scan bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .arrivals import ArrivalDistribution, BernoulliArrivals
 from .policies import StationaryPolicy, maximin_kinks, maximin_policy
@@ -56,6 +58,7 @@ __all__ = [
 ]
 
 _ADMISSIBILITY_SLACK = 1e-9
+_SERIES_RUNGS = 1_000_000  # bernoulli_reward's rung cap
 
 
 class AdmissibilityError(ValueError):
@@ -63,12 +66,13 @@ class AdmissibilityError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Value iteration hit its sweep cap before the span criterion."""
+    """Value iteration hit its sweep cap before the span criterion, or the
+    Bernoulli series its rung cap before the tail bound, which span holds."""
 
-    def __init__(self, span: float, iterations: int):
-        super().__init__(
-            f"value iteration span {span!r} after {iterations} sweeps"
-        )
+    def __init__(
+        self, span: float, iterations: int, measure="value iteration span", steps="sweeps"
+    ):
+        super().__init__(f"{measure} {span!r} after {iterations} {steps}")
         self.span = span
         self.iterations = iterations
 
@@ -140,7 +144,8 @@ def bernoulli_reward(
     Sums p (1-p)**(i-1) * r(consumption at the i-th ladder level), walking
     the policy's reserve map down from a full battery.  Stops exactly once
     the reserve hits 0 (maximin policies get there in finitely many steps)
-    or once the geometric tail bound r(c) (1-p)**i drops below tol.  Each
+    or once the geometric tail bound r(c) (1-p)**i drops below tol, and
+    raises NonConvergenceError when neither happens within 10**6 rungs.  Each
     rung runs the policy's and the reward's raw kernels on a one-element
     array: levels are finite and nonnegative by construction, and a
     consumption that is not is rejected as reward.value would reject it.
@@ -156,7 +161,7 @@ def bernoulli_reward(
     survivor = 1.0  # (1-p)**(i-1)
     residual = 0.0
     cell = np.empty(1)  # the rung's level, then its consumption
-    for _ in range(1_000_000):
+    for _ in range(_SERIES_RUNGS):
         cell[0] = level
         u = min(float(policy._evaluate(cell)[0]), level)
         if not 0.0 <= u <= level:
@@ -172,7 +177,7 @@ def bernoulli_reward(
         if residual <= tol:
             break
     else:
-        raise NonConvergenceError(residual, 1_000_000)
+        raise NonConvergenceError(residual, _SERIES_RUNGS, "Bernoulli series tail bound", "rungs")
     return EvaluationResult(
         value=total, method="bernoulli_series", residual=residual, tolerance=residual
     )
@@ -336,13 +341,24 @@ def build_mdp(reward: RewardFunction, arrivals: ArrivalDistribution, cells: int)
     )
 
 
-def _expected_next(v: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """w[m] = E[v(min(m + arrival, top))] for every post-decision level m."""
-    n = len(v)
-    vext = np.concatenate([v, np.full(n - 1, v[-1])])
+def _expectation(mass: np.ndarray):
+    """The map v -> w, w[m] = E[v(min(m + arrival, top))] for every
+    post-decision level m, for value vectors as long as mass.
+
+    Correlates v, extended by copies of v[-1], with mass: directly below 128
+    levels, otherwise by FFT with mass's spectrum computed here once, in the
+    exact arithmetic of scipy.signal.fftconvolve(vext, mass[::-1], "valid").
+    """
+    n = len(mass)
+
+    def extend(v: np.ndarray) -> np.ndarray:
+        return np.concatenate([v, np.full(n - 1, v[-1])])
+
     if n < 128:
-        return np.correlate(vext, mass, mode="valid")
-    return fftconvolve(vext, mass[::-1], mode="valid")
+        return lambda v: np.correlate(extend(v), mass, mode="valid")
+    size = next_fast_len(3 * n - 2, True)
+    spectrum = rfftn(mass[::-1], [size])
+    return lambda v: irfftn(rfftn(extend(v), [size]) * spectrum, [size])[n - 1 : 2 * n - 1]
 
 
 # candidate sums held at once by the exact scan in _best_actions (2 MiB)
@@ -383,6 +399,36 @@ def _best_actions(
     return best
 
 
+def _relative_vi(model: MdpModel, actions_for, grid_term: float, eps: float, max_iter: int):
+    """The span-criterion sweep of optimal_gain and policy_gain: each sweep
+    takes its actions from actions_for(expected next value), and grid_term
+    is the tolerance's grid part.  Returns the last sweep's actions too."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    expected_next = _expectation(model.mass)
+    rewards = model.action_rewards
+    states = np.arange(model.states)
+    v = np.zeros(model.states)
+    span = np.inf
+    for _ in range(int(max_iter)):
+        w = expected_next(v)
+        actions = actions_for(w)
+        new_v = rewards[actions] + w[states - actions]
+        delta = new_v - v
+        hi, lo = float(delta.max()), float(delta.min())
+        span = hi - lo
+        if span <= eps:
+            result = EvaluationResult(
+                value=0.5 * (hi + lo),
+                method="value_iteration",
+                residual=span,
+                tolerance=0.5 * span + grid_term,
+            )
+            return result, actions
+        v = new_v - new_v[0]  # reference state: empty battery
+    raise NonConvergenceError(span, int(max_iter))
+
+
 def optimal_gain(
     model: MdpModel, eps: float = 1e-9, max_iter: int = 10**6
 ) -> tuple[EvaluationResult, np.ndarray]:
@@ -400,31 +446,12 @@ def optimal_gain(
     an actual candidate sum, and on every concave model tested it matches
     the scan bit for bit.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    n = model.states
     rewards = model.action_rewards
     rewards_concave = _is_concave(rewards)
-    states = np.arange(n)
-    v = np.zeros(n)
-    span = np.inf
-    for it in range(int(max_iter)):
-        w = _expected_next(v, model.mass)
-        actions = _best_actions(rewards, w, rewards_concave)
-        new_v = rewards[actions] + w[states - actions]
-        delta = new_v - v
-        hi, lo = float(delta.max()), float(delta.min())
-        span = hi - lo
-        if span <= eps:
-            result = EvaluationResult(
-                value=0.5 * (hi + lo),
-                method="value_iteration",
-                residual=span,
-                tolerance=0.5 * span + 0.5 * model.slope_bound * model.cell,
-            )
-            return result, actions
-        v = new_v - new_v[0]  # reference state: empty battery
-    raise NonConvergenceError(span, int(max_iter))
+    grid_term = 0.5 * model.slope_bound * model.cell
+    return _relative_vi(
+        model, lambda w: _best_actions(rewards, w, rewards_concave), grid_term, eps, max_iter
+    )
 
 
 def policy_gain(
@@ -439,29 +466,8 @@ def policy_gain(
     nearest feasible grid action, then evaluated by the same span-criterion
     sweep as optimal_gain.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    n = model.states
-    h = model.cell
     u = np.asarray(policy.evaluate(model.grid), dtype=float)
-    actions = np.floor(u / h + 1e-9).astype(np.int64)
-    actions = np.minimum(np.maximum(actions, 0), np.arange(n))
-    post = np.arange(n) - actions
-    slot_reward = model.action_rewards[actions]
-    v = np.zeros(n)
-    span = np.inf
-    for it in range(int(max_iter)):
-        w = _expected_next(v, model.mass)
-        new_v = slot_reward + w[post]
-        delta = new_v - v
-        hi, lo = float(delta.max()), float(delta.min())
-        span = hi - lo
-        if span <= eps:
-            return EvaluationResult(
-                value=0.5 * (hi + lo),
-                method="value_iteration",
-                residual=span,
-                tolerance=0.5 * span + model.slope_bound * h,
-            )
-        v = new_v - new_v[0]
-    raise NonConvergenceError(span, int(max_iter))
+    actions = np.floor(u / model.cell + 1e-9).astype(np.int64)
+    actions = np.minimum(np.maximum(actions, 0), np.arange(model.states))
+    grid_term = model.slope_bound * model.cell
+    return _relative_vi(model, lambda w: actions, grid_term, eps, max_iter)[0]

@@ -176,12 +176,13 @@ def sweep(
 ) -> list[GapReport]:
     """Gap/factor reports over a (c, ratio) grid for each policy kind.
 
-    Every policy is re-instantiated per cell, matched to the cell's capped
+    Every policy is instantiated once per cell, matched to the cell's capped
     mean-to-capacity ratio.  For all-or-nothing arrivals both the policy gain
-    and the optimal gain come from the exact series (the maximin policy is
-    optimal there); other families use the grid MDP: value iteration for the
-    optimum and, per `policy_evaluator`, value iteration ("vi") or Monte
-    Carlo ("mc") for the policy gain.
+    and the optimal gain come from the exact series; the maximin policy is
+    optimal there, so its row reuses the series that gives the optimum.
+    Other families use the grid MDP: value iteration for the optimum and,
+    per `policy_evaluator`, value iteration ("vi") or Monte Carlo ("mc") for
+    the policy gain.
 
     The bisection maximin reference (MaximinPolicy) consumes within
     inversion_tol = d of the exact policy.  Its reserve map has slope in
@@ -206,20 +207,27 @@ def sweep(
         for p_val, nmcr_val in ratios:
             dist = _cell_distribution(family, c, p_val, nmcr_val)
             mcr = dist.mcr()
+            policies = [make_policy(kind, reward, mcr) for kind in kinds]
             if isinstance(dist, BernoulliArrivals):
-                reference = make_policy("maximin", reward, mcr)
-                best = bernoulli_reward(reference, reward, c, mcr, tol=series_tol)
+                if "maximin" in kinds:
+                    reference = policies[kinds.index("maximin")]
+                else:
+                    reference = make_policy("maximin", reward, mcr)
+                exact = bernoulli_reward(reference, reward, c, mcr, tol=series_tol)
+                best = exact
                 if isinstance(reference, MaximinPolicy):
                     slack = float(reward.marginal(0.0)) * reference.inversion_tol / mcr
-                    best = replace(best, tolerance=best.tolerance + slack)
+                    best = replace(exact, tolerance=exact.tolerance + slack)
                 model = None
             else:
                 model = build_mdp(reward, dist, grid_cells)
                 best, _ = optimal_gain(model, eps=vi_eps, max_iter=max_iter)
-            for kind in kinds:
-                policy = make_policy(kind, reward, mcr)
+            for kind, policy in zip(kinds, policies):
                 if model is None:
-                    mine = bernoulli_reward(policy, reward, c, mcr, tol=series_tol)
+                    if kind == "maximin":
+                        mine = exact
+                    else:
+                        mine = bernoulli_reward(policy, reward, c, mcr, tol=series_tol)
                 elif policy_evaluator == "vi":
                     mine = policy_gain(model, policy, eps=vi_eps, max_iter=max_iter)
                 else:

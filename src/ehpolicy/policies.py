@@ -239,52 +239,37 @@ class Endpoint:
     y: float
 
 
-def _kink(reward: RewardFunction, s: float, k: int) -> Endpoint | None:
-    """Kink E_k, or None when s**k, its cutoff or its ladder sum overflows."""
-    try:
-        y = float(step_down_cutoff(reward, s**k))
-    except OverflowError:
-        return None
-    if not math.isfinite(y):
-        return None
-    x = float(ladder_sum(reward, s, y))
-    if not math.isfinite(x):
-        return None
-    return Endpoint(k=k, x=x, y=y)
-
-
 def maximin_kinks(reward: RewardFunction, p: float, upto: float) -> list[Endpoint]:
     """Kinks E_0, E_1, ... of the maximin policy, through the first with x > upto.
 
-    E_k is where the ladder gains its k-th rung: y = step_down_cutoff(reward,
-    s**k) is the largest head that reaches 0 in k steps and x =
-    ladder_sum(reward, s, y), with s = 1/(1-p); E_0 is the origin.  Raises
-    ValueError when more than _LADDER_CAP kinks, or a float overflow, lie
-    below upto.
+    E_k is where the ladder gains its k-th rung: y_k = step_down_cutoff(reward,
+    s**k) is the largest head that reaches 0 in k steps, with s = 1/(1-p), and
+    E_0 is the origin.  One step down from y_k lands exactly on y_(k-1), so the
+    ladder from y_k is y_k plus the ladder from y_(k-1), and the stored level
+    x_k = ladder_sum(reward, s, y_k) is the running sum y_1 + ... + y_k, which
+    costs one cutoff per kink for every reward kind.  Raises ValueError when
+    more than _LADDER_CAP kinks, or a float overflow, lie below upto.
     """
     p = _check_fraction(p)
     s = 1.0 / (1.0 - p)
-    refusal = (
+    out = [Endpoint(k=0, x=0.0, y=0.0)]
+    x = 0.0
+    with np.errstate(over="ignore"):  # overflow is caught below and reported
+        for k in range(1, _LADDER_CAP + 1):
+            try:
+                y = float(step_down_cutoff(reward, s**k))
+            except OverflowError:
+                break
+            x += y
+            if not math.isfinite(x):
+                break
+            out.append(Endpoint(k=k, x=x, y=y))
+            if x > upto:
+                return out
+    raise ValueError(
         f"maximin kinks at p={p!r} do not pass upto={upto!r} "
         f"within {_LADDER_CAP} kinks and float range"
     )
-    out = [Endpoint(k=0, x=0.0, y=0.0)]
-    with np.errstate(over="ignore"):  # overflow is caught below and reported
-        # kinks increase with k, so a last kink inside upto means the walk
-        # would end at the cap; only the built-in kinds sum a ladder in closed
-        # form, a custom one steps down every rung and has 10**5 rungs there
-        if reward.kind != "custom":
-            last = _kink(reward, s, _LADDER_CAP)
-            if last is not None and last.x <= upto:
-                raise ValueError(refusal)
-        for k in range(1, _LADDER_CAP + 1):
-            kink = _kink(reward, s, k)
-            if kink is None:
-                break
-            out.append(kink)
-            if kink.x > upto:
-                return out
-    raise ValueError(refusal)
 
 
 def awgn_endpoints(gamma: float, p: float, k_max: int) -> list[Endpoint]:

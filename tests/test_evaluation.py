@@ -2,10 +2,13 @@
 
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from ehpolicy import arrivals as arr
 from ehpolicy import evaluation as ev
@@ -34,6 +37,13 @@ class _AfterCalls(pol.StationaryPolicy):
     def _evaluate(self, arr):
         self.calls -= 1
         return 0.5 * arr if self.calls >= 0 else np.full_like(arr, self.bad)
+
+
+class _Idle(pol.StationaryPolicy):
+    """Consumes nothing, so the battery never empties."""
+
+    def _evaluate(self, arr):
+        return np.zeros_like(arr)
 
 
 def stationary_gain(P: np.ndarray, rewards_by_state: np.ndarray) -> float:
@@ -134,6 +144,15 @@ class TestBernoulliSeries:
         with pytest.raises(ValueError, match="u must be finite and nonnegative"):
             ev.bernoulli_reward(_AfterCalls(calls, bad), AWGN1, 1.0, 0.5, tol=1e-300)
 
+    def test_nonconvergence_names_the_series(self, monkeypatch):
+        # at p = 1e-7 the tail bound shrinks by 1e-7 a rung, so no cap ends it
+        monkeypatch.setattr(ev, "_SERIES_RUNGS", 1000)
+        message = r"^Bernoulli series tail bound \S+ after 1000 rungs$"
+        with pytest.raises(ev.NonConvergenceError, match=message) as info:
+            ev.bernoulli_reward(_Idle(), AWGN1, 1.0, 1e-7)
+        assert info.value.iterations == 1000
+        assert info.value.span == pytest.approx(AWGN1.value(1.0) * (1.0 - 1e-7) ** 1000)
+
 
 class TestDerivativeCheck:
     def test_identity_at_smooth_point(self):
@@ -221,7 +240,8 @@ class TestOptimalGain:
 
     def test_nonconvergence_raises(self):
         model = ev.build_mdp(AWGN1, arr.BernoulliArrivals(1.0, 0.5), 20)
-        with pytest.raises(ev.NonConvergenceError) as info:
+        message = r"^value iteration span \S+ after 25 sweeps$"
+        with pytest.raises(ev.NonConvergenceError, match=message) as info:
             ev.optimal_gain(model, eps=1e-30, max_iter=25)
         assert info.value.iterations == 25
         assert info.value.span > 1e-30
@@ -260,6 +280,33 @@ class TestOptimalGain:
             exact.tolerance,
         )
         np.testing.assert_array_equal(merged_actions, exact_actions)
+
+
+class TestExpectation:
+    @staticmethod
+    def _inputs(n):
+        rng = np.random.default_rng(n)
+        mass = rng.random(n)
+        v = np.cumsum(rng.random(n))
+        return v, mass / mass.sum(), np.concatenate([v, np.full(n - 1, v[-1])])
+
+    @pytest.mark.parametrize("n", [128, 129, 1000, 2001])
+    def test_large_grids_equal_fftconvolve_bit_for_bit(self, n):
+        v, mass, vext = self._inputs(n)
+        want = fftconvolve(vext, mass[::-1], "valid")
+        np.testing.assert_array_equal(ev._expectation(mass)(v), want)
+
+    @pytest.mark.parametrize("n", [1, 2, 127])
+    def test_small_grids_equal_correlate(self, n):
+        v, mass, vext = self._inputs(n)
+        want = np.correlate(vext, mass, mode="valid")
+        np.testing.assert_array_equal(ev._expectation(mass)(v), want)
+
+    def test_import_leaves_scipy_signal_out(self):
+        code = "import sys, ehpolicy; print('scipy.signal' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 def _candidates(rewards, w):

@@ -112,6 +112,28 @@ class TestSweepBernoulli:
             assert r.tolerance >= 0.0
 
 
+class TestSweepSeriesOnce:
+    @pytest.mark.parametrize(
+        "kinds, calls",
+        [(mx.POLICY_KINDS, 3), (("fixed_fraction",), 2)],
+        ids=["all_kinds", "fixed_fraction_only"],
+    )
+    def test_one_series_per_policy(self, kinds, calls, monkeypatch):
+        # the maximin row reuses the series that gives the optimum; without a
+        # maximin row that series is the one extra call
+        seen = []
+        series = mx.bernoulli_reward
+
+        def counted(policy, *args, **kwargs):
+            seen.append(policy.kind)
+            return series(policy, *args, **kwargs)
+
+        monkeypatch.setattr(mx, "bernoulli_reward", counted)
+        reports = mx.sweep(SQRT, kinds, "bernoulli", [2.0], p_values=[0.3])
+        assert len(seen) == calls, seen
+        assert [r.policy for r in reports] == list(kinds)
+
+
 class TestSweepTolerance:
     def test_bisection_reference_tolerance_bounds_every_policy(self):
         # the bisection maximin reference sits up to marginal(0) * 1e-12 / p

@@ -4,6 +4,7 @@ import math
 import re
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -180,9 +181,37 @@ class TestMaximinKinks:
             pol.maximin_kinks(AWGN1, 1e-9, upto=10)
         assert time.perf_counter() - started < 1.0
 
+    def test_accepted_request_near_the_cap_is_fast(self):
+        started = time.perf_counter()
+        kinks = pol.maximin_kinks(SQRT, 1e-9, 10)
+        assert time.perf_counter() - started < 1.0
+        assert kinks[-2].x <= 10 < kinks[-1].x
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("gamma", [1.0, 2.5, None], ids=["awgn:1", "awgn:2.5", "sqrt"])
+    def test_kinks_match_an_mpmath_oracle(self, gamma, p):
+        # the exact kink is x_k = y_1 + ... + y_k with y_i = (s**i - 1)/gamma
+        # for awgn and s**(2i) - 1 for sqrt, s = 1/(1-p), here at 60 digits.
+        # Rounding bound, to first order in u = eps/2: s is rounded twice
+        # (2u) and pow adds at most an ulp (2u), so s**k is off by (2k + 2)u;
+        # s**k - 1 >= kp magnifies that by at most 1 + 1/(kp), and the
+        # subtraction and the division by gamma add 2u, so y_k is off by at
+        # most (2k + 4)u + 4u/p; squaring first (sqrt) gives (4k + 6)u +
+        # 4.5u/p.  The running sum of k positive terms adds (k - 1)u, so x_k
+        # is off by at most (5k + 5)u + 4.5u/p <= 5 eps (k + 1/p), relative.
+        reward = SQRT if gamma is None else rw.RewardFunction.awgn(gamma)
+        kinks = pol.maximin_kinks(reward, p, 20.0)
+        with mpmath.workdps(60):
+            s = 1 / (1 - mpmath.mpf(p))
+            exact = mpmath.mpf(0)
+            for e in kinks[1:]:
+                exact += s ** (2 * e.k) - 1 if gamma is None else (s**e.k - 1) / gamma
+                err = abs(mpmath.mpf(e.x) / exact - 1)
+                assert err <= 5 * np.finfo(float).eps * (e.k + 1 / p), (e.k, float(err))
+
     def test_custom_reward_at_small_p_walks_like_closed_form(self):
-        # custom ladders are stepped rung by rung, so no kink at the cap is
-        # computed up front; the walk stops near k = 100
+        # the running sum serves custom rewards as it serves the built-in
+        # ones, one cutoff per kink; the walk stops near k = 100
         custom = rw.RewardFunction.custom(
             value=lambda u: 0.5 * np.log1p(u),
             marginal=lambda u: 0.5 / (1.0 + u),
