@@ -38,7 +38,7 @@ import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .arrivals import ArrivalDistribution, BernoulliArrivals
-from .policies import StationaryPolicy, maximin_kinks, maximin_policy
+from .policies import StationaryPolicy, maximin_policy
 from .rewards import RewardFunction
 
 __all__ = [
@@ -111,10 +111,11 @@ def step(before: float, x: float, u: float, c: float) -> SlotOutcome:
 class EvaluationResult:
     """A long-run average-reward estimate and its accuracy tags.
 
-    tolerance is the evaluator's own accuracy budget: the series tail bound,
-    or the span half-width plus a grid term for value iteration.  For Monte
-    Carlo it is 3 standard errors, which is not a bound: it leaves out the
-    bias of starting every path empty, at most marginal(0) * c / n.
+    tolerance is the evaluator's own accuracy budget: the series tail bound
+    (residual) plus a bound on the walk's rounding, or the span half-width
+    plus a grid term for value iteration.  For Monte Carlo it is 3 standard
+    errors, which is not a bound: it leaves out the bias of starting every
+    path empty, at most marginal(0) * c / n.
     """
 
     value: float
@@ -149,6 +150,20 @@ def bernoulli_reward(
     rung runs the policy's and the reward's raw kernels on a one-element
     array: levels are finite and nonnegative by construction, and a
     consumption that is not is rejected as reward.value would reject it.
+
+    residual is the tail bound left when the walk stopped, 0.0 when the
+    reserve hit 0.  tolerance adds a bound on the walk's rounding (u = eps/2)
+    for policies whose consumption and reserve are nondecreasing, 1-Lipschitz
+    and evaluated within 6u (greedy, fixed fraction, the awgn maximin's
+    interpolation) and rewards evaluated within 4u.  With n rungs, levels L_i,
+    weights w_i = p (1-p)**(i-1) and climb_i = L_1 + ... + L_i: the rounded
+    (1-p)**(i-1) is off by 2(i-1)u, each summand by (2n + 4)u, and adding n
+    nonnegative summands costs (n - 1)u of their sum S, the value, so 1.5
+    (n + 1) eps S in all.  Each `level -= u` rounds by u L_(i+1) after a
+    consumption off by 6u L_i, and later consumptions and levels move by no
+    more than a level error, so consumption i is off by 3.5 eps climb_i and
+    its reward by r'(0) times that; and once the float walk stops at 0 the
+    exact one holds at most 3.5 eps climb_n, spent at weights below w_(n+1).
     """
     c, p = float(c), float(p)
     if not c > 0:
@@ -159,15 +174,20 @@ def bernoulli_reward(
     total = 0.0
     level = c
     survivor = 1.0  # (1-p)**(i-1)
+    climb = 0.0  # L_1 + ... + L_i
+    drift = 0.0  # sum over rungs of w_i climb_i
     residual = 0.0
     cell = np.empty(1)  # the rung's level, then its consumption
-    for _ in range(_SERIES_RUNGS):
+    for rungs in range(1, _SERIES_RUNGS + 1):
         cell[0] = level
         u = min(float(policy._evaluate(cell)[0]), level)
         if not 0.0 <= u <= level:
             raise ValueError("u must be finite and nonnegative")
         cell[0] = u
-        total += p * survivor * float(reward._value(cell)[0])
+        weight = p * survivor
+        total += weight * float(reward._value(cell)[0])
+        climb += level
+        drift += weight * climb
         level = max(level - u, 0.0)
         survivor *= 1.0 - p
         if level == 0.0:
@@ -178,8 +198,11 @@ def bernoulli_reward(
             break
     else:
         raise NonConvergenceError(residual, _SERIES_RUNGS, "Bernoulli series tail bound", "rungs")
+    eps = float(np.finfo(float).eps)
+    slope = float(reward.marginal(0.0))
+    rounding = eps * (1.5 * (rungs + 1) * total + 3.5 * slope * (drift + p * survivor * climb))
     return EvaluationResult(
-        value=total, method="bernoulli_series", residual=residual, tolerance=residual
+        value=total, method="bernoulli_series", residual=residual, tolerance=residual + rounding
     )
 
 
@@ -212,30 +235,22 @@ def bernoulli_derivative_check(
         raise ValueError("need c > 0, p in (0, 1), 0 < h < c")
     policy = maximin_policy(reward, p)
     analytic = p * float(reward.marginal(policy.evaluate(c)))
-    kinks = maximin_kinks(reward, p, upto=c + 2.0 * h)[1:]
-    nearest = min((e.x for e in kinks), key=lambda x: abs(x - c))
-    if abs(nearest - c) <= h:
+    policy.kinks.cover(c)  # through the first kink past c
+    nearest = min(policy.kinks.x[1:], key=lambda x: abs(x - c))
+    skipped = abs(nearest - c) <= h
+    fd = None
+    if skipped:
         warnings.warn(
             f"c={c!r} is within h of a policy kink at {nearest!r}; "
             "finite-difference comparison skipped",
             stacklevel=2,
         )
-        return DerivativeCheck(
-            fd_slope=None,
-            analytic_slope=analytic,
-            skipped=True,
-            nearest_kink=nearest,
-            h=h,
-        )
-    hi = bernoulli_reward(policy, reward, c + h, p)
-    lo = bernoulli_reward(policy, reward, c - h, p)
-    fd = (hi.value - lo.value) / (2.0 * h)
+    else:
+        hi = bernoulli_reward(policy, reward, c + h, p)
+        lo = bernoulli_reward(policy, reward, c - h, p)
+        fd = (hi.value - lo.value) / (2.0 * h)
     return DerivativeCheck(
-        fd_slope=fd,
-        analytic_slope=analytic,
-        skipped=False,
-        nearest_kink=nearest,
-        h=h,
+        fd_slope=fd, analytic_slope=analytic, skipped=skipped, nearest_kink=nearest, h=h
     )
 
 

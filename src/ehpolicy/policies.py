@@ -6,8 +6,8 @@ consumed this slot, with 0 <= policy(x) <= x.  Implemented kinds:
     greedy          consume everything: x
     fixed_fraction  consume p * x
     maximin_generic invert ladder_sum at scale 1/(1-p) by bisection
-    maximin_awgn    the same policy in closed piecewise-linear form for the
-                    awgn reward
+    maximin_awgn    the same policy for the awgn reward, linear between its
+                    kinks, so evaluated by interpolating the kink table
 
 The maximin policy maximizes the worst-case long-run average reward over all
 arrival processes whose capped mean is p times the battery capacity; the worst
@@ -130,6 +130,7 @@ class MaximinPolicy(StationaryPolicy):
         self.reward = reward
         self.p = _check_fraction(p)
         self.scale = 1.0 / (1.0 - self.p)
+        self.kinks = KinkWalk(reward, self.p)
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         lo = np.zeros_like(arr)
@@ -151,80 +152,49 @@ class MaximinPolicy(StationaryPolicy):
 
 
 class MaximinAwgnPolicy(StationaryPolicy):
-    """Closed-form maximin policy for the awgn reward.
+    """Maximin policy for the awgn reward, by interpolating its own kinks.
 
-    Piecewise linear:  evaluate(x) = (p (gamma x + m) / (1 - (1-p)**m) - 1) / gamma
-    with m = awgn_segment_index(gamma, p, x).  Coincides with greedy for
-    gamma x <= p/(1-p) and agrees with MaximinPolicy(awgn) everywhere.
+    ladder_sum is affine in the head between kinks, so the policy is linear
+    between the kinks (x_k, y_k), which self.kinks walks as far as the largest
+    level asked for: exactly y_k at every kink and x before E_1 (x_1 == y_1).
+    Past _LADDER_CAP kinks it raises maximin_kinks' ValueError.
     """
 
     kind = "maximin_awgn"
 
     def __init__(self, gamma: float, p: float):
-        gamma = float(gamma)
-        if not gamma > 0:
-            raise ValueError("gamma must be positive")
-        self.gamma = gamma
+        self.reward = RewardFunction.awgn(gamma)
+        self.gamma = self.reward.gamma
         self.p = _check_fraction(p)
         self.scale = 1.0 / (1.0 - self.p)
-        self.reward = RewardFunction.awgn(gamma)
+        self.kinks = KinkWalk(self.reward, self.p)
+        self._x = self._y = np.zeros(1)
+
+    def _cover(self, arr: np.ndarray) -> None:
+        top = float(arr.max(initial=0.0))
+        if top >= self._x[-1]:
+            self.kinks.cover(top)
+            self._x, self._y = np.array(self.kinks.x), np.array(self.kinks.y)
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
-        m = _segment_index_1d(self.gamma, self.p, arr)
-        val = (
-            self.p * (self.gamma * arr + m) / (1.0 - (1.0 - self.p) ** m) - 1.0
-        ) / self.gamma
-        return np.clip(val, 0.0, arr)
+        self._cover(arr)
+        return np.interp(arr, self._x, self._y)
 
     def segment_index(self, x):
-        """Linear-segment index of x (1 on the greedy segment)."""
-        return awgn_segment_index(self.gamma, self.p, x)
-
-
-def _past_segment(p: float, gx: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return (1.0 + p * (gx + m)) * (1.0 - p) ** m >= 1.0
-
-
-def _segment_index_1d(gamma: float, p: float, arr: np.ndarray) -> np.ndarray:
-    # least m >= 1 with (1 + p (gamma x + m)) (1-p)**m strictly below 1;
-    # ties (exact segment endpoints) push the search one segment further,
-    # where continuity makes both formulas agree.  The left side is
-    # log-concave in m and at least 1 at m = 0, so it stays >= 1 before the
-    # answer and < 1 from it on.  Doubling brackets the answer in
-    # (hi // 2, hi]: each pass doubles hi where `up` holds and re-tests the
-    # whole array, and `up` once cleared stays cleared, so no mask is needed.
-    # The widest bracket, 2**(doublings - 1), closes after doublings - 1
-    # bisection steps, and a closed bracket stays put
-    gx = gamma * arr
-    hi = np.ones(arr.shape, dtype=np.int64)
-    up = _past_segment(p, gx, hi)
-    doublings = 0
-    while up.any():
-        hi <<= up
-        up &= _past_segment(p, gx, hi)
-        doublings += 1
-    lo = hi // 2
-    for _ in range(doublings - 1):
-        mid = (lo + hi) // 2
-        past = _past_segment(p, gx, mid)
-        lo = np.where(past, mid, lo)
-        hi = np.where(past, hi, mid)
-    return hi
+        """Index k of the segment [x_(k-1), x_k) holding x; 1 on the greedy one."""
+        arr, scalar = _prepare(x, "stored energy")
+        self._cover(arr)
+        m = np.searchsorted(self._x, arr, side="right")
+        return int(m) if scalar else m
 
 
 def awgn_segment_index(gamma: float, p: float, x):
-    """Index of the linear segment of the closed-form awgn maximin policy."""
-    gamma = float(gamma)
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    p = _check_fraction(p)
-    arr, scalar = _prepare(x, "stored energy")
-    m = _segment_index_1d(gamma, p, arr.ravel()).reshape(arr.shape)
-    return int(m) if scalar else m
+    """Index of the linear segment of the awgn maximin policy holding x."""
+    return MaximinAwgnPolicy(gamma, p).segment_index(x)
 
 
 def maximin_policy(reward: RewardFunction, p: float) -> MaximinPolicy | MaximinAwgnPolicy:
-    """The maximin policy at ratio p: closed form for awgn, bisection otherwise."""
+    """The maximin policy at ratio p: kink interpolation for awgn, bisection otherwise."""
     if reward.kind == "awgn":
         return MaximinAwgnPolicy(reward.gamma, p)
     return MaximinPolicy(reward, p)
@@ -239,37 +209,53 @@ class Endpoint:
     y: float
 
 
-def maximin_kinks(reward: RewardFunction, p: float, upto: float) -> list[Endpoint]:
-    """Kinks E_0, E_1, ... of the maximin policy, through the first with x > upto.
+class KinkWalk:
+    """The kinks E_0, E_1, ... of the maximin policy, walked on demand.
 
     E_k is where the ladder gains its k-th rung: y_k = step_down_cutoff(reward,
     s**k) is the largest head that reaches 0 in k steps, with s = 1/(1-p), and
     E_0 is the origin.  One step down from y_k lands exactly on y_(k-1), so the
     ladder from y_k is y_k plus the ladder from y_(k-1), and the stored level
     x_k = ladder_sum(reward, s, y_k) is the running sum y_1 + ... + y_k, which
-    costs one cutoff per kink for every reward kind.  Raises ValueError when
-    more than _LADDER_CAP kinks, or a float overflow, lie below upto.
+    costs one cutoff per kink for every reward kind.  x and y list the kinks
+    walked so far; cover() continues the walk from the last of them.
     """
-    p = _check_fraction(p)
-    s = 1.0 / (1.0 - p)
-    out = [Endpoint(k=0, x=0.0, y=0.0)]
-    x = 0.0
-    with np.errstate(over="ignore"):  # overflow is caught below and reported
-        for k in range(1, _LADDER_CAP + 1):
-            try:
-                y = float(step_down_cutoff(reward, s**k))
-            except OverflowError:
-                break
-            x += y
-            if not math.isfinite(x):
-                break
-            out.append(Endpoint(k=k, x=x, y=y))
-            if x > upto:
-                return out
-    raise ValueError(
-        f"maximin kinks at p={p!r} do not pass upto={upto!r} "
-        f"within {_LADDER_CAP} kinks and float range"
-    )
+
+    def __init__(self, reward: RewardFunction, p: float):
+        self.reward = reward
+        self.p = _check_fraction(p)
+        self.x = [0.0]
+        self.y = [0.0]
+
+    def cover(self, upto: float) -> None:
+        """Walk on until the last kink lies past upto.  Raises ValueError when
+        more than _LADDER_CAP kinks, or a float overflow, lie below upto."""
+        s = 1.0 / (1.0 - self.p)
+        x = self.x[-1]
+        with np.errstate(over="ignore"):  # overflow is caught below and reported
+            while x <= upto and len(self.x) <= _LADDER_CAP:
+                try:
+                    y = float(step_down_cutoff(self.reward, s ** len(self.x)))
+                except OverflowError:
+                    break
+                if not math.isfinite(x + y):
+                    break
+                x += y
+                self.x.append(x)
+                self.y.append(y)
+        if not x > upto:
+            raise ValueError(
+                f"maximin kinks at p={self.p!r} do not pass upto={upto!r} "
+                f"within {_LADDER_CAP} kinks and float range"
+            )
+
+
+def maximin_kinks(reward: RewardFunction, p: float, upto: float) -> list[Endpoint]:
+    """Kinks E_0, E_1, ... of the maximin policy, through the first with x > upto,
+    from KinkWalk."""
+    walk = KinkWalk(reward, p)
+    walk.cover(upto)
+    return [Endpoint(k=k, x=x, y=y) for k, (x, y) in enumerate(zip(walk.x, walk.y))]
 
 
 def awgn_endpoints(gamma: float, p: float, k_max: int) -> list[Endpoint]:
@@ -279,9 +265,7 @@ def awgn_endpoints(gamma: float, p: float, k_max: int) -> list[Endpoint]:
     (1-p)**-k - 1, both divided by gamma; E_0 is the origin.  This closed
     form is the independent reference for maximin_kinks and the policy.
     """
-    gamma = float(gamma)
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    gamma = RewardFunction.awgn(gamma).gamma
     p = _check_fraction(p)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")

@@ -4,8 +4,11 @@ import itertools
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 
+import mpmath
+import mpmath_oracle as oracle
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
@@ -143,6 +146,38 @@ class TestBernoulliSeries:
     def test_invalid_consumption_is_rejected(self, bad, calls):
         with pytest.raises(ValueError, match="u must be finite and nonnegative"):
             ev.bernoulli_reward(_AfterCalls(calls, bad), AWGN1, 1.0, 0.5, tol=1e-300)
+
+    def test_small_p_maximin_ladder_ends_exactly(self, monkeypatch):
+        # the exact ladder from c = 1 at p = 1e-6 has ~1414 rungs; its last
+        # level lies on the greedy segment, which the policy consumes whole
+        monkeypatch.setattr(ev, "_SERIES_RUNGS", 10**4)
+        omega = pol.MaximinAwgnPolicy(1.0, 1e-6)
+        rungs = []
+        kernel = omega._evaluate
+
+        def counted(arr):
+            rungs.append(arr[0])
+            return kernel(arr)
+
+        monkeypatch.setattr(omega, "_evaluate", counted)
+        started = time.perf_counter()
+        res = ev.bernoulli_reward(omega, AWGN1, 1.0, 1e-6)
+        assert time.perf_counter() - started < 1.0
+        assert res.residual == 0.0
+        assert len(rungs) <= 1500
+        assert abs(mpmath.mpf(res.value) - oracle.maximin_series(1.0, 1e-6, 1.0)) <= res.tolerance
+
+    @pytest.mark.parametrize("kind", ["maximin", "greedy", "fixed_fraction"])
+    @pytest.mark.parametrize("c", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("p", [1e-3, 0.1, 0.5, 0.9])
+    def test_tolerance_bounds_the_error_to_an_mpmath_oracle(self, p, c, kind):
+        policy, exact = {
+            "maximin": (pol.MaximinAwgnPolicy(1.0, p), oracle.maximin_series),
+            "greedy": (pol.GreedyPolicy(), oracle.greedy_series),
+            "fixed_fraction": (pol.FixedFractionPolicy(p), oracle.fraction_series),
+        }[kind]
+        res = ev.bernoulli_reward(policy, AWGN1, c, p)
+        assert abs(mpmath.mpf(res.value) - exact(1.0, p, c)) <= res.tolerance
 
     def test_nonconvergence_names_the_series(self, monkeypatch):
         # at p = 1e-7 the tail bound shrinks by 1e-7 a rung, so no cap ends it

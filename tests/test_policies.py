@@ -2,14 +2,19 @@
 
 import math
 import re
+import subprocess
+import sys
 import time
 
 import mpmath
 import numpy as np
 import pytest
+from mpmath_oracle import Maximin
 
 from ehpolicy import policies as pol
 from ehpolicy import rewards as rw
+
+EPS = np.finfo(float).eps
 
 AWGN1 = rw.RewardFunction.awgn(1.0)
 SQRT = rw.RewardFunction.sqrt_rate()
@@ -117,10 +122,9 @@ class TestMaximinAwgn:
     @pytest.mark.parametrize("p", [1e-3, 0.1, 0.5, 0.9])
     @pytest.mark.parametrize("gamma", [0.5, 2.0])
     def test_segment_index_matches_linear_search(self, gamma, p):
-        x = np.concatenate([
-            np.linspace(0.0, 50.0, 2001),
-            [e.x for e in pol.awgn_endpoints(gamma, p, 40)],
-        ])
+        grid = np.linspace(0.0, 50.0, 2001)
+        ends = pol.awgn_endpoints(gamma, p, 40)
+        x = np.concatenate([grid, [e.x for e in ends]])
         gx = gamma * x
         want = np.ones(x.shape, dtype=np.int64)
         while True:
@@ -128,7 +132,43 @@ class TestMaximinAwgn:
             if not past.any():
                 break
             want += past
-        np.testing.assert_array_equal(pol.awgn_segment_index(gamma, p, x), want)
+        got = pol.awgn_segment_index(gamma, p, x)
+        np.testing.assert_array_equal(got[: len(grid)], want[: len(grid)])
+        # the closed-form endpoint E_k and the policy's running-sum kink x_k
+        # differ by ulps, so E_k lands on either side of x_k: in segment k
+        # or k + 1.  Either way the policy there is the exact one.
+        omega, exact = pol.MaximinAwgnPolicy(gamma, p), Maximin(gamma, p, ends[-1].x)
+        for e, k in zip(ends, got[len(grid):]):
+            assert k in (e.k, e.k + 1), (e.k, k)
+            want_y = exact(e.x)
+            bound = 5 * EPS * (exact.segment(e.x) + 1 / p) * want_y
+            assert abs(omega.evaluate(e.x) - want_y) <= bound, e.k
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.1, 0.5])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_evaluates_its_kinks_bit_for_bit(self, gamma, p):
+        kinks = pol.maximin_kinks(rw.RewardFunction.awgn(gamma), p, 20.0)[:-1]
+        x = np.array([e.x for e in kinks])
+        y = np.array([e.y for e in kinks])
+        np.testing.assert_array_equal(pol.MaximinAwgnPolicy(gamma, p).evaluate(x), y)
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.1, 0.5])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_matches_an_mpmath_oracle(self, gamma, p):
+        # within the kink bound of TestMaximinKinks, at the segment's index
+        x = 10.0 ** np.random.default_rng(7).uniform(-6.0, np.log10(20.0), 200)
+        got = pol.MaximinAwgnPolicy(gamma, p).evaluate(x)
+        exact = Maximin(gamma, p, 20.0)
+        for xi, yi in zip(x, got):
+            want = exact(xi)
+            err = abs(mpmath.mpf(yi) / want - 1)
+            assert err <= 5 * EPS * (exact.segment(xi) + 1 / p), (xi, float(err))
+
+    def test_level_past_the_kink_cap_raises(self):
+        # x = 10 lies past the 10**5-th kink at p = 1e-9; np.interp would
+        # clamp it to the last kink's consumption
+        with pytest.raises(ValueError, match=r"do not pass upto=10\.0 within 100000 kinks"):
+            pol.MaximinAwgnPolicy(1.0, 1e-9).evaluate(10.0)
 
     def test_nondecreasing_and_concave(self):
         for p in (0.1, 0.5, 0.9):
@@ -201,13 +241,10 @@ class TestMaximinKinks:
         # is off by at most (5k + 5)u + 4.5u/p <= 5 eps (k + 1/p), relative.
         reward = SQRT if gamma is None else rw.RewardFunction.awgn(gamma)
         kinks = pol.maximin_kinks(reward, p, 20.0)
-        with mpmath.workdps(60):
-            s = 1 / (1 - mpmath.mpf(p))
-            exact = mpmath.mpf(0)
-            for e in kinks[1:]:
-                exact += s ** (2 * e.k) - 1 if gamma is None else (s**e.k - 1) / gamma
-                err = abs(mpmath.mpf(e.x) / exact - 1)
-                assert err <= 5 * np.finfo(float).eps * (e.k + 1 / p), (e.k, float(err))
+        exact = Maximin(gamma, p, 21.0)
+        for e in kinks[1:]:
+            err = abs(mpmath.mpf(e.x) / exact.x[e.k] - 1)
+            assert err <= 5 * EPS * (e.k + 1 / p), (e.k, float(err))
 
     def test_custom_reward_at_small_p_walks_like_closed_form(self):
         # the running sum serves custom rewards as it serves the built-in
@@ -347,3 +384,11 @@ class TestNormalityCheck:
         assert not report.concave
         assert not report.passed
         assert report.max_convexity > 0.0
+
+
+def test_import_leaves_mpmath_out():
+    # mpmath is a test dependency: the oracle tests use it, the package not
+    code = "import sys, ehpolicy; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
