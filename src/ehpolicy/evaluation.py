@@ -144,12 +144,13 @@ def bernoulli_reward(
 
     Sums p (1-p)**(i-1) * r(consumption at the i-th ladder level), walking
     the policy's reserve map down from a full battery.  Stops exactly once
-    the reserve hits 0 (maximin policies get there in finitely many steps)
-    or once the geometric tail bound r(c) (1-p)**i drops below tol, and
-    raises NonConvergenceError when neither happens within 10**6 rungs.  Each
-    rung runs the policy's and the reward's raw kernels on a one-element
-    array: levels are finite and nonnegative by construction, and a
-    consumption that is not is rejected as reward.value would reject it.
+    the reserve hits 0 (every maximin policy does, in finitely many steps,
+    on the levels ergodic_levels lists) or once the geometric tail bound
+    r(c) (1-p)**i drops below tol, and raises NonConvergenceError when
+    neither happens within 10**6 rungs.  Each rung runs the policy's and the
+    reward's raw kernels on a one-element array: levels are finite and
+    nonnegative by construction, and a consumption that is not is rejected
+    as reward.value would reject it.
 
     residual is the tail bound left when the walk stopped, 0.0 when the
     reserve hit 0.  tolerance adds a bound on the walk's rounding (u = eps/2)

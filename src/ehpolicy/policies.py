@@ -5,7 +5,7 @@ consumed this slot, with 0 <= policy(x) <= x.  Implemented kinds:
 
     greedy          consume everything: x
     fixed_fraction  consume p * x
-    maximin_generic invert ladder_sum at scale 1/(1-p) by bisection
+    maximin_generic x up to the first kink, else invert ladder_sum by bisection
     maximin_awgn    the same policy for the awgn reward, linear between its
                     kinks, so evaluated by interpolating the kink table
 
@@ -28,10 +28,8 @@ from .rewards import (
     _LADDER_CAP,
     RewardFunction,
     _prepare,
-    depletion_steps,
     ladder_sum,
     step_down_cutoff,
-    step_down_iter,
 )
 
 __all__ = [
@@ -117,10 +115,11 @@ class MaximinPolicy(StationaryPolicy):
     """Maximin policy for any regular reward, via ladder-sum inversion.
 
     evaluate(x) is the unique u in [0, x] with ladder_sum(reward, s, u) == x,
-    s = 1/(1-p), found by bisection on the residual (ladder_sum(u) - x).
-    ladder_sum(0) = 0 and ladder_sum(x) >= x bracket the root, and the slope
-    is at least 1, so the residual, at most inversion_tol, bounds the error
-    in u.
+    s = 1/(1-p): x itself at or below the first kink x_1 = y_1 of self.kinks,
+    so every ladder ends at exactly 0, and otherwise found by bisection on the
+    residual (ladder_sum(u) - x), run on the whole array.  ladder_sum(0) = 0
+    and ladder_sum(x) >= x bracket the root, and the slope is at least 1, so
+    the residual, at most inversion_tol, bounds the error in u.
     """
 
     kind = "maximin_generic"
@@ -131,6 +130,7 @@ class MaximinPolicy(StationaryPolicy):
         self.p = _check_fraction(p)
         self.scale = 1.0 / (1.0 - self.p)
         self.kinks = KinkWalk(reward, self.p)
+        self.kinks.cover(0.0)  # through E_1, the end of the greedy segment
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         lo = np.zeros_like(arr)
@@ -148,7 +148,7 @@ class MaximinPolicy(StationaryPolicy):
             worst = float(np.max(np.abs(resid)))
             if worst > np.max(1e-9 * (1.0 + arr), initial=0.0):
                 raise RuntimeError(f"ladder-sum inversion stalled, residual {worst!r}")
-        return np.clip(mid, 0.0, arr)
+        return np.where(arr <= self.kinks.x[1], arr, np.clip(mid, 0.0, arr))
 
 
 class MaximinAwgnPolicy(StationaryPolicy):
@@ -279,23 +279,21 @@ def awgn_endpoints(gamma: float, p: float, k_max: int) -> list[Endpoint]:
 def ergodic_levels(policy: StationaryPolicy, c: float) -> np.ndarray:
     """Battery levels a maximin policy cycles through under 0-or-full arrivals.
 
-    Starting full at c, repeated reserves visit a strictly decreasing ladder
-    of levels ending at exactly 0 (then a full charge resets to c).  Levels
-    are generated through the ladder identity
-    reserve_iter(i, c) == ladder_sum(step_down_iter(i, evaluate(c))), which
-    pins the final level to 0.0 exactly.
+    Starting full at c, the policy's own reserve map walks a strictly
+    decreasing ladder down to exactly 0 (then a full charge resets to c), as
+    bernoulli_reward does, bit for bit.  Raises RuntimeError when the walk
+    does not reach 0 within _LADDER_CAP rungs.
     """
     if not isinstance(policy, (MaximinPolicy, MaximinAwgnPolicy)):
         raise ValueError("ergodic levels are defined for the maximin policies")
     c = float(c)
     if not c > 0:
         raise ValueError("c must be positive")
-    rw, s = policy.reward, policy.scale
-    head = policy.evaluate(c)
-    steps = depletion_steps(rw, s, head)
     levels = [c]
-    for i in range(1, steps + 1):
-        levels.append(float(ladder_sum(rw, s, step_down_iter(rw, s, i, head))))
+    while levels[-1] > 0.0:
+        if len(levels) > _LADDER_CAP:
+            raise RuntimeError(f"maximin ladder from {c!r} not at 0 after {_LADDER_CAP} rungs")
+        levels.append(policy.reserve(levels[-1]))
     return np.asarray(levels)
 
 

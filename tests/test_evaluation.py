@@ -17,6 +17,7 @@ from ehpolicy import arrivals as arr
 from ehpolicy import evaluation as ev
 from ehpolicy import policies as pol
 from ehpolicy import rewards as rw
+from ehpolicy.checks import _sample_rewards
 
 AWGN1 = rw.RewardFunction.awgn(1.0)
 SQRT = rw.RewardFunction.sqrt_rate()
@@ -24,6 +25,8 @@ SQRT = rw.RewardFunction.sqrt_rate()
 CONVEX = rw.RewardFunction.custom(
     lambda u: u * u, lambda u: 2.0 * u, lambda y: 0.5 * y, validate=False
 )
+# the awgn:1 closed forms as a custom reward, so its maximin policy bisects
+LOG1P = next(r for r in _sample_rewards() if r.kind == "custom")
 
 # frozen series values, computed once from the level walk by hand
 T_MAXIMIN_C1_P05 = 0.17328679513998632   # = 0.25 * ln 2
@@ -40,6 +43,21 @@ class _AfterCalls(pol.StationaryPolicy):
     def _evaluate(self, arr):
         self.calls -= 1
         return 0.5 * arr if self.calls >= 0 else np.full_like(arr, self.bad)
+
+
+class _Rungs:
+    """Stands in for a policy's _evaluate: lists the level of each call and
+    answers a level asked before from memory, so a second walk down the same
+    ladder costs no bisection (the custom one takes seconds at p = 0.01)."""
+
+    def __init__(self, policy):
+        self.kernel, self.levels, self.seen = policy._evaluate, [], {}
+
+    def __call__(self, arr):
+        self.levels.append(arr[0])
+        if arr[0] not in self.seen:
+            self.seen[arr[0]] = self.kernel(arr)
+        return self.seen[arr[0]].copy()
 
 
 class _Idle(pol.StationaryPolicy):
@@ -117,8 +135,9 @@ class TestBernoulliSeries:
 
     def test_sqrt_exact_walks(self):
         omega = pol.MaximinPolicy(SQRT, 0.5)
+        # c = 3 is the first kink, which the policy spends whole: 0.5 r(3)
         res3 = ev.bernoulli_reward(omega, SQRT, 3.0, 0.5)
-        assert res3.value == pytest.approx(0.5 * (math.sqrt(4.0) - 1.0), abs=1e-12)
+        assert res3.value == 0.5 * (math.sqrt(4.0) - 1.0)
         # from 8 the policy spends 7 (leaving 1), then spends the final 1
         res8 = ev.bernoulli_reward(omega, SQRT, 8.0, 0.5)
         want = 0.5 * (math.sqrt(8.0) - 1.0) + 0.25 * (math.sqrt(2.0) - 1.0)
@@ -166,6 +185,21 @@ class TestBernoulliSeries:
         assert res.residual == 0.0
         assert len(rungs) <= 1500
         assert abs(mpmath.mpf(res.value) - oracle.maximin_series(1.0, 1e-6, 1.0)) <= res.tolerance
+
+    @pytest.mark.parametrize("c", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("p", [0.01, 0.1, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("reward", [SQRT, LOG1P, AWGN1], ids=["sqrt", "custom", "awgn"])
+    def test_bisection_maximin_ladders_end_exactly(self, reward, p, c, monkeypatch):
+        # below its first kink the policy spends the whole level, so the walk
+        # stops on 0 after the rungs ergodic_levels lists, not on a tail bound
+        omega = pol.MaximinPolicy(reward, p)
+        rungs = _Rungs(omega)
+        monkeypatch.setattr(omega, "_evaluate", rungs)
+        levels = pol.ergodic_levels(omega, c)
+        rungs.levels.clear()
+        res = ev.bernoulli_reward(omega, reward, c, p)
+        assert res.residual == 0.0
+        assert len(rungs.levels) == len(levels) - 1
 
     @pytest.mark.parametrize("kind", ["maximin", "greedy", "fixed_fraction"])
     @pytest.mark.parametrize("c", [0.5, 2.0, 8.0])

@@ -13,7 +13,9 @@ interpolate its kinks, 91 omega values of the awgn curve moved by at most
 from 8.9e-16 to 7.6e-16 and its summed error from 4.7e-14 to 2.7e-14; the
 series record gained a rounding term in its tolerance, and its value,
 which moved by 2e-17, lies within it; and the two maximin Monte Carlo
-records moved in their last digits.
+records moved in their last digits.  When MaximinPolicy began to return x
+itself below its first kink, the omega of the 26 sqrt curve rows there
+became exactly x, which the mpmath evaluation gives exactly.
 """
 
 from pathlib import Path

@@ -11,13 +11,17 @@ import numpy as np
 import pytest
 from mpmath_oracle import Maximin
 
+from ehpolicy import evaluation as ev
 from ehpolicy import policies as pol
 from ehpolicy import rewards as rw
+from ehpolicy.checks import _sample_rewards
 
 EPS = np.finfo(float).eps
 
 AWGN1 = rw.RewardFunction.awgn(1.0)
 SQRT = rw.RewardFunction.sqrt_rate()
+# the awgn:1 closed forms as a custom reward, so its maximin policy bisects
+LOG1P = next(r for r in _sample_rewards() if r.kind == "custom")
 
 
 class _Shaped(pol.StationaryPolicy):
@@ -275,6 +279,20 @@ class TestMaximinGeneric:
         generic = pol.MaximinPolicy(rw.RewardFunction.awgn(gamma), p).evaluate(x)
         assert np.max(np.abs(closed - generic)) <= 1e-8
 
+    @pytest.mark.parametrize("p", [0.01, 0.1, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("reward", [SQRT, LOG1P, AWGN1], ids=["sqrt", "custom", "awgn"])
+    def test_greedy_up_to_the_first_kink(self, reward, p):
+        omega = pol.MaximinPolicy(reward, p)
+        first = omega.kinks.x[1]
+        assert first == rw.step_down_cutoff(reward, omega.scale)
+        x = np.linspace(0.0, first, 201)
+        assert x[-1] == first
+        np.testing.assert_array_equal(omega.evaluate(x), x)
+        assert omega.evaluate(first) == first
+        # inside a mixed array, too
+        mixed = np.concatenate([x, first + x[1:]])
+        np.testing.assert_array_equal(omega.evaluate(mixed)[: x.size], x)
+
     def test_sqrt_known_points(self):
         omega = pol.MaximinPolicy(SQRT, 0.5)
         assert omega.evaluate(3.0) == pytest.approx(3.0, abs=1e-9)
@@ -340,6 +358,46 @@ class TestErgodicLevels:
     def test_non_maximin_rejected(self):
         with pytest.raises(ValueError):
             pol.ergodic_levels(pol.GreedyPolicy(), 1.0)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("kind", ["awgn", "sqrt"])
+    def test_is_the_series_ladder(self, kind, p, c, monkeypatch):
+        omega = pol.maximin_policy(AWGN1 if kind == "awgn" else SQRT, p)
+        walked = []
+        kernel = omega._evaluate
+
+        def counted(arr):
+            walked.append(arr[0])
+            return kernel(arr)
+
+        levels = pol.ergodic_levels(omega, c)
+        monkeypatch.setattr(omega, "_evaluate", counted)
+        ev.bernoulli_reward(omega, omega.reward, c, p)
+        np.testing.assert_array_equal(levels, walked + [0.0])
+
+    def test_walk_past_the_rung_cap_raises(self, monkeypatch):
+        omega = pol.MaximinAwgnPolicy(1.0, 0.1)
+        omega.evaluate(2.0)  # walks its kinks past 2 before the cap drops
+        monkeypatch.setattr(pol, "_LADDER_CAP", 3)
+        assert len(pol.ergodic_levels(omega, 0.5)) == 4  # three rungs
+        with pytest.raises(RuntimeError, match="not at 0 after 3 rungs"):
+            pol.ergodic_levels(omega, 2.0)
+
+    def test_small_p_awgn_matches_an_mpmath_oracle(self):
+        # the exact ladder from c = 1 at p = 1e-6 has ~1414 rungs, each level
+        # the exact reserve of the one before
+        c, p = 1.0, 1e-6
+        levels = pol.ergodic_levels(pol.MaximinAwgnPolicy(1.0, p), c)
+        exact = Maximin(1.0, p, c)
+        want = [mpmath.mpf(c)]
+        with mpmath.workdps(60):
+            while want[-1] > 0:
+                want.append(want[-1] - exact(want[-1]))
+        assert len(levels) == len(want)
+        k = len(levels)
+        worst = max(abs(mpmath.mpf(got) - w) for got, w in zip(levels, want))
+        assert worst <= 5 * EPS * (k + 1 / p) * c
 
 
 class TestGreedIndex:
