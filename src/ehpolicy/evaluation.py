@@ -11,7 +11,8 @@ Three evaluators of the long-run average reward per slot:
   * bernoulli_reward: exact geometric series for all-or-nothing arrivals.
     Starting full, the battery walks down the policy's reserve ladder until
     the next full charge, so the average reward is a weighted sum of the
-    rewards along that ladder.
+    rewards along that ladder.  The walk scores its rungs once per block and
+    adds them in rung order, so memory stays flat in the number of rungs.
   * simulate: Monte Carlo over independent finite paths started empty, with
     one RNG stream per path spawned from the master seed, so a seed fixes
     the result bit for bit.  Draws come in time blocks, so memory stays flat
@@ -59,6 +60,10 @@ __all__ = [
 
 _ADMISSIBILITY_SLACK = 1e-9
 _SERIES_RUNGS = 1_000_000  # bernoulli_reward's rung cap
+# slots per simulate block and rungs per series block: a simulate block holds
+# two block-by-paths arrays and costs one `sample` call per path, a series
+# block one reward._value call, so blocks are long but memory stays flat
+_SLOT_BLOCK = 1024
 
 
 class AdmissibilityError(ValueError):
@@ -147,10 +152,14 @@ def bernoulli_reward(
     the reserve hits 0 (every maximin policy does, in finitely many steps,
     on the levels ergodic_levels lists) or once the geometric tail bound
     r(c) (1-p)**i drops below tol, and raises NonConvergenceError when
-    neither happens within 10**6 rungs.  Each rung runs the policy's and the
-    reward's raw kernels on a one-element array: levels are finite and
-    nonnegative by construction, and a consumption that is not is rejected
-    as reward.value would reject it.
+    neither happens within 10**6 rungs.  Each rung runs only the policy's raw
+    kernel on a one-element array (levels are finite and nonnegative by
+    construction), rejects a consumption that is not as reward.value would,
+    and steps the level.  The rungs are buffered in blocks of _SLOT_BLOCK and
+    scored with one reward._value call a block; the value, climb and drift
+    sums below are then taken strictly in rung order from the running carry,
+    so every partial sum, and the rounding derived below, is that of a walk
+    that scores and adds one rung at a time.
 
     residual is the tail bound left when the walk stopped, 0.0 when the
     reserve hit 0.  tolerance adds a bound on the walk's rounding (u = eps/2)
@@ -172,38 +181,68 @@ def bernoulli_reward(
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     top = float(reward.value(c))
-    total = 0.0
+    carry = (0.0, 0.0, 0.0)  # the value, climb_i and the drift sum w_i climb_i so far
     level = c
     survivor = 1.0  # (1-p)**(i-1)
-    climb = 0.0  # L_1 + ... + L_i
-    drift = 0.0  # sum over rungs of w_i climb_i
     residual = 0.0
-    cell = np.empty(1)  # the rung's level, then its consumption
+    levels: list[float] = []  # the block's rungs, for _fold_rungs to score and sum
+    spent: list[float] = []
+    survivors: list[float] = []
+    cell = np.empty(1)
+    kernel, shrink = policy._evaluate, 1.0 - p
     for rungs in range(1, _SERIES_RUNGS + 1):
         cell[0] = level
-        u = min(float(policy._evaluate(cell)[0]), level)
+        u = min(float(kernel(cell)[0]), level)
         if not 0.0 <= u <= level:
             raise ValueError("u must be finite and nonnegative")
-        cell[0] = u
-        weight = p * survivor
-        total += weight * float(reward._value(cell)[0])
-        climb += level
-        drift += weight * climb
+        levels.append(level)
+        spent.append(u)
+        survivors.append(survivor)
         level = max(level - u, 0.0)
-        survivor *= 1.0 - p
+        survivor *= shrink
         if level == 0.0:
             residual = 0.0
             break
         residual = survivor * top
         if residual <= tol:
             break
+        if len(levels) == _SLOT_BLOCK:
+            carry = _fold_rungs(carry, reward, p, levels, spent, survivors)
     else:
         raise NonConvergenceError(residual, _SERIES_RUNGS, "Bernoulli series tail bound", "rungs")
+    total, climb, drift = _fold_rungs(carry, reward, p, levels, spent, survivors)
     eps = float(np.finfo(float).eps)
     slope = float(reward.marginal(0.0))
     rounding = eps * (1.5 * (rungs + 1) * total + 3.5 * slope * (drift + p * survivor * climb))
     return EvaluationResult(
         value=total, method="bernoulli_series", residual=residual, tolerance=residual + rounding
+    )
+
+
+def _fold_rungs(carry, reward: RewardFunction, p: float, levels, spent, survivors):
+    """Add a block of rungs to the running (value, climb, drift) carry in rung
+    order, empty the block, and return the new carry.
+
+    One reward._value call scores the block.  Each running sum adds its carry
+    to the block's first term and then accumulates left to right (np.sum
+    would add pairwise), so every partial sum is the one a rung-at-a-time walk
+    rounds to.
+    """
+    total, climb, drift = carry
+    weights = p * np.array(survivors)
+    gains = weights * reward._value(np.array(spent))
+    climbs = np.array(levels)
+    climbs[0] += climb
+    np.add.accumulate(climbs, out=climbs)
+    drifts = weights * climbs
+    gains[0] += total
+    drifts[0] += drift
+    for block in (levels, spent, survivors):
+        block.clear()
+    return (
+        float(np.add.accumulate(gains)[-1]),
+        float(climbs[-1]),
+        float(np.add.accumulate(drifts)[-1]),
     )
 
 
@@ -253,11 +292,6 @@ def bernoulli_derivative_check(
     return DerivativeCheck(
         fd_slope=fd, analytic_slope=analytic, skipped=skipped, nearest_kink=nearest, h=h
     )
-
-
-# slots per simulate block: a block holds two block-by-paths arrays and costs
-# one `sample` call per path, so blocks are long but memory stays flat in n
-_SLOT_BLOCK = 1024
 
 
 def simulate(

@@ -21,6 +21,11 @@ finitely many steps; ``depletion_steps`` counts them and ``ladder_sum`` adds
 them up.  ladder_sum is continuous, strictly increasing, and convex in x, and
 its inverse is exactly the maximin consumption policy built in
 :mod:`ehpolicy.policies`.
+
+Each public ladder function validates s and x once and then runs a raw kernel
+(``_ladder_steps``, ``_ladder_sum``) on the float array; the maximin policy's
+bisection calls ``_ladder_sum`` directly on every step, and a custom ladder
+steps its rungs with ``_custom_step``, finding the cutoff and marginal(0) once.
 """
 
 from __future__ import annotations
@@ -135,13 +140,15 @@ class RewardFunction:
     def marginal(self, u):
         """Slope r'(u); positive and strictly decreasing."""
         arr, scalar = _prepare(u, "u")
+        return _finish(self._marginal(arr), scalar)
+
+    def _marginal(self, arr: np.ndarray) -> np.ndarray:
+        """marginal() on a float array already known finite and nonnegative."""
         if self.kind == "awgn":
-            out = self.gamma / (2.0 * (1.0 + self.gamma * arr))
-        elif self.kind == "sqrt":
-            out = 0.5 / np.sqrt(1.0 + arr)
-        else:
-            out = np.asarray(self.marginal_fn(arr), dtype=float)
-        return _finish(out, scalar)
+            return self.gamma / (2.0 * (1.0 + self.gamma * arr))
+        if self.kind == "sqrt":
+            return 0.5 / np.sqrt(1.0 + arr)
+        return np.asarray(self.marginal_fn(arr), dtype=float)
 
     def marginal_inverse(self, y):
         """Consumption level with slope y; domain (0, marginal(0)]."""
@@ -197,16 +204,23 @@ def step_down(rw: RewardFunction, s: float, x):
         raw = (1.0 + arr) / (s * s) - 1.0
         out = np.where(raw > 0.0, raw, 0.0)
     else:
-        cutoff = step_down_cutoff(rw, s)
-        out = np.zeros_like(arr)
-        mask = arr > cutoff
-        if np.any(mask):
-            target = s * np.asarray(rw.marginal(arr[mask]), dtype=float)
-            # float guard: x just above the cutoff may push the target a few
-            # ulps past marginal(0), which is outside the inverse's domain
-            target = np.minimum(target, rw.marginal(0.0))
-            out[mask] = np.maximum(rw.marginal_inverse(target), 0.0)
+        out = _custom_step(rw, s, arr, step_down_cutoff(rw, s), rw.marginal(0.0))
     return _finish(out, scalar)
+
+
+def _custom_step(rw: RewardFunction, s: float, arr: np.ndarray, cutoff: float, m0: float):
+    """step_down for a custom reward on a float array already known finite and
+    nonnegative, given its cutoff at s and m0 = marginal(0)."""
+    out = np.zeros_like(arr)
+    mask = arr > cutoff
+    if np.any(mask):
+        # float guard: x just above the cutoff may push the target a few ulps
+        # past marginal(0), which is outside the inverse's domain
+        target = np.minimum(s * rw._marginal(arr[mask]), m0)
+        if not target.min() > 0.0:  # marginal_inverse's domain check, NaN included
+            raise ValueError("marginal_inverse argument outside (0, marginal(0)]")
+        out[mask] = np.maximum(np.asarray(rw.marginal_inverse_fn(target), dtype=float), 0.0)
+    return out
 
 
 def step_down_iter(rw: RewardFunction, s: float, i: int, x):
@@ -233,31 +247,34 @@ def _marginal_ratio(rw: RewardFunction, arr: np.ndarray) -> np.ndarray:
         return 1.0 + rw.gamma * arr
     if rw.kind == "sqrt":
         return np.sqrt(1.0 + arr)
-    return np.asarray(rw.marginal(0.0) / rw.marginal(arr), dtype=float)
+    return np.asarray(rw.marginal(0.0) / rw._marginal(arr), dtype=float)
 
 
-def _ladder_length(rw: RewardFunction, s: float, x, upper: bool):
+def _ladder_steps(rw: RewardFunction, s: float, arr: np.ndarray, upper: bool):
     """Least m >= 0 with s**m * marginal(x) at or above (upper: strictly
-    above) marginal(0).
+    above) marginal(0), on a float array already known finite and nonnegative
+    and a checked scale s.
 
     The log-based guess (a ceiling, or a floor plus one for upper) is
     corrected against that inequality so exact integer boundaries resolve
     the way the defining count does.
     """
-    s = _check_scale(s)
-    arr, scalar = _prepare(x)
     ratio = _marginal_ratio(rw, arr)
     with np.errstate(divide="ignore"):
         q = np.log(ratio) / np.log(s)
     reaches = np.greater if upper else np.greater_equal
-    m = (np.floor(q).astype(np.int64) + 1) if upper else np.ceil(q).astype(np.int64)
-    m = np.maximum(m, 0)
-    dec = (m > 0) & reaches(np.power(s, np.maximum(m - 1, 0)), ratio)
-    m = np.where(dec, m - 1, m)
-    m = np.where(reaches(np.power(s, m), ratio), m, m + 1)
-    if scalar:
-        return int(m)
-    return m
+    # m stays float: np.power would cast an integer m to float anyway
+    m = np.maximum(np.floor(q) + 1.0 if upper else np.ceil(q), 0.0)
+    m = m - ((m > 0) & reaches(np.power(s, m - 1.0), ratio))
+    return m + ~reaches(np.power(s, m), ratio)
+
+
+def _ladder_length(rw: RewardFunction, s: float, x, upper: bool):
+    """_ladder_steps behind the validation of s and x, as integers."""
+    s = _check_scale(s)
+    arr, scalar = _prepare(x)
+    m = _ladder_steps(rw, s, arr, upper)
+    return int(m) if scalar else m.astype(np.int64)
 
 
 def depletion_steps(rw: RewardFunction, s: float, x):
@@ -285,32 +302,38 @@ def ladder_sum(rw: RewardFunction, s: float, x):
     Sums x, step_down(x at scale s), step_down at scale s**2, ... until the
     rungs hit 0.  Closed geometric forms are used for the built-in kinds;
     custom rewards iterate the composition, which terminates exactly because
-    step_down clamps to 0.
+    step_down clamps to 0.  Validates s and x once, then runs _ladder_sum.
     """
     s = _check_scale(s)
     arr, scalar = _prepare(x)
+    return _finish(_ladder_sum(rw, s, arr), scalar)
+
+
+def _ladder_sum(rw: RewardFunction, s: float, arr: np.ndarray) -> np.ndarray:
+    """ladder_sum on a float array already known finite and nonnegative and a
+    checked scale s; the custom ladder finds its cutoff and marginal(0) once
+    and steps its rungs with _custom_step."""
     if rw.kind == "awgn":
-        m = np.asarray(depletion_steps(rw, s, arr), dtype=float)
+        m = _ladder_steps(rw, s, arr, False)
         shrink = np.power(s, -m)
         out = ((1.0 + rw.gamma * arr) * (1.0 - shrink) / (1.0 - 1.0 / s) - m) / rw.gamma
     elif rw.kind == "sqrt":
-        m = np.asarray(depletion_steps(rw, s, arr), dtype=float)
+        m = _ladder_steps(rw, s, arr, False)
         shrink = np.power(s, -2.0 * m)
         out = (1.0 + arr) * (1.0 - shrink) / (1.0 - s ** -2.0) - m
     else:
+        cutoff, m0 = step_down_cutoff(rw, s), rw.marginal(0.0)
         acc = np.zeros_like(arr)
         cur = arr.copy()
         for _ in range(_LADDER_CAP):
-            live = cur > 0.0
-            if not np.any(live):
+            if not np.any(cur > 0.0):
                 break
             acc += cur
-            cur = np.asarray(step_down(rw, s, cur), dtype=float)
+            cur = _custom_step(rw, s, cur, cutoff, m0)
         else:
             raise RuntimeError("ladder did not terminate; reward is not regular")
         out = acc
-    out = np.maximum(out, arr)  # float guard: the head rung alone is a lower bound
-    return _finish(out, scalar)
+    return np.maximum(out, arr)  # float guard: the head rung alone is a lower bound
 
 
 def regularity_audit(

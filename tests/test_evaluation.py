@@ -223,6 +223,134 @@ class TestBernoulliSeries:
         assert info.value.span == pytest.approx(AWGN1.value(1.0) * (1.0 - 1e-7) ** 1000)
 
 
+def per_rung_series(policy, reward, c, p, tol=1e-15):
+    """The Bernoulli series walked one rung at a time through the public
+    evaluate and value, added with plain Python floats; returns the rung
+    count and (value, residual, tolerance)."""
+    top = reward.value(c)
+    total = climb = drift = 0.0
+    level, survivor, rungs = c, 1.0, 0
+    while True:
+        rungs += 1
+        u = min(policy.evaluate(level), level)
+        if not 0.0 <= u <= level:
+            raise ValueError("u must be finite and nonnegative")
+        weight = p * survivor
+        total += weight * reward.value(u)
+        climb += level
+        drift += weight * climb
+        level = max(level - u, 0.0)
+        survivor *= 1.0 - p
+        residual = 0.0 if level == 0.0 else survivor * top
+        if level == 0.0 or residual <= tol:
+            break
+    eps = float(np.finfo(float).eps)
+    slope = reward.marginal(0.0)
+    rounding = eps * (1.5 * (rungs + 1) * total + 3.5 * slope * (drift + p * survivor * climb))
+    return rungs, (total, residual, residual + rounding)
+
+
+SERIES_REWARDS = {
+    "awgn:1": AWGN1,
+    "awgn:2.5": rw.RewardFunction.awgn(2.5),
+    "sqrt": SQRT,
+    "custom": LOG1P,
+}
+
+
+def series_policy(kind, reward, p, monkeypatch):
+    """The policy of that kind; a bisection maximin answers repeated levels
+    from memory, so the reference walk costs it no second bisection."""
+    if kind == "greedy":
+        return pol.GreedyPolicy()
+    if kind == "fixed_fraction":
+        return pol.FixedFractionPolicy(p)
+    policy = pol.maximin_policy(reward, p)
+    if isinstance(policy, pol.MaximinPolicy):
+        monkeypatch.setattr(policy, "_evaluate", _Rungs(policy))
+    return policy
+
+
+# every reward x policy kind x p x c cell but two slow groups, whose long
+# walks the block-boundary test below covers: a fixed-fraction walk at
+# p = 1e-3 is ~35k rungs of public calls in the reference, and a custom
+# maximin ladder there from c >= 2 takes 4-17 s of bisection
+SERIES_CELLS = [
+    (reward, kind, p, c)
+    for reward in sorted(SERIES_REWARDS)
+    for kind in ("maximin", "fixed_fraction", "greedy")
+    for p in (1e-3, 0.01, 0.1, 0.5, 0.9)
+    for c in (0.5, 2.0, 8.0)
+    if not (
+        p == 1e-3
+        and (kind == "fixed_fraction" or (kind == "maximin" and reward == "custom" and c > 0.5))
+    )
+]
+
+
+class TestSeriesBlocks:
+    """The walk scores its rungs once per block and sums them in rung order,
+    so it returns the bits of the rung-at-a-time reference above."""
+
+    @pytest.mark.parametrize("reward, kind, p, c", SERIES_CELLS)
+    def test_matches_the_per_rung_walk_bit_for_bit(self, reward, kind, p, c, monkeypatch):
+        reward = SERIES_REWARDS[reward]
+        policy = series_policy(kind, reward, p, monkeypatch)
+        _, want = per_rung_series(policy, reward, c, p)
+        res = ev.bernoulli_reward(policy, reward, c, p)
+        assert (res.value, res.residual, res.tolerance) == want
+
+    @pytest.mark.parametrize("kind", ["maximin", "fixed_fraction"])
+    @pytest.mark.parametrize("reward", sorted(SERIES_REWARDS))
+    def test_walks_across_block_boundaries(self, reward, kind, monkeypatch):
+        reward = SERIES_REWARDS[reward]
+        bisects = kind == "maximin" and reward.kind != "awgn"
+        if bisects:  # a bisection rung is slow, so its blocks are shortened
+            monkeypatch.setattr(ev, "_SLOT_BLOCK", 8)
+        block = ev._SLOT_BLOCK
+        p = 0.1 if bisects else 0.01
+        policy = series_policy(kind, reward, p, monkeypatch)
+        for n in (block - 1, block, block + 1, 3 * block + 7):
+            if kind == "maximin":
+                # a head between the kinks x_(n-1) and x_n walks n rungs to 0
+                policy.kinks.cover(0.0)
+                while len(policy.kinks.x) <= n:
+                    policy.kinks.cover(policy.kinks.x[-1])
+                c, tol = 0.5 * (policy.kinks.x[n - 1] + policy.kinks.x[n]), 0.0
+            else:
+                # the tail bound after n rungs, as the walk's product rounds it
+                c, survivor = 2.0, 1.0
+                for _ in range(n):
+                    survivor *= 1.0 - p
+                tol = survivor * reward.value(c)
+            rungs, want = per_rung_series(policy, reward, c, p, tol)
+            assert rungs == n
+            res = ev.bernoulli_reward(policy, reward, c, p, tol)
+            assert (res.value, res.residual, res.tolerance) == want, n
+
+    @pytest.mark.parametrize("bad", [-0.25, math.nan])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_invalid_consumption_in_a_later_block_is_rejected(self, bad, blocks, monkeypatch):
+        monkeypatch.setattr(ev, "_SLOT_BLOCK", 8)
+        policy = _AfterCalls(blocks * 8 + 3, bad)
+        with pytest.raises(ValueError, match="u must be finite and nonnegative"):
+            ev.bernoulli_reward(policy, AWGN1, 1.0, 0.5, tol=1e-300)
+        assert policy.calls == -1  # raised on the first bad rung
+
+    def test_memory_does_not_grow_with_rungs(self):
+        def peak(p):
+            tracemalloc.start()
+            try:
+                ev.bernoulli_reward(pol.FixedFractionPolicy(p), AWGN1, 1.0, p)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1e-2)  # first-call allocations
+        short, long = peak(1e-2), peak(1e-3)  # ~3.5k and ~35k rungs
+        assert long <= 1.1 * short, (short, long)
+
+
 class TestDerivativeCheck:
     def test_identity_at_smooth_point(self):
         check = ev.bernoulli_derivative_check(AWGN1, 0.5, 2.0)

@@ -305,6 +305,34 @@ class TestMaximinGeneric:
         residual = np.abs(np.asarray(rw.ladder_sum(AWGN1, omega.scale, consumed)) - x)
         assert np.max(residual) <= 1e-10
 
+    # consumptions at p = 0.1, frozen from the bisection when every step
+    # still called the validating ladder_sum
+    FROZEN = {
+        "sqrt": (
+            "0x1.999999999999ap-5 0x1.153729043e465p-2 0x1.cd991838d5966p-1 "
+            "0x1.e9a08b1bded00p+0 0x1.e3f4f34c93d40p+1",
+            "0x1.006b8602f7000p+0",
+        ),
+        "custom": (
+            "0x1.999999999999ap-5 0x1.af286bca1aecdp-3 0x1.45af1ea68621ap-1 "
+            "0x1.4856af46c0180p+0 0x1.3507be8ca9320p+1",
+            "0x1.6a2b663486000p-1",
+        ),
+    }
+
+    @pytest.mark.parametrize("reward", [SQRT, LOG1P], ids=["sqrt", "custom"])
+    def test_bisection_runs_the_raw_kernel(self, reward, monkeypatch):
+        def validating(*args):
+            raise AssertionError("the bisection called the validating ladder_sum")
+
+        monkeypatch.setattr(rw, "ladder_sum", validating)
+        monkeypatch.setattr(pol, "ladder_sum", validating)
+        omega = pol.MaximinPolicy(reward, 0.1)
+        many, one = self.FROZEN[reward.kind]
+        u = omega.evaluate(np.array([0.05, 0.3, 1.7, 5.0, 12.5]))
+        assert [float(v).hex() for v in u] == many.split()
+        assert omega.evaluate(2.0).hex() == one
+
     def test_output_admissible(self):
         omega = pol.MaximinPolicy(SQRT, 0.7)
         x = np.linspace(0.0, 30.0, 151)

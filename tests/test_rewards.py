@@ -230,6 +230,62 @@ class TestLadderSum:
             )
 
 
+def bits(x) -> list[str]:
+    return [float(v).hex() for v in np.ravel(x)]
+
+
+class TestRawLadderKernels:
+    """The raw kernels behind ladder_sum and the depletion counts return the
+    public functions' bits; only the public functions validate."""
+
+    HEADS = {
+        "one": np.array([2.75]),
+        "long": np.concatenate([GRID, np.geomspace(1e-9, 1e3, 97)]),
+    }
+
+    @pytest.mark.parametrize("heads", sorted(HEADS))
+    @pytest.mark.parametrize("s", [1.0 / 0.99, 1.3, 2.0, 10.0])
+    @pytest.mark.parametrize(
+        "reward", [AWGN1, AWGN2, SQRT, wrap_awgn_as_custom(1.0)], ids=["awgn1", "awgn2", "sqrt", "custom"]
+    )
+    def test_kernels_equal_the_public_functions(self, reward, s, heads):
+        x = self.HEADS[heads]
+        if reward.kind == "custom" and s < 1.1:
+            x = x[x < 40.0]  # a custom ladder steps every rung, ~460 at x = 40
+        assert bits(rw._ladder_sum(reward, s, x)) == bits(rw.ladder_sum(reward, s, x))
+        for upper, public in ((False, rw.depletion_steps), (True, rw.depletion_steps_upper)):
+            steps = public(reward, s, x)
+            assert steps.dtype == np.int64
+            assert bits(rw._ladder_steps(reward, s, x, upper)) == bits(steps)
+        head = x[-1]  # a scalar head takes the same kernel on a 0-d array
+        assert rw.ladder_sum(reward, s, head) == float(rw._ladder_sum(reward, s, np.asarray(head)))
+        assert rw.depletion_steps(reward, s, head) == int(rw._ladder_steps(reward, s, np.asarray(head), False))
+
+    @pytest.mark.parametrize("reward", [AWGN1, SQRT, wrap_awgn_as_custom(1.0)])
+    @pytest.mark.parametrize("fn", [rw.ladder_sum, rw.depletion_steps, rw.depletion_steps_upper])
+    def test_public_functions_still_validate(self, reward, fn):
+        for x in (math.nan, -0.5, np.array([1.0, math.nan]), np.array([1.0, -1e-12])):
+            with pytest.raises(ValueError, match="x must be finite and nonnegative"):
+                fn(reward, 2.0, x)
+        for s in (1.0, 0.5, -2.0):
+            with pytest.raises(ValueError, match="scale s must be > 1"):
+                fn(reward, s, 1.0)
+
+
+    def test_custom_step_keeps_the_inverse_domain_check(self):
+        # a marginal that reaches 0 at u = 5 is outside the contract; the raw
+        # step still rejects it as marginal_inverse does
+        flat = rw.RewardFunction.custom(
+            lambda u: np.minimum(u, 5.0),
+            lambda u: np.where(u < 5.0, 1.0 - u / 5.0, 0.0),
+            lambda y: 5.0 * (1.0 - y),
+            validate=False,
+        )
+        for fn in (rw.step_down, rw.ladder_sum):
+            with pytest.raises(ValueError, match="marginal_inverse argument outside"):
+                fn(flat, 2.0, np.array([1.0, 7.0]))
+
+
 class TestRegularityAudit:
     @pytest.mark.parametrize("reward", [AWGN1, AWGN2, SQRT])
     def test_shipped_families_pass(self, reward):
