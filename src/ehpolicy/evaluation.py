@@ -17,17 +17,22 @@ Three evaluators of the long-run average reward per slot:
     one RNG stream per path spawned from the master seed, so a seed fixes
     the result bit for bit.  Draws come in time blocks, so memory stays flat
     in the number of slots, and rewards are evaluated once per block.
-  * optimal_gain / policy_gain: one relative value iteration loop on the
-    capacity grid; they differ only in how a sweep picks its actions.
+  * optimal_gain / policy_gain: on the capacity grid, Howard policy
+    iteration (optimal_gain) or one policy evaluation (policy_gain), then
+    relative value iteration from the solved bias, whose first sweep
+    certifies the result; they differ only in how they pick actions.
     Arrivals are discretized onto the same grid, so post-decision
     transitions are exact index shifts and the transition matrix is never
-    materialized; the expectation step is a correlation, by FFT against the
-    arrival spectrum held for the whole call.  optimal_gain's maximization
-    is a max-plus convolution of the reward table with the expected next
-    value; when both are concave it merges their slopes in O(n) per sweep,
-    otherwise it scans every action exactly in O(n**2).  The merge always
-    returns one of the candidate sums, and on every concave model tested it
-    matches the scan bit for bit.
+    materialized; the expectation step is a correlation with the arrival's
+    support, by FFT against its spectrum held for the whole call, and it is
+    also the matvec of the BiCGSTAB solve for a policy's gain and bias.
+    Every reported value, span and tolerance comes from a genuine Bellman
+    sweep, so the span bound holds whatever the solver did.  optimal_gain's
+    maximization is a max-plus convolution of the reward table with the
+    expected next value; when both are concave it merges their slopes in
+    O(n), otherwise it scans every action exactly in O(n**2).  The merge
+    always returns one of the candidate sums, and on every concave model
+    tested it matches the scan bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .arrivals import ArrivalDistribution, BernoulliArrivals
 from .policies import StationaryPolicy, maximin_policy
@@ -71,8 +77,9 @@ class AdmissibilityError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Value iteration hit its sweep cap before the span criterion, or the
-    Bernoulli series its rung cap before the tail bound, which span holds."""
+    """Value iteration hit its sweep cap (Howard steps count as sweeps)
+    before the span criterion, or the Bernoulli series its rung cap before
+    the tail bound, which span holds."""
 
     def __init__(
         self, span: float, iterations: int, measure="value iteration span", steps="sweeps"
@@ -395,20 +402,25 @@ def _expectation(mass: np.ndarray):
     """The map v -> w, w[m] = E[v(min(m + arrival, top))] for every
     post-decision level m, for value vectors as long as mass.
 
-    Correlates v, extended by copies of v[-1], with mass: directly below 128
-    levels, otherwise by FFT with mass's spectrum computed here once, in the
-    exact arithmetic of scipy.signal.fftconvolve(vext, mass[::-1], "valid").
+    Correlates v, extended by copies of v[-1], with the arrival's support,
+    mass[:k] up to its last nonzero cell, in the exact arithmetic of
+    scipy.signal.fftconvolve(vext[:n+k-1], mass[:k][::-1], "valid"): by FFT
+    with that support's spectrum computed here once, or directly below 128
+    levels and for a one-cell support, which fftconvolve multiplies too.
+    With k = n that is the correlation with all of mass.
     """
     n = len(mass)
+    k = int(np.flatnonzero(mass)[-1]) + 1
+    support = mass[:k]
 
     def extend(v: np.ndarray) -> np.ndarray:
-        return np.concatenate([v, np.full(n - 1, v[-1])])
+        return np.concatenate([v, np.full(k - 1, v[-1])])
 
-    if n < 128:
-        return lambda v: np.correlate(extend(v), mass, mode="valid")
-    size = next_fast_len(3 * n - 2, True)
-    spectrum = rfftn(mass[::-1], [size])
-    return lambda v: irfftn(rfftn(extend(v), [size]) * spectrum, [size])[n - 1 : 2 * n - 1]
+    if n < 128 or k == 1:
+        return lambda v: np.correlate(extend(v), support, mode="valid")
+    size = next_fast_len(n + 2 * k - 2, True)
+    spectrum = rfftn(support[::-1], [size])
+    return lambda v: irfftn(rfftn(extend(v), [size]) * spectrum, [size])[k - 1 : n + k - 1]
 
 
 # candidate sums held at once by the exact scan in _best_actions (2 MiB)
@@ -449,18 +461,85 @@ def _best_actions(
     return best
 
 
-def _relative_vi(model: MdpModel, actions_for, grid_term: float, eps: float, max_iter: int):
-    """The span-criterion sweep of optimal_gain and policy_gain: each sweep
-    takes its actions from actions_for(expected next value), and grid_term
-    is the tolerance's grid part.  Returns the last sweep's actions too."""
+# BiCGSTAB's relative residual: loose for the solves between Howard
+# improvements, tight for the one whose bias the certificate sweep starts from
+_HOWARD_RTOL = 1e-8
+_FINAL_RTOL = 1e-13
+
+
+def _bias(x: np.ndarray) -> np.ndarray:
+    """h from a solve's x = (g, h[1:]): x with the reference h[0] = 0."""
+    h = x.copy()
+    h[0] = 0.0
+    return h
+
+
+def _solve(operator, rhs: np.ndarray, guess: np.ndarray, rtol: float) -> np.ndarray:
+    """BiCGSTAB for operator x = rhs from guess; the guess itself when the
+    solve ends in non-finite values.  The certificate sweep checks whatever
+    x comes back, so a breakdown costs sweeps, never accuracy."""
+    with np.errstate(all="ignore"):
+        x, _ = bicgstab(operator, rhs, x0=guess, rtol=rtol, atol=0.0)
+    return x if np.isfinite(x).all() else guess
+
+
+def _policy_bias(expected_next, rewards, actions, guess, rtol):
+    """The gain g and bias h of the stationary policy `actions`, as one
+    vector x = (g, h[1:]): the solution of
+
+        g + h[i] - E[h(next state) | post-decision level i - actions[i]]
+            = rewards[actions[i]],    h[0] = 0,
+
+    by a Krylov solve warm-started from guess, whose matvec is one
+    expectation correlation."""
+    n = len(actions)
+    post = np.arange(n) - actions
+
+    def matvec(x):
+        h = _bias(x)
+        return x[0] + h - expected_next(h)[post]
+
+    operator = LinearOperator((n, n), matvec=matvec, dtype=float)
+    return _solve(operator, rewards[actions], guess, rtol)
+
+
+def _relative_vi(
+    model: MdpModel, actions_for, grid_term: float, eps: float, max_iter: int, howard: bool
+):
+    """Policy iteration certified by the span-criterion sweep of optimal_gain
+    and policy_gain.  Returns the last sweep's actions too.
+
+    actions_for(expected next value) picks a sweep's actions, and the
+    starting policy from the expected next value 0.  With howard, each
+    Howard step solves the policy's bias loosely and then switches the
+    states where actions_for's choice is strictly better; the steps stop
+    when none is, and each counts as one sweep against max_iter.  One tight
+    solve of the last policy's bias follows, and relative value iteration
+    starts from it: its first sweep certifies the solve, and further sweeps
+    run only while the span of the value differences is above eps.  The
+    result always comes from a genuine sweep, and grid_term is the
+    tolerance's grid part.
+    """
     if not eps > 0:
         raise ValueError("eps must be positive")
     expected_next = _expectation(model.mass)
     rewards = model.action_rewards
     states = np.arange(model.states)
-    v = np.zeros(model.states)
+    x = np.zeros(model.states)
+    actions = actions_for(x)
+    steps = 0
+    while howard and steps < max_iter - 1:
+        x = _policy_bias(expected_next, rewards, actions, x, _HOWARD_RTOL)
+        steps += 1
+        w = expected_next(_bias(x))
+        best = actions_for(w)
+        switch = rewards[best] + w[states - best] > rewards[actions] + w[states - actions]
+        if not switch.any():
+            break
+        actions = np.where(switch, best, actions)
+    v = _bias(_policy_bias(expected_next, rewards, actions, x, _FINAL_RTOL))
     span = np.inf
-    for _ in range(int(max_iter)):
+    for _ in range(steps, int(max_iter)):
         w = expected_next(v)
         actions = actions_for(w)
         new_v = rewards[actions] + w[states - actions]
@@ -482,25 +561,38 @@ def _relative_vi(model: MdpModel, actions_for, grid_term: float, eps: float, max
 def optimal_gain(
     model: MdpModel, eps: float = 1e-9, max_iter: int = 10**6
 ) -> tuple[EvaluationResult, np.ndarray]:
-    """Optimal average reward of the grid MDP by relative value iteration.
+    """Optimal average reward of the grid MDP by Howard policy iteration,
+    certified by relative value iteration.
 
-    Sweeps stop once the span of successive value differences drops below
-    eps; the true grid gain then lies within span/2 of the reported value.
-    Also returns the maximizing action index per state of the last sweep
-    (smallest on ties).  Raises NonConvergenceError at the sweep cap.
+    Starting from the greedy policy, each Howard step solves the policy's
+    gain and bias (a Krylov solve whose matvec is one expectation) and
+    switches each state to a maximizing action where that is strictly
+    better; each step counts as one sweep against max_iter.  From the last
+    policy's bias, value iteration sweeps until the span of successive value
+    differences drops below eps; the true grid gain then lies within span/2
+    of the reported value.  The first sweep is an a-posteriori certificate
+    of the solve, and sweeps continue, as plain value iteration would, while
+    the span is above eps.  Also returns the maximizing action index per
+    state of the last sweep (smallest on ties).  Raises NonConvergenceError
+    at the sweep cap.
 
-    Each sweep maximizes rewards[j] + w[i - j] over j <= i.  The reward
-    table is checked for concavity once, the expected next value w on every
-    sweep; when both are concave the maximum comes from an O(n) merge of
-    their slopes, otherwise from an exact O(n**2) scan.  The merge returns
-    an actual candidate sum, and on every concave model tested it matches
-    the scan bit for bit.
+    Each sweep and Howard step maximizes rewards[j] + w[i - j] over j <= i.
+    The reward table is checked for concavity once, the expected next value
+    w every time; when both are concave the maximum comes from an O(n)
+    merge of their slopes, otherwise from an exact O(n**2) scan.  The merge
+    returns an actual candidate sum, and on every concave model tested it
+    matches the scan bit for bit.
     """
     rewards = model.action_rewards
     rewards_concave = _is_concave(rewards)
     grid_term = 0.5 * model.slope_bound * model.cell
     return _relative_vi(
-        model, lambda w: _best_actions(rewards, w, rewards_concave), grid_term, eps, max_iter
+        model,
+        lambda w: _best_actions(rewards, w, rewards_concave),
+        grid_term,
+        eps,
+        max_iter,
+        howard=True,
     )
 
 
@@ -513,11 +605,12 @@ def policy_gain(
     """Average reward of a fixed policy on the grid MDP.
 
     The policy's consumption at each grid state is snapped down to the
-    nearest feasible grid action, then evaluated by the same span-criterion
-    sweep as optimal_gain.
+    nearest feasible grid action.  One Krylov solve gives the policy's bias,
+    and the same certificate sweep as optimal_gain's, with the actions
+    fixed, reports its gain within span/2.
     """
     u = np.asarray(policy.evaluate(model.grid), dtype=float)
     actions = np.floor(u / model.cell + 1e-9).astype(np.int64)
     actions = np.minimum(np.maximum(actions, 0), np.arange(model.states))
     grid_term = model.slope_bound * model.cell
-    return _relative_vi(model, lambda w: actions, grid_term, eps, max_iter)[0]
+    return _relative_vi(model, lambda w: actions, grid_term, eps, max_iter, howard=False)[0]

@@ -67,6 +67,13 @@ class _Idle(pol.StationaryPolicy):
         return np.zeros_like(arr)
 
 
+def _guess(operator, rhs, guess, rtol):
+    """Stands in for evaluation._solve: a solve that returns its guess, so
+    the policy iteration starts its certificate sweeps from 0 and they run
+    as plain relative value iteration."""
+    return guess
+
+
 def stationary_gain(P: np.ndarray, rewards_by_state: np.ndarray) -> float:
     """Long-run average reward of a fixed chain via its stationary law."""
     n = P.shape[0]
@@ -435,7 +442,10 @@ class TestOptimalGain:
         res, _ = ev.optimal_gain(model, eps=1e-9)
         assert abs(res.value - series.value) <= res.tolerance + 1e-12
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        # with the solve returning its guess, the certificate sweeps start
+        # from 0, as plain value iteration does, and cannot reach 1e-30
+        monkeypatch.setattr(ev, "_solve", _guess)
         model = ev.build_mdp(AWGN1, arr.BernoulliArrivals(1.0, 0.5), 20)
         message = r"^value iteration span \S+ after 25 sweeps$"
         with pytest.raises(ev.NonConvergenceError, match=message) as info:
@@ -449,26 +459,38 @@ class TestOptimalGain:
         assert res.method == "value_iteration"
         assert res.tolerance > 0.0
 
+    # the last entry counts the Howard steps whose bias was not concave, so
+    # their improvement took the exact scan: on Bernoulli(2, 0.1) the bias of
+    # some intermediate policies has a convex stretch
     @pytest.mark.parametrize(
-        "dist, cells",
+        "dist, cells, scans",
         [
-            (arr.from_nmcr("uniform", 2.0, 0.5), 1000),
-            (arr.from_nmcr("exponential", 1.0, 0.5), 1000),
-            (arr.BernoulliArrivals(2.0, 0.1), 500),
+            pytest.param(arr.from_nmcr("uniform", 2.0, 0.5), 1000, 0, id="dist0-1000"),
+            pytest.param(arr.from_nmcr("exponential", 1.0, 0.5), 1000, 0, id="dist1-1000"),
+            pytest.param(arr.BernoulliArrivals(2.0, 0.1), 500, 3, id="dist2-500"),
         ],
     )
-    def test_slope_merge_matches_exact_scan_bit_for_bit(self, dist, cells, monkeypatch):
+    def test_slope_merge_matches_exact_scan_bit_for_bit(self, dist, cells, scans, monkeypatch):
         model = ev.build_mdp(AWGN1, dist, cells)
-        concave = []
-        is_concave = ev._is_concave
+        concave = {"howard": [], "certificate": []}
+        phase = ["howard"]
+        is_concave, solve = ev._is_concave, ev._solve
 
         def recorded(seq):
-            concave.append(is_concave(seq))
-            return concave[-1]
+            concave[phase[0]].append(is_concave(seq))
+            return concave[phase[0]][-1]
+
+        def final_solve_starts_the_certificate(operator, rhs, guess, rtol):
+            if rtol == ev._FINAL_RTOL:
+                phase[0] = "certificate"
+            return solve(operator, rhs, guess, rtol)
 
         monkeypatch.setattr(ev, "_is_concave", recorded)
+        monkeypatch.setattr(ev, "_solve", final_solve_starts_the_certificate)
         merged, merged_actions = ev.optimal_gain(model)
-        assert concave and all(concave)  # every sweep took the slope merge
+        assert concave["certificate"] and all(concave["certificate"])  # every sweep merged
+        assert concave["howard"][0]  # the reward table
+        assert concave["howard"].count(False) == scans
         monkeypatch.setattr(ev, "_is_concave", lambda seq: False)
         exact, exact_actions = ev.optimal_gain(model)
         assert (merged.value, merged.residual, merged.tolerance) == (
@@ -497,6 +519,31 @@ class TestExpectation:
     def test_small_grids_equal_correlate(self, n):
         v, mass, vext = self._inputs(n)
         want = np.correlate(vext, mass, mode="valid")
+        np.testing.assert_array_equal(ev._expectation(mass)(v), want)
+
+    @staticmethod
+    def _trimmed(n, k):
+        """_inputs(n) with mass zero past its first k cells."""
+        v, mass, vext = TestExpectation._inputs(n)
+        mass[k:] = 0.0
+        return v, mass / mass.sum(), vext
+
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for n in (128, 1001) for k in (1, 2, 201, n) if k <= n]
+    )
+    def test_support_is_trimmed_bit_for_bit(self, n, k):
+        v, mass, vext = self._trimmed(n, k)
+        got = ev._expectation(mass)(v)
+        want = fftconvolve(vext[: n + k - 1], mass[:k][::-1], "valid")
+        np.testing.assert_array_equal(got, want)
+        # and the correlation with all of mass, to within FFT rounding
+        full = np.correlate(vext, mass, mode="valid")
+        np.testing.assert_allclose(got, full, rtol=0.0, atol=1e-15 * np.abs(v).max() * n)
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (5, 2), (127, 1), (127, 3), (127, 64)])
+    def test_small_grids_correlate_the_support(self, n, k):
+        v, mass, vext = self._trimmed(n, k)
+        want = np.correlate(vext[: n + k - 1], mass[:k], mode="valid")
         np.testing.assert_array_equal(ev._expectation(mass)(v), want)
 
     def test_import_leaves_scipy_signal_out(self):
@@ -597,10 +644,129 @@ class TestPolicyGain:
         res = ev.policy_gain(model, pol.GreedyPolicy(), eps=1e-11)
         assert res.value == pytest.approx(0.5 * AWGN1.value(1.0), abs=1e-9)
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(ev, "_solve", _guess)
         model = ev.build_mdp(AWGN1, arr.BernoulliArrivals(1.0, 0.5), 20)
         with pytest.raises(ev.NonConvergenceError):
             ev.policy_gain(model, pol.GreedyPolicy(), eps=1e-30, max_iter=25)
+
+
+# the value-iteration benchmark's five arrival laws, on its 1000-cell grid
+BENCH_LAWS = {
+    "uniform-c2-nmcr0.1": arr.from_nmcr("uniform", 2.0, 0.1),
+    "uniform-c2-nmcr0.5": arr.from_nmcr("uniform", 2.0, 0.5),
+    "uniform-c8-nmcr0.1": arr.from_nmcr("uniform", 8.0, 0.1),
+    "uniform-c8-nmcr0.5": arr.from_nmcr("uniform", 8.0, 0.5),
+    "exponential-c1-nmcr0.5": arr.from_nmcr("exponential", 1.0, 0.5),
+}
+PI_MODELS = [
+    pytest.param(AWGN1, law, 1000, id=name) for name, law in BENCH_LAWS.items()
+] + [
+    pytest.param(AWGN1, arr.BernoulliArrivals(2.0, 0.1), 500, id="bernoulli-c2-p0.1"),
+    pytest.param(AWGN1, arr.BernoulliArrivals(1.0, 0.5), 200, id="bernoulli-c1-p0.5"),
+    pytest.param(SQRT, arr.from_nmcr("exponential", 4.0, 0.2), 600, id="exponential-sqrt"),
+    pytest.param(CONVEX, arr.from_nmcr("uniform", 2.0, 0.3), 150, id="convex-scan"),
+    pytest.param(AWGN1, arr.from_nmcr("uniform", 2.0, 0.1), 127, id="direct-127"),
+    pytest.param(AWGN1, arr.from_nmcr("exponential", 1.0, 0.5), 40, id="direct-40"),
+    pytest.param(SQRT, arr.BernoulliArrivals(1.0, 0.3), 9, id="direct-9"),
+]
+
+
+def maximin_for(reward, mcr):
+    """The maximin policy for a reward; the convex reward, which the maximin
+    construction does not cover, gets a fixed fraction instead."""
+    if reward is CONVEX:
+        return pol.FixedFractionPolicy(0.7)
+    return pol.maximin_policy(reward, mcr)
+
+
+def _agree(a: ev.EvaluationResult, b: ev.EvaluationResult) -> bool:
+    """Whether two span-criterion results can bound the same gain: each lies
+    within its span/2 of it, up to the rounding of value = (hi + lo)/2."""
+    slack = 4.0 * np.spacing(max(abs(a.value), abs(b.value)))
+    return abs(a.value - b.value) <= 0.5 * (a.residual + b.residual) + slack
+
+
+class _Phases:
+    """Counts optimal_gain's work: loose solves (Howard steps), and sweeps
+    after the tight solve (certificate sweeps)."""
+
+    def __init__(self, monkeypatch):
+        self.howard, self.certificate, self.final = 0, 0, False
+        solve, best = ev._solve, ev._best_actions
+
+        def counted_solve(operator, rhs, guess, rtol):
+            if rtol == ev._FINAL_RTOL:
+                self.final = True
+            else:
+                self.howard += 1
+            return solve(operator, rhs, guess, rtol)
+
+        def counted_best(*args):
+            if self.final:
+                self.certificate += 1
+            return best(*args)
+
+        monkeypatch.setattr(ev, "_solve", counted_solve)
+        monkeypatch.setattr(ev, "_best_actions", counted_best)
+
+
+class TestPolicyIteration:
+    @pytest.mark.parametrize("reward, law, cells", PI_MODELS)
+    def test_optimal_gain_agrees_with_plain_value_iteration(
+        self, reward, law, cells, monkeypatch
+    ):
+        model = ev.build_mdp(reward, law, cells)
+        pi, _ = ev.optimal_gain(model)
+        with monkeypatch.context() as patched:
+            patched.setattr(ev, "_solve", _guess)
+            vi, _ = ev.optimal_gain(model)
+        assert pi.residual <= 1e-9 and vi.residual <= 1e-9
+        assert _agree(pi, vi), (pi, vi)
+        assert pi.tolerance == 0.5 * pi.residual + 0.5 * model.slope_bound * model.cell
+
+    @pytest.mark.parametrize("reward, law, cells", PI_MODELS)
+    def test_policy_gain_agrees_with_plain_value_iteration(
+        self, reward, law, cells, monkeypatch
+    ):
+        model = ev.build_mdp(reward, law, cells)
+        for policy in (
+            maximin_for(reward, law.mcr()),
+            pol.FixedFractionPolicy(0.3),
+            pol.GreedyPolicy(),
+        ):
+            pi = ev.policy_gain(model, policy)
+            with monkeypatch.context() as patched:
+                patched.setattr(ev, "_solve", _guess)
+                vi = ev.policy_gain(model, policy)
+            assert _agree(pi, vi), (policy, pi, vi)
+            assert pi.tolerance == 0.5 * pi.residual + model.slope_bound * model.cell
+
+    @pytest.mark.parametrize("law", BENCH_LAWS.values(), ids=BENCH_LAWS.keys())
+    def test_few_howard_steps_and_certificate_sweeps(self, law, monkeypatch):
+        model = ev.build_mdp(AWGN1, law, 1000)
+        phases = _Phases(monkeypatch)
+        ev.optimal_gain(model)
+        assert 1 <= phases.howard <= 12
+        assert 1 <= phases.certificate <= 2
+
+    def test_howard_steps_count_against_the_sweep_cap(self, monkeypatch):
+        # one Howard step from the greedy policy is far from optimal, so the
+        # one sweep left finds a span above eps
+        model = ev.build_mdp(AWGN1, BENCH_LAWS["uniform-c2-nmcr0.1"], 1000)
+        phases = _Phases(monkeypatch)
+        with pytest.raises(ev.NonConvergenceError) as info:
+            ev.optimal_gain(model, max_iter=2)
+        assert info.value.iterations == 2 and info.value.span > 1e-9
+        assert (phases.howard, phases.certificate) == (1, 1)
+
+    def test_slow_mixing_cell_converges(self):
+        # uniform c=16, mcr=0.02 mixes slowly: plain value iteration takes seconds
+        model = ev.build_mdp(AWGN1, arr.from_mcr("uniform", 16.0, 0.02), 2000)
+        res, _ = ev.optimal_gain(model)
+        assert res.method == "value_iteration"
+        assert res.residual <= 1e-9
+        assert res.tolerance >= 0.5 * res.residual + 0.5 * model.slope_bound * model.cell
 
 
 def per_slot_simulate(policy, arrivals, reward, n, paths, seed):
