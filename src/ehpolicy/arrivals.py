@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "ArrivalDistribution",
@@ -202,6 +201,7 @@ class LimitedExponentialArrivals(ArrivalDistribution):
 
 def _exponential_nmcr_for_mcr(p: float) -> float:
     """Invert t -> t (1 - exp(-1/t)), which rises from 0 toward 1."""
+    from scipy.optimize import brentq
 
     def gap(t: float) -> float:
         return t * -np.expm1(-1.0 / t) - p

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import arrivals as arr
 from . import evaluation as ev
@@ -272,6 +271,8 @@ def policy_checks() -> list[CheckResult]:
 
 
 def arrival_checks(seed: int) -> list[CheckResult]:
+    from scipy.integrate import quad
+
     out: list[CheckResult] = []
     cases = [
         arr.BernoulliArrivals(2.0, 0.3),

@@ -41,8 +41,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .arrivals import ArrivalDistribution, BernoulliArrivals
 from .policies import StationaryPolicy, maximin_policy
@@ -398,16 +396,32 @@ def build_mdp(reward: RewardFunction, arrivals: ArrivalDistribution, cells: int)
     )
 
 
+def _next_fast_len(target: int) -> int:
+    """The least 2**a * 3**b * 5**c >= target, for target >= 1: the FFT
+    length scipy.fft.next_fast_len(target, True) picks."""
+    best = 2 ** (target - 1).bit_length()
+    power5 = 1
+    while power5 < best:
+        odd = power5
+        while odd < best:
+            fewest = -(-target // odd)  # the least m with m * odd >= target
+            best = min(best, 2 ** (fewest - 1).bit_length() * odd)
+            odd *= 3
+        power5 *= 5
+    return best
+
+
 def _expectation(mass: np.ndarray):
     """The map v -> w, w[m] = E[v(min(m + arrival, top))] for every
     post-decision level m, for value vectors as long as mass.
 
     Correlates v, extended by copies of v[-1], with the arrival's support,
-    mass[:k] up to its last nonzero cell, in the exact arithmetic of
-    scipy.signal.fftconvolve(vext[:n+k-1], mass[:k][::-1], "valid"): by FFT
-    with that support's spectrum computed here once, or directly below 128
-    levels and for a one-cell support, which fftconvolve multiplies too.
-    With k = n that is the correlation with all of mass.
+    mass[:k] up to its last nonzero cell, with the same bits as
+    scipy.signal.fftconvolve(vext[:n+k-1], mass[:k][::-1], "valid"): by a
+    numpy.fft round trip at fftconvolve's length, with that support's
+    spectrum computed here once, or directly below 128 levels and for a
+    one-cell support, which fftconvolve multiplies too.  With k = n that is
+    the correlation with all of mass.
     """
     n = len(mass)
     k = int(np.flatnonzero(mass)[-1]) + 1
@@ -418,9 +432,13 @@ def _expectation(mass: np.ndarray):
 
     if n < 128 or k == 1:
         return lambda v: np.correlate(extend(v), support, mode="valid")
-    size = next_fast_len(n + 2 * k - 2, True)
-    spectrum = rfftn(support[::-1], [size])
-    return lambda v: irfftn(rfftn(extend(v), [size]) * spectrum, [size])[k - 1 : n + k - 1]
+    size = _next_fast_len(n + 2 * k - 2)
+    spectrum = np.fft.rfft(support[::-1], size)
+
+    def correlate(v: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(np.fft.rfft(extend(v), size) * spectrum, size)[k - 1 : n + k - 1]
+
+    return correlate
 
 
 # candidate sums held at once by the exact scan in _best_actions (2 MiB)
@@ -478,6 +496,8 @@ def _solve(operator, rhs: np.ndarray, guess: np.ndarray, rtol: float) -> np.ndar
     """BiCGSTAB for operator x = rhs from guess; the guess itself when the
     solve ends in non-finite values.  The certificate sweep checks whatever
     x comes back, so a breakdown costs sweeps, never accuracy."""
+    from scipy.sparse.linalg import bicgstab
+
     with np.errstate(all="ignore"):
         x, _ = bicgstab(operator, rhs, x0=guess, rtol=rtol, atol=0.0)
     return x if np.isfinite(x).all() else guess
@@ -492,6 +512,8 @@ def _policy_bias(expected_next, rewards, actions, guess, rtol):
 
     by a Krylov solve warm-started from guess, whose matvec is one
     expectation correlation."""
+    from scipy.sparse.linalg import LinearOperator
+
     n = len(actions)
     post = np.arange(n) - actions
 

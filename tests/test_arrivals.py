@@ -116,6 +116,17 @@ class TestRatioConstructors:
         dist = arr.from_mcr(family, 2.0, target)
         assert dist.mcr() == pytest.approx(target, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "c, mcr, rate",
+        [
+            (1.0, 0.5, "0x1.97f7c26efbf2bp+0"),
+            (2.0, 0.1, "0x1.3ffc477640122p+2"),
+            (0.5, 0.95, "0x1.a7d96b551bf02p-3"),
+        ],
+    )
+    def test_exponential_from_mcr_rate_is_pinned_bit_for_bit(self, c, mcr, rate):
+        assert arr.from_mcr("exponential", c, mcr).rate.hex() == rate
+
     def test_uniform_mcr_branches(self):
         low = arr.from_mcr("uniform", 1.0, 0.25)
         assert low.nmcr() == pytest.approx(0.25, abs=1e-14)

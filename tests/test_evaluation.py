@@ -11,6 +11,7 @@ import mpmath
 import mpmath_oracle as oracle
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from ehpolicy import arrivals as arr
@@ -529,7 +530,7 @@ class TestExpectation:
         return v, mass / mass.sum(), vext
 
     @pytest.mark.parametrize(
-        "n, k", [(n, k) for n in (128, 1001) for k in (1, 2, 201, n) if k <= n]
+        "n, k", [(n, k) for n in (128, 1001, 4097, 8000) for k in (1, 2, 201, n) if k <= n]
     )
     def test_support_is_trimmed_bit_for_bit(self, n, k):
         v, mass, vext = self._trimmed(n, k)
@@ -545,6 +546,10 @@ class TestExpectation:
         v, mass, vext = self._trimmed(n, k)
         want = np.correlate(vext[: n + k - 1], mass[:k], mode="valid")
         np.testing.assert_array_equal(ev._expectation(mass)(v), want)
+
+    def test_fft_length_is_scipys_next_fast_len(self):
+        targets = range(1, 2**15 + 1)
+        assert [ev._next_fast_len(t) for t in targets] == [next_fast_len(t, True) for t in targets]
 
     def test_import_leaves_scipy_signal_out(self):
         code = "import sys, ehpolicy; print('scipy.signal' in sys.modules)"

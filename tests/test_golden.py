@@ -1,7 +1,9 @@
 """Byte-for-byte checks of CLI outputs that refactors must leave unchanged.
 
 Each file under tests/data is the output of the command next to it in
-GOLDEN, and an output that does change is rewritten by that command.  The
+GOLDEN, and an output that does change is rewritten by that command;
+verify.txt is the standard output of `ehpolicy verify`, which
+test_cold_start checks.  The
 uniform Monte Carlo record spans several of simulate's time blocks; it was
 first written before simulate drew its arrivals in time blocks, and the
 blocks left it unchanged.  Two kinks of the sqrt endpoints file (k = 2 and
@@ -39,6 +41,10 @@ GOLDEN = {
     "evaluate_series": (
         ["evaluate", "--method", "series", "--policy", "maximin", "--c", "2", "--p", "0.1"],
         {"--out": "evaluate_series_maximin.json"},
+    ),
+    "evaluate_vi": (
+        ["evaluate", "--method", "vi", "--family", "uniform", "--c", "2", "--p", "0.5"],
+        {"--out": "evaluate_vi_uniform.json"},
     ),
     "evaluate_mc": (
         ["evaluate", "--method", "mc", "--n", "2000", "--paths", "8", "--c", "2", "--p", "0.1"],
