@@ -17,15 +17,18 @@ Three evaluators of the long-run average reward per slot:
     one RNG stream per path spawned from the master seed, so a seed fixes
     the result bit for bit.  Draws come in time blocks, so memory stays flat
     in the number of slots, and rewards are evaluated once per block.
-  * optimal_gain / policy_gain: on the capacity grid, Howard policy
-    iteration (optimal_gain) or one policy evaluation (policy_gain), then
-    relative value iteration from the solved bias, whose first sweep
-    certifies the result; they differ only in how they pick actions.
-    Arrivals are discretized onto the same grid, so post-decision
-    transitions are exact index shifts and the transition matrix is never
-    materialized; the expectation step is a correlation with the arrival's
-    support, by FFT against its spectrum held for the whole call, and it is
-    also the matvec of the BiCGSTAB solve for a policy's gain and bias.
+  * optimal_gain / policy_gain: relative value iteration on the capacity
+    grid; they differ only in how they pick actions.  policy_gain starts
+    its sweeps from one solve of the policy's bias, so its first sweep
+    certifies the solve.  optimal_gain starts from 0 and switches to Howard
+    policy iteration only when the contraction of its first spans predicts
+    more sweeps than a Howard run costs; the sweeps then go on from the
+    last policy's solved bias.  Arrivals are discretized onto the same grid,
+    so post-decision transitions are exact index shifts and the transition
+    matrix is never materialized; the expectation step is a correlation
+    with the arrival's support, by FFT against its spectrum held for the
+    whole call, and it is also the matvec of the restarted GMRES, in numpy,
+    that solves for a policy's gain and bias.
     Every reported value, span and tolerance comes from a genuine Bellman
     sweep, so the span bound holds whatever the solver did.  optimal_gain's
     maximization is a max-plus convolution of the reward table with the
@@ -37,13 +40,14 @@ Three evaluators of the long-run average reward per slot:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arrivals import ArrivalDistribution, BernoulliArrivals
-from .policies import StationaryPolicy, maximin_policy
+from .policies import FixedFractionPolicy, StationaryPolicy, maximin_policy
 from .rewards import RewardFunction
 
 __all__ = [
@@ -77,14 +81,25 @@ class AdmissibilityError(ValueError):
 class NonConvergenceError(RuntimeError):
     """Value iteration hit its sweep cap (Howard steps count as sweeps)
     before the span criterion, or the Bernoulli series its rung cap before
-    the tail bound, which span holds."""
+    the tail bound, which span holds.  needed is set when the series was
+    predicted past its cap instead of walked: the rungs tol would take."""
 
     def __init__(
-        self, span: float, iterations: int, measure="value iteration span", steps="sweeps"
+        self,
+        span: float,
+        iterations: int,
+        measure="value iteration span",
+        steps="sweeps",
+        needed: float | None = None,
     ):
-        super().__init__(f"{measure} {span!r} after {iterations} {steps}")
+        message = f"{measure} {span!r} after {iterations} {steps}"
+        if needed is not None:  # predicted, not walked
+            message = f"{measure} would be {span!r} after {iterations} {steps}"
+            message += f"; tol needs {needed} {steps}"
+        super().__init__(message)
         self.span = span
         self.iterations = iterations
+        self.needed = needed
 
 
 @dataclass(frozen=True)
@@ -157,7 +172,9 @@ def bernoulli_reward(
     the reserve hits 0 (every maximin policy does, in finitely many steps,
     on the levels ergodic_levels lists) or once the geometric tail bound
     r(c) (1-p)**i drops below tol, and raises NonConvergenceError when
-    neither happens within 10**6 rungs.  Each rung runs only the policy's raw
+    neither happens within 10**6 rungs: at once, naming the rungs needed,
+    for a fixed-fraction ladder that _fraction_rungs predicts past the cap
+    by more than its rounding.  Each rung runs only the policy's raw
     kernel on a one-element array (levels are finite and nonnegative by
     construction), rejects a consumption that is not as reward.value would,
     and steps the level.  The rungs are buffered in blocks of _SLOT_BLOCK and
@@ -186,6 +203,17 @@ def bernoulli_reward(
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     top = float(reward.value(c))
+    shrink = 1.0 - p
+    if isinstance(policy, FixedFractionPolicy):
+        needed, rounding = _fraction_rungs(policy.p, shrink, top, tol)
+        if needed > _SERIES_RUNGS + rounding:
+            raise NonConvergenceError(
+                top * shrink**_SERIES_RUNGS,
+                _SERIES_RUNGS,
+                "Bernoulli series tail bound",
+                "rungs",
+                needed=needed,
+            )
     carry = (0.0, 0.0, 0.0)  # the value, climb_i and the drift sum w_i climb_i so far
     level = c
     survivor = 1.0  # (1-p)**(i-1)
@@ -194,7 +222,7 @@ def bernoulli_reward(
     spent: list[float] = []
     survivors: list[float] = []
     cell = np.empty(1)
-    kernel, shrink = policy._evaluate, 1.0 - p
+    kernel = policy._evaluate
     for rungs in range(1, _SERIES_RUNGS + 1):
         cell[0] = level
         u = min(float(kernel(cell)[0]), level)
@@ -222,6 +250,27 @@ def bernoulli_reward(
     return EvaluationResult(
         value=total, method="bernoulli_series", residual=residual, tolerance=residual + rounding
     )
+
+
+def _fraction_rungs(fraction: float, shrink: float, top: float, tol: float) -> tuple[float, float]:
+    """The rungs a fixed-fraction walk takes before its tail bound
+    top * shrink**n drops to tol, and how far rounding may move the walk's
+    own count; (0, 0.0) when the ladder may end at 0 first, or tol is not
+    in (0, top).
+
+    With fraction <= 1/2 it never does: fraction * L rounds to at most
+    L / 2 rounded, which is below L for every float L > 0, so L - u is a
+    positive float.  The walk's survivor is shrink**n within (n + 1) eps/2
+    relative, so the first n that passes its test lies within
+    1 + eps (n + 2) / -log(shrink) rungs of ceil(log(tol / top) / log(shrink)).
+    """
+    if not (fraction <= 0.5 and 0.0 < tol < top):
+        return 0, 0.0
+    if shrink == 1.0:  # p below eps/2: the bound never shrinks
+        return math.inf, 0.0
+    rate = -math.log(shrink)
+    needed = math.ceil(math.log(top / tol) / rate)
+    return needed, 1.0 + float(np.finfo(float).eps) * (needed + 2) / rate
 
 
 def _fold_rungs(carry, reward: RewardFunction, p: float, levels, spent, survivors):
@@ -479,10 +528,15 @@ def _best_actions(
     return best
 
 
-# BiCGSTAB's relative residual: loose for the solves between Howard
-# improvements, tight for the one whose bias the certificate sweep starts from
+# GMRES's relative residual: loose for the solves between Howard
+# improvements, tight for the one whose bias the certificate sweeps start from
 _HOWARD_RTOL = 1e-8
 _FINAL_RTOL = 1e-13
+# Krylov vectors GMRES builds before it restarts from its current x
+_RESTART = 60
+# what a Howard run costs, in expectations: plain sweeps go on while their
+# contraction predicts that fewer than this many reach eps
+_HOWARD_COST = 40
 
 
 def _bias(x: np.ndarray) -> np.ndarray:
@@ -493,13 +547,71 @@ def _bias(x: np.ndarray) -> np.ndarray:
 
 
 def _solve(operator, rhs: np.ndarray, guess: np.ndarray, rtol: float) -> np.ndarray:
-    """BiCGSTAB for operator x = rhs from guess; the guess itself when the
-    solve ends in non-finite values.  The certificate sweep checks whatever
-    x comes back, so a breakdown costs sweeps, never accuracy."""
-    from scipy.sparse.linalg import bicgstab
+    """Restarted GMRES for operator(x) = rhs from guess, stopping once the
+    residual estimate is at most rtol * |rhs|; 0 for a zero rhs, and the
+    guess itself when the solve ends in non-finite values.  The certificate
+    sweep checks whatever x comes back, so a breakdown costs sweeps, never
+    accuracy.
 
+    Each cycle builds up to _RESTART Arnoldi vectors, orthogonalized by
+    classical Gram-Schmidt run twice (CGS2), and reduces the Hessenberg
+    least-squares problem with Givens rotations on Python floats, so the
+    residual estimate |g[-1]| comes for free after each matvec.  About 10n
+    matvecs at most run in all.
+    """
+    target = rtol * float(np.linalg.norm(rhs))
+    if target == 0.0:
+        return np.zeros_like(rhs)
+    n = len(rhs)
+    width = min(_RESTART, n)
+    basis = np.empty((width + 1, n))
+    x = guess
     with np.errstate(all="ignore"):
-        x, _ = bicgstab(operator, rhs, x0=guess, rtol=rtol, atol=0.0)
+        for _ in range(10 * n // width + 1):
+            r = rhs - operator(x)
+            beta = float(np.linalg.norm(r))
+            if not beta > target:  # converged, or not finite
+                break
+            basis[0] = r / beta
+            g = [beta]  # the rotated right-hand side; |g[-1]| estimates |r|
+            columns: list[list[float]] = []  # R of the rotated Hessenberg matrix
+            rotations: list[tuple[float, float]] = []
+            for j in range(width):
+                w = operator(basis[j])
+                done = basis[: j + 1]
+                h = done @ w
+                w -= h @ done
+                again = done @ w
+                w -= again @ done
+                column = (h + again).tolist()
+                tail = float(np.linalg.norm(w))
+                for i, (cos, sin) in enumerate(rotations):
+                    column[i], column[i + 1] = (
+                        cos * column[i] + sin * column[i + 1],
+                        cos * column[i + 1] - sin * column[i],
+                    )
+                diag = math.hypot(column[j], tail)
+                if diag == 0.0:  # no new direction; a NaN runs on into x
+                    break
+                cos, sin = column[j] / diag, tail / diag
+                column[j] = diag
+                rotations.append((cos, sin))
+                columns.append(column)
+                g.append(-sin * g[j])
+                g[j] *= cos
+                if not abs(g[-1]) > target or j + 1 == width:
+                    break
+                basis[j + 1] = w / tail
+            if not columns:
+                break
+            y = [0.0] * len(columns)
+            for i in reversed(range(len(columns))):
+                y[i] = (
+                    g[i] - sum(columns[k][i] * y[k] for k in range(i + 1, len(columns)))
+                ) / columns[i][i]
+            x = x + np.asarray(y) @ basis[: len(columns)]
+            if not abs(g[-1]) > target or len(columns) <= j:  # done, or no new direction
+                break
     return x if np.isfinite(x).all() else guess
 
 
@@ -510,64 +622,67 @@ def _policy_bias(expected_next, rewards, actions, guess, rtol):
         g + h[i] - E[h(next state) | post-decision level i - actions[i]]
             = rewards[actions[i]],    h[0] = 0,
 
-    by a Krylov solve warm-started from guess, whose matvec is one
+    by a GMRES solve warm-started from guess, whose matvec is one
     expectation correlation."""
-    from scipy.sparse.linalg import LinearOperator
-
-    n = len(actions)
-    post = np.arange(n) - actions
+    post = np.arange(len(actions)) - actions
 
     def matvec(x):
         h = _bias(x)
         return x[0] + h - expected_next(h)[post]
 
-    operator = LinearOperator((n, n), matvec=matvec, dtype=float)
-    return _solve(operator, rewards[actions], guess, rtol)
+    return _solve(matvec, rewards[actions], guess, rtol)
+
+
+def _howard_pays(spans: list[float], eps: float) -> bool:
+    """Whether plain sweeps would take more than _HOWARD_COST further sweeps
+    to bring the last span down to eps, at the contraction rho of the last
+    two spans: log(eps / span) / log(rho), unbounded when rho >= 1."""
+    rho = spans[-1] / spans[-2]
+    if not rho < 1.0:
+        return True
+    return math.log(eps / spans[-1]) / math.log(rho) > _HOWARD_COST
 
 
 def _relative_vi(
     model: MdpModel, actions_for, grid_term: float, eps: float, max_iter: int, howard: bool
 ):
-    """Policy iteration certified by the span-criterion sweep of optimal_gain
-    and policy_gain.  Returns the last sweep's actions too.
+    """Relative value iteration under the span criterion, for optimal_gain
+    and policy_gain, sped up by Krylov solves.  Returns the last sweep's
+    actions too.
 
-    actions_for(expected next value) picks a sweep's actions, and the
-    starting policy from the expected next value 0.  With howard, each
-    Howard step solves the policy's bias loosely and then switches the
-    states where actions_for's choice is strictly better; the steps stop
-    when none is, and each counts as one sweep against max_iter.  One tight
-    solve of the last policy's bias follows, and relative value iteration
-    starts from it: its first sweep certifies the solve, and further sweeps
-    run only while the span of the value differences is above eps.  The
-    result always comes from a genuine sweep, and grid_term is the
-    tolerance's grid part.
+    actions_for(expected next value) picks a sweep's actions.  Each sweep
+    counts against max_iter, and the sweeps run while the span of the value
+    differences is above eps, so the result always comes from a genuine
+    sweep and grid_term is the tolerance's grid part.  Without howard one
+    tight solve of the policy's bias, from 0, comes first, and the sweeps
+    start from it: the first certifies the solve.  With howard the sweeps
+    start from 0, and once three spans give a contraction under which
+    _howard_pays, Howard policy iteration starts from the last sweep's
+    actions and value: each step solves the policy's bias loosely and then
+    switches the states where actions_for's choice is strictly better, and
+    counts as a sweep; the steps stop when none is.  One tight solve of the
+    last policy's bias follows, and the sweeps go on from it.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
+    max_iter = int(max_iter)
     expected_next = _expectation(model.mass)
     rewards = model.action_rewards
     states = np.arange(model.states)
-    x = np.zeros(model.states)
-    actions = actions_for(x)
-    steps = 0
-    while howard and steps < max_iter - 1:
-        x = _policy_bias(expected_next, rewards, actions, x, _HOWARD_RTOL)
-        steps += 1
-        w = expected_next(_bias(x))
-        best = actions_for(w)
-        switch = rewards[best] + w[states - best] > rewards[actions] + w[states - actions]
-        if not switch.any():
-            break
-        actions = np.where(switch, best, actions)
-    v = _bias(_policy_bias(expected_next, rewards, actions, x, _FINAL_RTOL))
+    v = np.zeros(model.states)
+    if not howard:
+        v = _bias(_policy_bias(expected_next, rewards, actions_for(v), v, _FINAL_RTOL))
+    spans: list[float] = []
     span = np.inf
-    for _ in range(steps, int(max_iter)):
+    steps = 0
+    while steps < max_iter:
         w = expected_next(v)
         actions = actions_for(w)
         new_v = rewards[actions] + w[states - actions]
         delta = new_v - v
         hi, lo = float(delta.max()), float(delta.min())
         span = hi - lo
+        steps += 1
         if span <= eps:
             result = EvaluationResult(
                 value=0.5 * (hi + lo),
@@ -577,26 +692,43 @@ def _relative_vi(
             )
             return result, actions
         v = new_v - new_v[0]  # reference state: empty battery
-    raise NonConvergenceError(span, int(max_iter))
+        spans.append(span)
+        if howard and len(spans) >= 3 and _howard_pays(spans, eps):
+            howard = False
+            x = v.copy()
+            x[0] = 0.5 * (hi + lo)
+            while steps < max_iter - 1:
+                x = _policy_bias(expected_next, rewards, actions, x, _HOWARD_RTOL)
+                steps += 1
+                w = expected_next(_bias(x))
+                best = actions_for(w)
+                switch = rewards[best] + w[states - best] > rewards[actions] + w[states - actions]
+                if not switch.any():
+                    break
+                actions = np.where(switch, best, actions)
+            v = _bias(_policy_bias(expected_next, rewards, actions, x, _FINAL_RTOL))
+    raise NonConvergenceError(span, max_iter)
 
 
 def optimal_gain(
     model: MdpModel, eps: float = 1e-9, max_iter: int = 10**6
 ) -> tuple[EvaluationResult, np.ndarray]:
-    """Optimal average reward of the grid MDP by Howard policy iteration,
-    certified by relative value iteration.
+    """Optimal average reward of the grid MDP by relative value iteration,
+    switching to Howard policy iteration where that pays.
 
-    Starting from the greedy policy, each Howard step solves the policy's
-    gain and bias (a Krylov solve whose matvec is one expectation) and
-    switches each state to a maximizing action where that is strictly
-    better; each step counts as one sweep against max_iter.  From the last
-    policy's bias, value iteration sweeps until the span of successive value
+    Value iteration sweeps from 0 until the span of successive value
     differences drops below eps; the true grid gain then lies within span/2
-    of the reported value.  The first sweep is an a-posteriori certificate
-    of the solve, and sweeps continue, as plain value iteration would, while
-    the span is above eps.  Also returns the maximizing action index per
-    state of the last sweep (smallest on ties).  Raises NonConvergenceError
-    at the sweep cap.
+    of the reported value.  Once three spans give a contraction rho, and
+    log(eps / span) / log(rho) sweeps would still be left (unbounded for
+    rho >= 1) with more than a Howard run's cost, _HOWARD_COST expectations,
+    Howard policy iteration takes over from the last sweep's actions and
+    value: each step solves the policy's gain and bias (a GMRES solve whose
+    matvec is one expectation) and switches each state to a maximizing
+    action where that is strictly better, and counts as one sweep against
+    max_iter.  The sweeps then go on from the last policy's bias, and the
+    first of them is an a-posteriori certificate of the solve.  Also returns
+    the maximizing action index per state of the last sweep (smallest on
+    ties).  Raises NonConvergenceError at the sweep cap.
 
     Each sweep and Howard step maximizes rewards[j] + w[i - j] over j <= i.
     The reward table is checked for concavity once, the expected next value
@@ -627,7 +759,7 @@ def policy_gain(
     """Average reward of a fixed policy on the grid MDP.
 
     The policy's consumption at each grid state is snapped down to the
-    nearest feasible grid action.  One Krylov solve gives the policy's bias,
+    nearest feasible grid action.  One GMRES solve gives the policy's bias,
     and the same certificate sweep as optimal_gain's, with the actions
     fixed, reports its gain within span/2.
     """

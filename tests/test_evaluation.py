@@ -19,6 +19,7 @@ from ehpolicy import evaluation as ev
 from ehpolicy import policies as pol
 from ehpolicy import rewards as rw
 from ehpolicy.checks import _sample_rewards
+from ehpolicy.metrics import POLICY_KINDS, make_policy
 
 AWGN1 = rw.RewardFunction.awgn(1.0)
 SQRT = rw.RewardFunction.sqrt_rate()
@@ -70,8 +71,9 @@ class _Idle(pol.StationaryPolicy):
 
 def _guess(operator, rhs, guess, rtol):
     """Stands in for evaluation._solve: a solve that returns its guess, so
-    the policy iteration starts its certificate sweeps from 0 and they run
-    as plain relative value iteration."""
+    no solve moves the value: policy_gain sweeps from 0, optimal_gain's
+    Howard steps leave its sweeps where they were, and both run as plain
+    relative value iteration."""
     return guess
 
 
@@ -229,6 +231,42 @@ class TestBernoulliSeries:
             ev.bernoulli_reward(_Idle(), AWGN1, 1.0, 1e-7)
         assert info.value.iterations == 1000
         assert info.value.span == pytest.approx(AWGN1.value(1.0) * (1.0 - 1e-7) ** 1000)
+
+    @pytest.mark.parametrize("p", [1e-5, 1e-6])
+    def test_fixed_fraction_past_the_cap_fails_fast(self, p):
+        # the tail bound needs ~3.3e6 (p = 1e-5) or ~3.3e7 rungs, past the
+        # 10**6 cap, and a fraction at most 1/2 never empties the battery
+        started = time.perf_counter()
+        with pytest.raises(ev.NonConvergenceError, match=r"tol needs \d+ rungs$") as info:
+            ev.bernoulli_reward(pol.FixedFractionPolicy(p), AWGN1, 1.0, p)
+        assert time.perf_counter() - started < 0.1
+        top = AWGN1.value(1.0)
+        assert info.value.needed == math.ceil(math.log(top / 1e-15) / -math.log(1.0 - p))
+        assert info.value.iterations == ev._SERIES_RUNGS
+        assert info.value.span == pytest.approx(top * (1.0 - p) ** ev._SERIES_RUNGS)
+
+    @pytest.mark.parametrize("fraction", [0.01, 0.5])
+    def test_fixed_fraction_walks_that_finish_within_the_cap_still_run(
+        self, fraction, monkeypatch
+    ):
+        policy = pol.FixedFractionPolicy(fraction)
+        walked = _Rungs(policy)
+        monkeypatch.setattr(policy, "_evaluate", walked)
+        res = ev.bernoulli_reward(policy, AWGN1, 1.0, 0.01)
+        rungs = len(walked.levels)
+        needed, rounding = ev._fraction_rungs(fraction, 1.0 - 0.01, AWGN1.value(1.0), 1e-15)
+        assert abs(needed - rungs) <= rounding
+        monkeypatch.setattr(ev, "_SERIES_RUNGS", rungs)  # a cap the walk just meets
+        assert ev.bernoulli_reward(policy, AWGN1, 1.0, 0.01) == res
+        monkeypatch.setattr(ev, "_SERIES_RUNGS", rungs - 1)
+        with pytest.raises(ev.NonConvergenceError):
+            ev.bernoulli_reward(policy, AWGN1, 1.0, 0.01)
+
+    def test_fixed_fraction_above_one_half_walks_to_zero(self):
+        # 0.9 * L rounds up to L once L is the least subnormal, so the ladder
+        # ends at 0 after a few hundred rungs however small p is
+        res = ev.bernoulli_reward(pol.FixedFractionPolicy(0.9), AWGN1, 1.0, 1e-7)
+        assert res.residual == 0.0
 
 
 def per_rung_series(policy, reward, c, p, tol=1e-15):
@@ -461,37 +499,25 @@ class TestOptimalGain:
         assert res.tolerance > 0.0
 
     # the last entry counts the Howard steps whose bias was not concave, so
-    # their improvement took the exact scan: on Bernoulli(2, 0.1) the bias of
-    # some intermediate policies has a convex stretch
+    # their improvement took the exact scan; only uniform c=2 nmcr=0.1 mixes
+    # slowly enough for Howard to pay, and three of its six steps scan
     @pytest.mark.parametrize(
         "dist, cells, scans",
         [
             pytest.param(arr.from_nmcr("uniform", 2.0, 0.5), 1000, 0, id="dist0-1000"),
             pytest.param(arr.from_nmcr("exponential", 1.0, 0.5), 1000, 0, id="dist1-1000"),
-            pytest.param(arr.BernoulliArrivals(2.0, 0.1), 500, 3, id="dist2-500"),
+            pytest.param(arr.BernoulliArrivals(2.0, 0.1), 500, 0, id="dist2-500"),
+            pytest.param(arr.from_nmcr("uniform", 2.0, 0.1), 1000, 3, id="dist3-1000"),
         ],
     )
     def test_slope_merge_matches_exact_scan_bit_for_bit(self, dist, cells, scans, monkeypatch):
         model = ev.build_mdp(AWGN1, dist, cells)
-        concave = {"howard": [], "certificate": []}
-        phase = ["howard"]
-        is_concave, solve = ev._is_concave, ev._solve
-
-        def recorded(seq):
-            concave[phase[0]].append(is_concave(seq))
-            return concave[phase[0]][-1]
-
-        def final_solve_starts_the_certificate(operator, rhs, guess, rtol):
-            if rtol == ev._FINAL_RTOL:
-                phase[0] = "certificate"
-            return solve(operator, rhs, guess, rtol)
-
-        monkeypatch.setattr(ev, "_is_concave", recorded)
-        monkeypatch.setattr(ev, "_solve", final_solve_starts_the_certificate)
+        phases = _Phases(monkeypatch)
         merged, merged_actions = ev.optimal_gain(model)
-        assert concave["certificate"] and all(concave["certificate"])  # every sweep merged
-        assert concave["howard"][0]  # the reward table
-        assert concave["howard"].count(False) == scans
+        plain, howard, certificate = phases.concave()
+        assert plain[0]  # the reward table
+        assert all(plain) and all(certificate)  # every value-iteration sweep merged
+        assert howard.count(False) == scans
         monkeypatch.setattr(ev, "_is_concave", lambda seq: False)
         exact, exact_actions = ev.optimal_gain(model)
         assert (merged.value, merged.residual, merged.tolerance) == (
@@ -656,6 +682,105 @@ class TestPolicyGain:
             ev.policy_gain(model, pol.GreedyPolicy(), eps=1e-30, max_iter=25)
 
 
+def dense_policy_system(model: ev.MdpModel, actions) -> tuple[np.ndarray, np.ndarray]:
+    """The policy-evaluation system of _policy_bias as a dense matrix and
+    rhs: g + h[i] - sum_j P[i, j] h[j] = rewards[actions[i]] with h[0] = 0,
+    in the unknowns x = (g, h[1:])."""
+    n = model.states
+    P = np.vstack([model.transition_row(i, actions[i]) for i in range(n)])
+    A = np.eye(n) - P
+    A[:, 0] = 1.0
+    return A, model.action_rewards[np.asarray(actions)]
+
+
+def grid_actions(model: ev.MdpModel, policy) -> np.ndarray:
+    """policy_gain's snap of a policy onto the grid's actions."""
+    u = policy.evaluate(model.grid)
+    actions = np.floor(u / model.cell + 1e-9).astype(np.int64)
+    return np.minimum(np.maximum(actions, 0), np.arange(model.states))
+
+
+SOLVE_MODELS = [
+    pytest.param(arr.LimitedUniformArrivals(1.0, 1.2), 3, id="uniform-3"),
+    pytest.param(arr.BernoulliArrivals(1.0, 0.3), 20, id="bernoulli-20"),
+    pytest.param(arr.from_nmcr("uniform", 2.0, 0.1), 90, id="slow-uniform-90"),
+    pytest.param(arr.from_nmcr("exponential", 1.0, 0.5), 150, id="exponential-150"),
+]
+
+
+# optimal_gain and policy_gain on a slow uniform and a Bernoulli law in a
+# fresh interpreter; prints the scipy modules loaded
+VI_SCIPY_MODULES = """
+import sys
+from ehpolicy import arrivals, evaluation, policies, rewards
+reward = rewards.RewardFunction.awgn(1.0)
+for law in (arrivals.from_nmcr("uniform", 2.0, 0.1), arrivals.BernoulliArrivals(1.0, 0.5)):
+    model = evaluation.build_mdp(reward, law, 300)
+    evaluation.optimal_gain(model)
+    evaluation.policy_gain(model, policies.maximin_policy(reward, law.mcr()))
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+class TestSolve:
+    @pytest.mark.parametrize("rtol", [1e-8, 1e-13])
+    @pytest.mark.parametrize("law, cells", SOLVE_MODELS)
+    @pytest.mark.parametrize(
+        "policy",
+        [pol.GreedyPolicy(), pol.FixedFractionPolicy(0.3), pol.MaximinAwgnPolicy(1.0, 0.2)],
+        ids=["greedy", "fraction", "maximin"],
+    )
+    def test_matches_a_dense_solve_within_rtol(self, law, cells, policy, rtol):
+        model = ev.build_mdp(AWGN1, law, cells)
+        A, b = dense_policy_system(model, grid_actions(model, policy))
+        want = np.linalg.solve(A, b)
+        rng = np.random.default_rng(cells)
+        for guess in (np.zeros(model.states), rng.random(model.states)):
+            got = ev._solve(lambda x: A @ x, b, guess, rtol)
+            assert np.linalg.norm(b - A @ got) <= rtol * np.linalg.norm(b)
+            bound = np.linalg.cond(A) * rtol * np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=bound)
+
+    @pytest.mark.parametrize("law, cells", SOLVE_MODELS)
+    def test_policy_bias_solves_the_dense_system(self, law, cells):
+        # the matvec is one expectation, so the residual against the dense
+        # matrix also carries the expectation's rounding
+        model = ev.build_mdp(AWGN1, law, cells)
+        actions = grid_actions(model, pol.MaximinAwgnPolicy(1.0, 0.2))
+        A, b = dense_policy_system(model, actions)
+        expected_next = ev._expectation(model.mass)
+        x = ev._policy_bias(
+            expected_next, model.action_rewards, actions, np.zeros(model.states), 1e-13
+        )
+        assert np.linalg.norm(b - A @ x) <= 1e-13 * np.linalg.norm(b) + 1e-14 * cells
+
+    def test_zero_rhs_gives_zero(self):
+        A = np.array([[2.0, 1.0], [0.0, 3.0]])
+        got = ev._solve(lambda x: A @ x, np.zeros(2), np.array([5.0, -1.0]), 1e-13)
+        np.testing.assert_array_equal(got, np.zeros(2))
+
+    @pytest.mark.parametrize("after", [0, 1, 5])
+    def test_non_finite_operator_gives_back_the_guess(self, after):
+        A = np.diag(np.arange(1.0, 41.0)) + np.tril(np.ones((40, 40)), -1)
+        calls = []
+
+        def operator(x):
+            calls.append(1)
+            return A @ x if len(calls) <= after else np.full_like(x, np.nan)
+
+        guess = np.ones(40)
+        got = ev._solve(operator, np.arange(40.0), guess, 1e-13)
+        assert got is guess
+        np.testing.assert_array_equal(guess, np.ones(40))
+
+    def test_value_iteration_imports_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", VI_SCIPY_MODULES], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 # the value-iteration benchmark's five arrival laws, on its 1000-cell grid
 BENCH_LAWS = {
     "uniform-c2-nmcr0.1": arr.from_nmcr("uniform", 2.0, 0.1),
@@ -693,27 +818,55 @@ def _agree(a: ev.EvaluationResult, b: ev.EvaluationResult) -> bool:
 
 
 class _Phases:
-    """Counts optimal_gain's work: loose solves (Howard steps), and sweeps
-    after the tight solve (certificate sweeps)."""
+    """Logs optimal_gain's work as it happens: each action choice ("sweep"),
+    each concavity check (True or False), each Krylov solve ("solve") and
+    the switch to Howard ("switch").  The plain sweeps come before the
+    switch, each Howard step is one solve and one action choice, and the
+    certificate sweeps follow the last solve, the tight one."""
 
     def __init__(self, monkeypatch):
-        self.howard, self.certificate, self.final = 0, 0, False
-        solve, best = ev._solve, ev._best_actions
+        self.log = []
+        pays, solve, best, is_concave = ev._howard_pays, ev._solve, ev._best_actions, ev._is_concave
 
-        def counted_solve(operator, rhs, guess, rtol):
-            if rtol == ev._FINAL_RTOL:
-                self.final = True
-            else:
-                self.howard += 1
-            return solve(operator, rhs, guess, rtol)
+        def logged_pays(spans, eps):
+            if pays(spans, eps):
+                self.log.append("switch")
+                return True
+            return False
 
-        def counted_best(*args):
-            if self.final:
-                self.certificate += 1
+        def logged_solve(*args):
+            self.log.append("solve")
+            return solve(*args)
+
+        def logged_best(*args):
+            self.log.append("sweep")
             return best(*args)
 
-        monkeypatch.setattr(ev, "_solve", counted_solve)
-        monkeypatch.setattr(ev, "_best_actions", counted_best)
+        def logged_concave(seq):
+            self.log.append(is_concave(seq))
+            return self.log[-1]
+
+        monkeypatch.setattr(ev, "_howard_pays", logged_pays)
+        monkeypatch.setattr(ev, "_solve", logged_solve)
+        monkeypatch.setattr(ev, "_best_actions", logged_best)
+        monkeypatch.setattr(ev, "_is_concave", logged_concave)
+
+    def _split(self):
+        """The log before the switch, up to the last solve, and after it."""
+        log = self.log
+        if "switch" not in log:
+            return log, [], []
+        switch = log.index("switch")
+        last = len(log) - log[::-1].index("solve")
+        return log[:switch], log[switch:last], log[last:]
+
+    def counts(self):
+        """(plain sweeps, Howard steps, certificate sweeps)."""
+        return tuple(part.count("sweep") for part in self._split())
+
+    def concave(self):
+        """The concavity checks of each phase, in order."""
+        return tuple([e for e in part if isinstance(e, bool)] for part in self._split())
 
 
 class TestPolicyIteration:
@@ -747,23 +900,63 @@ class TestPolicyIteration:
             assert _agree(pi, vi), (policy, pi, vi)
             assert pi.tolerance == 0.5 * pi.residual + model.slope_bound * model.cell
 
+    # plain sweeps to eps on the three fast-mixing laws, which never switch
+    FAST_SWEEPS = {"uniform-c2-nmcr0.5": 14, "uniform-c8-nmcr0.5": 17, "exponential-c1-nmcr0.5": 10}
+
     @pytest.mark.parametrize("law", BENCH_LAWS.values(), ids=BENCH_LAWS.keys())
-    def test_few_howard_steps_and_certificate_sweeps(self, law, monkeypatch):
+    def test_few_howard_steps_and_certificate_sweeps(self, law, monkeypatch, request):
         model = ev.build_mdp(AWGN1, law, 1000)
         phases = _Phases(monkeypatch)
         ev.optimal_gain(model)
-        assert 1 <= phases.howard <= 12
-        assert 1 <= phases.certificate <= 2
+        plain, howard, certificate = phases.counts()
+        name = request.node.callspec.id
+        if name in self.FAST_SWEEPS:
+            assert (plain, howard, certificate) == (self.FAST_SWEEPS[name], 0, 0)
+        else:
+            assert 3 <= plain <= 10
+            assert 1 <= howard <= 12
+            assert 1 <= certificate <= 2
 
     def test_howard_steps_count_against_the_sweep_cap(self, monkeypatch):
-        # one Howard step from the greedy policy is far from optimal, so the
-        # one sweep left finds a span above eps
+        # one Howard step from the switch is far from optimal, so the one
+        # sweep left finds a span above eps
         model = ev.build_mdp(AWGN1, BENCH_LAWS["uniform-c2-nmcr0.1"], 1000)
+        with monkeypatch.context() as patched:
+            phases = _Phases(patched)
+            ev.optimal_gain(model)
+        plain = phases.counts()[0]
         phases = _Phases(monkeypatch)
         with pytest.raises(ev.NonConvergenceError) as info:
-            ev.optimal_gain(model, max_iter=2)
-        assert info.value.iterations == 2 and info.value.span > 1e-9
-        assert (phases.howard, phases.certificate) == (1, 1)
+            ev.optimal_gain(model, max_iter=plain + 2)
+        assert info.value.iterations == plain + 2 and info.value.span > 1e-9
+        assert phases.counts() == (plain, 1, 1)
+
+    # expectations a benchmark round takes: 433 when set, 732 with Howard
+    # from the first sweep and a BiCGSTAB solve
+    ROUND_EXPECTATIONS = 480
+
+    def test_a_benchmark_round_stays_under_its_expectation_count(self, monkeypatch):
+        # one vi_uniform round: optimal_gain and the sweep's three policies
+        # on each of the five laws; a count, so it does not depend on timing
+        calls = []
+        expectation = ev._expectation
+
+        def counted(mass):
+            expected_next = expectation(mass)
+
+            def step(v):
+                calls.append(1)
+                return expected_next(v)
+
+            return step
+
+        monkeypatch.setattr(ev, "_expectation", counted)
+        for law in BENCH_LAWS.values():
+            model = ev.build_mdp(AWGN1, law, 1000)
+            ev.optimal_gain(model)
+            for kind in POLICY_KINDS:
+                ev.policy_gain(model, make_policy(kind, AWGN1, law.mcr()))
+        assert len(calls) <= self.ROUND_EXPECTATIONS
 
     def test_slow_mixing_cell_converges(self):
         # uniform c=16, mcr=0.02 mixes slowly: plain value iteration takes seconds

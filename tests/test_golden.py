@@ -17,7 +17,12 @@ series record gained a rounding term in its tolerance, and its value,
 which moved by 2e-17, lies within it; and the two maximin Monte Carlo
 records moved in their last digits.  When MaximinPolicy began to return x
 itself below its first kink, the omega of the 26 sqrt curve rows there
-became exactly x, which the mpmath evaluation gives exactly.
+became exactly x, which the mpmath evaluation gives exactly.  When the
+policy solve became a numpy GMRES, the value-iteration record's residual
+fell from 7.4e-15 to 6.7e-16 and its value moved by 5.6e-17: each record is
+a span-criterion result whose gain lies within residual/2 of its value, and
+the two values lie 5.6e-17 apart, within half the sum of the two spans
+(4.1e-15), so both bound the same gain.
 """
 
 from pathlib import Path
