@@ -602,8 +602,6 @@ def _solve(operator, rhs: np.ndarray, guess: np.ndarray, rtol: float) -> np.ndar
                 if not abs(g[-1]) > target or j + 1 == width:
                     break
                 basis[j + 1] = w / tail
-            if not columns:
-                break
             y = [0.0] * len(columns)
             for i in reversed(range(len(columns))):
                 y[i] = (
