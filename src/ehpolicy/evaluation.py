@@ -81,8 +81,11 @@ class AdmissibilityError(ValueError):
 class NonConvergenceError(RuntimeError):
     """Value iteration hit its sweep cap (Howard steps count as sweeps)
     before the span criterion, or the Bernoulli series its rung cap before
-    the tail bound, which span holds.  needed is set when the series was
-    predicted past its cap instead of walked: the rungs tol would take."""
+    its tail bound (1-p)**n min(r(c), p r'(0) L_(n+1)) after n rungs,
+    L_(n+1) the level left (see bernoulli_reward), dropped to tol; span
+    holds that criterion or bound.  needed is set when a fixed-fraction
+    series was predicted past its cap instead of walked: the rungs tol
+    would take, from _fraction_rungs."""
 
     def __init__(
         self,
@@ -170,12 +173,21 @@ def bernoulli_reward(
     Sums p (1-p)**(i-1) * r(consumption at the i-th ladder level), walking
     the policy's reserve map down from a full battery.  Stops exactly once
     the reserve hits 0 (every maximin policy does, in finitely many steps,
-    on the levels ergodic_levels lists) or once the geometric tail bound
-    r(c) (1-p)**i drops below tol, and raises NonConvergenceError when
-    neither happens within 10**6 rungs: at once, naming the rungs needed,
-    for a fixed-fraction ladder that _fraction_rungs predicts past the cap
-    by more than its rounding.  Each rung runs only the policy's raw
-    kernel on a one-element array (levels are finite and nonnegative by
+    on the levels ergodic_levels lists) or once the tail bound after rung i,
+
+        (1-p)**i * min(r(c), p r'(0) L_(i+1)),    L_(i+1) the level after it,
+
+    drops below tol.  The later weights p (1-p)**(j-1), j > i, sum to
+    (1-p)**i and each is at most p (1-p)**i.  No later rung consumes more
+    than c, which gives r(c); and a concave r with r(0) = 0 has
+    r(u) <= r'(0) u while the later rungs together consume at most L_(i+1),
+    which gives the second term (left out when r'(0) is not finite).  For a
+    fixed fraction f, L_(i+1) = c (1-f)**i, so the second term shrinks at
+    the square of the first's rate when f = p.  Raises NonConvergenceError
+    when neither stop comes within 10**6 rungs: at once, naming the rungs
+    needed, for a fixed-fraction ladder that _fraction_rungs predicts past
+    the cap by more than its rounding.  Each rung runs only the policy's
+    scalar kernel _consume (levels are finite and nonnegative by
     construction), rejects a consumption that is not as reward.value would,
     and steps the level.  The rungs are buffered in blocks of _SLOT_BLOCK and
     scored with one reward._value call a block; the value, climb and drift
@@ -187,15 +199,18 @@ def bernoulli_reward(
     reserve hit 0.  tolerance adds a bound on the walk's rounding (u = eps/2)
     for policies whose consumption and reserve are nondecreasing, 1-Lipschitz
     and evaluated within 6u (greedy, fixed fraction, the awgn maximin's
-    interpolation) and rewards evaluated within 4u.  With n rungs, levels L_i,
-    weights w_i = p (1-p)**(i-1) and climb_i = L_1 + ... + L_i: the rounded
-    (1-p)**(i-1) is off by 2(i-1)u, each summand by (2n + 4)u, and adding n
-    nonnegative summands costs (n - 1)u of their sum S, the value, so 1.5
-    (n + 1) eps S in all.  Each `level -= u` rounds by u L_(i+1) after a
-    consumption off by 6u L_i, and later consumptions and levels move by no
-    more than a level error, so consumption i is off by 3.5 eps climb_i and
-    its reward by r'(0) times that; and once the float walk stops at 0 the
-    exact one holds at most 3.5 eps climb_n, spent at weights below w_(n+1).
+    interpolation) and rewards and r'(0) evaluated within 4u.  With n rungs,
+    levels L_i, weights w_i = p (1-p)**(i-1) and climb_i = L_1 + ... + L_i:
+    the rounded (1-p)**(i-1) is off by 2(i-1)u, each summand by (2n + 4)u,
+    and adding n nonnegative summands costs (n - 1)u of their sum S, the
+    value, so 1.5 (n + 1) eps S in all.  Each `level -= u` rounds by
+    u L_(i+1) after a consumption off by 6u L_i, and later consumptions and
+    levels move by no more than a level error, so consumption i is off by
+    3.5 eps climb_i and its reward by r'(0) times that; and where the float
+    walk stops, the exact level exceeds it by at most 3.5 eps climb_n, spent
+    at weights below w_(n+1).  The rounded tail bound is off by at most
+    (2n + 8)u of itself: 2n u in (1-p)**n, 4u in r(c) or r'(0), and one u
+    in each of its three products, so (n + 4) eps residual.
     """
     c, p = float(c), float(p)
     if not c > 0:
@@ -203,12 +218,15 @@ def bernoulli_reward(
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     top = float(reward.value(c))
+    slope = float(reward.marginal(0.0))
+    grade = p * slope if math.isfinite(slope) else math.inf  # the tail bound's p r'(0)
     shrink = 1.0 - p
     if isinstance(policy, FixedFractionPolicy):
-        needed, rounding = _fraction_rungs(policy.p, shrink, top, tol)
+        needed, rounding = _fraction_rungs(policy.p, shrink, top, grade * c, tol)
         if needed > _SERIES_RUNGS + rounding:
+            last = c * (1.0 - policy.p) ** _SERIES_RUNGS
             raise NonConvergenceError(
-                top * shrink**_SERIES_RUNGS,
+                shrink**_SERIES_RUNGS * min(top, grade * last),
                 _SERIES_RUNGS,
                 "Bernoulli series tail bound",
                 "rungs",
@@ -221,11 +239,9 @@ def bernoulli_reward(
     levels: list[float] = []  # the block's rungs, for _fold_rungs to score and sum
     spent: list[float] = []
     survivors: list[float] = []
-    cell = np.empty(1)
-    kernel = policy._evaluate
+    consume = policy._consume
     for rungs in range(1, _SERIES_RUNGS + 1):
-        cell[0] = level
-        u = min(float(kernel(cell)[0]), level)
+        u = min(consume(level), level)
         if not 0.0 <= u <= level:
             raise ValueError("u must be finite and nonnegative")
         levels.append(level)
@@ -236,7 +252,7 @@ def bernoulli_reward(
         if level == 0.0:
             residual = 0.0
             break
-        residual = survivor * top
+        residual = survivor * min(top, grade * level)
         if residual <= tol:
             break
         if len(levels) == _SLOT_BLOCK:
@@ -245,32 +261,51 @@ def bernoulli_reward(
         raise NonConvergenceError(residual, _SERIES_RUNGS, "Bernoulli series tail bound", "rungs")
     total, climb, drift = _fold_rungs(carry, reward, p, levels, spent, survivors)
     eps = float(np.finfo(float).eps)
-    slope = float(reward.marginal(0.0))
-    rounding = eps * (1.5 * (rungs + 1) * total + 3.5 * slope * (drift + p * survivor * climb))
+    rounding = eps * (
+        1.5 * (rungs + 1) * total
+        + (rungs + 4) * residual
+        + 3.5 * slope * (drift + p * survivor * climb)
+    )
     return EvaluationResult(
         value=total, method="bernoulli_series", residual=residual, tolerance=residual + rounding
     )
 
 
-def _fraction_rungs(fraction: float, shrink: float, top: float, tol: float) -> tuple[float, float]:
-    """The rungs a fixed-fraction walk takes before its tail bound
-    top * shrink**n drops to tol, and how far rounding may move the walk's
-    own count; (0, 0.0) when the ladder may end at 0 first, or tol is not
-    in (0, top).
+def _fraction_rungs(
+    fraction: float, shrink: float, top: float, start: float, tol: float
+) -> tuple[float, float]:
+    """The rungs a fixed-fraction walk takes before its tail bound drops to
+    tol, and how far rounding may move the walk's own count; (0, 0.0) when
+    the ladder may end at 0 first, or tol is not in (0, top).
 
     With fraction <= 1/2 it never does: fraction * L rounds to at most
     L / 2 rounded, which is below L for every float L > 0, so L - u is a
-    positive float.  The walk's survivor is shrink**n within (n + 1) eps/2
-    relative, so the first n that passes its test lies within
-    1 + eps (n + 2) / -log(shrink) rungs of ceil(log(tol / top) / log(shrink)).
+    positive float.  The level after n rungs is then c g**n, g = 1 - fraction,
+    so the bound after n rungs is the smaller of top * shrink**n and
+    start * (shrink g)**n, start = p r'(0) c, and the first n at which it
+    drops to tol is the smaller of the two geometric counts
+    log(top / tol) / -log(shrink) and log(start / tol) / -log(shrink g), each
+    rounded up.  The walk's survivor is shrink**n within (n + 1) eps/2
+    relative.  Each rung's u = fraction * L and L - u round by eps/2, and
+    u <= L - u, so each rung moves the level by at most eps relative and it
+    is c g**n within n eps; with the products, each of the two bounds is
+    within 2 (n + 2) eps of its geometric sequence, logs included.  Near the
+    first crossing both are that close, so neither crosses earlier or later
+    than 1 + 2 eps (n + 2) / rate rungs of its count, where rate is the
+    slower decay, -log(shrink), unless shrink rounds to 1 (p below eps/2):
+    then the survivor stays 1.0 and only the second bound falls.
     """
     if not (fraction <= 0.5 and 0.0 < tol < top):
         return 0, 0.0
-    if shrink == 1.0:  # p below eps/2: the bound never shrinks
+    rate = -math.log(shrink) - math.log1p(-fraction)
+    needed = math.log(max(start, tol) / tol) / rate
+    if shrink < 1.0:
+        rate = -math.log(shrink)
+        needed = min(needed, math.log(top / tol) / rate)
+    if needed == math.inf:  # r'(0) not finite and shrink 1.0: no bound falls
         return math.inf, 0.0
-    rate = -math.log(shrink)
-    needed = math.ceil(math.log(top / tol) / rate)
-    return needed, 1.0 + float(np.finfo(float).eps) * (needed + 2) / rate
+    needed = math.ceil(needed)
+    return needed, 1.0 + 2.0 * float(np.finfo(float).eps) * (needed + 2) / rate
 
 
 def _fold_rungs(carry, reward: RewardFunction, p: float, levels, spent, survivors):

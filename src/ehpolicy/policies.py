@@ -69,6 +69,12 @@ class StationaryPolicy(ABC):
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         """Consumption for a 1-d array of stored-energy levels."""
 
+    def _consume(self, level: float) -> float:
+        """Consumption at one finite, nonnegative level as a Python float: the
+        series walk's kernel.  _evaluate on a one-element array by default; a
+        policy may override it with float arithmetic that keeps _evaluate's bits."""
+        return float(self._evaluate(np.array([level]))[0])
+
     def evaluate(self, x):
         """Energy consumed at stored level x; satisfies 0 <= result <= x."""
         arr, scalar = _prepare(x, "stored energy")
@@ -100,6 +106,9 @@ class GreedyPolicy(StationaryPolicy):
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         return arr.copy()
 
+    def _consume(self, level: float) -> float:
+        return level
+
 
 class FixedFractionPolicy(StationaryPolicy):
     """Consume a fixed fraction p of the stored energy."""
@@ -111,6 +120,9 @@ class FixedFractionPolicy(StationaryPolicy):
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         return self.p * arr
+
+    def _consume(self, level: float) -> float:
+        return self.p * level  # one correctly rounded product, as numpy's
 
 
 class MaximinPolicy(StationaryPolicy):
@@ -141,18 +153,19 @@ class MaximinPolicy(StationaryPolicy):
         lo = np.zeros_like(arr)
         hi = arr.copy()
         mid = 0.5 * (lo + hi)
-        for _ in range(200):
-            resid = _ladder_sum(self.reward, self.scale, mid) - arr
-            if np.abs(resid).max(initial=0.0) <= self.inversion_tol:
-                break
-            above = resid >= 0.0
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-            mid = 0.5 * (lo + hi)
-        else:
-            worst = float(np.max(np.abs(resid)))
-            if worst > np.max(1e-9 * (1.0 + arr), initial=0.0):
-                raise RuntimeError(f"ladder-sum inversion stalled, residual {worst!r}")
+        with np.errstate(divide="ignore"):  # _ladder_steps' log of a zero ratio
+            for _ in range(200):
+                resid = _ladder_sum(self.reward, self.scale, mid) - arr
+                if np.abs(resid).max(initial=0.0) <= self.inversion_tol:
+                    break
+                above = resid >= 0.0
+                hi = np.where(above, mid, hi)
+                lo = np.where(above, lo, mid)
+                mid = 0.5 * (lo + hi)
+            else:
+                worst = float(np.max(np.abs(resid)))
+                if worst > np.max(1e-9 * (1.0 + arr), initial=0.0):
+                    raise RuntimeError(f"ladder-sum inversion stalled, residual {worst!r}")
         return np.where(arr <= self.kinks.x[1], arr, np.clip(mid, 0.0, arr))
 
 

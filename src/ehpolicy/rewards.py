@@ -257,11 +257,12 @@ def _ladder_steps(rw: RewardFunction, s: float, arr: np.ndarray, upper: bool):
 
     The log-based guess (a ceiling, or a floor plus one for upper) is
     corrected against that inequality so exact integer boundaries resolve
-    the way the defining count does.
+    the way the defining count does.  A zero ratio (a custom marginal that
+    is 0 at 0 or infinite at x) logs to -inf and counts 0 steps; the callers
+    silence that divide warning once a call, not once a kernel run.
     """
     ratio = _marginal_ratio(rw, arr)
-    with np.errstate(divide="ignore"):
-        q = np.log(ratio) / np.log(s)
+    q = np.log(ratio) / np.log(s)
     reaches = np.greater if upper else np.greater_equal
     # m stays float: np.power would cast an integer m to float anyway
     m = np.maximum(np.floor(q) + 1.0 if upper else np.ceil(q), 0.0)
@@ -273,7 +274,8 @@ def _ladder_length(rw: RewardFunction, s: float, x, upper: bool):
     """_ladder_steps behind the validation of s and x, as integers."""
     s = _check_scale(s)
     arr, scalar = _prepare(x)
-    m = _ladder_steps(rw, s, arr, upper)
+    with np.errstate(divide="ignore"):
+        m = _ladder_steps(rw, s, arr, upper)
     return int(m) if scalar else m.astype(np.int64)
 
 
@@ -306,7 +308,8 @@ def ladder_sum(rw: RewardFunction, s: float, x):
     """
     s = _check_scale(s)
     arr, scalar = _prepare(x)
-    return _finish(_ladder_sum(rw, s, arr), scalar)
+    with np.errstate(divide="ignore"):
+        return _finish(_ladder_sum(rw, s, arr), scalar)
 
 
 def _ladder_sum(rw: RewardFunction, s: float, arr: np.ndarray) -> np.ndarray:

@@ -88,6 +88,14 @@ def fraction_series(gamma, p, c):
         return total
 
 
+def fraction_tail(gamma, p, c, n):
+    """The part of fraction_series(gamma, p, c) after its first n rungs: the
+    same series from the level c (1-p)**n, at weights (1-p)**n lower."""
+    with mpmath.workdps(DPS):
+        q = 1 - mpmath.mpf(p)
+        return q**n * fraction_series(gamma, p, c * q**n)
+
+
 def greedy_series(gamma, p, c):
     """The same average for the greedy policy: one rung of c."""
     with mpmath.workdps(DPS):

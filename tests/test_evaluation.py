@@ -62,6 +62,17 @@ class _Rungs:
         return self.seen[arr[0]].copy()
 
 
+class _ScalarRungs:
+    """Stands in for a policy's _consume: lists the level of each call."""
+
+    def __init__(self, policy):
+        self.kernel, self.levels = policy._consume, []
+
+    def __call__(self, level):
+        self.levels.append(level)
+        return self.kernel(level)
+
+
 class _Idle(pol.StationaryPolicy):
     """Consumes nothing, so the battery never empties."""
 
@@ -212,8 +223,8 @@ class TestBernoulliSeries:
         assert len(rungs.levels) == len(levels) - 1
 
     @pytest.mark.parametrize("kind", ["maximin", "greedy", "fixed_fraction"])
-    @pytest.mark.parametrize("c", [0.5, 2.0, 8.0])
-    @pytest.mark.parametrize("p", [1e-3, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("c", [0.5, 2.0, 8.0, 20.0])
+    @pytest.mark.parametrize("p", [1e-3, 0.01, 0.1, 0.5, 0.9])
     def test_tolerance_bounds_the_error_to_an_mpmath_oracle(self, p, c, kind):
         policy, exact = {
             "maximin": (pol.MaximinAwgnPolicy(1.0, p), oracle.maximin_series),
@@ -223,50 +234,82 @@ class TestBernoulliSeries:
         res = ev.bernoulli_reward(policy, AWGN1, c, p)
         assert abs(mpmath.mpf(res.value) - exact(1.0, p, c)) <= res.tolerance
 
+    @pytest.mark.parametrize("kind", ["fixed_fraction", "idle"])
+    @pytest.mark.parametrize("c", [0.5, 2.0, 8.0, 20.0])
+    @pytest.mark.parametrize("p", [1e-3, 0.01, 0.1, 0.5, 0.9])
+    def test_residual_bounds_the_exact_tail(self, p, c, kind, monkeypatch):
+        # the exact tail after the rungs walked: for fixed fraction the series
+        # from c (1-p)**n, for a policy that consumes nothing 0; the idle walk
+        # keeps its level, so r(c) is the smaller bound at p r'(0) c > r(c)
+        policy = pol.FixedFractionPolicy(p) if kind == "fixed_fraction" else _Idle()
+        walked = _ScalarRungs(policy)
+        monkeypatch.setattr(policy, "_consume", walked)
+        res = ev.bernoulli_reward(policy, AWGN1, c, p)
+        n = len(walked.levels)
+        tail = oracle.fraction_tail(1.0, p, c, n) if kind == "fixed_fraction" else 0
+        assert 0 < tail <= res.residual <= 1e-15 or tail == res.value == 0.0
+
     def test_nonconvergence_names_the_series(self, monkeypatch):
-        # at p = 1e-7 the tail bound shrinks by 1e-7 a rung, so no cap ends it
+        # the level stays 1, so the tail bound is (1 - p)**n * p r'(0) * 1,
+        # which shrinks by 1e-7 a rung at p = 1e-7: no cap ends it
         monkeypatch.setattr(ev, "_SERIES_RUNGS", 1000)
         message = r"^Bernoulli series tail bound \S+ after 1000 rungs$"
         with pytest.raises(ev.NonConvergenceError, match=message) as info:
             ev.bernoulli_reward(_Idle(), AWGN1, 1.0, 1e-7)
         assert info.value.iterations == 1000
-        assert info.value.span == pytest.approx(AWGN1.value(1.0) * (1.0 - 1e-7) ** 1000)
+        bound = min(AWGN1.value(1.0), 1e-7 * AWGN1.marginal(0.0) * 1.0)
+        assert info.value.span == pytest.approx(bound * (1.0 - 1e-7) ** 1000)
 
     @pytest.mark.parametrize("p", [1e-5, 1e-6])
     def test_fixed_fraction_past_the_cap_fails_fast(self, p):
-        # the tail bound needs ~3.3e6 (p = 1e-5) or ~3.3e7 rungs, past the
-        # 10**6 cap, and a fraction at most 1/2 never empties the battery
+        # the tail bound shrinks as (1 - p)**(2n) once p r'(0) L_(n+1) is below
+        # r(1), and needs ~1.1e6 (p = 1e-5) or ~1.0e7 rungs, past the 10**6
+        # cap; a fraction at most 1/2 never empties the battery
         started = time.perf_counter()
         with pytest.raises(ev.NonConvergenceError, match=r"tol needs \d+ rungs$") as info:
             ev.bernoulli_reward(pol.FixedFractionPolicy(p), AWGN1, 1.0, p)
         assert time.perf_counter() - started < 0.1
-        top = AWGN1.value(1.0)
-        assert info.value.needed == math.ceil(math.log(top / 1e-15) / -math.log(1.0 - p))
+        top, start = AWGN1.value(1.0), p * AWGN1.marginal(0.0) * 1.0
+        squared = math.ceil(math.log(start / 1e-15) / -(2.0 * math.log1p(-p)))
+        assert squared < math.log(top / 1e-15) / -math.log1p(-p)
+        assert info.value.needed == squared
         assert info.value.iterations == ev._SERIES_RUNGS
-        assert info.value.span == pytest.approx(top * (1.0 - p) ** ev._SERIES_RUNGS)
+        assert info.value.span == pytest.approx(start * (1.0 - p) ** (2 * ev._SERIES_RUNGS))
 
     @pytest.mark.parametrize("fraction", [0.01, 0.5])
     def test_fixed_fraction_walks_that_finish_within_the_cap_still_run(
         self, fraction, monkeypatch
     ):
+        # the walk's count lies within _fraction_rungs' rounding of its
+        # prediction, 1455 rungs at fraction 0.01 and 42 at 0.5
         policy = pol.FixedFractionPolicy(fraction)
-        walked = _Rungs(policy)
-        monkeypatch.setattr(policy, "_evaluate", walked)
+        walked = _ScalarRungs(policy)
+        monkeypatch.setattr(policy, "_consume", walked)
         res = ev.bernoulli_reward(policy, AWGN1, 1.0, 0.01)
         rungs = len(walked.levels)
-        needed, rounding = ev._fraction_rungs(fraction, 1.0 - 0.01, AWGN1.value(1.0), 1e-15)
-        assert abs(needed - rungs) <= rounding
+        start = 0.01 * AWGN1.marginal(0.0) * 1.0
+        needed, rounding = ev._fraction_rungs(fraction, 1.0 - 0.01, AWGN1.value(1.0), start, 1e-15)
+        assert abs(needed - rungs) <= rounding < 2.0
         monkeypatch.setattr(ev, "_SERIES_RUNGS", rungs)  # a cap the walk just meets
         assert ev.bernoulli_reward(policy, AWGN1, 1.0, 0.01) == res
         monkeypatch.setattr(ev, "_SERIES_RUNGS", rungs - 1)
         with pytest.raises(ev.NonConvergenceError):
             ev.bernoulli_reward(policy, AWGN1, 1.0, 0.01)
 
-    def test_fixed_fraction_above_one_half_walks_to_zero(self):
-        # 0.9 * L rounds up to L once L is the least subnormal, so the ladder
-        # ends at 0 after a few hundred rungs however small p is
-        res = ev.bernoulli_reward(pol.FixedFractionPolicy(0.9), AWGN1, 1.0, 1e-7)
-        assert res.residual == 0.0
+    def test_fixed_fraction_above_one_half_walks_to_zero(self, monkeypatch):
+        # a fraction above 1/2 is not predicted, but its walk ends quickly
+        # however small p is: its levels fall by 10 a rung, so the p r'(0) L
+        # bound passes tol = 1e-15 in a few rungs; with tol = 0 the walk
+        # goes on until that bound rounds to 0, at the latest once 0.9 * L
+        # rounds up to L at the least subnormal and the level hits 0
+        policy = pol.FixedFractionPolicy(0.9)
+        walked = _ScalarRungs(policy)
+        monkeypatch.setattr(policy, "_consume", walked)
+        for tol, most in ((1e-15, 10), (0.0, 400)):
+            walked.levels.clear()
+            res = ev.bernoulli_reward(policy, AWGN1, 1.0, 1e-7, tol)
+            assert res.residual <= tol
+            assert len(walked.levels) <= most
 
 
 def per_rung_series(policy, reward, c, p, tol=1e-15):
@@ -274,6 +317,7 @@ def per_rung_series(policy, reward, c, p, tol=1e-15):
     evaluate and value, added with plain Python floats; returns the rung
     count and (value, residual, tolerance)."""
     top = reward.value(c)
+    slope = reward.marginal(0.0)
     total = climb = drift = 0.0
     level, survivor, rungs = c, 1.0, 0
     while True:
@@ -287,12 +331,15 @@ def per_rung_series(policy, reward, c, p, tol=1e-15):
         drift += weight * climb
         level = max(level - u, 0.0)
         survivor *= 1.0 - p
-        residual = 0.0 if level == 0.0 else survivor * top
+        residual = 0.0 if level == 0.0 else survivor * min(top, p * slope * level)
         if level == 0.0 or residual <= tol:
             break
     eps = float(np.finfo(float).eps)
-    slope = reward.marginal(0.0)
-    rounding = eps * (1.5 * (rungs + 1) * total + 3.5 * slope * (drift + p * survivor * climb))
+    rounding = eps * (
+        1.5 * (rungs + 1) * total
+        + (rungs + 4) * residual
+        + 3.5 * slope * (drift + p * survivor * climb)
+    )
     return rungs, (total, residual, residual + rounding)
 
 
@@ -319,7 +366,7 @@ def series_policy(kind, reward, p, monkeypatch):
 
 # every reward x policy kind x p x c cell but two slow groups, whose long
 # walks the block-boundary test below covers: a fixed-fraction walk at
-# p = 1e-3 is ~35k rungs of public calls in the reference, and a custom
+# p = 1e-3 is ~13-15k rungs of public calls in the reference, and a custom
 # maximin ladder there from c >= 2 takes 4-17 s of bisection
 SERIES_CELLS = [
     (reward, kind, p, c)
@@ -364,11 +411,12 @@ class TestSeriesBlocks:
                     policy.kinks.cover(policy.kinks.x[-1])
                 c, tol = 0.5 * (policy.kinks.x[n - 1] + policy.kinks.x[n]), 0.0
             else:
-                # the tail bound after n rungs, as the walk's product rounds it
-                c, survivor = 2.0, 1.0
+                # the tail bound after n rungs, as the walk rounds it
+                c, level, survivor = 2.0, 2.0, 1.0
                 for _ in range(n):
+                    level -= p * level
                     survivor *= 1.0 - p
-                tol = survivor * reward.value(c)
+                tol = survivor * min(reward.value(c), p * reward.marginal(0.0) * level)
             rungs, want = per_rung_series(policy, reward, c, p, tol)
             assert rungs == n
             res = ev.bernoulli_reward(policy, reward, c, p, tol)
@@ -393,7 +441,7 @@ class TestSeriesBlocks:
                 tracemalloc.stop()
 
         peak(1e-2)  # first-call allocations
-        short, long = peak(1e-2), peak(1e-3)  # ~3.5k and ~35k rungs
+        short, long = peak(1e-2), peak(1e-3)  # ~1.5k and ~13k rungs
         assert long <= 1.1 * short, (short, long)
 
 

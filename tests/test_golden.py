@@ -22,7 +22,12 @@ policy solve became a numpy GMRES, the value-iteration record's residual
 fell from 7.4e-15 to 6.7e-16 and its value moved by 5.6e-17: each record is
 a span-criterion result whose gain lies within residual/2 of its value, and
 the two values lie 5.6e-17 apart, within half the sum of the two spans
-(4.1e-15), so both bound the same gain.
+(4.1e-15), so both bound the same gain.  The fixed-fraction series record
+was first written when the walk's tail bound gained its concavity term
+p r'(0) L: that walk stops after 1490 rungs, not 3377, and its value lies
+4.8e-16 below the value the r(c) bound gave (0.00499179107641708, residual
+1.0e-15) and 4.9e-16 below a 60-digit mpmath sum of the series, within its
+residual of 9.8e-16 and its tolerance of 4.3e-14.
 """
 
 from pathlib import Path
@@ -46,6 +51,10 @@ GOLDEN = {
     "evaluate_series": (
         ["evaluate", "--method", "series", "--policy", "maximin", "--c", "2", "--p", "0.1"],
         {"--out": "evaluate_series_maximin.json"},
+    ),
+    "evaluate_series_fixed_fraction": (
+        ["evaluate", "--method", "series", "--policy", "fixed_fraction", "--c", "2", "--p", "0.01"],
+        {"--out": "evaluate_series_fixed_fraction.json"},
     ),
     "evaluate_vi": (
         ["evaluate", "--method", "vi", "--family", "uniform", "--c", "2", "--p", "0.5"],

@@ -62,6 +62,47 @@ class TestBaselines:
             pol.GreedyPolicy().evaluate(-0.5)
 
 
+class TestScalarKernel:
+    """_consume, the series walk's kernel on one float level, returns the bits
+    _evaluate returns for that level."""
+
+    TINY = np.finfo(float).smallest_normal
+    LEVELS = np.concatenate(
+        [
+            [0.0, 5e-324, 1e-310, np.nextafter(TINY, 0.0), TINY, 1e300, np.finfo(float).max],
+            np.random.default_rng(13).uniform(0.0, 10.0, 200),
+            10.0 ** np.random.default_rng(14).uniform(-320.0, 300.0, 200),
+        ]
+    )
+
+    @pytest.mark.parametrize(
+        "policy",
+        [pol.GreedyPolicy()]
+        + [pol.FixedFractionPolicy(f) for f in (0.01, 0.3, 1.0 / 3.0, 0.5, 0.9, 0.7261839415)],
+        ids=lambda policy: f"{policy.kind}-{policy.p}",
+    )
+    def test_float_overrides_keep_the_bits_of_evaluate(self, policy):
+        assert type(policy)._consume is not pol.StationaryPolicy._consume
+        got = [policy._consume(float(x)) for x in self.LEVELS]
+        assert all(type(u) is float for u in got)
+        want = policy._evaluate(self.LEVELS)
+        assert [u.hex() for u in got] == [float(u).hex() for u in want]
+
+    def test_a_policy_with_only_evaluate_is_walked_through_it(self):
+        calls = []
+
+        def half(arr):
+            calls.append(arr.copy())
+            return 0.5 * arr
+
+        policy = _Shaped(half)
+        assert policy._consume(3.0) == 1.5 and len(calls) == 1
+        calls.clear()
+        res = ev.bernoulli_reward(policy, AWGN1, 1.0, 0.5)
+        assert calls and all(arr.shape == (1,) for arr in calls)
+        assert res == ev.bernoulli_reward(pol.FixedFractionPolicy(0.5), AWGN1, 1.0, 0.5)
+
+
 class TestMaximinAwgn:
     def test_known_points(self):
         omega = pol.MaximinAwgnPolicy(1.0, 0.5)

@@ -1,6 +1,7 @@
 """Unit tests for the regular-reward ladder calculus."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,19 @@ class TestDepletionSteps:
             for i in range(int(counts.max())):
                 acc += np.where(i < counts, rw.step_down_iter(reward, s, i, x), 0.0)
             np.testing.assert_allclose(acc, total, atol=1e-12, rtol=1e-12)
+
+    @pytest.mark.parametrize("counter", [rw.depletion_steps, rw.depletion_steps_upper])
+    def test_a_zero_marginal_ratio_counts_no_steps_without_a_warning(self, counter):
+        # a marginal that is 0 at 0 (a convex reward, outside the contract)
+        # makes the ratio marginal(0)/marginal(x) zero, and its log -inf; the
+        # public count silences that divide warning around the raw kernel
+        convex = rw.RewardFunction.custom(
+            lambda u: u * u, lambda u: 2.0 * u, lambda y: 0.5 * y, validate=False
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert counter(convex, 2.0, 1.5) == 0
+            np.testing.assert_array_equal(counter(convex, 2.0, np.array([0.5, 7.0])), [0, 0])
 
 
 class TestLadderSum:
