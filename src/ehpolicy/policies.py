@@ -6,7 +6,8 @@ consumed this slot, with 0 <= policy(x) <= x.  Implemented kinds:
     greedy          consume everything: x
     fixed_fraction  consume p * x
     maximin_generic x up to the first kink, else invert ladder_sum by bisection
-                    on its raw kernel
+                    on its raw kernel; one level at a time on Python floats
+                    for awgn and sqrt
     maximin_awgn    the same policy for the awgn reward, linear between its
                     kinks, so evaluated by interpolating the kink table
 
@@ -28,6 +29,7 @@ import numpy as np
 from .rewards import (
     _LADDER_CAP,
     RewardFunction,
+    _float_ladder_sum,
     _ladder_sum,
     _prepare,
     ladder_sum,  # noqa: F401  (the public name perfbench's span recorder wraps here)
@@ -136,7 +138,9 @@ class MaximinPolicy(StationaryPolicy):
     the residual, at most inversion_tol, bounds the error in u.  Each step
     runs the raw kernel rewards._ladder_sum: the midpoints are finite and
     nonnegative by construction, and the scale was checked when self.kinks
-    took its first step.
+    took its first step.  For awgn and sqrt, _consume runs the same bisection
+    on one level in Python floats, each step rewards._float_ladder_sum, and
+    returns the bits _evaluate gives that level in a one-element array.
     """
 
     kind = "maximin_generic"
@@ -148,6 +152,7 @@ class MaximinPolicy(StationaryPolicy):
         self.scale = 1.0 / (1.0 - self.p)
         self.kinks = KinkWalk(reward, self.p)
         self.kinks.cover(0.0)  # through E_1, the end of the greedy segment
+        self._ladder = _float_ladder_sum(reward, self.scale)
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         lo = np.zeros_like(arr)
@@ -167,6 +172,29 @@ class MaximinPolicy(StationaryPolicy):
                 if worst > np.max(1e-9 * (1.0 + arr), initial=0.0):
                     raise RuntimeError(f"ladder-sum inversion stalled, residual {worst!r}")
         return np.where(arr <= self.kinks.x[1], arr, np.clip(mid, 0.0, arr))
+
+    def _consume(self, level: float) -> float:
+        ladder = self._ladder
+        if ladder is None:
+            return super()._consume(level)
+        if level <= self.kinks.x[1]:
+            return level
+        lo, hi = 0.0, level
+        mid = 0.5 * (lo + hi)
+        for _ in range(200):
+            resid = ladder(mid) - level
+            if abs(resid) <= self.inversion_tol:
+                break
+            if resid >= 0.0:
+                hi = mid
+            else:
+                lo = mid
+            mid = 0.5 * (lo + hi)
+        else:
+            worst = abs(resid)
+            if worst > 1e-9 * (1.0 + level):
+                raise RuntimeError(f"ladder-sum inversion stalled, residual {worst!r}")
+        return min(max(mid, 0.0), level)  # np.clip(mid, 0.0, level)
 
 
 class MaximinAwgnPolicy(StationaryPolicy):
@@ -188,20 +216,23 @@ class MaximinAwgnPolicy(StationaryPolicy):
         self.kinks = KinkWalk(self.reward, self.p)
         self._x = self._y = np.zeros(1)
 
-    def _cover(self, arr: np.ndarray) -> None:
-        top = float(arr.max(initial=0.0))
+    def _cover(self, top: float) -> None:
         if top >= self._x[-1]:
             self.kinks.cover(top)
             self._x, self._y = np.array(self.kinks.x), np.array(self.kinks.y)
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
-        self._cover(arr)
+        self._cover(float(arr.max(initial=0.0)))
         return np.interp(arr, self._x, self._y)
+
+    def _consume(self, level: float) -> float:
+        self._cover(level)
+        return float(np.interp(level, self._x, self._y))  # _evaluate's bits
 
     def segment_index(self, x):
         """Index k of the segment [x_(k-1), x_k) holding x; 1 on the greedy one."""
         arr, scalar = _prepare(x, "stored energy")
-        self._cover(arr)
+        self._cover(float(arr.max(initial=0.0)))
         m = np.searchsorted(self._x, arr, side="right")
         return int(m) if scalar else m
 
@@ -298,9 +329,10 @@ def ergodic_levels(policy: StationaryPolicy, c: float) -> np.ndarray:
     """Battery levels a maximin policy cycles through under 0-or-full arrivals.
 
     Starting full at c, the policy's own reserve map walks a strictly
-    decreasing ladder down to exactly 0 (then a full charge resets to c), as
-    bernoulli_reward does, bit for bit.  Raises RuntimeError when the walk
-    does not reach 0 within _LADDER_CAP rungs.
+    decreasing ladder down to exactly 0 (then a full charge resets to c).
+    Each rung runs the policy's scalar kernel _consume, as bernoulli_reward
+    does, so the levels are that walk's, bit for bit.  Raises RuntimeError
+    when the walk does not reach 0 within _LADDER_CAP rungs.
     """
     if not isinstance(policy, (MaximinPolicy, MaximinAwgnPolicy)):
         raise ValueError("ergodic levels are defined for the maximin policies")
@@ -308,10 +340,12 @@ def ergodic_levels(policy: StationaryPolicy, c: float) -> np.ndarray:
     if not c > 0:
         raise ValueError("c must be positive")
     levels = [c]
-    while levels[-1] > 0.0:
+    level = c
+    while level > 0.0:
         if len(levels) > _LADDER_CAP:
             raise RuntimeError(f"maximin ladder from {c!r} not at 0 after {_LADDER_CAP} rungs")
-        levels.append(policy.reserve(levels[-1]))
+        level -= min(policy._consume(level), level)
+        levels.append(level)
     return np.asarray(levels)
 
 

@@ -63,14 +63,17 @@ class _Rungs:
 
 
 class _ScalarRungs:
-    """Stands in for a policy's _consume: lists the level of each call."""
+    """Stands in for a policy's _consume: lists the level of each call and
+    answers a level asked before from memory, as _Rungs does."""
 
     def __init__(self, policy):
-        self.kernel, self.levels = policy._consume, []
+        self.kernel, self.levels, self.seen = policy._consume, [], {}
 
     def __call__(self, level):
         self.levels.append(level)
-        return self.kernel(level)
+        if level not in self.seen:
+            self.seen[level] = self.kernel(level)
+        return self.seen[level]
 
 
 class _Idle(pol.StationaryPolicy):
@@ -214,8 +217,8 @@ class TestBernoulliSeries:
         # below its first kink the policy spends the whole level, so the walk
         # stops on 0 after the rungs ergodic_levels lists, not on a tail bound
         omega = pol.MaximinPolicy(reward, p)
-        rungs = _Rungs(omega)
-        monkeypatch.setattr(omega, "_evaluate", rungs)
+        rungs = _ScalarRungs(omega)
+        monkeypatch.setattr(omega, "_consume", rungs)
         levels = pol.ergodic_levels(omega, c)
         rungs.levels.clear()
         res = ev.bernoulli_reward(omega, reward, c, p)
@@ -353,7 +356,8 @@ SERIES_REWARDS = {
 
 def series_policy(kind, reward, p, monkeypatch):
     """The policy of that kind; a bisection maximin answers repeated levels
-    from memory, so the reference walk costs it no second bisection."""
+    of _evaluate from memory, so a custom reward's reference walk costs no
+    second bisection."""
     if kind == "greedy":
         return pol.GreedyPolicy()
     if kind == "fixed_fraction":

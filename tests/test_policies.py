@@ -88,6 +88,73 @@ class TestScalarKernel:
         want = policy._evaluate(self.LEVELS)
         assert [u.hex() for u in got] == [float(u).hex() for u in want]
 
+    P_VALUES = (1e-6, 1e-3, 0.01, 0.1, 0.5, 0.9)
+    MAXIMIN = {
+        "sqrt": lambda p: pol.MaximinPolicy(SQRT, p),
+        "awgn-bisection": lambda p: pol.MaximinPolicy(AWGN1, p),
+        "awgn-table": lambda p: pol.MaximinAwgnPolicy(1.0, p),
+    }
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize("name", list(MAXIMIN))
+    def test_maximin_floats_keep_the_bits_of_evaluate_on_one_level(self, name, p):
+        # one level at a time: on a longer array the bisection stops on the
+        # worst residual of all its elements
+        policy = self.MAXIMIN[name](p)
+        assert type(policy)._consume is not pol.StationaryPolicy._consume
+        walk = pol.KinkWalk(policy.reward, p)
+        while len(walk.x) <= 8:
+            walk.cover(walk.x[-1])
+        first = walk.x[1]
+        levels = [0.0, 5e-324, 1e-310, self.TINY, np.nextafter(first, 0.0), first]
+        levels += [np.nextafter(first, np.inf)] + walk.x[2:9]
+        levels += list(np.random.default_rng(15).uniform(0.0, 10.0, 40))
+        for x in map(float, levels):
+            got = policy._consume(x)
+            want = policy._evaluate(np.array([x]))[0]
+            assert type(got) is float and got.hex() == float(want).hex(), x
+
+    @pytest.mark.parametrize("gamma", [1.0, 1e10, None], ids=["awgn:1", "awgn:1e10", "sqrt"])
+    def test_maximin_floats_keep_the_bits_of_evaluate_at_huge_levels(self, gamma):
+        # the ratio overflows to inf: 1 + gamma * x at awgn:1e10, and a
+        # midpoint of two halves of the largest float at every reward
+        reward = SQRT if gamma is None else rw.RewardFunction.awgn(gamma)
+        policy = pol.MaximinPolicy(reward, 0.5)
+        for x in (1e300, np.finfo(float).max):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = policy._evaluate(np.array([x]))[0]
+            assert policy._consume(float(x)).hex() == float(want).hex(), x
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize(
+        "reward", [SQRT, AWGN1, rw.RewardFunction.awgn(2.5)], ids=["sqrt", "awgn:1", "awgn:2.5"]
+    )
+    def test_float_ladder_sum_keeps_the_bits_of_the_kernel(self, reward, p):
+        # the heads y_k = step_down_cutoff(s**k) and their neighbours sit on
+        # the boundaries where the ceil corrections of _ladder_steps fire
+        s = 1.0 / (1.0 - p)
+        ladder = rw._float_ladder_sum(reward, s)
+        for k in range(1, 41):
+            y = float(rw.step_down_cutoff(reward, s**k))
+            for head in (np.nextafter(y, 0.0), y, np.nextafter(y, np.inf)):
+                want = rw._ladder_sum(reward, s, np.array([head]))[0]
+                assert ladder(float(head)).hex() == float(want).hex(), (k, head)
+
+    def test_custom_maximin_is_walked_through_evaluate(self):
+        policy = pol.MaximinPolicy(LOG1P, 0.1)
+        assert rw._float_ladder_sum(LOG1P, policy.scale) is None
+        calls = []
+        kernel = policy._evaluate
+
+        def counted(arr):
+            calls.append(arr.copy())
+            return kernel(arr)
+
+        policy._evaluate = counted
+        level = 3.0 * policy.kinks.x[1]
+        assert policy._consume(level) == kernel(np.array([level]))[0]
+        assert len(calls) == 1 and calls[0].shape == (1,)
+
     def test_a_policy_with_only_evaluate_is_walked_through_it(self):
         calls = []
 
@@ -434,16 +501,21 @@ class TestErgodicLevels:
     def test_is_the_series_ladder(self, kind, p, c, monkeypatch):
         omega = pol.maximin_policy(AWGN1 if kind == "awgn" else SQRT, p)
         walked = []
-        kernel = omega._evaluate
+        kernel = omega._consume
 
-        def counted(arr):
-            walked.append(arr[0])
-            return kernel(arr)
+        def counted(level):
+            walked.append(level)
+            return kernel(level)
 
         levels = pol.ergodic_levels(omega, c)
-        monkeypatch.setattr(omega, "_evaluate", counted)
+        monkeypatch.setattr(omega, "_consume", counted)
         ev.bernoulli_reward(omega, omega.reward, c, p)
-        np.testing.assert_array_equal(levels, walked + [0.0])
+        assert [x.hex() for x in levels] == [x.hex() for x in walked + [0.0]]
+        # and the public reserve map walks the same levels
+        reserved = [c]
+        while reserved[-1] > 0.0:
+            reserved.append(omega.reserve(reserved[-1]))
+        assert [x.hex() for x in levels] == [x.hex() for x in reserved]
 
     def test_walk_past_the_rung_cap_raises(self, monkeypatch):
         omega = pol.MaximinAwgnPolicy(1.0, 0.1)
