@@ -6,126 +6,18 @@ long-run average reward (exact series, value iteration, Monte Carlo), plus
 worst-case gap/factor metrics and a CSV/JSON command line.
 """
 
-from .arrivals import (
-    ArrivalDistribution,
-    BernoulliArrivals,
-    DiscretizedPMF,
-    LimitedExponentialArrivals,
-    LimitedUniformArrivals,
-    from_mcr,
-    from_nmcr,
-)
-from .checks import CheckResult, run_all
-from .evaluation import (
-    AdmissibilityError,
-    DerivativeCheck,
-    EvaluationResult,
-    MdpModel,
-    NonConvergenceError,
-    SlotOutcome,
-    bernoulli_derivative_check,
-    bernoulli_reward,
-    build_mdp,
-    optimal_gain,
-    policy_gain,
-    simulate,
-    step,
-)
-from .metrics import (
-    CSV_HEADER,
-    POLICY_KINDS,
-    GapReport,
-    f0,
-    gap_and_factor,
-    make_policy,
-    small_capacity_factor_limit,
-    sweep,
-    universal_upper_bound,
-    write_csv,
-)
-from .policies import (
-    Endpoint,
-    FixedFractionPolicy,
-    GreedyPolicy,
-    MaximinAwgnPolicy,
-    MaximinPolicy,
-    NormalityReport,
-    StationaryPolicy,
-    awgn_endpoints,
-    awgn_segment_index,
-    ergodic_levels,
-    greed_index,
-    maximin_kinks,
-    maximin_policy,
-    normality_check,
-)
-from .rewards import (
-    RewardFunction,
-    depletion_steps,
-    depletion_steps_upper,
-    ladder_sum,
-    regularity_audit,
-    step_down,
-    step_down_cutoff,
-    step_down_iter,
-)
+from . import arrivals, checks, evaluation, metrics, policies, rewards
+from .arrivals import *  # noqa: F401,F403
+from .checks import *  # noqa: F401,F403
+from .evaluation import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .policies import *  # noqa: F401,F403
+from .rewards import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrivalDistribution",
-    "BernoulliArrivals",
-    "DiscretizedPMF",
-    "LimitedExponentialArrivals",
-    "LimitedUniformArrivals",
-    "from_mcr",
-    "from_nmcr",
-    "CheckResult",
-    "run_all",
-    "AdmissibilityError",
-    "DerivativeCheck",
-    "EvaluationResult",
-    "MdpModel",
-    "NonConvergenceError",
-    "SlotOutcome",
-    "bernoulli_derivative_check",
-    "bernoulli_reward",
-    "build_mdp",
-    "optimal_gain",
-    "policy_gain",
-    "simulate",
-    "step",
-    "CSV_HEADER",
-    "POLICY_KINDS",
-    "GapReport",
-    "f0",
-    "gap_and_factor",
-    "make_policy",
-    "small_capacity_factor_limit",
-    "sweep",
-    "universal_upper_bound",
-    "write_csv",
-    "Endpoint",
-    "FixedFractionPolicy",
-    "GreedyPolicy",
-    "MaximinAwgnPolicy",
-    "MaximinPolicy",
-    "NormalityReport",
-    "StationaryPolicy",
-    "awgn_endpoints",
-    "awgn_segment_index",
-    "ergodic_levels",
-    "greed_index",
-    "maximin_kinks",
-    "maximin_policy",
-    "normality_check",
-    "RewardFunction",
-    "depletion_steps",
-    "depletion_steps_upper",
-    "ladder_sum",
-    "regularity_audit",
-    "step_down",
-    "step_down_cutoff",
-    "step_down_iter",
-    "__version__",
-]
+    name
+    for module in (arrivals, checks, evaluation, metrics, policies, rewards)
+    for name in module.__all__
+] + ["__version__"]

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -153,12 +153,7 @@ class EvaluationResult:
     tolerance: float | None = None
 
     def as_dict(self) -> dict:
-        out = {"method": self.method, "value": self.value}
-        for key in ("stderr", "residual", "tolerance"):
-            item = getattr(self, key)
-            if item is not None:
-                out[key] = item
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def bernoulli_reward(
@@ -247,7 +242,7 @@ def bernoulli_reward(
         levels.append(level)
         spent.append(u)
         survivors.append(survivor)
-        level = max(level - u, 0.0)
+        level -= u
         survivor *= shrink
         if level == 0.0:
             residual = 0.0

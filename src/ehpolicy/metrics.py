@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,6 +49,7 @@ from .rewards import RewardFunction
 __all__ = [
     "GapReport",
     "CSV_HEADER",
+    "POLICY_KINDS",
     "gap_and_factor",
     "universal_upper_bound",
     "f0",
@@ -57,11 +58,6 @@ __all__ = [
     "sweep",
     "write_csv",
 ]
-
-CSV_HEADER = (
-    "family,c,p,nmcr,mcr,policy,policy_gain,optimal_gain,"
-    "additive_gap,multiplicative_factor,tolerance"
-)
 
 POLICY_KINDS = ("maximin", "fixed_fraction", "greedy")
 
@@ -84,21 +80,14 @@ class GapReport:
 
     def csv_row(self) -> list[str]:
         def fmt(v):
+            if isinstance(v, str):
+                return v
             return "" if v is None else repr(float(v))
 
-        return [
-            self.family,
-            fmt(self.c),
-            fmt(self.p),
-            fmt(self.nmcr),
-            fmt(self.mcr),
-            self.policy,
-            fmt(self.policy_gain),
-            fmt(self.optimal_gain),
-            fmt(self.additive_gap),
-            fmt(self.multiplicative_factor),
-            fmt(self.tolerance),
-        ]
+        return [fmt(getattr(self, f.name)) for f in fields(self)]
+
+
+CSV_HEADER = ",".join(f.name for f in fields(GapReport))
 
 
 def gap_and_factor(policy_value: float, optimal_value: float) -> tuple[float, float]:

@@ -7,7 +7,7 @@ consumed this slot, with 0 <= policy(x) <= x.  Implemented kinds:
     fixed_fraction  consume p * x
     maximin_generic x up to the first kink, else invert ladder_sum by bisection
                     on its raw kernel; one level at a time on Python floats
-                    for awgn and sqrt
+                    for sqrt
     maximin_awgn    the same policy for the awgn reward, linear between its
                     kinks, so evaluated by interpolating the kink table
 
@@ -138,9 +138,9 @@ class MaximinPolicy(StationaryPolicy):
     the residual, at most inversion_tol, bounds the error in u.  Each step
     runs the raw kernel rewards._ladder_sum: the midpoints are finite and
     nonnegative by construction, and the scale was checked when self.kinks
-    took its first step.  For awgn and sqrt, _consume runs the same bisection
-    on one level in Python floats, each step rewards._float_ladder_sum, and
-    returns the bits _evaluate gives that level in a one-element array.
+    took its first step.  For sqrt, _consume runs the same bisection on one
+    level in Python floats, each step rewards._float_ladder_sum, and returns
+    the bits _evaluate gives that level in a one-element array.
     """
 
     kind = "maximin_generic"

@@ -26,8 +26,8 @@ Each public ladder function validates s and x once and then runs a raw kernel
 (``_ladder_steps``, ``_ladder_sum``) on the float array; the maximin policy's
 bisection calls ``_ladder_sum`` directly on every step, and a custom ladder
 steps its rungs with ``_custom_step``, finding the cutoff and marginal(0) once.
-``_float_ladder_sum`` is ``_ladder_sum``'s closed form on one Python float,
-with the same bits, for the bisection's scalar kernel.
+``_float_ladder_sum`` is ``_ladder_sum``'s sqrt closed form on one Python
+float, with the same bits, for the bisection's scalar kernel.
 """
 
 from __future__ import annotations
@@ -343,9 +343,9 @@ def _ladder_sum(rw: RewardFunction, s: float, arr: np.ndarray) -> np.ndarray:
 
 
 def _float_ladder_sum(rw: RewardFunction, s: float) -> Callable[[float], float] | None:
-    """_ladder_sum's closed form for one head as a Python float, with the bits
-    _ladder_sum gives that head in a one-element array; None for a custom
-    reward.  s is a checked scale.
+    """_ladder_sum's sqrt closed form for one head as a Python float, with the
+    bits _ladder_sum gives that head in a one-element array; None for every
+    other reward.  s is a checked scale.
 
     The float steps round as numpy's do on float64: + - * /, sqrt, ceil, max
     and the comparisons.  The log of the ratio and the three powers of s stay
@@ -357,12 +357,10 @@ def _float_ladder_sum(rw: RewardFunction, s: float) -> Callable[[float], float] 
     _ladder_sum's own expressions.  The ratio is at least 1, so its log is
     finite or +inf and never divides by zero.
     """
-    if rw.kind not in ("awgn", "sqrt"):
+    if rw.kind != "sqrt":
         return None
-    awgn = rw.kind == "awgn"
-    gamma = rw.gamma
     log_s = float(np.log(s))
-    span = 1.0 - 1.0 / s if awgn else 1.0 - s ** -2.0
+    span = 1.0 - s ** -2.0
     arg, res = np.zeros(1), np.zeros(1)  # never aliased: in place, np.power differs too
 
     def log(v: float) -> float:
@@ -379,7 +377,7 @@ def _float_ladder_sum(rw: RewardFunction, s: float) -> Callable[[float], float] 
         return got
 
     def ladder(x: float) -> float:
-        ratio = 1.0 + gamma * x if awgn else math.sqrt(1.0 + x)
+        ratio = math.sqrt(1.0 + x)
         q = log(ratio) / log_s
         # _ladder_steps with upper=False: q >= 0, so max(ceil(q), 0) is ceil(q)
         m = float(math.ceil(q)) if q < math.inf else q  # +inf: the ratio overflowed
@@ -387,12 +385,7 @@ def _float_ladder_sum(rw: RewardFunction, s: float) -> Callable[[float], float] 
             m -= 1.0  # and s**m, the power just taken, reaches the ratio
         elif not power(m) >= ratio:
             m += 1.0
-        if awgn:
-            shrink = power(-m)
-            out = (ratio * (1.0 - shrink) / span - m) / gamma
-        else:
-            shrink = power(-2.0 * m)
-            out = (1.0 + x) * (1.0 - shrink) / span - m
+        out = (1.0 + x) * (1.0 - power(-2.0 * m)) / span - m
         return x if x > out else out  # np.maximum(out, x), NaN included
 
     return ladder
