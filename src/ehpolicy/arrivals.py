@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rewards import _check_fraction, _check_positive
+
 __all__ = [
     "ArrivalDistribution",
     "BernoulliArrivals",
@@ -52,10 +54,7 @@ class ArrivalDistribution:
     family: str = ""
 
     def __init__(self, c: float):
-        c = float(c)
-        if not c > 0:
-            raise ValueError("capacity c must be positive")
-        self.c = c
+        self.c = _check_positive(c, "capacity c")
 
     # -- law ----------------------------------------------------------------
 
@@ -117,10 +116,7 @@ class BernoulliArrivals(ArrivalDistribution):
 
     def __init__(self, c: float, p: float):
         super().__init__(c)
-        p = float(p)
-        if not 0.0 < p < 1.0:
-            raise ValueError("p must lie in (0, 1)")
-        self.p = p
+        self.p = _check_fraction(p)
 
     def atom_at_zero(self) -> float:
         return 1.0 - self.p
@@ -148,10 +144,7 @@ class LimitedUniformArrivals(ArrivalDistribution):
 
     def __init__(self, c: float, b: float):
         super().__init__(c)
-        b = float(b)
-        if not b > 0:
-            raise ValueError("b must be positive")
-        self.b = b
+        self.b = _check_positive(b, "b")
 
     def capacity_atom(self) -> float:
         return max(0.0, 1.0 - self.c / self.b)
@@ -178,10 +171,7 @@ class LimitedExponentialArrivals(ArrivalDistribution):
 
     def __init__(self, c: float, rate: float):
         super().__init__(c)
-        rate = float(rate)
-        if not rate > 0:
-            raise ValueError("rate must be positive")
-        self.rate = rate
+        self.rate = _check_positive(rate, "rate")
 
     def capacity_atom(self) -> float:
         return float(np.exp(-self.rate * self.c))
@@ -215,9 +205,7 @@ def _exponential_nmcr_for_mcr(p: float) -> float:
 
 def from_nmcr(family: str, c: float, nmcr: float) -> ArrivalDistribution:
     """Build a distribution from its nominal mean-to-capacity ratio."""
-    nmcr = float(nmcr)
-    if not nmcr > 0:
-        raise ValueError("nmcr must be positive")
+    nmcr = _check_positive(nmcr, "nmcr")
     if family == "uniform":
         return LimitedUniformArrivals(c, b=2.0 * c * nmcr)
     if family == "exponential":
@@ -229,9 +217,7 @@ def from_nmcr(family: str, c: float, nmcr: float) -> ArrivalDistribution:
 
 def from_mcr(family: str, c: float, mcr: float) -> ArrivalDistribution:
     """Build a distribution whose capped mean is mcr * c."""
-    p = float(mcr)
-    if not 0.0 < p < 1.0:
-        raise ValueError("mcr must lie in (0, 1)")
+    p = _check_fraction(mcr, "mcr")
     if family == "bernoulli":
         return BernoulliArrivals(c, p)
     if family == "uniform":

@@ -180,10 +180,7 @@ def cmd_evaluate(cfg: dict) -> int:
         raise UsageError(f"unknown policy {cfg['policy']!r}; expected one of {mx.POLICY_KINDS}")
 
     reward, family, c = cfg["reward"], cfg["family"], cfg["c"]
-    try:
-        dist = mx._cell_distribution(family, c, cfg["p"], cfg["nmcr"])
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    dist = mx._cell_distribution(family, c, cfg["p"], cfg["nmcr"])
     policy = mx.make_policy(cfg["policy"], reward, dist.mcr())
 
     method = cfg["method"]
@@ -231,25 +228,22 @@ def cmd_sweep(cfg: dict) -> int:
     c_values = (cfg["c"],) if cfg["c"] is not None else cfg["c_grid"]
     if any(v <= 0 for v in c_values):
         raise UsageError("every c must be positive")
-    try:
-        reports = mx.sweep(
-            cfg["reward"],
-            cfg["policies"],
-            cfg["family"],
-            c_values,
-            p_values=cfg["p"],
-            nmcr_values=cfg["nmcr"],
-            grid_cells=cfg["grid_n"],
-            vi_eps=cfg["eps"],
-            series_tol=cfg["tol"],
-            policy_evaluator="mc" if cfg["method"] == "mc" else "vi",
-            mc_slots=cfg["n"],
-            mc_paths=cfg["paths"],
-            seed=cfg["seed"],
-            max_iter=cfg["max_iter"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    reports = mx.sweep(
+        cfg["reward"],
+        cfg["policies"],
+        cfg["family"],
+        c_values,
+        p_values=cfg["p"],
+        nmcr_values=cfg["nmcr"],
+        grid_cells=cfg["grid_n"],
+        vi_eps=cfg["eps"],
+        series_tol=cfg["tol"],
+        policy_evaluator="mc" if cfg["method"] == "mc" else "vi",
+        mc_slots=cfg["n"],
+        mc_paths=cfg["paths"],
+        seed=cfg["seed"],
+        max_iter=cfg["max_iter"],
+    )
 
     if cfg["format"] == "csv":
         buffer = io.StringIO()

@@ -46,9 +46,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .arrivals import ArrivalDistribution, BernoulliArrivals
+from .arrivals import ArrivalDistribution
 from .policies import FixedFractionPolicy, StationaryPolicy, maximin_policy
-from .rewards import RewardFunction
+from .rewards import RewardFunction, _check_fraction, _check_positive
 
 __all__ = [
     "SlotOutcome",
@@ -121,9 +121,8 @@ def step(before: float, x: float, u: float, c: float) -> SlotOutcome:
     Raises AdmissibilityError when u exceeds the post-arrival level by more
     than the 1e-9 slack; smaller overshoot is clamped silently.
     """
-    before, x, u, c = float(before), float(x), float(u), float(c)
-    if not c > 0:
-        raise ValueError("capacity c must be positive")
+    before, x, u = float(before), float(x), float(u)
+    c = _check_positive(c, "capacity c")
     if x < 0 or u < 0 or before < 0 or before > c * (1 + 1e-12):
         raise ValueError("negative energies or stored level above capacity")
     after = min(before + x, c)
@@ -207,11 +206,7 @@ def bernoulli_reward(
     (2n + 8)u of itself: 2n u in (1-p)**n, 4u in r(c) or r'(0), and one u
     in each of its three products, so (n + 4) eps residual.
     """
-    c, p = float(c), float(p)
-    if not c > 0:
-        raise ValueError("c must be positive")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    c, p = _check_positive(c), _check_fraction(p)
     top = float(reward.value(c))
     slope = float(reward.marginal(0.0))
     grade = p * slope if math.isfinite(slope) else math.inf  # the tail bound's p r'(0)
@@ -691,8 +686,7 @@ def _relative_vi(
     counts as a sweep; the steps stop when none is.  One tight solve of the
     last policy's bias follows, and the sweeps go on from it.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    eps = _check_positive(eps, "eps")
     max_iter = int(max_iter)
     expected_next = _expectation(model.mass)
     rewards = model.action_rewards

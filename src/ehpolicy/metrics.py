@@ -26,25 +26,10 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .arrivals import ArrivalDistribution, BernoulliArrivals, from_mcr, from_nmcr
-from .evaluation import (
-    EvaluationResult,
-    bernoulli_reward,
-    build_mdp,
-    optimal_gain,
-    policy_gain,
-    simulate,
-)
-from .policies import (
-    FixedFractionPolicy,
-    GreedyPolicy,
-    MaximinPolicy,
-    StationaryPolicy,
-    maximin_policy,
-)
-from .rewards import RewardFunction
+from .arrivals import BernoulliArrivals, from_mcr, from_nmcr
+from .evaluation import bernoulli_reward, build_mdp, optimal_gain, policy_gain, simulate
+from .policies import FixedFractionPolicy, GreedyPolicy, StationaryPolicy, maximin_policy
+from .rewards import RewardFunction, _check_fraction
 
 __all__ = [
     "GapReport",
@@ -112,19 +97,14 @@ def f0(p: float) -> float:
     f0(p) = 1 - p * floor(1/p) * (1-p)**floor(1/p); always >= 1 - 1/e, with the
     near-minima just below each 1/n.
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    p = _check_fraction(p)
     m = math.floor(1.0 / p)
     return 1.0 - p * m * (1.0 - p) ** m
 
 
 def small_capacity_factor_limit(p: float) -> float:
     """Limit of the fixed-fraction factor under 0-or-c arrivals as c -> 0."""
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    return 1.0 / (2.0 - p)
+    return 1.0 / (2.0 - _check_fraction(p))
 
 
 def make_policy(kind: str, reward: RewardFunction, mcr: float) -> StationaryPolicy:
@@ -173,11 +153,12 @@ def sweep(
     per `policy_evaluator`, value iteration ("vi") or Monte Carlo ("mc") for
     the policy gain.
 
-    The bisection maximin reference (MaximinPolicy) consumes within
-    inversion_tol = d of the exact policy.  Its reserve map has slope in
-    [0, 1], so rung i consumes at most i d off, and under the series weights
-    p (1-p)**(i-1) that costs at most marginal(0) d / p of reward; this slack
-    is added to the optimal gain's tolerance.
+    The maximin reference consumes within its inversion_tol = d of the
+    exact policy (d = 0 for the awgn kink table, which inverts nothing).
+    Its reserve map has slope in [0, 1], so rung i consumes at most i d off,
+    and under the series weights p (1-p)**(i-1) that costs at most
+    marginal(0) d / p of reward; this slack is added to the optimal gain's
+    tolerance.
     """
     if policy_evaluator not in ("vi", "mc"):
         raise ValueError("policy_evaluator must be 'vi' or 'mc'")
@@ -203,10 +184,8 @@ def sweep(
                 else:
                     reference = make_policy("maximin", reward, mcr)
                 exact = bernoulli_reward(reference, reward, c, mcr, tol=series_tol)
-                best = exact
-                if isinstance(reference, MaximinPolicy):
-                    slack = float(reward.marginal(0.0)) * reference.inversion_tol / mcr
-                    best = replace(exact, tolerance=exact.tolerance + slack)
+                slack = float(reward.marginal(0.0)) * reference.inversion_tol / mcr
+                best = replace(exact, tolerance=exact.tolerance + slack)
                 model = None
             else:
                 model = build_mdp(reward, dist, grid_cells)

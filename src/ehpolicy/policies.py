@@ -29,6 +29,8 @@ import numpy as np
 from .rewards import (
     _LADDER_CAP,
     RewardFunction,
+    _check_fraction,
+    _check_positive,
     _float_ladder_sum,
     _ladder_sum,
     _prepare,
@@ -52,13 +54,6 @@ __all__ = [
     "normality_check",
     "NormalityReport",
 ]
-
-
-def _check_fraction(p: float) -> float:
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    return p
 
 
 class StationaryPolicy(ABC):
@@ -127,7 +122,21 @@ class FixedFractionPolicy(StationaryPolicy):
         return self.p * level  # one correctly rounded product, as numpy's
 
 
-class MaximinPolicy(StationaryPolicy):
+class _Maximin(StationaryPolicy):
+    """The maximin policy's state: the reward, the ratio p, the ladder scale
+    s = 1/(1-p) and the kinks walked so far.  inversion_tol bounds how far a
+    computed consumption may sit from the exact policy."""
+
+    inversion_tol = 0.0
+
+    def __init__(self, reward: RewardFunction, p: float):
+        self.reward = reward
+        self.p = _check_fraction(p)
+        self.scale = 1.0 / (1.0 - self.p)
+        self.kinks = KinkWalk(reward, self.p)
+
+
+class MaximinPolicy(_Maximin):
     """Maximin policy for any regular reward, via ladder-sum inversion.
 
     evaluate(x) is the unique u in [0, x] with ladder_sum(reward, s, u) == x,
@@ -136,29 +145,31 @@ class MaximinPolicy(StationaryPolicy):
     residual (ladder_sum(u) - x), run on the whole array.  ladder_sum(0) = 0
     and ladder_sum(x) >= x bracket the root, and the slope is at least 1, so
     the residual, at most inversion_tol, bounds the error in u.  Each step
-    runs the raw kernel rewards._ladder_sum: the midpoints are finite and
-    nonnegative by construction, and the scale was checked when self.kinks
-    took its first step.  For sqrt, _consume runs the same bisection on one
-    level in Python floats, each step rewards._float_ladder_sum, and returns
-    the bits _evaluate gives that level in a one-element array.
+    runs the raw kernel rewards._ladder_sum: the midpoints, 0.5 lo + 0.5 hi
+    so that no sum overflows, are finite and nonnegative by construction,
+    and the scale was checked when self.kinks took its first step.  A NaN
+    residual stalls the bisection and raises RuntimeError.  For sqrt,
+    _consume runs the same bisection on one level in Python floats, each
+    step rewards._float_ladder_sum, and returns the bits _evaluate gives
+    that level in a one-element array.
     """
 
     kind = "maximin_generic"
     inversion_tol = 1e-12
 
     def __init__(self, reward: RewardFunction, p: float):
-        self.reward = reward
-        self.p = _check_fraction(p)
-        self.scale = 1.0 / (1.0 - self.p)
-        self.kinks = KinkWalk(reward, self.p)
+        super().__init__(reward, p)
         self.kinks.cover(0.0)  # through E_1, the end of the greedy segment
         self._ladder = _float_ladder_sum(reward, self.scale)
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         lo = np.zeros_like(arr)
         hi = arr.copy()
-        mid = 0.5 * (lo + hi)
-        with np.errstate(divide="ignore"):  # _ladder_steps' log of a zero ratio
+        mid = 0.5 * lo + 0.5 * hi
+        # _ladder_steps' log of a zero ratio; a ladder past the float range
+        # gives a +inf residual, which brackets like any positive one, or a
+        # NaN one, which the stall check below reports
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for _ in range(200):
                 resid = _ladder_sum(self.reward, self.scale, mid) - arr
                 if np.abs(resid).max(initial=0.0) <= self.inversion_tol:
@@ -166,10 +177,10 @@ class MaximinPolicy(StationaryPolicy):
                 above = resid >= 0.0
                 hi = np.where(above, mid, hi)
                 lo = np.where(above, lo, mid)
-                mid = 0.5 * (lo + hi)
+                mid = 0.5 * lo + 0.5 * hi
             else:
                 worst = float(np.max(np.abs(resid)))
-                if worst > np.max(1e-9 * (1.0 + arr), initial=0.0):
+                if not worst <= np.max(1e-9 * (1.0 + arr), initial=0.0):  # NaN too
                     raise RuntimeError(f"ladder-sum inversion stalled, residual {worst!r}")
         return np.where(arr <= self.kinks.x[1], arr, np.clip(mid, 0.0, arr))
 
@@ -180,7 +191,7 @@ class MaximinPolicy(StationaryPolicy):
         if level <= self.kinks.x[1]:
             return level
         lo, hi = 0.0, level
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         for _ in range(200):
             resid = ladder(mid) - level
             if abs(resid) <= self.inversion_tol:
@@ -189,15 +200,15 @@ class MaximinPolicy(StationaryPolicy):
                 hi = mid
             else:
                 lo = mid
-            mid = 0.5 * (lo + hi)
+            mid = 0.5 * lo + 0.5 * hi
         else:
             worst = abs(resid)
-            if worst > 1e-9 * (1.0 + level):
+            if not worst <= 1e-9 * (1.0 + level):  # NaN too
                 raise RuntimeError(f"ladder-sum inversion stalled, residual {worst!r}")
         return min(max(mid, 0.0), level)  # np.clip(mid, 0.0, level)
 
 
-class MaximinAwgnPolicy(StationaryPolicy):
+class MaximinAwgnPolicy(_Maximin):
     """Maximin policy for the awgn reward, by interpolating its own kinks.
 
     ladder_sum is affine in the head between kinks, so the policy is linear
@@ -209,11 +220,8 @@ class MaximinAwgnPolicy(StationaryPolicy):
     kind = "maximin_awgn"
 
     def __init__(self, gamma: float, p: float):
-        self.reward = RewardFunction.awgn(gamma)
+        super().__init__(RewardFunction.awgn(gamma), p)
         self.gamma = self.reward.gamma
-        self.p = _check_fraction(p)
-        self.scale = 1.0 / (1.0 - self.p)
-        self.kinks = KinkWalk(self.reward, self.p)
         self._x = self._y = np.zeros(1)
 
     def _cover(self, top: float) -> None:
@@ -242,7 +250,7 @@ def awgn_segment_index(gamma: float, p: float, x):
     return MaximinAwgnPolicy(gamma, p).segment_index(x)
 
 
-def maximin_policy(reward: RewardFunction, p: float) -> MaximinPolicy | MaximinAwgnPolicy:
+def maximin_policy(reward: RewardFunction, p: float) -> _Maximin:
     """The maximin policy at ratio p: kink interpolation for awgn, bisection otherwise."""
     if reward.kind == "awgn":
         return MaximinAwgnPolicy(reward.gamma, p)
@@ -314,7 +322,7 @@ def awgn_endpoints(gamma: float, p: float, k_max: int) -> list[Endpoint]:
     (1-p)**-k - 1, both divided by gamma; E_0 is the origin.  This closed
     form is the independent reference for maximin_kinks and the policy.
     """
-    gamma = RewardFunction.awgn(gamma).gamma
+    gamma = _check_positive(gamma, "gamma")
     p = _check_fraction(p)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
@@ -334,11 +342,9 @@ def ergodic_levels(policy: StationaryPolicy, c: float) -> np.ndarray:
     does, so the levels are that walk's, bit for bit.  Raises RuntimeError
     when the walk does not reach 0 within _LADDER_CAP rungs.
     """
-    if not isinstance(policy, (MaximinPolicy, MaximinAwgnPolicy)):
+    if not isinstance(policy, _Maximin):
         raise ValueError("ergodic levels are defined for the maximin policies")
-    c = float(c)
-    if not c > 0:
-        raise ValueError("c must be positive")
+    c = _check_positive(c)
     levels = [c]
     level = c
     while level > 0.0:
@@ -362,9 +368,7 @@ def greed_index(
     smoothed consecutive consumptions; greedy scores 1 - marginal(c)/marginal(0).
     The maximin policy at mean-to-capacity ratio p scores at most p.
     """
-    c = float(c)
-    if not c > 0:
-        raise ValueError("c must be positive")
+    c = _check_positive(c)
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
     x = np.linspace(0.0, c, int(grid_points))
@@ -401,9 +405,7 @@ def normality_check(
     Uses first and second differences on a uniform grid with an absolute
     slack for float noise.
     """
-    c = float(c)
-    if not c > 0:
-        raise ValueError("c must be positive")
+    c = _check_positive(c)
     x = np.linspace(0.0, c, int(grid_points))
     u = policy.evaluate(x)
     d1 = np.diff(u)

@@ -70,6 +70,20 @@ def _check_scale(s: float) -> float:
     return s
 
 
+def _check_fraction(value: float, name: str = "p") -> float:
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1)")
+    return value
+
+
+def _check_positive(value: float, name: str = "c") -> float:
+    value = float(value)
+    if not value > 0:
+        raise ValueError(f"{name} must be positive")
+    return value
+
+
 @dataclass(frozen=True)
 class RewardFunction:
     """One-slot reward as a function of consumed energy.
@@ -87,10 +101,7 @@ class RewardFunction:
     @classmethod
     def awgn(cls, gamma: float = 1.0) -> "RewardFunction":
         """Gaussian-channel rate reward r(u) = (1/2) log(1 + gamma u)."""
-        gamma = float(gamma)
-        if not gamma > 0:
-            raise ValueError("gamma must be positive")
-        return cls(kind="awgn", gamma=gamma)
+        return cls(kind="awgn", gamma=_check_positive(gamma, "gamma"))
 
     @classmethod
     def sqrt_rate(cls) -> "RewardFunction":

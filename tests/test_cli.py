@@ -333,6 +333,29 @@ def test_help_lists_each_flag_once_in_order(command, capsys):
     assert shown == FLAGS[command]
 
 
+# the library's ValueError texts that evaluate and sweep print as they are
+_CELL_ERRORS = {
+    "bad family": (["--family", "gauss", "--p", "0.5"],
+                   "unknown family 'gauss'; expected one of "
+                   "('bernoulli', 'uniform', 'exponential')"),
+    "mcr out of range": (["--family", "uniform", "--p", "1.5"], "mcr must lie in (0, 1)"),
+    "nmcr for bernoulli": (["--family", "bernoulli", "--nmcr", "0.5"],
+                           "bernoulli arrivals have no nominal ratio; use from_mcr"),
+    "nmcr zero": (["--family", "uniform", "--nmcr", "0"], "nmcr must be positive"),
+    "nmcr negative": (["--family", "uniform", "--nmcr", "-2"], "nmcr must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CELL_ERRORS))
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_cell_errors_print_the_library_text(command, case, capsys):
+    args, text = _CELL_ERRORS[case]
+    assert main([command, "--c", "1", "--method", "vi"] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {text}\n"
+
+
 class TestTopLevel:
     def test_no_subcommand_is_usage_error(self):
         assert main([]) == 1

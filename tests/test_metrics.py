@@ -145,6 +145,17 @@ class TestSweepTolerance:
         for r in reports:
             assert r.policy_gain <= r.optimal_gain + r.tolerance, r
 
+    @pytest.mark.parametrize("reward", [AWGN1, SQRT], ids=["awgn:1", "sqrt"])
+    def test_optimal_tolerance_adds_the_references_inversion_slack(self, reward):
+        # the maximin row adds its own series tolerance to the optimum's; the
+        # awgn kink table inverts nothing, the sqrt bisection adds
+        # marginal(0) * 1e-12 / p
+        c, p = 2.0, 0.1
+        series = mx.bernoulli_reward(pol.maximin_policy(reward, p), reward, c, p).tolerance
+        best = series + (0.5 * 1e-12 / p if reward.kind == "sqrt" else 0.0)
+        (report,) = mx.sweep(reward, ["maximin"], "bernoulli", [c], p_values=[p])
+        assert report.tolerance.hex() == (series + best).hex()
+
 
 class TestSweepGridFamilies:
     def test_uniform_rows(self):

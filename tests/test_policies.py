@@ -116,14 +116,26 @@ class TestScalarKernel:
 
     @pytest.mark.parametrize("gamma", [1.0, None], ids=["awgn:1", "sqrt"])
     def test_maximin_floats_keep_the_bits_of_evaluate_at_huge_levels(self, gamma):
-        # the ratio overflows to inf at a midpoint of two halves of the
-        # largest float
+        # the midpoint 0.5 lo + 0.5 hi stays finite where lo + hi would
+        # overflow, and above the root a ladder past the float range gives
+        # a +inf residual, which brackets like any positive one
         reward = SQRT if gamma is None else rw.RewardFunction.awgn(gamma)
         policy = pol.MaximinPolicy(reward, 0.5)
-        for x in (1e300, np.finfo(float).max):
-            with np.errstate(over="ignore", invalid="ignore"):
-                want = policy._evaluate(np.array([x]))[0]
+        for x in (1e300, 1.7e308, np.finfo(float).max):
+            want = policy._evaluate(np.array([x]))[0]
             assert policy._consume(float(x)).hex() == float(want).hex(), x
+            # the consumption, not the whole level: its ladder sums to x
+            assert want < x
+            assert rw.ladder_sum(reward, policy.scale, want) == pytest.approx(x, rel=2 * EPS)
+
+    def test_a_nan_residual_stalls_the_bisection(self):
+        # 1 + gamma x overflows, so the ladder is inf - inf; the stall check
+        # reports the NaN rather than return the whole level
+        policy = pol.MaximinPolicy(rw.RewardFunction.awgn(1e10), 0.5)
+        for run in (policy.evaluate, policy._consume):
+            with pytest.raises(RuntimeError, match="stalled, residual nan$"):
+                run(1e300)
+        assert policy.evaluate(1e290) == pytest.approx(5e289, rel=1e-12)
 
     @pytest.mark.parametrize("p", P_VALUES)
     @pytest.mark.parametrize("reward", [SQRT], ids=["sqrt"])

@@ -1,11 +1,16 @@
 """Unit tests for the regular-reward ladder calculus."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from ehpolicy import arrivals as arr
+from ehpolicy import evaluation as ev
+from ehpolicy import metrics as mx
+from ehpolicy import policies as pol
 from ehpolicy import rewards as rw
 
 AWGN1 = rw.RewardFunction.awgn(1.0)
@@ -89,6 +94,54 @@ class TestRewardFunction:
         assert AWGN1.spec_string() == "awgn:1.0"
         assert AWGN2.spec_string() == "awgn:2.0"
         assert SQRT.spec_string() == "sqrt"
+
+
+# case -> (a call on the checked value, the name its message gives); the CLI
+# prints these messages as they are
+_FRACTION_CHECKS = {
+    "bernoulli_reward": (lambda p: ev.bernoulli_reward(pol.GreedyPolicy(), AWGN1, 1.0, p), "p"),
+    "BernoulliArrivals": (lambda p: arr.BernoulliArrivals(1.0, p), "p"),
+    "from_mcr": (lambda p: arr.from_mcr("uniform", 1.0, p), "mcr"),
+    "f0": (mx.f0, "p"),
+    "small_capacity_factor_limit": (mx.small_capacity_factor_limit, "p"),
+    "FixedFractionPolicy": (pol.FixedFractionPolicy, "p"),
+    "MaximinPolicy": (lambda p: pol.MaximinPolicy(SQRT, p), "p"),
+    "MaximinAwgnPolicy": (lambda p: pol.MaximinAwgnPolicy(1.0, p), "p"),
+    "awgn_endpoints": (lambda p: pol.awgn_endpoints(1.0, p, 3), "p"),
+}
+_POSITIVE_CHECKS = {
+    "ergodic_levels": (lambda c: pol.ergodic_levels(pol.MaximinAwgnPolicy(1.0, 0.5), c), "c"),
+    "greed_index": (lambda c: pol.greed_index(pol.GreedyPolicy(), AWGN1, c), "c"),
+    "normality_check": (lambda c: pol.normality_check(pol.GreedyPolicy(), c), "c"),
+    "bernoulli_reward": (lambda c: ev.bernoulli_reward(pol.GreedyPolicy(), AWGN1, c, 0.5), "c"),
+    "step": (lambda c: ev.step(0.0, 0.0, 0.0, c), "capacity c"),
+    "ArrivalDistribution": (lambda c: arr.LimitedUniformArrivals(c, 1.0), "capacity c"),
+    "b": (lambda b: arr.LimitedUniformArrivals(1.0, b), "b"),
+    "rate": (lambda rate: arr.LimitedExponentialArrivals(1.0, rate), "rate"),
+    "nmcr": (lambda nmcr: arr.from_nmcr("uniform", 1.0, nmcr), "nmcr"),
+    "gamma": (rw.RewardFunction.awgn, "gamma"),
+    "awgn_endpoints": (lambda gamma: pol.awgn_endpoints(gamma, 0.5, 3), "gamma"),
+    "eps": (
+        lambda eps: ev.optimal_gain(ev.build_mdp(AWGN1, arr.from_mcr("uniform", 1.0, 0.5), 8), eps),
+        "eps",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.5, math.nan])
+@pytest.mark.parametrize("name", list(_FRACTION_CHECKS))
+def test_fraction_checks_raise_the_one_message(name, value):
+    run, what = _FRACTION_CHECKS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} must lie in \\(0, 1\\)$"):
+        run(value)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("name", list(_POSITIVE_CHECKS))
+def test_positive_checks_raise_the_one_message(name, value):
+    run, what = _POSITIVE_CHECKS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} must be positive$"):
+        run(value)
 
 
 class TestStepDown:
