@@ -5,9 +5,8 @@ consumed this slot, with 0 <= policy(x) <= x.  Implemented kinds:
 
     greedy          consume everything: x
     fixed_fraction  consume p * x
-    maximin_generic x up to the first kink, else invert ladder_sum by bisection
-                    on its raw kernel; one level at a time on Python floats
-                    for sqrt
+    maximin_generic x up to the first kink, else invert ladder_sum from the
+                    kink table, each level certified by its own residual
     maximin_awgn    the same policy for the awgn reward, linear between its
                     kinks, so evaluated by interpolating the kink table
 
@@ -31,7 +30,6 @@ from .rewards import (
     RewardFunction,
     _check_fraction,
     _check_positive,
-    _float_ladder_sum,
     _ladder_sum,
     _prepare,
     ladder_sum,  # noqa: F401  (the public name perfbench's span recorder wraps here)
@@ -124,8 +122,9 @@ class FixedFractionPolicy(StationaryPolicy):
 
 class _Maximin(StationaryPolicy):
     """The maximin policy's state: the reward, the ratio p, the ladder scale
-    s = 1/(1-p) and the kinks walked so far.  inversion_tol bounds how far a
-    computed consumption may sit from the exact policy."""
+    s = 1/(1-p), the kinks walked so far (through E_1 from the start) and
+    their arrays _x, _y.  inversion_tol bounds how far a computed
+    consumption may sit from the exact policy."""
 
     inversion_tol = 0.0
 
@@ -134,78 +133,101 @@ class _Maximin(StationaryPolicy):
         self.p = _check_fraction(p)
         self.scale = 1.0 / (1.0 - self.p)
         self.kinks = KinkWalk(reward, self.p)
+        self._x = self._y = np.zeros(1)
+        self._cover(0.0)  # through E_1, the end of the greedy segment
+
+    def _cover(self, top: float) -> None:
+        """Walk the kinks past top, or keep those walked and raise KinkWalk's ValueError."""
+        if top >= self._x[-1]:
+            try:
+                self.kinks.cover(top)
+            finally:
+                if len(self.kinks.x) > self._x.size:
+                    self._x, self._y = np.array(self.kinks.x), np.array(self.kinks.y)
 
 
 class MaximinPolicy(_Maximin):
     """Maximin policy for any regular reward, via ladder-sum inversion.
 
     evaluate(x) is the unique u in [0, x] with ladder_sum(reward, s, u) == x,
-    s = 1/(1-p): x itself at or below the first kink x_1 = y_1 of self.kinks,
-    so every ladder ends at exactly 0, and otherwise found by bisection on the
-    residual (ladder_sum(u) - x), run on the whole array.  ladder_sum(0) = 0
-    and ladder_sum(x) >= x bracket the root, and the slope is at least 1, so
-    the residual, at most inversion_tol, bounds the error in u.  Each step
-    runs the raw kernel rewards._ladder_sum: the midpoints, 0.5 lo + 0.5 hi
-    so that no sum overflows, are finite and nonnegative by construction,
-    and the scale was checked when self.kinks took its first step.  A NaN
-    residual stalls the bisection and raises RuntimeError.  For sqrt,
-    _consume runs the same bisection on one level in Python floats, each
-    step rewards._float_ladder_sum, and returns the bits _evaluate gives
-    that level in a one-element array.
+    s = 1/(1-p): x itself at or below the first kink x_1 = y_1, so every
+    ladder ends at exactly 0.  Above it, a level in the kink segment
+    (x_(k-1), x_k] has its root in (y_(k-1), y_k]; past the kink cap or the
+    float range, the last segment is extended to the largest float, which
+    brackets the root because ladder_sum is convex.  u is the kink table
+    at x, certified by its residual r = ladder_sum(u) - x on the raw kernel
+    rewards._ladder_sum.  A level whose certificate fails takes the table
+    at x - r, one step along its segment's chord slope, and then regula
+    falsi with the Illinois modification (Dowell & Jarratt, BIT 11, 1971)
+    inside its bracket, bisecting where a step leaves it.  It stops on
+    |r| <= inversion_tol or on a bracket no wider than that: ladder_sum's
+    slope is at least 1, so either puts u within inversion_tol of the
+    root, the bound behind metrics.sweep's slack r'(0) inversion_tol / p.
+    Each level runs on its own, so an array gets the bits of its levels
+    one at a time, and the series walk, Monte Carlo, value iteration and
+    curve share this one path.  After 200 steps a residual above
+    1e-9 (1 + x), or a NaN one, raises RuntimeError.
     """
 
     kind = "maximin_generic"
     inversion_tol = 1e-12
 
-    def __init__(self, reward: RewardFunction, p: float):
-        super().__init__(reward, p)
-        self.kinks.cover(0.0)  # through E_1, the end of the greedy segment
-        self._ladder = _float_ladder_sum(reward, self.scale)
-
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
-        lo = np.zeros_like(arr)
-        hi = arr.copy()
-        mid = 0.5 * lo + 0.5 * hi
+        above = arr > self._x[1]  # x itself on the greedy segment
+        if not above.any():
+            return arr.copy()
+        x = arr[above]
+        try:
+            self._cover(float(x.max()))
+        except ValueError:  # past the kink cap or the float range: the last segment, extended
+            xs, ys, top = self._x, self._y, np.finfo(float).max
+            if xs[-1] < top:
+                y = ys[-1] + (top - xs[-1]) / ((xs[-1] - xs[-2]) / (ys[-1] - ys[-2]))
+                self._x, self._y = np.append(xs, top), np.append(ys, y)
+        xs, ys, t = self._x, self._y, x
         # _ladder_steps' log of a zero ratio; a ladder past the float range
-        # gives a +inf residual, which brackets like any positive one, or a
-        # NaN one, which the stall check below reports
+        # gives a +inf residual, which brackets, or a NaN one, which stalls
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for _ in range(200):
-                resid = _ladder_sum(self.reward, self.scale, mid) - arr
-                if np.abs(resid).max(initial=0.0) <= self.inversion_tol:
+            for _ in range(2):  # the table at x, then along each chord: at x - r
+                u = np.interp(t, xs, ys)
+                r = _ladder_sum(self.reward, self.scale, u) - x
+                fails = ~(np.abs(r) <= self.inversion_tol)
+                if not fails.any():
                     break
-                above = resid >= 0.0
-                hi = np.where(above, mid, hi)
-                lo = np.where(above, lo, mid)
-                mid = 0.5 * lo + 0.5 * hi
+                t = np.where(fails, x - r, t)
             else:
-                worst = float(np.max(np.abs(resid)))
-                if not worst <= np.max(1e-9 * (1.0 + arr), initial=0.0):  # NaN too
-                    raise RuntimeError(f"ladder-sum inversion stalled, residual {worst!r}")
-        return np.where(arr <= self.kinks.x[1], arr, np.clip(mid, 0.0, arr))
+                u[fails] = self._refine(x[fails], u[fails], r[fails])
+        out = arr.copy()
+        out[above] = np.minimum(u, x)
+        return out
 
-    def _consume(self, level: float) -> float:
-        ladder = self._ladder
-        if ladder is None:
-            return super()._consume(level)
-        if level <= self.kinks.x[1]:
-            return level
-        lo, hi = 0.0, level
-        mid = 0.5 * lo + 0.5 * hi
+    def _refine(self, x: np.ndarray, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Regula falsi in each level's kink bracket from u (residual r) and the
+        bracket's far end a, whose residual the chord through (u, r) estimates."""
+        xs, ys, tol = self._x, self._y, self.inversion_tol
+        k = np.searchsorted(xs, x)
+        slope = (xs[k] - xs[k - 1]) / (ys[k] - ys[k - 1])
+        a = np.where(r >= 0.0, ys[k - 1], ys[k])
+        b, fa, fb = u, r - slope * (u - a), r
+        out, todo = u.copy(), np.arange(x.size)
         for _ in range(200):
-            resid = ladder(mid) - level
-            if abs(resid) <= self.inversion_tol:
-                break
-            if resid >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-            mid = 0.5 * lo + 0.5 * hi
-        else:
-            worst = abs(resid)
-            if not worst <= 1e-9 * (1.0 + level):  # NaN too
-                raise RuntimeError(f"ladder-sum inversion stalled, residual {worst!r}")
-        return min(max(mid, 0.0), level)  # np.clip(mid, 0.0, level)
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            c = b - (b - a) * (fb / (fb - fa))  # the ratio is in [0, 1]: no overflow
+            c = np.where((lo < c) & (c < hi), c, 0.5 * lo + 0.5 * hi)
+            fc = _ladder_sum(self.reward, self.scale, c) - x
+            done = (np.abs(fc) <= tol) | ((hi - lo <= tol) & (fc == fc))  # NaN: no sign
+            out[todo[done]] = c[done]
+            if done.all():
+                return out
+            # Illinois: an end kept a second time in a row has its residual halved
+            same = (fc >= 0.0) == (fb >= 0.0)
+            a, fa = np.where(same, a, b), np.where(same, 0.5 * fa, fb)
+            todo, x, a, fa, b, fb = (v[~done] for v in (todo, x, a, fa, c, fc))
+        worst = float(np.max(np.abs(fb)))
+        if not worst <= np.max(1e-9 * (1.0 + x)):  # NaN too
+            raise RuntimeError(f"ladder-sum inversion stalled, residual {worst!r}")
+        out[todo] = b
+        return out
 
 
 class MaximinAwgnPolicy(_Maximin):
@@ -222,12 +244,6 @@ class MaximinAwgnPolicy(_Maximin):
     def __init__(self, gamma: float, p: float):
         super().__init__(RewardFunction.awgn(gamma), p)
         self.gamma = self.reward.gamma
-        self._x = self._y = np.zeros(1)
-
-    def _cover(self, top: float) -> None:
-        if top >= self._x[-1]:
-            self.kinks.cover(top)
-            self._x, self._y = np.array(self.kinks.x), np.array(self.kinks.y)
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         self._cover(float(arr.max(initial=0.0)))
@@ -251,7 +267,7 @@ def awgn_segment_index(gamma: float, p: float, x):
 
 
 def maximin_policy(reward: RewardFunction, p: float) -> _Maximin:
-    """The maximin policy at ratio p: kink interpolation for awgn, bisection otherwise."""
+    """The maximin policy at ratio p: kink interpolation for awgn, inversion otherwise."""
     if reward.kind == "awgn":
         return MaximinAwgnPolicy(reward.gamma, p)
     return MaximinPolicy(reward, p)

@@ -24,15 +24,13 @@ its inverse is exactly the maximin consumption policy built in
 
 Each public ladder function validates s and x once and then runs a raw kernel
 (``_ladder_steps``, ``_ladder_sum``) on the float array; the maximin policy's
-bisection calls ``_ladder_sum`` directly on every step, and a custom ladder
-steps its rungs with ``_custom_step``, finding the cutoff and marginal(0) once.
-``_float_ladder_sum`` is ``_ladder_sum``'s sqrt closed form on one Python
-float, with the same bits, for the bisection's scalar kernel.
+inversion certifies each of its points with ``_ladder_sum`` directly, and a
+custom ladder steps its rungs with ``_custom_step``, finding the cutoff and
+marginal(0) once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -351,55 +349,6 @@ def _ladder_sum(rw: RewardFunction, s: float, arr: np.ndarray) -> np.ndarray:
             raise RuntimeError("ladder did not terminate; reward is not regular")
         out = acc
     return np.maximum(out, arr)  # float guard: the head rung alone is a lower bound
-
-
-def _float_ladder_sum(rw: RewardFunction, s: float) -> Callable[[float], float] | None:
-    """_ladder_sum's sqrt closed form for one head as a Python float, with the
-    bits _ladder_sum gives that head in a one-element array; None for every
-    other reward.  s is a checked scale.
-
-    The float steps round as numpy's do on float64: + - * /, sqrt, ceil, max
-    and the comparisons.  The log of the ratio and the three powers of s stay
-    numpy calls on a one-element 1-d array with a separate output, because
-    numpy's vectorized power may differ in the last bit from its 0-d power
-    and from its power computed in place.  The exponents are whole numbers
-    and a bisection visits few of them, so each power is taken once and
-    kept.  np.log(s) and s ** -2.0 are taken once, with _ladder_steps' and
-    _ladder_sum's own expressions.  The ratio is at least 1, so its log is
-    finite or +inf and never divides by zero.
-    """
-    if rw.kind != "sqrt":
-        return None
-    log_s = float(np.log(s))
-    span = 1.0 - s ** -2.0
-    arg, res = np.zeros(1), np.zeros(1)  # never aliased: in place, np.power differs too
-
-    def log(v: float) -> float:
-        arg[0] = v
-        return float(np.log(arg, out=res)[0])
-
-    powers: dict[float, float] = {}  # s**e by exponent: m takes few values
-
-    def power(e: float) -> float:
-        got = powers.get(e)
-        if got is None:
-            arg[0] = e
-            got = powers[e] = float(np.power(s, arg, out=res)[0])
-        return got
-
-    def ladder(x: float) -> float:
-        ratio = math.sqrt(1.0 + x)
-        q = log(ratio) / log_s
-        # _ladder_steps with upper=False: q >= 0, so max(ceil(q), 0) is ceil(q)
-        m = float(math.ceil(q)) if q < math.inf else q  # +inf: the ratio overflowed
-        if m > 0.0 and power(m - 1.0) >= ratio:
-            m -= 1.0  # and s**m, the power just taken, reaches the ratio
-        elif not power(m) >= ratio:
-            m += 1.0
-        out = (1.0 + x) * (1.0 - power(-2.0 * m)) / span - m
-        return x if x > out else out  # np.maximum(out, x), NaN included
-
-    return ladder
 
 
 def regularity_audit(

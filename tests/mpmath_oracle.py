@@ -44,20 +44,23 @@ class Maximin:
             return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
-def awgn_reward(gamma, u):
+def reward(gamma, u):
+    """awgn:gamma's reward, or sqrt's when gamma is None."""
+    if gamma is None:
+        return mpmath.sqrt(1 + u) - 1
     return mpmath.log1p(gamma * u) / 2
 
 
 def maximin_series(gamma, p, c):
-    """Average awgn:gamma reward of the maximin policy under 0-or-c arrivals:
-    its ladder from c, rung i weighted p (1-p)**(i-1), ends at exactly 0."""
+    """Average reward of the maximin policy under 0-or-c arrivals: its ladder
+    from c, rung i weighted p (1-p)**(i-1), ends at exactly 0."""
     policy = Maximin(gamma, p, c)
     with mpmath.workdps(DPS):
         p = mpmath.mpf(p)
         level, weight, total = mpmath.mpf(c), p, mpmath.mpf(0)
         while level > 0:
             u = policy(level)
-            total += weight * awgn_reward(gamma, u)
+            total += weight * reward(gamma, u)
             level -= u
             weight *= 1 - p
         return total
@@ -99,4 +102,4 @@ def fraction_tail(gamma, p, c, n):
 def greedy_series(gamma, p, c):
     """The same average for the greedy policy: one rung of c."""
     with mpmath.workdps(DPS):
-        return mpmath.mpf(p) * awgn_reward(gamma, mpmath.mpf(c))
+        return mpmath.mpf(p) * reward(gamma, mpmath.mpf(c))

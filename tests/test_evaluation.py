@@ -27,7 +27,7 @@ SQRT = rw.RewardFunction.sqrt_rate()
 CONVEX = rw.RewardFunction.custom(
     lambda u: u * u, lambda u: 2.0 * u, lambda y: 0.5 * y, validate=False
 )
-# the awgn:1 closed forms as a custom reward, so its maximin policy bisects
+# the awgn:1 closed forms as a custom reward, so its maximin policy inverts
 LOG1P = next(r for r in _sample_rewards() if r.kind == "custom")
 
 # frozen series values, computed once from the level walk by hand
@@ -224,6 +224,19 @@ class TestBernoulliSeries:
         res = ev.bernoulli_reward(omega, reward, c, p)
         assert res.residual == 0.0
         assert len(rungs.levels) == len(levels) - 1
+
+    @pytest.mark.parametrize(
+        "p, c",
+        [(1e-6, 1.0)] + list(itertools.product([0.01, 0.1, 0.3, 0.5, 0.9], [0.5, 2.0, 8.0])),
+    )
+    def test_sqrt_maximin_lies_within_its_slack_of_an_mpmath_oracle(self, p, c):
+        # the benchmark's sqrt cells and one small p: the inverted policy
+        # sits within inversion_tol of the exact one, which costs at most
+        # r'(0) inversion_tol / p of reward (metrics.sweep's slack)
+        omega = pol.MaximinPolicy(SQRT, p)
+        res = ev.bernoulli_reward(omega, SQRT, c, p)
+        slack = SQRT.marginal(0.0) * omega.inversion_tol / p
+        assert abs(mpmath.mpf(res.value) - oracle.maximin_series(None, p, c)) <= res.tolerance + slack
 
     @pytest.mark.parametrize("kind", ["maximin", "greedy", "fixed_fraction"])
     @pytest.mark.parametrize("c", [0.5, 2.0, 8.0, 20.0])

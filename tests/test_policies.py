@@ -20,8 +20,16 @@ EPS = np.finfo(float).eps
 
 AWGN1 = rw.RewardFunction.awgn(1.0)
 SQRT = rw.RewardFunction.sqrt_rate()
-# the awgn:1 closed forms as a custom reward, so its maximin policy bisects
+# the awgn:1 closed forms as a custom reward, so its maximin policy inverts
 LOG1P = next(r for r in _sample_rewards() if r.kind == "custom")
+# r'(u) = exp(1 - sqrt(1 + u)): its ladder steps down from x to
+# (sqrt(1 + x) - log s)**2 - 1, which is not affine, so ladder_sum is not
+# linear between the kinks
+CURVED = rw.RewardFunction.custom(
+    value=lambda u: 4.0 - 2.0 * (np.sqrt(1.0 + u) + 1.0) * np.exp(1.0 - np.sqrt(1.0 + u)),
+    marginal=lambda u: np.exp(1.0 - np.sqrt(1.0 + u)),
+    marginal_inverse=lambda y: (1.0 - np.log(y)) ** 2 - 1.0,
+)
 
 
 class _Shaped(pol.StationaryPolicy):
@@ -89,30 +97,44 @@ class TestScalarKernel:
         assert [u.hex() for u in got] == [float(u).hex() for u in want]
 
     P_VALUES = (1e-6, 1e-3, 0.01, 0.1, 0.5, 0.9)
-    MAXIMIN = {
-        "sqrt": lambda p: pol.MaximinPolicy(SQRT, p),
-        "awgn-bisection": lambda p: pol.MaximinPolicy(AWGN1, p),
-        "awgn-table": lambda p: pol.MaximinAwgnPolicy(1.0, p),
-    }
 
-    @pytest.mark.parametrize("p", P_VALUES)
-    @pytest.mark.parametrize("name", list(MAXIMIN))
-    def test_maximin_floats_keep_the_bits_of_evaluate_on_one_level(self, name, p):
-        # one level at a time: on a longer array the bisection stops on the
-        # worst residual of all its elements
-        policy = self.MAXIMIN[name](p)
-        assert type(policy)._consume is not pol.StationaryPolicy._consume
-        walk = pol.KinkWalk(policy.reward, p)
+    def _levels(self, reward, p, top, count=40):
+        """Levels at 0, subnormals, both neighbours of the first kink, the
+        kinks x_2..x_8 and random levels in [0, top]."""
+        walk = pol.KinkWalk(reward, p)
         while len(walk.x) <= 8:
             walk.cover(walk.x[-1])
         first = walk.x[1]
         levels = [0.0, 5e-324, 1e-310, self.TINY, np.nextafter(first, 0.0), first]
         levels += [np.nextafter(first, np.inf)] + walk.x[2:9]
-        levels += list(np.random.default_rng(15).uniform(0.0, 10.0, 40))
-        for x in map(float, levels):
+        return levels + list(np.random.default_rng(15).uniform(0.0, top, count))
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize("name", ["awgn-table"])
+    def test_maximin_floats_keep_the_bits_of_evaluate_on_one_level(self, name, p):
+        policy = pol.MaximinAwgnPolicy(1.0, p)
+        assert type(policy)._consume is not pol.StationaryPolicy._consume
+        for x in map(float, self._levels(AWGN1, p, 10.0)):
             got = policy._consume(x)
             want = policy._evaluate(np.array([x]))[0]
             assert type(got) is float and got.hex() == float(want).hex(), x
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.1, 0.5])
+    @pytest.mark.parametrize(
+        "reward", [SQRT, AWGN1, LOG1P, CURVED], ids=["sqrt", "awgn", "log1p", "curved"]
+    )
+    def test_maximin_array_keeps_the_bits_of_each_level(self, reward, p):
+        # every level is inverted on its own, so an array, the scalar
+        # evaluate and the series walk's _consume give the same bits
+        policy = pol.MaximinPolicy(reward, p)
+        assert type(policy)._consume is pol.StationaryPolicy._consume
+        walk = pol.KinkWalk(reward, p)
+        while len(walk.x) <= 12:
+            walk.cover(walk.x[-1])
+        levels = np.array(self._levels(reward, p, walk.x[12]))
+        many = policy.evaluate(levels)
+        assert [float(u).hex() for u in many] == [policy.evaluate(x).hex() for x in levels]
+        assert [float(u).hex() for u in many] == [policy._consume(float(x)).hex() for x in levels]
 
     @pytest.mark.parametrize("gamma", [1.0, None], ids=["awgn:1", "sqrt"])
     def test_maximin_floats_keep_the_bits_of_evaluate_at_huge_levels(self, gamma):
@@ -136,27 +158,6 @@ class TestScalarKernel:
             with pytest.raises(RuntimeError, match="stalled, residual nan$"):
                 run(1e300)
         assert policy.evaluate(1e290) == pytest.approx(5e289, rel=1e-12)
-
-    @pytest.mark.parametrize("p", P_VALUES)
-    @pytest.mark.parametrize("reward", [SQRT], ids=["sqrt"])
-    def test_float_ladder_sum_keeps_the_bits_of_the_kernel(self, reward, p):
-        # the heads y_k = step_down_cutoff(s**k) and their neighbours sit on
-        # the boundaries where the ceil corrections of _ladder_steps fire
-        s = 1.0 / (1.0 - p)
-        ladder = rw._float_ladder_sum(reward, s)
-        for k in range(1, 41):
-            y = float(rw.step_down_cutoff(reward, s**k))
-            for head in (np.nextafter(y, 0.0), y, np.nextafter(y, np.inf)):
-                want = rw._ladder_sum(reward, s, np.array([head]))[0]
-                assert ladder(float(head)).hex() == float(want).hex(), (k, head)
-
-    @pytest.mark.parametrize(
-        "reward",
-        [r for r in _sample_rewards() if r.kind != "sqrt"] + [rw.RewardFunction.awgn(2.5)],
-        ids=lambda r: r.spec_string(),
-    )
-    def test_float_ladder_sum_is_for_sqrt_alone(self, reward):
-        assert rw._float_ladder_sum(reward, 2.0) is None
 
     def test_custom_maximin_is_walked_through_evaluate(self):
         policy = pol.MaximinPolicy(LOG1P, 0.1)
@@ -430,33 +431,64 @@ class TestMaximinGeneric:
         residual = np.abs(np.asarray(rw.ladder_sum(AWGN1, omega.scale, consumed)) - x)
         assert np.max(residual) <= 1e-10
 
-    # consumptions at p = 0.1, frozen from the bisection when every step
-    # still called the validating ladder_sum
+    # consumptions at p = 0.1, frozen from the inversion that starts at the
+    # kink table; the custom reward is awgn:1's closed forms
     FROZEN = {
         "sqrt": (
-            "0x1.999999999999ap-5 0x1.153729043e465p-2 0x1.cd991838d5966p-1 "
-            "0x1.e9a08b1bded00p+0 0x1.e3f4f34c93d40p+1",
-            "0x1.006b8602f7000p+0",
+            "0x1.999999999999ap-5 0x1.153729043e3b8p-2 0x1.cd991838d58f1p-1 "
+            "0x1.e9a08b1bdeb7ep+0 0x1.e3f4f34c93bf3p+1",
+            "0x1.006b8602f722ep+0",
         ),
         "custom": (
-            "0x1.999999999999ap-5 0x1.af286bca1aecdp-3 0x1.45af1ea68621ap-1 "
-            "0x1.4856af46c0180p+0 0x1.3507be8ca9320p+1",
-            "0x1.6a2b663486000p-1",
+            "0x1.999999999999ap-5 0x1.af286bca1af2ap-3 0x1.45af1ea6862adp-1 "
+            "0x1.4856af46bfff5p+0 0x1.3507be8ca91fdp+1",
+            "0x1.6a2b663485fc9p-1",
         ),
     }
 
     @pytest.mark.parametrize("reward", [SQRT, LOG1P], ids=["sqrt", "custom"])
-    def test_bisection_runs_the_raw_kernel(self, reward, monkeypatch):
+    def test_inversion_runs_the_raw_kernel(self, reward, monkeypatch):
         def validating(*args):
-            raise AssertionError("the bisection called the validating ladder_sum")
+            raise AssertionError("the inversion called the validating ladder_sum")
 
         monkeypatch.setattr(rw, "ladder_sum", validating)
         monkeypatch.setattr(pol, "ladder_sum", validating)
         omega = pol.MaximinPolicy(reward, 0.1)
         many, one = self.FROZEN[reward.kind]
-        u = omega.evaluate(np.array([0.05, 0.3, 1.7, 5.0, 12.5]))
+        levels = [0.05, 0.3, 1.7, 5.0, 12.5]
+        u = omega.evaluate(np.array(levels))
         assert [float(v).hex() for v in u] == many.split()
         assert omega.evaluate(2.0).hex() == one
+        exact = Maximin(None if reward is SQRT else 1.0, 0.1, 12.5)
+        for x, got in zip(levels + [2.0], list(u) + [omega.evaluate(2.0)]):
+            assert abs(mpmath.mpf(float(got)) - exact(x)) <= omega.inversion_tol, x
+
+    @pytest.mark.parametrize("reward", [SQRT, LOG1P], ids=["sqrt", "custom"])
+    def test_levels_past_the_kink_cap_still_evaluate(self, reward, monkeypatch):
+        # past the last kink walked, the last segment extended to the largest
+        # float brackets the root, since ladder_sum is convex
+        monkeypatch.setattr(pol, "_LADDER_CAP", 4)
+        omega = pol.MaximinPolicy(reward, 0.1)
+        levels = np.linspace(1.0, 40.0, 40)
+        u = omega.evaluate(levels)
+        assert len(omega.kinks.x) == 5 and omega.kinks.x[-1] < 3.0
+        assert [float(v).hex() for v in u] == [omega.evaluate(x).hex() for x in levels]
+        exact = Maximin(None if reward is SQRT else 1.0, 0.1, 40.0)
+        for x, got in zip(levels, u):
+            assert abs(mpmath.mpf(float(got)) - exact(x)) <= omega.inversion_tol, x
+
+    @pytest.mark.parametrize("p", [1e-3, 0.01, 0.1, 0.5])
+    def test_the_certificate_mends_a_corrupt_kink(self, p):
+        # y_k read 1e-6 high: the interpolated start is off in the whole
+        # segment, and the residual moves each level back to its root
+        omega = pol.MaximinPolicy(SQRT, p)
+        omega.evaluate(20.0)  # walks the kinks past 20
+        k = 3
+        levels = np.linspace(omega._x[k - 1], omega._x[k], 41)[1:]
+        omega._y[k] += 1e-6
+        exact = Maximin(None, p, levels[-1])
+        for x, got in zip(levels, omega.evaluate(levels)):
+            assert abs(mpmath.mpf(float(got)) - exact(x)) <= omega.inversion_tol, x
 
     def test_output_admissible(self):
         omega = pol.MaximinPolicy(SQRT, 0.7)
