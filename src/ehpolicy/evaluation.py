@@ -16,7 +16,11 @@ Three evaluators of the long-run average reward per slot:
   * simulate: Monte Carlo over independent finite paths started empty, with
     one RNG stream per path spawned from the master seed, so a seed fixes
     the result bit for bit.  Draws come in time blocks, so memory stays flat
-    in the number of slots, and rewards are evaluated once per block.
+    in the number of slots.  On all-or-nothing arrivals every charge refills
+    the battery, so a path's level is a rung of the ladder the series walks,
+    indexed by the slots since its last charge: each rung is scored once and
+    each slot gathers its reward.  Any other law runs the slots one by one
+    over all paths, and rewards are evaluated once per block.
   * optimal_gain / policy_gain: relative value iteration on the capacity
     grid; they differ only in how they pick actions.  policy_gain starts
     its sweeps from one solve of the policy's bias, so its first sweep
@@ -46,7 +50,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .arrivals import ArrivalDistribution
+from .arrivals import ArrivalDistribution, BernoulliArrivals
 from .policies import FixedFractionPolicy, StationaryPolicy, maximin_policy
 from .rewards import RewardFunction, _check_fraction, _check_positive
 
@@ -83,9 +87,9 @@ class NonConvergenceError(RuntimeError):
     before the span criterion, or the Bernoulli series its rung cap before
     its tail bound (1-p)**n min(r(c), p r'(0) L_(n+1)) after n rungs,
     L_(n+1) the level left (see bernoulli_reward), dropped to tol; span
-    holds that criterion or bound.  needed is set when a fixed-fraction
-    series was predicted past its cap instead of walked: the rungs tol
-    would take, from _fraction_rungs."""
+    holds that criterion or bound.  needed is set when a series was
+    predicted past its cap instead of walked (a fixed-fraction ladder, or
+    one whose level stopped moving): the rungs tol would take."""
 
     def __init__(
         self,
@@ -180,14 +184,17 @@ def bernoulli_reward(
     the square of the first's rate when f = p.  Raises NonConvergenceError
     when neither stop comes within 10**6 rungs: at once, naming the rungs
     needed, for a fixed-fraction ladder that _fraction_rungs predicts past
-    the cap by more than its rounding.  Each rung runs only the policy's
-    scalar kernel _consume (levels are finite and nonnegative by
-    construction), rejects a consumption that is not as reward.value would,
-    and steps the level.  The rungs are buffered in blocks of _SLOT_BLOCK and
-    scored with one reward._value call a block; the value, climb and drift
-    sums below are then taken strictly in rung order from the running carry,
-    so every partial sum, and the rounding derived below, is that of a walk
-    that scores and adds one rung at a time.
+    the cap by more than its rounding, and at the end of its block for a
+    ladder that reaches a fixed point (a rung that leaves the level as it
+    was, so every later rung repeats it) whose geometric count,
+    _fixed_point_fails_fast, passes the cap the same way.  Each rung runs
+    only the policy's scalar kernel _consume (levels are finite and
+    nonnegative by construction), rejects a consumption that is not as
+    reward.value would, and steps the level.  The rungs are buffered in
+    blocks of _SLOT_BLOCK and scored with one reward._value call a block;
+    the value, climb and drift sums below are then taken strictly in rung
+    order from the running carry, so every partial sum, and the rounding
+    derived below, is that of a walk that scores and adds one rung at a time.
 
     residual is the tail bound left when the walk stopped, 0.0 when the
     reserve hit 0.  tolerance adds a bound on the walk's rounding (u = eps/2)
@@ -246,6 +253,8 @@ def bernoulli_reward(
         if residual <= tol:
             break
         if len(levels) == _SLOT_BLOCK:
+            if level == levels[-1]:  # a fixed point: every later rung repeats this one
+                _fixed_point_fails_fast(residual, rungs, shrink, tol, min(top, grade * level))
             carry = _fold_rungs(carry, reward, p, levels, spent, survivors)
     else:
         raise NonConvergenceError(residual, _SERIES_RUNGS, "Bernoulli series tail bound", "rungs")
@@ -296,6 +305,38 @@ def _fraction_rungs(
         return math.inf, 0.0
     needed = math.ceil(needed)
     return needed, 1.0 + 2.0 * float(np.finfo(float).eps) * (needed + 2) / rate
+
+
+def _fixed_point_fails_fast(
+    residual: float, rungs: int, shrink: float, tol: float, bound: float
+) -> None:
+    """Raise NonConvergenceError, naming the rungs needed, when a walk whose
+    level stopped moving at rung `rungs` would pass the cap by more than its
+    rounding before its tail bound drops to tol.
+
+    From then on the tail bound is the walk's survivor times bound, so it
+    falls by shrink a rung and drops to tol after log(residual / tol) / rate
+    more rungs, rate = -log(shrink), rounded up; never when shrink rounds to
+    1.  The survivor is shrink**n within (n + 1) eps/2 relative, so, as in
+    _fraction_rungs, the walk crosses within 1 + 2 eps (n + 2) / rate rungs
+    of that count.  No prediction for tol <= 0, which only an underflow of
+    the survivor meets.
+    """
+    if not tol > 0.0:
+        return
+    rate = -math.log(shrink)
+    needed, rounding = math.inf, 0.0
+    if rate > 0.0:
+        needed = rungs + math.ceil((math.log(residual) - math.log(tol)) / rate)
+        rounding = 1.0 + 2.0 * float(np.finfo(float).eps) * (needed + 2) / rate
+    if needed > _SERIES_RUNGS + rounding:
+        raise NonConvergenceError(
+            shrink**_SERIES_RUNGS * bound,
+            _SERIES_RUNGS,
+            "Bernoulli series tail bound",
+            "rungs",
+            needed=needed,
+        )
 
 
 def _fold_rungs(carry, reward: RewardFunction, p: float, levels, spent, survivors):
@@ -390,11 +431,20 @@ def simulate(
 
     Draws come in time blocks of _SLOT_BLOCK slots, each path's generator
     continuing where the last block stopped, so memory does not grow with n
-    and the draws equal one n-slot draw per path.  A slot runs only the
-    battery arithmetic and the policy's raw kernel, whose levels are finite
-    and nonnegative by construction.  Rewards are evaluated once per block
-    through reward.value, which rejects NaN or negative consumption, and
-    added to each path's total in slot order.
+    and the draws equal one n-slot draw per path.  Rewards are added to each
+    path's total in slot order.  Two paths run the slots:
+
+      * 0-or-c arrivals (BernoulliArrivals) by renewal: every charge fills
+        the battery to exactly c, so a path's level is the rung of the
+        reserve ladder from c indexed by the slots since its last charge, or
+        of the ladder from 0 before its first.  See _renewal_totals.
+      * any other law slot by slot: a slot runs only the battery arithmetic
+        and the policy's raw kernel _evaluate, on levels finite and
+        nonnegative by construction, and the block's consumptions are scored
+        at once.
+
+    Both score consumptions through reward.value, which rejects NaN or
+    negative ones, and give the same bits.
     """
     n, paths = int(n), int(paths)
     if n < 1 or paths < 2:
@@ -402,6 +452,8 @@ def simulate(
     c = arrivals.c
     seeds = np.random.SeedSequence(int(seed)).spawn(paths)
     streams = [np.random.default_rng(seed_seq) for seed_seq in seeds]
+    if isinstance(arrivals, BernoulliArrivals):
+        return _estimate(_renewal_totals(policy, arrivals, reward, n, streams), n)
     block = np.empty((min(n, _SLOT_BLOCK), paths))
     stored = np.zeros(paths)
     totals = np.zeros(paths)
@@ -415,12 +467,102 @@ def simulate(
             stored = lvl - row
         for gain in reward.value(rows):
             totals += gain
+    return _estimate(totals, n)
+
+
+def _estimate(totals: np.ndarray, n: int) -> EvaluationResult:
+    """simulate's result from each path's n-slot reward total."""
     means = totals / n
     value = float(np.mean(means))
-    stderr = float(np.std(means, ddof=1) / np.sqrt(paths))
+    stderr = float(np.std(means, ddof=1) / np.sqrt(len(totals)))
     return EvaluationResult(
         value=value, method="monte_carlo", stderr=stderr, tolerance=3.0 * stderr
     )
+
+
+class _Ladder:
+    """The rewards of the reserve ladder's rungs from one level, walked on
+    demand with bernoulli_reward's rung step u = min(_consume(L), L),
+    L -= u, and scored once each through reward.value.
+
+    The walk ends at the first rung whose step does not lower the level: a
+    fixed point, where the level stays as it was and every later rung
+    repeats this one, or a NaN or negative consumption, which reward.value
+    then rejects.  Past its last rung the table reads that rung.
+    """
+
+    def __init__(self, policy: StationaryPolicy, reward: RewardFunction, level: float):
+        self.consume, self.reward, self.level = policy._consume, reward, level
+        self.gains = np.empty(0)
+        self.ended = False
+
+    def through(self, rung: int) -> np.ndarray:
+        """The table, walked through `rung` or to its end."""
+        spent = []
+        level = self.level
+        while not self.ended and self.gains.size + len(spent) <= rung:
+            u = min(self.consume(level), level)
+            spent.append(u)
+            self.ended = not level - u < level
+            level -= u
+        if spent:
+            self.level = level
+            self.gains = np.concatenate((self.gains, self.reward.value(np.array(spent))))
+        return self.gains
+
+
+def _renewal_totals(
+    policy: StationaryPolicy,
+    arrivals: BernoulliArrivals,
+    reward: RewardFunction,
+    n: int,
+    streams: list,
+) -> np.ndarray:
+    """simulate's per-path reward totals on 0-or-c arrivals, by renewal.
+
+    A draw is exactly 0.0 or c (c * (u < p)), and min(L + c, c) is c for
+    every level L in [0, c], so a charge refills the battery to c and the
+    level after the arrival at slot t is rung t - s of the ladder from c,
+    s the slot of the last charge, or rung t of the ladder from 0 before the
+    first.  A rung L - u lies in [0, c], so the slot loop's min(L - u + 0.0, c)
+    is L - u and the rungs are its levels, bit for bit, for a policy whose
+    consumption at a level depends on that level alone.  Each time block
+    draws every path into a row of a path-major float block, carries each
+    path's last charge through np.maximum.accumulate on an int block, walks
+    the ladders only as far as the longest gap seen (_Ladder), gathers each
+    slot's reward from their tables, and adds them to the totals in slot
+    order with np.add.accumulate.
+    """
+    c, paths = arrivals.c, len(streams)
+    width = min(n, _SLOT_BLOCK)
+    block = np.empty(paths * width)  # flat, so that a short last block is contiguous too
+    counts = np.empty(paths * width, dtype=np.intp)
+    last = np.zeros(paths, dtype=np.intp)  # 1 + the slot of the last charge, 0 before one
+    totals = np.zeros(paths)
+    full, empty = _Ladder(policy, reward, c), _Ladder(policy, reward, 0.0)
+    for start in range(0, n, width):
+        cols = min(width, n - start)
+        rows = block[: paths * cols].reshape(paths, cols)
+        since = counts[: paths * cols].reshape(paths, cols)
+        for row, rng in zip(rows, streams):
+            row[:] = arrivals.sample(rng, cols)
+        slots = np.arange(start + 1, start + 1 + cols)  # 1 + each slot
+        np.multiply(rows == c, slots, out=since)
+        np.maximum(since[:, 0], last, out=since[:, 0])
+        np.maximum.accumulate(since, axis=1, out=since)
+        fresh = since == 0 if last.min() == 0 else None  # slots before a path's first charge
+        last = since[:, -1].copy()
+        np.subtract(slots, since, out=since)  # slots since the last charge; 1 + the slot if none
+        if fresh is not None:
+            rungs = since[fresh] - 1
+            since[fresh] = 0
+        np.take(full.through(int(since.max())), since, out=rows, mode="clip")
+        if fresh is not None:
+            rows[fresh] = empty.through(int(rungs.max(initial=0))).take(rungs, mode="clip")
+        rows[:, 0] += totals
+        np.add.accumulate(rows, axis=1, out=rows)
+        totals = rows[:, -1].copy()
+    return totals
 
 
 @dataclass(frozen=True)

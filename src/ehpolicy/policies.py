@@ -62,7 +62,14 @@ class StationaryPolicy(ABC):
 
     @abstractmethod
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
-        """Consumption for a 1-d array of stored-energy levels."""
+        """Consumption for a 1-d array of stored-energy levels.
+
+        Each level's consumption must depend on that level alone: not on the
+        other levels in the array, nor on earlier calls.  The series walk and
+        simulate's renewal path on 0-or-c arrivals evaluate one level at a
+        time through _consume, where the slot loop and value iteration
+        evaluate whole arrays, and they give the same bits only under this
+        contract.  Every policy here meets it."""
 
     def _consume(self, level: float) -> float:
         """Consumption at one finite, nonnegative level as a Python float: the

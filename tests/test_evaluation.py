@@ -47,6 +47,28 @@ class _AfterCalls(pol.StationaryPolicy):
         return 0.5 * arr if self.calls >= 0 else np.full_like(arr, self.bad)
 
 
+class _BadBelow(pol.StationaryPolicy):
+    """Consumes half the battery down to `floor`, then `bad`; nothing when
+    empty.  Stateless, so it runs the renewal path on 0-or-c arrivals."""
+
+    def __init__(self, floor, bad):
+        self.floor, self.bad = floor, bad
+
+    def _evaluate(self, arr):
+        return np.where((0.0 < arr) & (arr < self.floor), self.bad, 0.5 * arr)
+
+
+class _Fraction(pol.StationaryPolicy):
+    """Consumes a fixed fraction of the level without being a
+    FixedFractionPolicy, so the series walks it rung by rung."""
+
+    def __init__(self, fraction):
+        self.fraction = fraction
+
+    def _evaluate(self, arr):
+        return self.fraction * arr
+
+
 class _Rungs:
     """Stands in for a policy's _evaluate: lists the level of each call and
     answers a level asked before from memory, so a second walk down the same
@@ -266,15 +288,39 @@ class TestBernoulliSeries:
         assert 0 < tail <= res.residual <= 1e-15 or tail == res.value == 0.0
 
     def test_nonconvergence_names_the_series(self, monkeypatch):
-        # the level stays 1, so the tail bound is (1 - p)**n * p r'(0) * 1,
-        # which shrinks by 1e-7 a rung at p = 1e-7: no cap ends it
+        # the level falls by 1e-3 a rung and the survivor by 1e-7 at p = 1e-7,
+        # so the tail bound (1 - p)**n * p r'(0) L_(n+1) needs ~17 000 rungs:
+        # the walk, which no prediction cuts short, meets the cap first
         monkeypatch.setattr(ev, "_SERIES_RUNGS", 1000)
         message = r"^Bernoulli series tail bound \S+ after 1000 rungs$"
         with pytest.raises(ev.NonConvergenceError, match=message) as info:
-            ev.bernoulli_reward(_Idle(), AWGN1, 1.0, 1e-7)
+            ev.bernoulli_reward(_Fraction(1e-3), AWGN1, 1.0, 1e-7)
         assert info.value.iterations == 1000
-        bound = min(AWGN1.value(1.0), 1e-7 * AWGN1.marginal(0.0) * 1.0)
+        assert info.value.needed is None
+        bound = 1e-7 * AWGN1.marginal(0.0) * (1.0 - 1e-3) ** 1000
         assert info.value.span == pytest.approx(bound * (1.0 - 1e-7) ** 1000)
+
+    @pytest.mark.parametrize("c, p", [(1.0, 1e-7), (2.0, 1e-5)])
+    def test_a_fixed_point_past_the_cap_fails_fast(self, c, p):
+        # a policy that consumes nothing keeps the level at c, so from rung 1
+        # on the tail bound is (1 - p)**n * min(r(c), p r'(0) c) and needs
+        # ~1.8e8 (p = 1e-7) or ~2.3e6 rungs, past the 10**6 cap; the fixed
+        # point shows at the end of the first block, which raises
+        started = time.perf_counter()
+        with pytest.raises(ev.NonConvergenceError, match=r"tol needs \d+ rungs$") as info:
+            ev.bernoulli_reward(_Idle(), AWGN1, c, p)
+        assert time.perf_counter() - started < 1.0
+        bound = min(AWGN1.value(c), p * AWGN1.marginal(0.0) * c)
+        assert abs(info.value.needed - math.log(bound / 1e-15) / -math.log1p(-p)) <= 2
+        assert info.value.iterations == ev._SERIES_RUNGS
+        assert info.value.span == pytest.approx(bound * (1.0 - p) ** ev._SERIES_RUNGS)
+
+    def test_a_fixed_point_within_the_cap_still_walks(self, monkeypatch):
+        # the idle walk at p = 0.01 needs ~2 900 rungs, past one block, and
+        # keeps the bits of the walk that has no fixed-point prediction
+        want = ev.bernoulli_reward(_Idle(), AWGN1, 1.0, 0.01)
+        monkeypatch.setattr(ev, "_fixed_point_fails_fast", lambda *args: None)
+        assert ev.bernoulli_reward(_Idle(), AWGN1, 1.0, 0.01) == want
 
     @pytest.mark.parametrize("p", [1e-5, 1e-6])
     def test_fixed_fraction_past_the_cap_fails_fast(self, p):
@@ -1051,6 +1097,10 @@ def per_slot_simulate(policy, arrivals, reward, n, paths, seed):
 
 SIM_LAWS = {
     "bernoulli": arr.BernoulliArrivals(2.0, 0.3),
+    # at 1e-3 some paths stay uncharged for a whole block, and the fixed
+    # fraction's ladder reaches its subnormal fixed point after ~2 100 rungs
+    "bernoulli_rare": arr.BernoulliArrivals(2.0, 1e-3),
+    "bernoulli_dense": arr.BernoulliArrivals(2.0, 0.99),
     "uniform": arr.from_mcr("uniform", 2.0, 0.5),
     "exponential": arr.from_nmcr("exponential", 1.0, 0.5),
 }
@@ -1059,6 +1109,7 @@ SIM_POLICIES = {
     "fixed_fraction": (pol.FixedFractionPolicy(0.3), SQRT),
     "maximin_awgn": (pol.MaximinAwgnPolicy(1.0, 0.4), AWGN1),
     "maximin_sqrt": (pol.MaximinPolicy(SQRT, 0.4), SQRT),
+    "maximin_log1p": (pol.MaximinPolicy(LOG1P, 0.4), LOG1P),
 }
 
 
@@ -1067,9 +1118,10 @@ class TestSimulate:
     @pytest.mark.parametrize("kind", sorted(SIM_POLICIES))
     @pytest.mark.parametrize("paths", [2, 64])
     def test_matches_the_per_slot_loop_bit_for_bit(self, law, kind, paths, monkeypatch):
-        # the bisection policy is slow per slot, so its blocks are shortened;
-        # the block boundaries are then crossed as often as at full length
-        if kind == "maximin_sqrt":
+        # the inverting policies are slow per slot, so their blocks are
+        # shortened; the block boundaries are then crossed as often as at full
+        # length, and on 0-or-c arrivals so are the slot counts since a charge
+        if kind in ("maximin_sqrt", "maximin_log1p"):
             monkeypatch.setattr(ev, "_SLOT_BLOCK", 8)
         block = ev._SLOT_BLOCK
         policy, reward = SIM_POLICIES[kind]
@@ -1078,6 +1130,14 @@ class TestSimulate:
             want = per_slot_simulate(policy, SIM_LAWS[law], reward, n, paths, seed=n)
             assert (res.value, res.stderr) == want, n
 
+    def test_the_renewal_ladder_ends_at_its_fixed_point(self):
+        # 0.3 L rounds to 0 once L is the least subnormal, which then stays
+        ladder = ev._Ladder(pol.FixedFractionPolicy(0.3), SQRT, 2.0)
+        gains = ladder.through(10**4)
+        assert ladder.ended and ladder.level == 5e-324
+        assert 2000 < gains.size < 2200
+        assert gains[-1] == SQRT.value(0.0)
+
     @pytest.mark.parametrize("bad", [-0.25, math.nan])
     @pytest.mark.parametrize("calls", [0, ev._SLOT_BLOCK + 3])
     def test_invalid_consumption_is_rejected(self, bad, calls):
@@ -1085,8 +1145,18 @@ class TestSimulate:
         with pytest.raises(ValueError, match="u must be finite and nonnegative"):
             ev.simulate(_AfterCalls(calls, bad), dist, AWGN1, 2 * ev._SLOT_BLOCK, 4, seed=0)
 
-    def test_memory_does_not_grow_with_slots(self):
-        dist = arr.BernoulliArrivals(2.0, 0.5)
+    @pytest.mark.parametrize("bad", [-0.25, math.nan])
+    @pytest.mark.parametrize("law", ["bernoulli", "uniform"])
+    def test_invalid_stationary_consumption_is_rejected(self, bad, law):
+        # from c = 2 the ladder halves to 1, 0.5 and 0.25, where `bad` starts;
+        # on 0-or-c arrivals that rung comes from the renewal path's table
+        with pytest.raises(ValueError, match="u must be finite and nonnegative"):
+            ev.simulate(_BadBelow(0.3, bad), SIM_LAWS[law], AWGN1, 2 * ev._SLOT_BLOCK, 4, seed=0)
+
+    @pytest.mark.parametrize("law", ["bernoulli", "uniform"])
+    def test_memory_does_not_grow_with_slots(self, law):
+        # the renewal path on 0-or-c arrivals, the slot loop on the others
+        dist = SIM_LAWS[law]
 
         def peak(n):
             tracemalloc.start()
