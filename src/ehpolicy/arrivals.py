@@ -85,8 +85,12 @@ class ArrivalDistribution:
 
     # -- sampling and discretization -----------------------------------------
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw capped arrivals using the supplied generator."""
+    def sample(self, rng: np.random.Generator, size=None, out=None):
+        """Draw capped arrivals using the supplied generator.
+
+        With out, a C-contiguous float64 array of shape size, the draws are
+        written into it and it is returned, with the bits of a fresh draw.
+        """
         raise NotImplementedError
 
     def discretize(self, cells: int) -> DiscretizedPMF:
@@ -133,8 +137,8 @@ class BernoulliArrivals(ArrivalDistribution):
     def mcr(self) -> float:
         return self.p
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.c * (rng.random(size) < self.p)
+    def sample(self, rng: np.random.Generator, size=None, out=None):
+        return np.multiply(rng.random(size, out=out) < self.p, self.c, out=out)
 
 
 class LimitedUniformArrivals(ArrivalDistribution):
@@ -160,8 +164,9 @@ class LimitedUniformArrivals(ArrivalDistribution):
     def nmcr(self) -> float:
         return self.b / (2.0 * self.c)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return np.minimum(self.b * rng.random(size), self.c)
+    def sample(self, rng: np.random.Generator, size=None, out=None):
+        drawn = np.multiply(rng.random(size, out=out), self.b, out=out)
+        return np.minimum(drawn, self.c, out=out)
 
 
 class LimitedExponentialArrivals(ArrivalDistribution):
@@ -185,8 +190,10 @@ class LimitedExponentialArrivals(ArrivalDistribution):
     def nmcr(self) -> float:
         return 1.0 / (self.rate * self.c)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return np.minimum(rng.exponential(1.0 / self.rate, size), self.c)
+    def sample(self, rng: np.random.Generator, size=None, out=None):
+        # rng.exponential(scale) is scale times the standard draw, bit for bit
+        drawn = np.multiply(rng.standard_exponential(size, out=out), 1.0 / self.rate, out=out)
+        return np.minimum(drawn, self.c, out=out)
 
 
 def _exponential_nmcr_for_mcr(p: float) -> float:

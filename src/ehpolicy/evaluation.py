@@ -19,8 +19,11 @@ Three evaluators of the long-run average reward per slot:
     in the number of slots.  On all-or-nothing arrivals every charge refills
     the battery, so a path's level is a rung of the ladder the series walks,
     indexed by the slots since its last charge: each rung is scored once and
-    each slot gathers its reward.  Any other law runs the slots one by one
-    over all paths, and rewards are evaluated once per block.
+    each slot gathers its reward.  On any other law the built-in policies
+    run chunks of slots side by side, each from a full battery, and splice
+    each chunk onto the true path where the two levels meet; other policies
+    run the slots one by one over all paths.  Rewards are evaluated once per
+    block.
   * optimal_gain / policy_gain: relative value iteration on the capacity
     grid; they differ only in how they pick actions.  policy_gain starts
     its sweeps from one solve of the policy's bias, so its first sweep
@@ -51,7 +54,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .arrivals import ArrivalDistribution, BernoulliArrivals
-from .policies import FixedFractionPolicy, StationaryPolicy, maximin_policy
+from .policies import (
+    FixedFractionPolicy,
+    GreedyPolicy,
+    MaximinAwgnPolicy,
+    MaximinPolicy,
+    StationaryPolicy,
+    maximin_policy,
+)
 from .rewards import RewardFunction, _check_fraction, _check_positive
 
 __all__ = [
@@ -73,9 +83,11 @@ __all__ = [
 _ADMISSIBILITY_SLACK = 1e-9
 _SERIES_RUNGS = 1_000_000  # bernoulli_reward's rung cap
 # slots per simulate block and rungs per series block: a simulate block holds
-# two block-by-paths arrays and costs one `sample` call per path, a series
-# block one reward._value call, so blocks are long but memory stays flat
+# two or three block-by-paths arrays and costs one `sample` call per path, a
+# series block one reward._value call, so blocks are long but memory stays flat
 _SLOT_BLOCK = 1024
+# slots per chunk of simulate's time-parallel pass over a block
+_CHUNK = 64
 
 
 class AdmissibilityError(ValueError):
@@ -432,19 +444,31 @@ def simulate(
     Draws come in time blocks of _SLOT_BLOCK slots, each path's generator
     continuing where the last block stopped, so memory does not grow with n
     and the draws equal one n-slot draw per path.  Rewards are added to each
-    path's total in slot order.  Two paths run the slots:
+    path's total in slot order.  Three paths run the slots:
 
       * 0-or-c arrivals (BernoulliArrivals) by renewal: every charge fills
         the battery to exactly c, so a path's level is the rung of the
         reserve ladder from c indexed by the slots since its last charge, or
         of the ladder from 0 before its first.  See _renewal_totals.
-      * any other law slot by slot: a slot runs only the battery arithmetic
-        and the policy's raw kernel _evaluate, on levels finite and
-        nonnegative by construction, and the block's consumptions are scored
-        at once.
+      * any other law, for the built-in policies (GreedyPolicy,
+        FixedFractionPolicy, MaximinPolicy and MaximinAwgnPolicy, by exact
+        type), in chunks of _CHUNK slots run side by side and spliced where
+        a chunk's copy meets the true path.  A slot's outcome depends only
+        on the stored level and the draw, under _evaluate's per-level
+        contract, so two copies of a path that hold equal levels after the
+        same slot run on with equal bits.  See _spliced_block.  A block in
+        which a chunk's copy, other than the last chunk's, does not meet
+        within its chunk is finished slot by slot, and so is the rest of
+        the call: on slow-mixing laws this costs one block's chunk passes.
+      * any other law and policy slot by slot: a slot runs only the battery
+        arithmetic and the policy's raw kernel _evaluate, on levels finite
+        and nonnegative by construction, over all paths.  A subclass of a
+        built-in policy runs here too: it may override _evaluate without
+        keeping its per-level contract.
 
-    Both score consumptions through reward.value, which rejects NaN or
-    negative ones, and give the same bits.
+    Each path samples its block of draws into its own row (sample's out=).
+    All three paths score the block's consumptions through reward.value,
+    which rejects NaN or negative ones, and give the same bits.
     """
     n, paths = int(n), int(paths)
     if n < 1 or paths < 2:
@@ -454,20 +478,109 @@ def simulate(
     streams = [np.random.default_rng(seed_seq) for seed_seq in seeds]
     if isinstance(arrivals, BernoulliArrivals):
         return _estimate(_renewal_totals(policy, arrivals, reward, n, streams), n)
-    block = np.empty((min(n, _SLOT_BLOCK), paths))
+    chunked = type(policy) in (GreedyPolicy, FixedFractionPolicy, MaximinPolicy, MaximinAwgnPolicy)
+    width = min(n, _SLOT_BLOCK)
+    span = -(-width // _CHUNK) * _CHUNK
+    draws = np.empty((paths, span))  # path-major, each path's draws a row
+    spent = np.empty((span, paths))  # slot-major, each slot's consumptions a row
+    full = np.empty_like(spent) if chunked else None
     stored = np.zeros(paths)
     totals = np.zeros(paths)
-    for start in range(0, n, len(block)):
-        rows = block[: n - start]
-        for idx, rng in enumerate(streams):
-            rows[:, idx] = arrivals.sample(rng, len(rows))
-        for row in rows:  # the slot's draws, overwritten by its consumption
-            lvl = np.minimum(stored + row, c)
-            np.minimum(policy._evaluate(lvl), lvl, out=row)
-            stored = lvl - row
-        for gain in reward.value(rows):
-            totals += gain
+    for start in range(0, n, width):
+        cols = min(width, n - start)
+        for row, rng in zip(draws, streams):
+            arrivals.sample(rng, cols, out=row[:cols])
+        if chunked:
+            stored, chunked = _spliced_block(policy, draws, spent, full, stored, c, cols)
+        else:
+            stored = _slot_steps(policy, draws[:, :cols], spent[:cols], stored, c)
+        gains = reward.value(spent[:cols])
+        gains[0] += totals
+        totals = np.add.accumulate(gains, out=gains)[-1].copy()  # slot order
     return _estimate(totals, n)
+
+
+def _slot_steps(policy, draws, spent, level, c):
+    """Run the slots one by one over all paths from `level`, reading each
+    slot's draws from a column of draws and writing its consumptions into
+    a row of spent, and return the level carried out of the last."""
+    for col, row in zip(draws.T, spent):
+        lvl = np.minimum(level + col, c)
+        np.minimum(policy._evaluate(lvl), lvl, out=row)
+        level = lvl - row
+    return level
+
+
+def _spliced_block(policy, draws, spent, full, level, c, cols):
+    """simulate's time-parallel pass over one block of `cols` slots, whose
+    draws are in the path-major draws[:, :cols]: writes the slots'
+    consumptions into spent[:cols] and returns the level carried out of the
+    block, and whether every chunk but the last met its full copy.
+
+    The block is cut into chunks of _CHUNK slots, the last one possibly
+    short.  Pass 1 runs a copy of every chunk of every path from a full
+    battery, all side by side, keeping each slot's consumption in spent and
+    its stored level in full.  Pass 2 starts a spliced copy of chunk 0 from
+    `level` and of chunk k from the end of chunk k - 1's full copy, and runs
+    them side by side, writing a copy's consumptions until, after some slot,
+    its level equals its full copy's bit for bit (==).  From that slot on
+    the two meet the same draws from the same level, so the full copy's
+    consumptions stand.  If every chunk but the last met, each spliced copy
+    started from the true level, by induction from chunk 0, and spent holds
+    the true consumptions; the last chunk's copy is written to the block's
+    end wherever it did not meet.  Otherwise the earliest chunk that did
+    not meet started from the true level, and the slot loop reruns the
+    block from there.
+
+    Each step is the slot loop's arithmetic on an array of levels, each of
+    one path at one slot, so it gives the slot loop's bits under
+    _evaluate's per-level contract, which the built-in policies meet.  Their
+    consumption and reserve are also nondecreasing in the level, so a copy
+    stays at or below its full copy, up to rounding, and the two meet once
+    both empty or both fill: within a few slots on most laws.
+    """
+    paths, span = draws.shape
+    chunks = -(-cols // _CHUNK)
+    tail = cols - (chunks - 1) * _CHUNK  # the slots of the last chunk
+    # (chunk, slot in the chunk, path) views of the three buffers
+    d3 = draws.reshape(paths, -1, _CHUNK)[:, :chunks].transpose(1, 2, 0)
+    s3, f3 = (a.reshape(-1, _CHUNK, paths)[:chunks] for a in (spent, full))
+    stored = np.full((chunks, paths), c)
+    for s in range(_CHUNK):
+        k = chunks if s < tail else chunks - 1
+        if k == 0:
+            break
+        lvl = np.minimum(stored[:k] + d3[:k, s], c)
+        u = policy._evaluate(lvl.ravel()).reshape(lvl.shape)
+        stored = np.subtract(lvl, np.minimum(u, lvl, out=s3[:k, s]), out=f3[:k, s])
+    starts = np.concatenate((level, f3[:-1, -1].ravel()))  # chunk k's spliced start
+    end = f3[-1, tail - 1].copy()
+    # the copies still going: their chunk and path, the flat offsets of
+    # their chunk's first draw and first consumption, and their levels
+    chunk, path = np.divmod(np.arange(chunks * paths), paths)
+    at_draw = path * span + chunk * _CHUNK
+    offset = chunk * (_CHUNK * paths) + path
+    x = starts
+    d1, s1, f1 = draws.ravel(), spent.ravel(), full.ravel()
+    for s in range(_CHUNK):
+        at = offset + s * paths
+        lvl = np.minimum(x + d1.take(at_draw + s), c)
+        u = np.minimum(policy._evaluate(lvl), lvl)
+        s1[at] = u
+        x = lvl - u
+        going = x != f1.take(at)
+        if s == tail - 1:  # the last chunk ends here
+            last = chunk == chunks - 1
+            end[path[last]] = x[last]
+            going &= ~last
+        if not going.all():
+            chunk, path, offset, at_draw, x = (v[going] for v in (chunk, path, offset, at_draw, x))
+            if not x.size:
+                return end, True
+    first = int(chunk.min())
+    lo = first * _CHUNK
+    level = starts[first * paths : (first + 1) * paths]
+    return _slot_steps(policy, draws[:, lo:cols], spent[lo:cols], level, c), False
 
 
 def _estimate(totals: np.ndarray, n: int) -> EvaluationResult:
@@ -545,7 +658,7 @@ def _renewal_totals(
         rows = block[: paths * cols].reshape(paths, cols)
         since = counts[: paths * cols].reshape(paths, cols)
         for row, rng in zip(rows, streams):
-            row[:] = arrivals.sample(rng, cols)
+            arrivals.sample(rng, cols, out=row)
         slots = np.arange(start + 1, start + 1 + cols)  # 1 + each slot
         np.multiply(rows == c, slots, out=since)
         np.maximum(since[:, 0], last, out=since[:, 0])

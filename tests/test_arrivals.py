@@ -190,3 +190,43 @@ class TestDiscretize:
     def test_cells_validated(self):
         with pytest.raises(ValueError):
             arr.BernoulliArrivals(1.0, 0.5).discretize(0)
+
+
+# each family's draws as written before sample took out=
+SAMPLE_REFERENCE = {
+    "bernoulli": lambda d, rng, n: d.c * (rng.random(n) < d.p),
+    "uniform": lambda d, rng, n: np.minimum(d.b * rng.random(n), d.c),
+    "exponential": lambda d, rng, n: np.minimum(rng.exponential(1.0 / d.rate, n), d.c),
+}
+
+
+class TestSampleInto:
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            arr.BernoulliArrivals(2.0, 0.3),
+            arr.LimitedUniformArrivals(2.0, 1.5),  # below the capacity
+            arr.LimitedUniformArrivals(2.0, 3.0),  # with an atom at c
+            arr.LimitedExponentialArrivals(1.0, 2.0),
+            arr.LimitedExponentialArrivals(3.0, 0.1),
+        ],
+        ids=lambda d: f"{d.family}-{d.c}",
+    )
+    @pytest.mark.parametrize("size", [None, 1, 7, 1024])
+    def test_out_gives_the_same_draws(self, dist, size):
+        def hexes(x):
+            return [v.hex() for v in np.atleast_1d(x).tolist()]
+
+        plain = np.random.default_rng(11)
+        want = SAMPLE_REFERENCE[dist.family](dist, plain, size)
+        fresh = dist.sample(np.random.default_rng(11), size)
+        assert isinstance(fresh, type(want)) and hexes(fresh) == hexes(want)
+        if size is None:
+            return
+        row = np.full(size + 3, -1.0)  # a caller's row, longer than the draw
+        rng = np.random.default_rng(11)
+        got = dist.sample(rng, size, out=row[:size])
+        assert np.shares_memory(got, row) and got.shape == (size,)
+        assert hexes(row[:size]) == hexes(want)
+        assert (row[size:] == -1.0).all()
+        assert rng.random() == plain.random()  # both generators stand at the same place

@@ -98,6 +98,16 @@ class _ScalarRungs:
         return self.seen[level]
 
 
+class _Tiring(pol.FixedFractionPolicy):
+    """A fixed fraction that shrinks a little each time it is asked: a
+    subclass of a built-in policy whose _evaluate breaks the per-level
+    contract."""
+
+    def _evaluate(self, arr):
+        self.p *= 0.999
+        return self.p * arr
+
+
 class _Idle(pol.StationaryPolicy):
     """Consumes nothing, so the battery never empties."""
 
@@ -1102,6 +1112,9 @@ SIM_LAWS = {
     "bernoulli_rare": arr.BernoulliArrivals(2.0, 1e-3),
     "bernoulli_dense": arr.BernoulliArrivals(2.0, 0.99),
     "uniform": arr.from_mcr("uniform", 2.0, 0.5),
+    # slow mixing: the fixed fraction's and the maximin's chunks do not all
+    # meet within _CHUNK slots, so the slot loop takes over
+    "uniform_slow": arr.from_mcr("uniform", 8.0, 0.1),
     "exponential": arr.from_nmcr("exponential", 1.0, 0.5),
 }
 SIM_POLICIES = {
@@ -1123,12 +1136,72 @@ class TestSimulate:
         # length, and on 0-or-c arrivals so are the slot counts since a charge
         if kind in ("maximin_sqrt", "maximin_log1p"):
             monkeypatch.setattr(ev, "_SLOT_BLOCK", 8)
-        block = ev._SLOT_BLOCK
+        block, chunk = ev._SLOT_BLOCK, ev._CHUNK
         policy, reward = SIM_POLICIES[kind]
-        for n in (1, block - 1, block, block + 1, 3 * block + 7):
+        # chunk boundaries, and a short last chunk in a short last block
+        chunks = (chunk - 1, chunk, chunk + 1, 2 * block + chunk + 5)
+        for n in (1, block - 1, block, block + 1, 3 * block + 7) + chunks:
             res = ev.simulate(policy, SIM_LAWS[law], reward, n, paths, seed=n)
             want = per_slot_simulate(policy, SIM_LAWS[law], reward, n, paths, seed=n)
             assert (res.value, res.stderr) == want, n
+
+    @pytest.mark.parametrize(
+        "paths,blocks", [(2, [True] * 7 + [False]), (64, [False])], ids=["mid-call", "first-block"]
+    )
+    def test_the_slot_loop_takes_over_where_a_chunk_does_not_meet(self, paths, blocks, monkeypatch):
+        # with 3-slot chunks the fixed fraction's copies often do not meet
+        # in time: with 2 paths first in the eighth block, with 64 in the first
+        monkeypatch.setattr(ev, "_CHUNK", 3)
+        monkeypatch.setattr(ev, "_SLOT_BLOCK", 8)
+        met = []
+        spliced = ev._spliced_block
+
+        def spy(*args):
+            out = spliced(*args)
+            met.append(out[1])
+            return out
+
+        monkeypatch.setattr(ev, "_spliced_block", spy)
+        policy, reward, law, n = pol.FixedFractionPolicy(0.3), SQRT, SIM_LAWS["uniform"], 85
+        res = ev.simulate(policy, law, reward, n, paths, seed=0)
+        assert (res.value, res.stderr) == per_slot_simulate(policy, law, reward, n, paths, seed=0)
+        # whether each block's chunks met; none run after the first that did not
+        assert met == blocks
+
+    @pytest.mark.parametrize("kind", ["greedy", "fixed_fraction", "maximin_awgn"])
+    @pytest.mark.parametrize("law", ["uniform", "uniform_slow"])
+    def test_blocks_shorter_than_a_chunk(self, kind, law, monkeypatch):
+        monkeypatch.setattr(ev, "_SLOT_BLOCK", 8)
+        policy, reward = SIM_POLICIES[kind]
+        for n in (7, 8, 9, 100):
+            res = ev.simulate(policy, SIM_LAWS[law], reward, n, 16, seed=n)
+            want = per_slot_simulate(policy, SIM_LAWS[law], reward, n, 16, seed=n)
+            assert (res.value, res.stderr) == want, n
+
+    @pytest.mark.parametrize("law", ["uniform", "exponential"])
+    def test_a_stateful_subclass_keeps_the_slot_loop(self, law):
+        # its consumption depends on how often it was asked, which only the
+        # slot loop, one call a slot, reproduces
+        def run(simulator):
+            policy = _Tiring(0.3)
+            return simulator(policy, SIM_LAWS[law], SQRT, 2 * ev._SLOT_BLOCK + 9, 8, 3)
+
+        res = run(ev.simulate)
+        assert (res.value, res.stderr) == run(per_slot_simulate)
+
+    @pytest.mark.parametrize("kind", ["greedy", "fixed_fraction", "maximin_awgn"])
+    def test_the_chunks_run_on_mc_longs_law(self, kind):
+        # the slot loop calls _evaluate once a slot, the chunks far fewer times
+        policy, reward = SIM_POLICIES[kind]
+        calls = []
+        kernel = policy._evaluate
+        policy._evaluate = lambda arr: calls.append(arr.size) or kernel(arr)
+        try:
+            n = 20 * ev._SLOT_BLOCK
+            ev.simulate(policy, arr.from_mcr("uniform", 2.0, 0.5), reward, n, 64, seed=1)
+        finally:
+            del policy._evaluate
+        assert 0 < len(calls) <= n / 4, len(calls)
 
     def test_the_renewal_ladder_ends_at_its_fixed_point(self):
         # 0.3 L rounds to 0 once L is the least subnormal, which then stays
@@ -1153,15 +1226,23 @@ class TestSimulate:
         with pytest.raises(ValueError, match="u must be finite and nonnegative"):
             ev.simulate(_BadBelow(0.3, bad), SIM_LAWS[law], AWGN1, 2 * ev._SLOT_BLOCK, 4, seed=0)
 
-    @pytest.mark.parametrize("law", ["bernoulli", "uniform"])
-    def test_memory_does_not_grow_with_slots(self, law):
-        # the renewal path on 0-or-c arrivals, the slot loop on the others
+    @pytest.mark.parametrize(
+        "law,kind",
+        [
+            ("bernoulli", "greedy"),  # the renewal path
+            ("uniform", "greedy"),  # the chunks
+            ("uniform", "maximin_awgn"),
+            ("uniform", "custom"),  # the slot loop
+        ],
+    )
+    def test_memory_does_not_grow_with_slots(self, law, kind):
         dist = SIM_LAWS[law]
+        policy, reward = SIM_POLICIES[kind] if kind != "custom" else (_Fraction(0.3), AWGN1)
 
         def peak(n):
             tracemalloc.start()
             try:
-                ev.simulate(pol.GreedyPolicy(), dist, AWGN1, n, 16, seed=0)
+                ev.simulate(policy, dist, reward, n, 16, seed=0)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
