@@ -138,6 +138,10 @@ class BernoulliArrivals(ArrivalDistribution):
         return self.p
 
     def sample(self, rng: np.random.Generator, size=None, out=None):
+        """c * (u < p) for uniforms u from rng.random: a draw is exactly c
+        when its uniform is below p, else 0.0.  simulate's renewal path
+        draws the same uniforms and compares them to p without this call,
+        so its charges are these draws, bit for bit."""
         return np.multiply(rng.random(size, out=out) < self.p, self.c, out=out)
 
 

@@ -83,11 +83,14 @@ __all__ = [
 _ADMISSIBILITY_SLACK = 1e-9
 _SERIES_RUNGS = 1_000_000  # bernoulli_reward's rung cap
 # slots per simulate block and rungs per series block: a simulate block holds
-# two or three block-by-paths arrays and costs one `sample` call per path, a
+# two or three block-by-paths arrays and costs one draw call per path, a
 # series block one reward._value call, so blocks are long but memory stays flat
 _SLOT_BLOCK = 1024
 # slots per chunk of simulate's time-parallel pass over a block
 _CHUNK = 64
+# slot rows per np.take in the renewal path, whose intp index copy is this
+# many rows of paths
+_GATHER_ROWS = 128
 
 
 class AdmissibilityError(ValueError):
@@ -250,7 +253,9 @@ def bernoulli_reward(
     survivors: list[float] = []
     consume = policy._consume
     for rungs in range(1, _SERIES_RUNGS + 1):
-        u = min(consume(level), level)
+        u = consume(level)
+        if level < u:  # min(u, level), without the builtin's call
+            u = level
         if not 0.0 <= u <= level:
             raise ValueError("u must be finite and nonnegative")
         levels.append(level)
@@ -261,7 +266,8 @@ def bernoulli_reward(
         if level == 0.0:
             residual = 0.0
             break
-        residual = survivor * min(top, grade * level)
+        bound = grade * level
+        residual = survivor * (bound if bound < top else top)  # min(top, bound)
         if residual <= tol:
             break
         if len(levels) == _SLOT_BLOCK:
@@ -466,9 +472,12 @@ def simulate(
         built-in policy runs here too: it may override _evaluate without
         keeping its per-level contract.
 
-    Each path samples its block of draws into its own row (sample's out=).
-    All three paths score the block's consumptions through reward.value,
-    which rejects NaN or negative ones, and give the same bits.
+    Each path's generator fills its own row of the block: on 0-or-c
+    arrivals with bare uniforms, which one comparison to p over the whole
+    block turns into sample's charges bit for bit, and on any other law
+    through sample's out=.  All three ways score the block's consumptions
+    through reward.value, which rejects NaN or negative ones, and give the
+    same bits.
     """
     n, paths = int(n), int(paths)
     if n < 1 or paths < 2:
@@ -612,9 +621,11 @@ class _Ladder:
     def through(self, rung: int) -> np.ndarray:
         """The table, walked through `rung` or to its end."""
         spent = []
-        level = self.level
+        level, consume = self.level, self.consume
         while not self.ended and self.gains.size + len(spent) <= rung:
-            u = min(self.consume(level), level)
+            u = consume(level)
+            if level < u:
+                u = level
             spent.append(u)
             self.ended = not level - u < level
             level -= u
@@ -639,42 +650,59 @@ def _renewal_totals(
     s the slot of the last charge, or rung t of the ladder from 0 before the
     first.  A rung L - u lies in [0, c], so the slot loop's min(L - u + 0.0, c)
     is L - u and the rungs are its levels, bit for bit, for a policy whose
-    consumption at a level depends on that level alone.  Each time block
-    draws every path into a row of a path-major float block, carries each
-    path's last charge through np.maximum.accumulate on an int block, walks
-    the ladders only as far as the longest gap seen (_Ladder), gathers each
-    slot's reward from their tables, and adds them to the totals in slot
-    order with np.add.accumulate.
+    consumption at a level depends on that level alone.
+
+    Each time block draws every path's uniforms into a row of a path-major
+    float block (a draw is c exactly when its uniform is below p, as in
+    BernoulliArrivals.sample), marks the charges with one comparison, and
+    copies the marks once into a slot-major block.  Everything after runs
+    over whole slot rows: each slot's 1 + slot where a path charged, a
+    running maximum row by row for the last charge, the slots since it,
+    the rewards gathered from the ladders' tables, walked only as far as
+    the longest gap seen (_Ladder), and the totals, to which the rows are
+    added in slot order.  The counts are int32 while n allows; the gather
+    runs in slices of _GATHER_ROWS rows, since np.take widens its indices
+    to intp.  The marks live in the other buffer's dead bytes: the
+    path-major ones in the counts', the slot-major ones in the uniforms'.
     """
     c, paths = arrivals.c, len(streams)
     width = min(n, _SLOT_BLOCK)
+    count = np.int32 if n + 1 < 2**31 else np.intp
     block = np.empty(paths * width)  # flat, so that a short last block is contiguous too
-    counts = np.empty(paths * width, dtype=np.intp)
-    last = np.zeros(paths, dtype=np.intp)  # 1 + the slot of the last charge, 0 before one
+    counts = np.empty(paths * width, dtype=count)
+    last = np.zeros(paths, dtype=count)  # 1 + the slot of the last charge, 0 before one
     totals = np.zeros(paths)
     full, empty = _Ladder(policy, reward, c), _Ladder(policy, reward, 0.0)
     for start in range(0, n, width):
         cols = min(width, n - start)
-        rows = block[: paths * cols].reshape(paths, cols)
-        since = counts[: paths * cols].reshape(paths, cols)
-        for row, rng in zip(rows, streams):
-            arrivals.sample(rng, cols, out=row)
-        slots = np.arange(start + 1, start + 1 + cols)  # 1 + each slot
-        np.multiply(rows == c, slots, out=since)
-        np.maximum(since[:, 0], last, out=since[:, 0])
-        np.maximum.accumulate(since, axis=1, out=since)
-        fresh = since == 0 if last.min() == 0 else None  # slots before a path's first charge
-        last = since[:, -1].copy()
+        size = paths * cols
+        uniforms = block[:size].reshape(paths, cols)
+        for row, rng in zip(uniforms, streams):
+            rng.random(cols, out=row)
+        charged = counts.view(np.bool_)[:size].reshape(paths, cols)
+        np.less(uniforms, arrivals.p, out=charged)
+        hits = block.view(np.bool_)[:size].reshape(cols, paths)  # slot-major from here
+        np.copyto(hits, charged.T)
+        since = counts[:size].reshape(cols, paths)
+        slots = np.arange(start + 1, start + 1 + cols, dtype=count)[:, None]  # 1 + each slot
+        np.multiply(hits, slots, out=since)
+        for row in since:  # 1 + the slot of the last charge so far, in slot order
+            last = np.maximum(last, row, out=row)
+        last = last.copy()  # since's last row, kept past the next block's writes
+        fresh = since == 0 if since[0].min() == 0 else None  # slots before a path's first charge
         np.subtract(slots, since, out=since)  # slots since the last charge; 1 + the slot if none
         if fresh is not None:
             rungs = since[fresh] - 1
             since[fresh] = 0
-        np.take(full.through(int(since.max())), since, out=rows, mode="clip")
+        gains = block[:size].reshape(cols, paths)
+        table = full.through(int(since.max()))
+        for lo in range(0, cols, _GATHER_ROWS):
+            hi = lo + _GATHER_ROWS
+            np.take(table, since[lo:hi], out=gains[lo:hi], mode="clip")
         if fresh is not None:
-            rows[fresh] = empty.through(int(rungs.max(initial=0))).take(rungs, mode="clip")
-        rows[:, 0] += totals
-        np.add.accumulate(rows, axis=1, out=rows)
-        totals = rows[:, -1].copy()
+            gains[fresh] = empty.through(int(rungs.max(initial=0))).take(rungs, mode="clip")
+        for row in gains:
+            totals += row
     return totals
 
 

@@ -370,10 +370,14 @@ def ergodic_levels(policy: StationaryPolicy, c: float) -> np.ndarray:
     c = _check_positive(c)
     levels = [c]
     level = c
+    consume = policy._consume
     while level > 0.0:
         if len(levels) > _LADDER_CAP:
             raise RuntimeError(f"maximin ladder from {c!r} not at 0 after {_LADDER_CAP} rungs")
-        level -= min(policy._consume(level), level)
+        u = consume(level)
+        if level < u:  # min(u, level), without the builtin's call
+            u = level
+        level -= u
         levels.append(level)
     return np.asarray(levels)
 

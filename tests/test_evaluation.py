@@ -1145,6 +1145,32 @@ class TestSimulate:
             want = per_slot_simulate(policy, SIM_LAWS[law], reward, n, paths, seed=n)
             assert (res.value, res.stderr) == want, n
 
+    @pytest.mark.parametrize("kind", ["greedy", "fixed_fraction"])
+    @pytest.mark.parametrize("paths", [3, 1024])
+    def test_renewal_blocks_of_mc_wides_shape(self, kind, paths):
+        # 1 024 paths make a full block square, where an axis swapped in a
+        # reshape or transpose raises nothing; the short last block and 3
+        # paths, which do not divide it, leave no two axes of equal length
+        policy, reward = SIM_POLICIES[kind]
+        law, n = arr.BernoulliArrivals(2.0, 0.5), 2 * ev._SLOT_BLOCK + 7
+        res = ev.simulate(policy, law, reward, n, paths, seed=5)
+        assert (res.value, res.stderr) == per_slot_simulate(policy, law, reward, n, paths, seed=5)
+
+    def test_the_renewal_block_holds_less_than_two_float_blocks(self):
+        # the uniforms' float block and the int32 counts, with the charges in
+        # their dead bytes and np.take's intp index copy a slice of rows at a
+        # time; a whole block's index copy, or a second float block, passes it
+        policy, reward = SIM_POLICIES["greedy"]
+        law, paths = arr.BernoulliArrivals(2.0, 0.5), 256
+        ev.simulate(policy, law, reward, ev._SLOT_BLOCK, paths, seed=0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            ev.simulate(policy, law, reward, 3 * ev._SLOT_BLOCK, paths, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * paths * ev._SLOT_BLOCK + 2**16, peak
+
     @pytest.mark.parametrize(
         "paths,blocks", [(2, [True] * 7 + [False]), (64, [False])], ids=["mid-call", "first-block"]
     )
