@@ -88,9 +88,13 @@ _SERIES_RUNGS = 1_000_000  # bernoulli_reward's rung cap
 _SLOT_BLOCK = 1024
 # slots per chunk of simulate's time-parallel pass over a block
 _CHUNK = 64
-# slot rows per np.take in the renewal path, whose intp index copy is this
-# many rows of paths
-_GATHER_ROWS = 128
+# elements per np.take in the renewal path, whose intp index copy is this
+# long: 32 slot rows at 1024 paths, and a whole block at 32 paths or fewer
+_GATHER = 1 << 15
+# fewest paths at which the renewal path runs its maxima and sums one slot
+# row at a time; below it one accumulate down the slot axis is cheaper than
+# a ufunc call a row, and above it that strided accumulate is the slower
+_ROW_PATHS = 256
 
 
 class AdmissibilityError(ValueError):
@@ -657,12 +661,12 @@ def _renewal_totals(
     BernoulliArrivals.sample), marks the charges with one comparison, and
     copies the marks once into a slot-major block.  Everything after runs
     over whole slot rows: each slot's 1 + slot where a path charged, a
-    running maximum row by row for the last charge, the slots since it,
-    the rewards gathered from the ladders' tables, walked only as far as
-    the longest gap seen (_Ladder), and the totals, to which the rows are
-    added in slot order.  The counts are int32 while n allows; the gather
-    runs in slices of _GATHER_ROWS rows, since np.take widens its indices
-    to intp.  The marks live in the other buffer's dead bytes: the
+    running maximum down the slots for the last charge, the slots since
+    it, the rewards gathered from the ladders' tables, walked only as far
+    as the longest gap seen (_Ladder), and a running sum down the slots,
+    in slot order, into the totals (_down_slots).  The counts are int32
+    while n allows; the gather runs in slices of about _GATHER elements,
+    since np.take widens its indices to intp.  The marks live in the other buffer's dead bytes: the
     path-major ones in the counts', the slot-major ones in the uniforms'.
     """
     c, paths = arrivals.c, len(streams)
@@ -686,9 +690,7 @@ def _renewal_totals(
         since = counts[:size].reshape(cols, paths)
         slots = np.arange(start + 1, start + 1 + cols, dtype=count)[:, None]  # 1 + each slot
         np.multiply(hits, slots, out=since)
-        for row in since:  # 1 + the slot of the last charge so far, in slot order
-            last = np.maximum(last, row, out=row)
-        last = last.copy()  # since's last row, kept past the next block's writes
+        last = _down_slots(np.maximum, last, since)  # 1 + the slot of the last charge so far
         fresh = since == 0 if since[0].min() == 0 else None  # slots before a path's first charge
         np.subtract(slots, since, out=since)  # slots since the last charge; 1 + the slot if none
         if fresh is not None:
@@ -696,14 +698,31 @@ def _renewal_totals(
             since[fresh] = 0
         gains = block[:size].reshape(cols, paths)
         table = full.through(int(since.max()))
-        for lo in range(0, cols, _GATHER_ROWS):
-            hi = lo + _GATHER_ROWS
+        step = max(1, _GATHER // paths)  # slot rows per slice
+        for lo in range(0, cols, step):
+            hi = lo + step
             np.take(table, since[lo:hi], out=gains[lo:hi], mode="clip")
         if fresh is not None:
             gains[fresh] = empty.through(int(rungs.max(initial=0))).take(rungs, mode="clip")
-        for row in gains:
-            totals += row
+        totals = _down_slots(np.add, totals, gains)
     return totals
+
+
+def _down_slots(op: np.ufunc, first: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Run op down a slot-major block in place and in slot order, from
+    op(first, rows[0]) to op(rows[t - 1], rows[t]) at each later slot t, and
+    return a copy of the last row.  Each path's chain of op calls is that of
+    op.accumulate along it, so a running sum keeps its bits, whether the
+    block goes by one strided accumulate (under _ROW_PATHS paths) or by one
+    call a slot row."""
+    op(first, rows[0], out=rows[0])
+    if rows.shape[1] < _ROW_PATHS:
+        op.accumulate(rows, axis=0, out=rows)
+    else:
+        prev = rows[0]
+        for row in rows[1:]:
+            prev = op(prev, row, out=row)
+    return rows[-1].copy()
 
 
 @dataclass(frozen=True)

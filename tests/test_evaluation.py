@@ -1150,7 +1150,9 @@ class TestSimulate:
     def test_renewal_blocks_of_mc_wides_shape(self, kind, paths):
         # 1 024 paths make a full block square, where an axis swapped in a
         # reshape or transpose raises nothing; the short last block and 3
-        # paths, which do not divide it, leave no two axes of equal length
+        # paths, which do not divide it, leave no two axes of equal length.
+        # 3 paths run the running maximum and sum as one accumulate down the
+        # slots, 1 024 one slot row at a time (ev._ROW_PATHS)
         policy, reward = SIM_POLICIES[kind]
         law, n = arr.BernoulliArrivals(2.0, 0.5), 2 * ev._SLOT_BLOCK + 7
         res = ev.simulate(policy, law, reward, n, paths, seed=5)
