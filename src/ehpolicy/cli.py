@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -107,6 +108,13 @@ def _require_positive(cfg: dict, *keys: str) -> None:
     for key in keys:
         if cfg[key] is not None and not cfg[key] > 0:
             raise UsageError(f"{key} must be positive, got {cfg[key]!r}")
+        _require_finite(key, cfg[key])
+
+
+def _require_finite(key: str, value) -> None:
+    # an overflowing flag such as 1e309 parses to inf, which no evaluator takes
+    if value == math.inf:
+        raise UsageError(f"{key} must be finite, got {value!r}")
 
 
 def _check_run(cfg: dict) -> None:
@@ -228,6 +236,8 @@ def cmd_sweep(cfg: dict) -> int:
     c_values = (cfg["c"],) if cfg["c"] is not None else cfg["c_grid"]
     if any(v <= 0 for v in c_values):
         raise UsageError("every c must be positive")
+    for v in c_values:
+        _require_finite("c", v)
     reports = mx.sweep(
         cfg["reward"],
         cfg["policies"],

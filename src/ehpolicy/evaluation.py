@@ -82,6 +82,7 @@ __all__ = [
 
 _ADMISSIBILITY_SLACK = 1e-9
 _SERIES_RUNGS = 1_000_000  # bernoulli_reward's rung cap
+_EPS = float(np.finfo(float).eps)
 # slots per simulate block and rungs per series block: a simulate block holds
 # two or three block-by-paths arrays and costs one draw call per path, a
 # series block one reward._value call, so blocks are long but memory stays flat
@@ -208,12 +209,16 @@ def bernoulli_reward(
     was, so every later rung repeats it) whose geometric count,
     _fixed_point_fails_fast, passes the cap the same way.  Each rung runs
     only the policy's scalar kernel _consume (levels are finite and
-    nonnegative by construction), rejects a consumption that is not as
-    reward.value would, and steps the level.  The rungs are buffered in
-    blocks of _SLOT_BLOCK and scored with one reward._value call a block;
-    the value, climb and drift sums below are then taken strictly in rung
-    order from the running carry, so every partial sum, and the rounding
-    derived below, is that of a walk that scores and adds one rung at a time.
+    nonnegative by construction; MaximinPolicy's certifies a block of the
+    ladder's rungs ahead and serves them from it), rejects a consumption
+    that is not as reward.value would, steps the level and the survivor,
+    and takes the tail bound.  The levels and consumptions are buffered in
+    blocks of _SLOT_BLOCK rungs, counted by the rung number; _fold_rungs
+    rebuilds a block's survivors from its first and scores the block with
+    one reward._value call.  The value, climb and drift sums below are then
+    taken strictly in rung order from the running carry, so every partial
+    sum, and the rounding derived below, is that of a walk that scores and
+    adds one rung at a time.
 
     residual is the tail bound left when the walk stopped, 0.0 when the
     reserve hit 0.  tolerance adds a bound on the walk's rounding (u = eps/2)
@@ -250,11 +255,11 @@ def bernoulli_reward(
             )
     carry = (0.0, 0.0, 0.0)  # the value, climb_i and the drift sum w_i climb_i so far
     level = c
-    survivor = 1.0  # (1-p)**(i-1)
+    survivor = first = 1.0  # (1-p)**(i-1), and its value at the block's first rung
     residual = 0.0
     levels: list[float] = []  # the block's rungs, for _fold_rungs to score and sum
     spent: list[float] = []
-    survivors: list[float] = []
+    flush = _SLOT_BLOCK  # the rung that ends this block
     consume = policy._consume
     for rungs in range(1, _SERIES_RUNGS + 1):
         u = consume(level)
@@ -264,7 +269,6 @@ def bernoulli_reward(
             raise ValueError("u must be finite and nonnegative")
         levels.append(level)
         spent.append(u)
-        survivors.append(survivor)
         level -= u
         survivor *= shrink
         if level == 0.0:
@@ -274,15 +278,15 @@ def bernoulli_reward(
         residual = survivor * (bound if bound < top else top)  # min(top, bound)
         if residual <= tol:
             break
-        if len(levels) == _SLOT_BLOCK:
+        if rungs == flush:
             if level == levels[-1]:  # a fixed point: every later rung repeats this one
                 _fixed_point_fails_fast(residual, rungs, shrink, tol, min(top, grade * level))
-            carry = _fold_rungs(carry, reward, p, levels, spent, survivors)
+            carry = _fold_rungs(carry, reward, p, levels, spent, first, shrink)
+            first, flush = survivor, flush + _SLOT_BLOCK
     else:
         raise NonConvergenceError(residual, _SERIES_RUNGS, "Bernoulli series tail bound", "rungs")
-    total, climb, drift = _fold_rungs(carry, reward, p, levels, spent, survivors)
-    eps = float(np.finfo(float).eps)
-    rounding = eps * (
+    total, climb, drift = _fold_rungs(carry, reward, p, levels, spent, first, shrink)
+    rounding = _EPS * (
         1.5 * (rungs + 1) * total
         + (rungs + 4) * residual
         + 3.5 * slope * (drift + p * survivor * climb)
@@ -326,7 +330,7 @@ def _fraction_rungs(
     if needed == math.inf:  # r'(0) not finite and shrink 1.0: no bound falls
         return math.inf, 0.0
     needed = math.ceil(needed)
-    return needed, 1.0 + 2.0 * float(np.finfo(float).eps) * (needed + 2) / rate
+    return needed, 1.0 + 2.0 * _EPS * (needed + 2) / rate
 
 
 def _fixed_point_fails_fast(
@@ -350,7 +354,7 @@ def _fixed_point_fails_fast(
     needed, rounding = math.inf, 0.0
     if rate > 0.0:
         needed = rungs + math.ceil((math.log(residual) - math.log(tol)) / rate)
-        rounding = 1.0 + 2.0 * float(np.finfo(float).eps) * (needed + 2) / rate
+        rounding = 1.0 + 2.0 * _EPS * (needed + 2) / rate
     if needed > _SERIES_RUNGS + rounding:
         raise NonConvergenceError(
             shrink**_SERIES_RUNGS * bound,
@@ -361,26 +365,33 @@ def _fixed_point_fails_fast(
         )
 
 
-def _fold_rungs(carry, reward: RewardFunction, p: float, levels, spent, survivors):
+def _fold_rungs(
+    carry, reward: RewardFunction, p: float, levels, spent, first: float, shrink: float
+):
     """Add a block of rungs to the running (value, climb, drift) carry in rung
     order, empty the block, and return the new carry.
 
+    The block's survivors (1-p)**(i-1) are rebuilt from the first one by one
+    multiply.accumulate with shrink = 1 - p, the walk's own chain of products.
     One reward._value call scores the block.  Each running sum adds its carry
     to the block's first term and then accumulates left to right (np.sum
     would add pairwise), so every partial sum is the one a rung-at-a-time walk
     rounds to.
     """
     total, climb, drift = carry
-    weights = p * np.array(survivors)
-    gains = weights * reward._value(np.array(spent))
-    climbs = np.array(levels)
+    n = len(levels)
+    survivors = np.full(n, shrink)
+    survivors[0] = first
+    weights = p * np.multiply.accumulate(survivors, out=survivors)
+    gains = weights * reward._value(np.fromiter(spent, float, n))
+    climbs = np.fromiter(levels, float, n)
     climbs[0] += climb
     np.add.accumulate(climbs, out=climbs)
     drifts = weights * climbs
     gains[0] += total
     drifts[0] += drift
-    for block in (levels, spent, survivors):
-        block.clear()
+    levels.clear()
+    spent.clear()
     return (
         float(np.add.accumulate(gains)[-1]),
         float(climbs[-1]),

@@ -65,16 +65,19 @@ class StationaryPolicy(ABC):
         """Consumption for a 1-d array of stored-energy levels.
 
         Each level's consumption must depend on that level alone: not on the
-        other levels in the array, nor on earlier calls.  The series walk and
-        simulate's renewal path on 0-or-c arrivals evaluate one level at a
-        time through _consume, where the slot loop and value iteration
-        evaluate whole arrays, and they give the same bits only under this
-        contract.  Every policy here meets it."""
+        other levels in the array, nor on earlier calls.  The series walk,
+        ergodic_levels and simulate's renewal path on 0-or-c arrivals step
+        one level at a time through _consume, and MaximinPolicy's _consume
+        certifies a block of the ladder's rungs in one array, where the slot
+        loop and value iteration evaluate whole arrays of unrelated levels;
+        they give the same bits only under this contract.  Every policy here
+        meets it."""
 
     def _consume(self, level: float) -> float:
         """Consumption at one finite, nonnegative level as a Python float: the
-        series walk's kernel.  _evaluate on a one-element array by default; a
-        policy may override it with float arithmetic that keeps _evaluate's bits."""
+        kernel of the walks down the reserve ladder.  _evaluate on a
+        one-element array by default; a policy may override it with float
+        arithmetic, or work ahead down the ladder, that keeps _evaluate's bits."""
         return float(self._evaluate(np.array([level]))[0])
 
     def evaluate(self, x):
@@ -174,10 +177,31 @@ class MaximinPolicy(_Maximin):
     one at a time, and the series walk, Monte Carlo, value iteration and
     curve share this one path.  After 200 steps a residual above
     1e-9 (1 + x), or a NaN one, raises RuntimeError.
+
+    The scalar kernel _consume looks ahead down the reserve ladder.  A level
+    not on the ladder it walked last runs _evaluate alone, as above, and
+    notes its next rung L - u.  When that rung is asked for, the
+    table walks on from it, a rung L -> L - min(table(L), L), for up to
+    _span rungs or until the level falls to x_1, and one _ladder_sum call
+    certifies every rung of this block.  The rungs before the first failed
+    certificate keep the table's value, the failed one is settled by the
+    chord step and regula falsi, and the block ends there; each rung is then
+    the one _evaluate gives its level alone, and the rungs after it are
+    served from the block, bit for bit.  A block that passes whole doubles
+    _span, up to _AHEAD rungs; one that fails at its k-th rung sets it to
+    k + 1.  So every certificate call runs the table check of a rung the
+    walk asks for, and a ladder whose every rung fails makes the calls of
+    one _evaluate a rung.  A subclass that overrides _evaluate is served by
+    it on every rung.
     """
 
     kind = "maximin_generic"
     inversion_tol = 1e-12
+    _AHEAD = 1024  # most rungs a block
+    _span = 16  # rungs of the next block
+    _levels: list | tuple = ()  # the block's rungs still ahead, the next one last
+    _spent: list | tuple = ()  # and their consumptions
+    _next: float | None = None  # the level after the block, where the next one starts
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         above = arr > self._x[1]  # x itself on the greedy segment
@@ -191,22 +215,76 @@ class MaximinPolicy(_Maximin):
             if xs[-1] < top:
                 y = ys[-1] + (top - xs[-1]) / ((xs[-1] - xs[-2]) / (ys[-1] - ys[-2]))
                 self._x, self._y = np.append(xs, top), np.append(ys, y)
-        xs, ys, t = self._x, self._y, x
+        u = np.interp(x, self._x, self._y)
         # _ladder_steps' log of a zero ratio; a ladder past the float range
         # gives a +inf residual, which brackets, or a NaN one, which stalls
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for _ in range(2):  # the table at x, then along each chord: at x - r
-                u = np.interp(t, xs, ys)
-                r = _ladder_sum(self.reward, self.scale, u) - x
-                fails = ~(np.abs(r) <= self.inversion_tol)
-                if not fails.any():
-                    break
-                t = np.where(fails, x - r, t)
-            else:
-                u[fails] = self._refine(x[fails], u[fails], r[fails])
+            r = _ladder_sum(self.reward, self.scale, u) - x
+            fails = ~(np.abs(r) <= self.inversion_tol)
+            if fails.any():
+                u[fails] = self._settle(x[fails], r[fails])
         out = arr.copy()
         out[above] = np.minimum(u, x)
         return out
+
+    def _consume(self, level: float) -> float:
+        levels = self._levels
+        if levels and levels[-1] == level:  # the next rung of the block
+            levels.pop()
+            return self._spent.pop()
+        if level == self._next:  # the rung after the block: certify the next one
+            return self._block(level)
+        u = super()._consume(level)  # any other level: _evaluate on it alone
+        if type(self)._evaluate is MaximinPolicy._evaluate:
+            self._levels, self._spent = (), ()
+            self._next = self._after(level, u)
+        return u
+
+    def _after(self, level: float, u: float) -> float | None:
+        """The ladder's next level after consuming u <= level, or None at or
+        below x_1 (where _evaluate certifies nothing) and after a NaN."""
+        level -= u
+        return level if level > self._x[1] else None
+
+    def _block(self, level: float) -> float:
+        """Certify a block of rungs from level down, keep the rest of it, and
+        return the consumption at level."""
+        xs, ys, x1 = self._x, self._y, float(self._x[1])
+        levels, table, spent = [], [], []
+        for _ in range(self._span):
+            u = float(np.interp(level, xs, ys))
+            levels.append(level)
+            table.append(u)
+            if level < u:  # np.minimum(u, level), as _evaluate takes it
+                u = level
+            spent.append(u)
+            level -= u
+            if not level > x1:
+                break
+        x, u = np.array(levels), np.array(table)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            r = _ladder_sum(self.reward, self.scale, u) - x
+            passed = np.abs(r) <= self.inversion_tol
+            k = int(passed.argmin())
+            failed = not passed[k]
+            if failed:  # keep the block through its first failed certificate
+                del levels[k + 1 :], spent[k + 1 :]
+                u = float(self._settle(x[k : k + 1], r[k : k + 1])[0])
+                spent[k] = levels[k] if levels[k] < u else u
+        self._span = k + 1 if failed else min(2 * self._span, self._AHEAD)
+        self._levels, self._spent = levels[:0:-1], spent[:0:-1]
+        self._next = self._after(levels[-1], spent[-1])
+        return spent[0]
+
+    def _settle(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Consumptions at levels x whose table values failed their
+        certificates with residuals r: the table at x - r, then _refine."""
+        u = np.interp(x - r, self._x, self._y)
+        r = _ladder_sum(self.reward, self.scale, u) - x
+        fails = ~(np.abs(r) <= self.inversion_tol)
+        if fails.any():
+            u[fails] = self._refine(x[fails], u[fails], r[fails])
+        return u
 
     def _refine(self, x: np.ndarray, u: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Regula falsi in each level's kink bracket from u (residual r) and the

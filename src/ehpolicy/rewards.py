@@ -31,6 +31,7 @@ marginal(0) once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -51,10 +52,18 @@ _LADDER_CAP = 100_000
 
 
 def _prepare(x, name: str = "x") -> tuple[np.ndarray, bool]:
+    """x as a float array, and whether it is 0-d; raises ValueError unless
+    every entry is finite and nonnegative.  A 0-d array is checked with one
+    comparison of its float (NaN fails it, -0.0 passes), an array with two
+    reductions."""
     arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        if not 0.0 <= float(arr) < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative")
+        return arr, True
     if np.any(~np.isfinite(arr)) or np.any(arr < 0):
         raise ValueError(f"{name} must be finite and nonnegative")
-    return arr, arr.ndim == 0
+    return arr, False
 
 
 def _finish(arr: np.ndarray, scalar: bool):

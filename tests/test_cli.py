@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -351,6 +352,45 @@ _CELL_ERRORS = {
 def test_cell_errors_print_the_library_text(command, case, capsys):
     args, text = _CELL_ERRORS[case]
     assert main([command, "--c", "1", "--method", "vi"] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {text}\n"
+
+
+# a capacity or curve end that parses to inf (inf, or 1e309 past the float
+# range) is refused by name before any evaluator or numpy sees it; values at
+# or below 0 and NaN keep their texts
+_RANGE_ERRORS = {
+    "evaluate series inf": (["evaluate", "--c", "inf", "--p", "0.5"],
+                            "c must be finite, got inf"),
+    "evaluate series 1e309": (["evaluate", "--c", "1e309", "--p", "0.5"],
+                              "c must be finite, got inf"),
+    "evaluate vi inf": (["evaluate", "--c", "inf", "--method", "vi", "--family", "uniform",
+                         "--nmcr", "0.5"], "c must be finite, got inf"),
+    "evaluate mc inf": (["evaluate", "--c", "inf", "--method", "mc", "--p", "0.5"],
+                        "c must be finite, got inf"),
+    "evaluate nan": (["evaluate", "--c", "nan", "--p", "0.5"], "c must be positive, got nan"),
+    "evaluate zero": (["evaluate", "--c", "0", "--p", "0.5"], "c must be positive, got 0.0"),
+    "sweep grid inf": (["sweep", "--family", "bernoulli", "--c-grid", "1,inf", "--p", "0.5"],
+                       "c must be finite, got inf"),
+    "sweep grid 1e309": (["sweep", "--family", "bernoulli", "--c-grid", "1e309", "--p", "0.5"],
+                         "c must be finite, got inf"),
+    "sweep c inf": (["sweep", "--family", "bernoulli", "--c", "inf", "--p", "0.5"],
+                    "c must be finite, got inf"),
+    "sweep grid negative": (["sweep", "--family", "bernoulli", "--c-grid", "1,-inf",
+                             "--p", "0.5"], "every c must be positive"),
+    "curve inf": (["curve", "--x-max", "inf"], "x_max must be finite, got inf"),
+    "curve 1e309": (["curve", "--x-max", "1e309"], "x_max must be finite, got inf"),
+    "curve nan": (["curve", "--x-max", "nan"], "x_max must be positive, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", list(_RANGE_ERRORS))
+def test_capacity_range_errors_name_the_capacity(case, capsys):
+    args, text = _RANGE_ERRORS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning on the way raises
+        assert main(args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {text}\n"

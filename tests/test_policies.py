@@ -127,7 +127,7 @@ class TestScalarKernel:
         # every level is inverted on its own, so an array, the scalar
         # evaluate and the series walk's _consume give the same bits
         policy = pol.MaximinPolicy(reward, p)
-        assert type(policy)._consume is pol.StationaryPolicy._consume
+        assert type(policy)._consume is not pol.StationaryPolicy._consume
         walk = pol.KinkWalk(reward, p)
         while len(walk.x) <= 12:
             walk.cover(walk.x[-1])
@@ -186,6 +186,200 @@ class TestScalarKernel:
         res = ev.bernoulli_reward(policy, AWGN1, 1.0, 0.5)
         assert calls and all(arr.shape == (1,) for arr in calls)
         assert res == ev.bernoulli_reward(pol.FixedFractionPolicy(0.5), AWGN1, 1.0, 0.5)
+
+
+class _Halved(pol.MaximinPolicy):
+    """A maximin subclass whose _evaluate differs from the table's."""
+
+    def __init__(self, reward, p):
+        super().__init__(reward, p)
+        self.calls = 0
+
+    def _evaluate(self, arr):
+        self.calls += 1
+        return 0.5 * super()._evaluate(arr)
+
+
+class TestLookAhead:
+    """MaximinPolicy._consume certifies a block of rungs down the ladder with
+    one ladder-sum call, and every rung keeps the bits that _evaluate gives
+    its level alone."""
+
+    REWARDS = {"sqrt": SQRT, "awgn": AWGN1, "log1p": LOG1P, "curved": CURVED}
+
+    @staticmethod
+    def head(reward, p, rungs):
+        """A level between the kinks x_(rungs-1) and x_rungs, whose ladder
+        walks that many rungs to 0."""
+        walk = pol.KinkWalk(reward, p)
+        while len(walk.x) <= rungs:
+            walk.cover(walk.x[-1])
+        return 0.5 * (walk.x[rungs - 1] + walk.x[rungs])
+
+    @staticmethod
+    def step(policy, level):
+        """One rung of bernoulli_reward's walk: the level and its consumption,
+        and the level after it."""
+        u = policy._consume(level)
+        assert type(u) is float
+        return (level, u), level - min(u, level)
+
+    def walk(self, policy, level, most=10_000):
+        rungs = []
+        while level > 0.0 and len(rungs) < most:
+            rung, level = self.step(policy, level)
+            rungs.append(rung)
+        return rungs
+
+    @staticmethod
+    def assert_alone(policy, rungs):
+        """Each rung's consumption is _evaluate's on its level alone, on a
+        policy that has seen nothing else."""
+        fresh = type(policy)(policy.reward, policy.p)
+        for level, u in rungs:
+            want = fresh._evaluate(np.array([level]))[0]
+            assert u.hex() == float(want).hex(), level
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.1, 0.5])
+    @pytest.mark.parametrize("name", list(REWARDS))
+    def test_whole_ladders_keep_the_bits_of_each_level(self, name, p):
+        reward = self.REWARDS[name]
+        policy = pol.MaximinPolicy(reward, p)
+        rungs = self.walk(policy, self.head(reward, p, 40))
+        assert len(rungs) == 40  # blocks of 16 and 32 after the first rung
+        self.assert_alone(policy, rungs)
+
+    @pytest.mark.parametrize("p", [1e-6, 0.01])
+    @pytest.mark.parametrize("name", ["sqrt", "log1p"])
+    def test_a_level_off_the_ladder_is_a_miss(self, name, p):
+        reward = self.REWARDS[name]
+        policy = pol.MaximinPolicy(reward, p)
+        rungs, level = [], self.head(reward, p, 30)
+        for i in range(30):
+            if i in (3, 11):  # one ulp below the next rung, then 0.9 of it
+                level = float(np.nextafter(level, 0.0)) if i == 3 else 0.9 * level
+            rung, level = self.step(policy, level)
+            rungs.append(rung)
+        self.assert_alone(policy, rungs)
+
+    @pytest.mark.parametrize("p", [1e-3, 0.01])
+    def test_a_certificate_that_fails_mid_block_ends_it_there(self, p, monkeypatch):
+        # y_k read 1e-9 high: the table is off in segment k, so the rungs
+        # there fail their certificates after rungs that pass
+        policy = pol.MaximinPolicy(SQRT, p)
+        c = self.head(SQRT, p, 40)
+        policy.evaluate(c)
+        policy._y[30] += 1e-9
+        starts, settled = set(), []
+        block, settle = policy._block, policy._settle
+
+        def started(level):
+            starts.add(level)
+            return block(level)
+
+        def settling(x, r):
+            settled.extend(x)  # each of them failed its table certificate
+            return settle(x, r)
+
+        monkeypatch.setattr(policy, "_block", started)
+        monkeypatch.setattr(policy, "_settle", settling)
+        rungs = self.walk(policy, c)
+        assert any(level not in starts and level != c for level in settled)
+        for level, u in rungs:  # against the same corrupt table
+            assert u.hex() == float(policy._evaluate(np.array([level]))[0]).hex(), level
+
+    @pytest.mark.parametrize("name", ["sqrt", "curved"])
+    def test_interleaved_ladders_keep_their_bits(self, name):
+        # the renewal path walks the full ladder in stretches, with the
+        # ladder from 0 in between; here two ladders alternate rung by rung
+        reward = self.REWARDS[name]
+        policy = pol.MaximinPolicy(reward, 1e-3)
+        a, b = self.head(reward, 1e-3, 35), self.head(reward, 1e-3, 20)
+        rungs = []
+        while a > 0.0 or b > 0.0:
+            for _ in range(3):
+                if a > 0.0:
+                    rung, a = self.step(policy, a)
+                    rungs.append(rung)
+            assert policy._consume(0.0) == 0.0
+            if b > 0.0:
+                rung, b = self.step(policy, b)
+                rungs.append(rung)
+        assert len(rungs) == 55
+        self.assert_alone(policy, rungs)
+
+    @pytest.mark.parametrize("top", [1e300, 1.7e308, np.finfo(float).max])
+    @pytest.mark.parametrize("name", ["sqrt", "awgn"])
+    def test_ladders_from_past_the_float_range(self, name, top):
+        policy = pol.MaximinPolicy(self.REWARDS[name], 0.5)
+        rungs = self.walk(policy, top, most=60)
+        self.assert_alone(policy, rungs)
+
+    @pytest.mark.parametrize("name", ["sqrt", "log1p"])
+    def test_ladders_past_the_kink_cap(self, name, monkeypatch):
+        monkeypatch.setattr(pol, "_LADDER_CAP", 4)
+        policy = pol.MaximinPolicy(self.REWARDS[name], 0.1)
+        rungs = self.walk(policy, 40.0)
+        assert len(policy.kinks.x) == 5 and rungs[1][0] > policy.kinks.x[-1]
+        self.assert_alone(policy, rungs)
+
+    def test_a_subclass_with_its_own_evaluate_is_served_by_it(self):
+        policy = _Halved(SQRT, 1e-3)
+        rungs = self.walk(policy, self.head(SQRT, 1e-3, 40))
+        assert policy.calls == len(rungs) > 40
+        self.assert_alone(policy, rungs)
+        plain = pol.MaximinPolicy(SQRT, 1e-3)
+        assert rungs[0][1] == 0.5 * plain._consume(rungs[0][0])
+
+
+class TestCertificateCount:
+    """The sqrt series certifies a block of rungs a ladder-sum call, and a
+    ladder whose every certificate fails makes no more calls than one rung
+    at a time would: the table's, then the chord's."""
+
+    @pytest.mark.parametrize("c, p, most", [(8.0, 0.01, 4), (8.0, 1e-3, 6), (1.0, 1e-6, 1998)])
+    def test_ladder_sum_calls_of_the_sqrt_series(self, c, p, most, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].size)
+            return ladder_sum(*args)
+
+        ladder_sum = pol._ladder_sum
+        monkeypatch.setattr(pol, "_ladder_sum", counted)
+        ev.bernoulli_reward(pol.MaximinPolicy(SQRT, p), SQRT, c, p)
+        assert len(calls) <= most, len(calls)
+
+
+class TestLookAheadOracle:
+    """The look-ahead's certified rungs lie within inversion_tol of the
+    60-digit policy, but where the closed form's noise floor is coarser."""
+
+    @pytest.mark.parametrize(
+        "p, c",
+        [
+            pytest.param(
+                1e-6,
+                0.05,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP item 3: at p = 1e-6 the sqrt closed form is "
+                    "certified against a shifted ladder sum, 2.1e-11 off",
+                ),
+            ),
+            (1e-4, 1.0),
+            (1e-3, 8.0),
+            (0.01, 8.0),
+        ],
+    )
+    def test_sqrt_rungs_against_the_oracle(self, p, c):
+        policy = pol.MaximinPolicy(SQRT, p)
+        exact = Maximin(None, p, c)
+        level = c
+        while level > 0.0:
+            u = policy._consume(level)
+            assert abs(mpmath.mpf(u) - exact(level)) <= policy.inversion_tol, level
+            level -= min(u, level)
 
 
 class TestMaximinAwgn:

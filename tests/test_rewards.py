@@ -144,6 +144,68 @@ def test_positive_checks_raise_the_one_message(name, value):
         run(value)
 
 
+_LOG1P = wrap_awgn_as_custom(1.0)
+
+# every public entry that validates a level, and the name its text gives it
+_LEVEL_CHECKS = {
+    "value": (AWGN1.value, "u"),
+    "marginal": (SQRT.marginal, "u"),
+    "evaluate": (pol.GreedyPolicy().evaluate, "stored energy"),
+    "step_down": (lambda x: rw.step_down(SQRT, 2.0, x), "x"),
+    "ladder_sum": (lambda x: rw.ladder_sum(AWGN1, 2.0, x), "x"),
+}
+
+
+class TestScalarRangeCheck:
+    """_prepare checks a 0-d input with one comparison of its float and an
+    array with two reductions; both refuse and accept the same values, with
+    the same text, and the 0-d path keeps the 0-d kernels' bits."""
+
+    BAD = [math.nan, math.inf, -math.inf, -1e-300]
+
+    @staticmethod
+    def spellings(value):
+        """value as a Python float, a numpy float, a 0-d and a 1-element
+        array, and as an int where one holds it."""
+        out = [float(value), np.float64(value), np.array(value), np.array([value])]
+        return out + ([int(value)] if math.isfinite(value) and value == int(value) else [])
+
+    @pytest.mark.parametrize("name", list(_LEVEL_CHECKS))
+    @pytest.mark.parametrize("value", BAD + [-1.0])
+    def test_bad_levels_raise_the_one_text_in_every_spelling(self, name, value):
+        run, what = _LEVEL_CHECKS[name]
+        text = f"^{re.escape(what)} must be finite and nonnegative$"
+        for spelled in self.spellings(value):
+            with pytest.raises(ValueError, match=text):
+                run(spelled)
+
+    @pytest.mark.parametrize("name", list(_LEVEL_CHECKS))
+    def test_negative_zero_passes(self, name):
+        run, _ = _LEVEL_CHECKS[name]
+        for spelled in self.spellings(-0.0):
+            run(spelled)
+
+    def test_the_0d_array_is_returned_as_it_came(self):
+        arr, scalar = rw._prepare(np.float64(2.5))
+        assert scalar and arr.ndim == 0 and arr.dtype == float and float(arr) == 2.5
+        arr, scalar = rw._prepare(3)
+        assert scalar and arr.dtype == float and float(arr) == 3.0
+
+    LEVELS = [0.0, -0.0, 5e-324, 1e-310, 1e-9, 0.3, 1.0, 2.75, 1e3, 1e300, np.finfo(float).max]
+
+    @pytest.mark.parametrize("reward", [AWGN1, SQRT, _LOG1P], ids=["awgn", "sqrt", "log1p"])
+    def test_scalars_keep_the_bits_of_the_0d_kernels(self, reward):
+        # 0-d and vector np.power may round differently, so the scalar path
+        # is pinned against the kernels on the same 0-d array
+        with np.errstate(over="ignore"):  # awgn's marginal doubles 1 + u at the largest float
+            for x in self.LEVELS:
+                for spelled in (x, np.float64(x), np.array(x)):
+                    zero_d = np.asarray(spelled, dtype=float)
+                    got = reward.value(spelled), reward.marginal(spelled)
+                    want = reward._value(zero_d), reward._marginal(zero_d)
+                    assert [v.hex() for v in got] == [float(v).hex() for v in want], x
+
+
 class TestStepDown:
     def test_cutoffs_exact(self):
         assert rw.step_down_cutoff(AWGN1, 2.0) == 1.0
