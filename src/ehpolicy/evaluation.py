@@ -14,16 +14,16 @@ Three evaluators of the long-run average reward per slot:
     rewards along that ladder.  The walk scores its rungs once per block and
     adds them in rung order, so memory stays flat in the number of rungs.
   * simulate: Monte Carlo over independent finite paths started empty, with
-    one RNG stream per path spawned from the master seed, so a seed fixes
-    the result bit for bit.  Draws come in time blocks, so memory stays flat
-    in the number of slots.  On all-or-nothing arrivals every charge refills
-    the battery, so a path's level is a rung of the ladder the series walks,
-    indexed by the slots since its last charge: each rung is scored once and
-    each slot gathers its reward.  On any other law the built-in policies
-    run chunks of slots side by side, each from a full battery, and splice
-    each chunk onto the true path where the two levels meet; other policies
-    run the slots one by one over all paths.  Rewards are evaluated once per
-    block.
+    one RNG stream per path, the master seed's SeedSequence children hashed
+    for all paths at once, so a seed fixes the result bit for bit.  Draws
+    come in time blocks, so memory stays flat in the number of slots.  On
+    all-or-nothing arrivals every charge refills the battery, so a path's
+    level is a rung of the ladder the series walks, indexed by the slots
+    since its last charge: each rung is scored once and each slot gathers
+    its reward.  On any other law the built-in policies run chunks of slots
+    side by side, each from a full battery, and splice each chunk onto the
+    true path where the two levels meet; other policies run the slots one
+    by one over all paths.  Rewards are evaluated once per block.
   * optimal_gain / policy_gain: relative value iteration on the capacity
     grid; they differ only in how they pick actions.  policy_gain starts
     its sweeps from one solve of the policy's bias, so its first sweep
@@ -96,6 +96,11 @@ _GATHER = 1 << 15
 # row at a time; below it one accumulate down the slot axis is cheaper than
 # a ufunc call a row, and above it that strided accumulate is the slower
 _ROW_PATHS = 256
+# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe), which _streams
+# runs over every path's words at once
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 class AdmissibilityError(ValueError):
@@ -254,6 +259,7 @@ def bernoulli_reward(
                 needed=needed,
             )
     carry = (0.0, 0.0, 0.0)  # the value, climb_i and the drift sum w_i climb_i so far
+    shift = max(math.frexp(c)[1] - 1, 0)  # climb and drift are summed in units of 2**shift
     level = c
     survivor = first = 1.0  # (1-p)**(i-1), and its value at the block's first rung
     residual = 0.0
@@ -281,15 +287,18 @@ def bernoulli_reward(
         if rungs == flush:
             if level == levels[-1]:  # a fixed point: every later rung repeats this one
                 _fixed_point_fails_fast(residual, rungs, shrink, tol, min(top, grade * level))
-            carry = _fold_rungs(carry, reward, p, levels, spent, first, shrink)
+            carry = _fold_rungs(carry, reward, p, levels, spent, first, shrink, shift)
             first, flush = survivor, flush + _SLOT_BLOCK
     else:
         raise NonConvergenceError(residual, _SERIES_RUNGS, "Bernoulli series tail bound", "rungs")
-    total, climb, drift = _fold_rungs(carry, reward, p, levels, spent, first, shrink)
-    rounding = _EPS * (
-        1.5 * (rungs + 1) * total
-        + (rungs + 4) * residual
-        + 3.5 * slope * (drift + p * survivor * climb)
+    total, climb, drift = _fold_rungs(carry, reward, p, levels, spent, first, shrink, shift)
+    rounding = (
+        _EPS
+        * (
+            math.ldexp(1.5 * (rungs + 1) * total + (rungs + 4) * residual, -shift)
+            + 3.5 * slope * (drift + p * survivor * climb)
+        )
+        * math.ldexp(1.0, shift)  # a product, which overflows to inf where ldexp raises
     )
     return EvaluationResult(
         value=total, method="bernoulli_series", residual=residual, tolerance=residual + rounding
@@ -366,10 +375,13 @@ def _fixed_point_fails_fast(
 
 
 def _fold_rungs(
-    carry, reward: RewardFunction, p: float, levels, spent, first: float, shrink: float
+    carry, reward: RewardFunction, p: float, levels, spent, first: float, shrink: float, shift: int
 ):
     """Add a block of rungs to the running (value, climb, drift) carry in rung
-    order, empty the block, and return the new carry.
+    order, empty the block, and return the new carry.  Climb and drift are
+    in units of 2**shift, so a ladder from near the float maximum climbs
+    past it without overflow; an exact power of two moves no bit of a
+    normal float.
 
     The block's survivors (1-p)**(i-1) are rebuilt from the first one by one
     multiply.accumulate with shrink = 1 - p, the walk's own chain of products.
@@ -385,6 +397,7 @@ def _fold_rungs(
     weights = p * np.multiply.accumulate(survivors, out=survivors)
     gains = weights * reward._value(np.fromiter(spent, float, n))
     climbs = np.fromiter(levels, float, n)
+    climbs *= math.ldexp(1.0, -shift)
     climbs[0] += climb
     np.add.accumulate(climbs, out=climbs)
     drifts = weights * climbs
@@ -458,9 +471,11 @@ def simulate(
     """Monte Carlo estimate of the long-run average reward per slot.
 
     Runs `paths` independent n-slot trajectories started with an empty
-    battery and averages their per-slot rewards.  Each path draws from its
-    own generator spawned from the master seed, so a seed fixes the result
-    bit for bit.  stderr is the sample standard error over paths.
+    battery and averages their per-slot rewards.  Path i draws from the
+    generator of SeedSequence(seed).spawn(paths)[i], bit for bit, so a seed
+    fixes the result bit for bit; _streams hashes all the children at once
+    and spot-checks one against numpy's own SeedSequence.  stderr is the
+    sample standard error over paths.
 
     Draws come in time blocks of _SLOT_BLOCK slots, each path's generator
     continuing where the last block stopped, so memory does not grow with n
@@ -498,8 +513,7 @@ def simulate(
     if n < 1 or paths < 2:
         raise ValueError("need n >= 1, paths >= 2")
     c = arrivals.c
-    seeds = np.random.SeedSequence(int(seed)).spawn(paths)
-    streams = [np.random.default_rng(seed_seq) for seed_seq in seeds]
+    streams = _streams(seed, paths)
     if isinstance(arrivals, BernoulliArrivals):
         return _estimate(_renewal_totals(policy, arrivals, reward, n, streams), n)
     chunked = type(policy) in (GreedyPolicy, FixedFractionPolicy, MaximinPolicy, MaximinAwgnPolicy)
@@ -522,6 +536,84 @@ def simulate(
         gains[0] += totals
         totals = np.add.accumulate(gains, out=gains)[-1].copy()  # slot order
     return _estimate(totals, n)
+
+
+def _streams(seed, paths: int) -> list:
+    """One generator per path, each in the state of default_rng(child) for
+    the children of SeedSequence(int(seed)).spawn(paths), in order.
+
+    Child i's entropy is the seed's little-endian 32-bit words, padded with
+    zeros to the pool size since a spawn key follows, and then i.
+    SeedSequence hashes these words with constants that depend only on the
+    word's position, never on the data, so its mix_entropy and
+    generate_state(4, np.uint64) run here once on uint32 arrays across all
+    children, where uint32 products wrap as in numpy's own hash.  A PCG64
+    seeded from a child's row is then that child's.  One child is checked
+    against numpy's SeedSequence on every call, so a numpy whose hash moved
+    raises RuntimeError rather than moving every result.
+    """
+    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random.bit_generator import ISeedSequence
+
+    root = SeedSequence(int(seed))
+    pool, value = root.pool_size, int(root.entropy)
+    words = np.empty((max(pool, -(-value.bit_length() // 32)) + 1, paths), np.uint32)
+    for i, row in enumerate(words[:-1]):
+        row[:] = value >> 32 * i & 0xFFFFFFFF
+    words[-1] = np.arange(paths)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    mixer = [hashmix(row) for row in words[:pool]]
+    for src in range(pool):
+        for dst in range(pool):
+            if src != dst:
+                mixer[dst] = _mix(mixer[dst], hashmix(mixer[src]))
+    for row in words[pool:]:
+        for dst in range(pool):
+            mixer[dst] = _mix(mixer[dst], hashmix(row))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = np.empty((paths, 8), np.uint32)
+    for i in range(8):
+        state[:, i] = hashmix(mixer[i % pool])
+    keys = state.astype("<u4").view("<u8").astype(np.uint64)
+    last = paths - 1
+    if not np.array_equal(
+        keys[last], SeedSequence(root.entropy, spawn_key=(last,)).generate_state(4, np.uint64)
+    ):
+        raise RuntimeError(
+            f"simulate's stream hash does not match SeedSequence in numpy {np.__version__}"
+        )
+
+    class Key(ISeedSequence):
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key  # PCG64 asks for generate_state(4, np.uint64)
+
+    return [Generator(PCG64(Key(key))) for key in keys]
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays: each call xors its array with
+    the hash constant, steps the constant to const * mult mod 2**32, and
+    multiplies and xorshifts by the new one."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & 0xFFFFFFFF
+        value *= const
+        value ^= value >> 16
+        return value
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 arrays."""
+    value = x * _MIX_MULT_L - y * _MIX_MULT_R
+    value ^= value >> 16
+    return value
 
 
 def _slot_steps(policy, draws, spent, level, c):

@@ -396,6 +396,18 @@ def test_capacity_range_errors_name_the_capacity(case, capsys):
     assert captured.err == f"error: {text}\n"
 
 
+@pytest.mark.parametrize("policy", ["maximin", "fixed_fraction"])
+def test_series_tolerance_is_finite_near_the_float_maximum(policy, capsys):
+    args = ["evaluate", "--reward", "sqrt", "--policy", policy, "--c", "1.7e308", "--p", "0.5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow in the climbs' sum raises
+        assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert out["residual"] <= out["tolerance"] < math.inf
+
+
 class TestTopLevel:
     def test_no_subcommand_is_usage_error(self):
         assert main([]) == 1

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import mpmath
 import mpmath_oracle as oracle
@@ -516,6 +518,32 @@ class TestSeriesBlocks:
         peak(1e-2)  # first-call allocations
         short, long = peak(1e-2), peak(1e-3)  # ~1.5k and ~13k rungs
         assert long <= 1.1 * short, (short, long)
+
+    @pytest.mark.parametrize("kind", ["maximin", "fixed_fraction", "greedy"])
+    @pytest.mark.parametrize("c", [1e300, 2.0**1000 + 2.0**948])
+    def test_large_capacities_keep_the_per_rung_bits(self, kind, c, monkeypatch):
+        # the walk sums its climbs in units of c's power of two; below the
+        # float maximum that moves no bit of the rung-at-a-time reference
+        policy = series_policy(kind, SQRT, 0.5, monkeypatch)
+        _, want = per_rung_series(policy, SQRT, c, 0.5)
+        res = ev.bernoulli_reward(policy, SQRT, c, 0.5)
+        assert (res.value, res.residual, res.tolerance) == want
+
+    @pytest.mark.parametrize(
+        "reward, kind",
+        [("sqrt", "maximin"), ("sqrt", "fixed_fraction"), ("sqrt", "greedy"),
+         ("awgn:1", "fixed_fraction"), ("awgn:1", "greedy")],
+    )
+    @pytest.mark.parametrize("c", [1.7e308, float(np.finfo(float).max)])
+    def test_tolerance_stays_finite_near_the_float_maximum(self, reward, kind, c):
+        # c + L_2 + ... passes the float maximum, and so did the climbs and
+        # the rounding term summed in plain units
+        reward = SERIES_REWARDS[reward]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ev.bernoulli_reward(make_policy(kind, reward, 0.5), reward, c, 0.5)
+        assert math.isfinite(res.value)
+        assert res.residual <= res.tolerance < math.inf
 
 
 class TestDerivativeCheck:
@@ -1309,6 +1337,77 @@ class TestSimulate:
     def test_needs_two_paths(self):
         with pytest.raises(ValueError):
             ev.simulate(pol.GreedyPolicy(), arr.BernoulliArrivals(1.0, 0.5), AWGN1, 100, 1, 0)
+
+    @pytest.mark.parametrize("seed", [2**32, 2**64 + 5, 2**128 + 3])
+    @pytest.mark.parametrize(
+        "law, paths, n",
+        [("bernoulli", 3, 50), ("bernoulli", 1025, 12), ("uniform", 3, 2 * ev._CHUNK + 5)],
+        ids=["renewal-3", "renewal-1025", "chunked-3"],
+    )
+    @pytest.mark.parametrize("kind", ["greedy", "maximin_awgn"])
+    def test_seeds_of_several_words_match_the_per_slot_loop(self, seed, law, paths, n, kind):
+        # a seed from 2**32 up has two or more entropy words, and one from
+        # 2**128 up more than the pool, which takes the extra mixing rounds
+        policy, reward = SIM_POLICIES[kind]
+        res = ev.simulate(policy, SIM_LAWS[law], reward, n, paths, seed)
+        want = per_slot_simulate(policy, SIM_LAWS[law], reward, n, paths, seed)
+        assert (res.value.hex(), res.stderr.hex()) == tuple(x.hex() for x in want)
+
+
+def spawned(seed, paths):
+    """numpy's own generators for the children of SeedSequence(seed)."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(paths)]
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3, 2**200 + 7])
+    @pytest.mark.parametrize("paths", [2, 3, 64, 1024, 1025])
+    def test_states_equal_numpys_spawned_children(self, seed, paths):
+        got = [rng.bit_generator.state for rng in ev._streams(seed, paths)]
+        assert got == [rng.bit_generator.state for rng in spawned(seed, paths)]
+
+    @pytest.mark.parametrize("seed", [2.5, True, np.int64(7), np.uint64(2**63), "11"])
+    def test_seeds_pass_through_int(self, seed):
+        got = [rng.bit_generator.state for rng in ev._streams(seed, 3)]
+        assert got == [rng.bit_generator.state for rng in spawned(int(seed), 3)]
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40), -1.5])
+    def test_negative_seeds_raise_numpys_error(self, seed):
+        dist = arr.BernoulliArrivals(1.0, 0.5)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            ev.simulate(pol.GreedyPolicy(), dist, AWGN1, 10, 2, seed)
+
+    @pytest.mark.parametrize("seed", [None, "x", math.nan, math.inf, 1j])
+    def test_seeds_that_int_refuses_raise_its_error(self, seed):
+        with pytest.raises(Exception) as want:
+            int(seed)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            ev._streams(seed, 3)
+
+    @pytest.mark.parametrize(
+        "name", ["_INIT_A", "_MULT_A", "_INIT_B", "_MULT_B", "_MIX_MULT_L", "_MIX_MULT_R"]
+    )
+    def test_a_mutated_hash_constant_trips_the_spot_check(self, name, monkeypatch):
+        monkeypatch.setattr(ev, name, getattr(ev, name) ^ 0x80)
+        with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__}")):
+            ev._streams(7, 3)
+
+    def test_import_leaves_numpy_random_out(self):
+        code = "import sys, ehpolicy; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_the_per_slot_reference_spawns_with_numpy(self, monkeypatch):
+        # the reference draws from numpy's own spawn, so it checks _streams
+        def refuse(seed, paths):
+            raise AssertionError("the reference must not use _streams")
+
+        monkeypatch.setattr(ev, "_streams", refuse)
+        policy, reward = SIM_POLICIES["greedy"]
+        per_slot_simulate(policy, SIM_LAWS["uniform"], reward, 5, 3, 2**128 + 3)
+        with pytest.raises(AssertionError, match="_streams"):
+            ev.simulate(policy, SIM_LAWS["uniform"], reward, 5, 3, 2**128 + 3)
 
 
 class TestEvaluationResult:
