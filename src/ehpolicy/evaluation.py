@@ -47,6 +47,7 @@ Three evaluators of the long-run average reward per slot:
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -113,8 +114,10 @@ class NonConvergenceError(RuntimeError):
     its tail bound (1-p)**n min(r(c), p r'(0) L_(n+1)) after n rungs,
     L_(n+1) the level left (see bernoulli_reward), dropped to tol; span
     holds that criterion or bound.  needed is set when a series was
-    predicted past its cap instead of walked (a fixed-fraction ladder, or
-    one whose level stopped moving): the rungs tol would take."""
+    predicted past its cap instead of walked: a FixedFractionPolicy ladder
+    whose walk, or for awgn and sqrt whose head before the summed tail,
+    passes it, or one whose level stopped moving; needed is then the rungs
+    tol would take."""
 
     def __init__(
         self,
@@ -168,7 +171,9 @@ class EvaluationResult:
     """A long-run average-reward estimate and its accuracy tags.
 
     tolerance is the evaluator's own accuracy budget: the series tail bound
-    (residual) plus a bound on the walk's rounding, or the span half-width
+    (residual; for a fixed fraction's summed tail the truncation bound of
+    its power series) plus a bound on the rounding of the walk and of any
+    summed tail, or the span half-width
     plus a grid term for value iteration.  For Monte Carlo it is 3 standard
     errors, which is not a bound: it leaves out the bias of starting every
     path empty, at most marginal(0) * c / n.
@@ -206,10 +211,21 @@ def bernoulli_reward(
     r(u) <= r'(0) u while the later rungs together consume at most L_(i+1),
     which gives the second term (left out when r'(0) is not finite).  For a
     fixed fraction f, L_(i+1) = c (1-f)**i, so the second term shrinks at
-    the square of the first's rate when f = p.  Raises NonConvergenceError
-    when neither stop comes within 10**6 rungs: at once, naming the rungs
-    needed, for a fixed-fraction ladder that _fraction_rungs predicts past
-    the cap by more than its rounding, and at the end of its block for a
+    the square of the first's rate when f = p.
+
+    A policy of exactly the type FixedFractionPolicy (a subclass may consume
+    otherwise) with an awgn or sqrt reward and tol > 0 walks only a head:
+    the walk also stops at the first level L_(J+1) with
+    gamma f L_(J+1) <= 1/2 (gamma 1 for sqrt), and _fraction_tail adds the
+    rest of the series, a power series in that level with the sums over
+    rungs and over powers exchanged.  At p = f = 0.01 and c <= 50 the head is
+    empty.  Custom rewards, every other policy and a tol of 0 or less,
+    which no truncation meets, walk to the end.
+
+    Raises NonConvergenceError when no stop comes within 10**6 rungs: at
+    once, naming the rungs needed, for a fixed-fraction ladder whose walk
+    (or head) _fraction_rungs predicts past the cap by more than its
+    rounding, and at the end of its block for a
     ladder that reaches a fixed point (a rung that leaves the level as it
     was, so every later rung repeats it) whose geometric count,
     _fixed_point_fails_fast, passes the cap the same way.  Each rung runs
@@ -226,7 +242,8 @@ def bernoulli_reward(
     adds one rung at a time.
 
     residual is the tail bound left when the walk stopped, 0.0 when the
-    reserve hit 0.  tolerance adds a bound on the walk's rounding (u = eps/2)
+    reserve hit 0, and for a summed tail the truncation bound of its power
+    series, at most tol.  tolerance adds a bound on the walk's rounding (u = eps/2)
     for policies whose consumption and reserve are nondecreasing, 1-Lipschitz
     and evaluated within 6u (greedy, fixed fraction, the awgn maximin's
     interpolation) and rewards and r'(0) evaluated within 4u.  With n rungs,
@@ -241,14 +258,34 @@ def bernoulli_reward(
     at weights below w_(n+1).  The rounded tail bound is off by at most
     (2n + 8)u of itself: 2n u in (1-p)**n, 4u in r(c) or r'(0), and one u
     in each of its three products, so (n + 4) eps residual.
+
+    A summed tail after a head of J rungs keeps the terms above with n = J
+    and S the head's sum, and the drift term covers the tail as well: the
+    tail from level L, T(L) = p q**J sum_j q**j r(f g**j L) with q = 1 - p
+    and g = 1 - f, has slope at most p q**J r'(0) f / (1 - q g) <= w_(J+1)
+    r'(0), so the head's level error moves it by at most 3.5 eps w_(J+1)
+    r'(0) climb_J.  The tail is computed within its own rounding bound
+    (_fraction_tail) plus (2J + 6)u of itself: 2J u in the survivor
+    (1-p)**J, 2u in y = gamma f L, which moves T by at most 2u T because a
+    concave r with r(0) = 0 has u r'(u) <= r(u), and 2u in the products
+    weight = p (1-p)**J and weight times the sum.  (J + 3) eps T covers the
+    second order, and adding the tail to the head costs u of the value.
+    Its truncation bound is off by (2J + 3M + 9)u of itself, where M terms
+    were summed: (2J + 1)u in weight, (3M + 7)u in t_(M+1) and one u in the
+    product, so (1.5 M + J + 7) eps residual.
     """
     c, p = _check_positive(c), _check_fraction(p)
     top = float(reward.value(c))
     slope = float(reward.marginal(0.0))
     grade = p * slope if math.isfinite(slope) else math.inf  # the tail bound's p r'(0)
     shrink = 1.0 - p
-    if isinstance(policy, FixedFractionPolicy):
-        needed, rounding = _fraction_rungs(policy.p, shrink, top, grade * c, tol)
+    edge = -1.0  # the level at or below which a power series sums the rest
+    if type(policy) is FixedFractionPolicy:  # exactly: a subclass may consume otherwise
+        head = math.inf  # c / edge
+        if reward.kind in ("awgn", "sqrt") and tol > 0.0:
+            edge = 0.5 / (policy.p * (reward.gamma if reward.kind == "awgn" else 1.0))
+            head = c / edge
+        needed, rounding = _fraction_rungs(policy.p, shrink, top, grade * c, tol, head)
         if needed > _SERIES_RUNGS + rounding:
             last = c * (1.0 - policy.p) ** _SERIES_RUNGS
             raise NonConvergenceError(
@@ -265,48 +302,64 @@ def bernoulli_reward(
     residual = 0.0
     levels: list[float] = []  # the block's rungs, for _fold_rungs to score and sum
     spent: list[float] = []
-    flush = _SLOT_BLOCK  # the rung that ends this block
-    consume = policy._consume
-    for rungs in range(1, _SERIES_RUNGS + 1):
-        u = consume(level)
-        if level < u:  # min(u, level), without the builtin's call
-            u = level
-        if not 0.0 <= u <= level:
-            raise ValueError("u must be finite and nonnegative")
-        levels.append(level)
-        spent.append(u)
-        level -= u
-        survivor *= shrink
-        if level == 0.0:
-            residual = 0.0
-            break
-        bound = grade * level
-        residual = survivor * (bound if bound < top else top)  # min(top, bound)
-        if residual <= tol:
-            break
-        if rungs == flush:
-            if level == levels[-1]:  # a fixed point: every later rung repeats this one
-                _fixed_point_fails_fast(residual, rungs, shrink, tol, min(top, grade * level))
-            carry = _fold_rungs(carry, reward, p, levels, spent, first, shrink, shift)
-            first, flush = survivor, flush + _SLOT_BLOCK
-    else:
-        raise NonConvergenceError(residual, _SERIES_RUNGS, "Bernoulli series tail bound", "rungs")
-    total, climb, drift = _fold_rungs(carry, reward, p, levels, spent, first, shrink, shift)
+    rungs, summed = 0, c <= edge  # summed: the walk hands the rest to the power series
+    if not summed:
+        flush = _SLOT_BLOCK  # the rung that ends this block
+        consume = policy._consume
+        for rungs in range(1, _SERIES_RUNGS + 1):
+            u = consume(level)
+            if level < u:  # min(u, level), without the builtin's call
+                u = level
+            if not 0.0 <= u <= level:
+                raise ValueError("u must be finite and nonnegative")
+            levels.append(level)
+            spent.append(u)
+            level -= u
+            survivor *= shrink
+            if level == 0.0:
+                residual = 0.0
+                break
+            bound = grade * level
+            residual = survivor * (bound if bound < top else top)  # min(top, bound)
+            if residual <= tol:
+                break
+            if level <= edge:
+                summed = True
+                break
+            if rungs == flush:
+                if level == levels[-1]:  # a fixed point: every later rung repeats this one
+                    _fixed_point_fails_fast(residual, rungs, shrink, tol, min(top, grade * level))
+                carry = _fold_rungs(carry, reward, p, levels, spent, first, shrink, shift)
+                first, flush = survivor, flush + _SLOT_BLOCK
+        else:
+            raise NonConvergenceError(
+                residual, _SERIES_RUNGS, "Bernoulli series tail bound", "rungs"
+            )
+    if levels:
+        carry = _fold_rungs(carry, reward, p, levels, spent, first, shrink, shift)
+    total, climb, drift = carry
+    value, bound_error, summing = total, (rungs + 4) * residual, 0.0  # in units of eps
+    if summed:
+        weight = p * survivor
+        tail, residual, spread, terms = _fraction_tail(reward, policy.p, p, level, weight, tol)
+        value = total + tail
+        bound_error = (1.5 * terms + rungs + 7) * residual
+        summing = spread + (rungs + 3) * tail + 0.5 * value
     rounding = (
         _EPS
         * (
-            math.ldexp(1.5 * (rungs + 1) * total + (rungs + 4) * residual, -shift)
+            math.ldexp(1.5 * (rungs + 1) * total + bound_error + summing, -shift)
             + 3.5 * slope * (drift + p * survivor * climb)
         )
         * math.ldexp(1.0, shift)  # a product, which overflows to inf where ldexp raises
     )
     return EvaluationResult(
-        value=total, method="bernoulli_series", residual=residual, tolerance=residual + rounding
+        value=value, method="bernoulli_series", residual=residual, tolerance=residual + rounding
     )
 
 
 def _fraction_rungs(
-    fraction: float, shrink: float, top: float, start: float, tol: float
+    fraction: float, shrink: float, top: float, start: float, tol: float, head: float = math.inf
 ) -> tuple[float, float]:
     """The rungs a fixed-fraction walk takes before its tail bound drops to
     tol, and how far rounding may move the walk's own count; (0, 0.0) when
@@ -327,7 +380,11 @@ def _fraction_rungs(
     first crossing both are that close, so neither crosses earlier or later
     than 1 + 2 eps (n + 2) / rate rungs of its count, where rate is the
     slower decay, -log(shrink), unless shrink rounds to 1 (p below eps/2):
-    then the survivor stays 1.0 and only the second bound falls.
+    then the survivor stays 1.0 and only the second bound falls.  head, c
+    over the level at which an awgn or sqrt walk hands the rest to its
+    summed tail (inf for none), adds a third count: c g**n, within n eps,
+    reaches that level after log(head) / -log(g) rungs, rounded up, and
+    rate becomes the slowest of the decays the counts use.
     """
     if not (fraction <= 0.5 and 0.0 < tol < top):
         return 0, 0.0
@@ -336,10 +393,73 @@ def _fraction_rungs(
     if shrink < 1.0:
         rate = -math.log(shrink)
         needed = min(needed, math.log(top / tol) / rate)
+    if head < math.inf:  # the walk also stops once its level c g**n is at most c / head
+        decay = -math.log1p(-fraction)
+        needed = min(needed, max(math.log(head), 0.0) / decay)
+        rate = min(rate, decay)
     if needed == math.inf:  # r'(0) not finite and shrink 1.0: no bound falls
         return math.inf, 0.0
     needed = math.ceil(needed)
     return needed, 1.0 + 2.0 * _EPS * (needed + 2) / rate
+
+
+def _fraction_tail(
+    reward: RewardFunction, fraction: float, p: float, level: float, weight: float, tol: float
+) -> tuple[float, float, float, int]:
+    """The fixed-fraction series on from a level inside the reward's power
+    series radius, with the two sums exchanged.  Returns the tail, its
+    truncation bound, a rounding bound in units of eps and the count M of
+    terms summed.
+
+    From level L the rungs consume x g**j, x = fraction * L and
+    g = 1 - fraction, at weights weight * q**j, q = 1 - p, where weight is
+    p (1-p)**J after J rungs.  awgn and sqrt are power series
+    r(u) = sum_m r_m u**m, with r_m = (-1)**(m+1) gamma**m / (2m) and
+    binomial(1/2, m), so the tail is
+
+        weight * sum_m t_m,    t_m = r_m x**m / (1 - q g**m),
+
+    where both sums converge absolutely while gamma x < 1 (gamma is 1 for
+    sqrt).  The caller hands over y = gamma x at most 1/2, within 4u
+    (u = eps/2).  The t_m then alternate in sign and |t_(m+1) / t_m| < y,
+    because r_m's ratios are m / (m+1) and (m - 1/2) / (m+1) and
+    1 - q g**m grows with m.  So the terms after the M-th sum to at most
+    |t_(M+1)|.  M stops at the first t_(M+1) that is at most eps/8 |t_1| and
+    whose weighted bound is at most tol.  The M terms are summed smallest
+    first.
+
+    Rounding, with log1p and expm1 within 2u: r_m x**m is built from
+    y / 2 by one product a term, 3u each, so it is within 3(m - 1)u.  In
+    1 - q g**m = -expm1(log1p(-p) + m log1p(-fraction)) the argument s is
+    within 4u; that moves 1 - e**s by at most |s| e**s / (1 - e**s) <= 1
+    times as much, relative, and expm1 adds 2u.  With the division, t_m is
+    within (3m + 4)u; 3m + 6 covers the second-order terms.  Adding
+    smallest first costs u |s_k| at each partial sum s_k.  So the sum is
+    within u sum_m ((3m + 6) |t_m| + |s_m|), and the returned rounding
+    bound is weight times half of that.
+    """
+    y = fraction * level
+    half = 0.5  # r_(m+1) / r_m = -(m - half) / (m + 1) gamma
+    if reward.kind == "awgn":
+        y *= reward.gamma
+        half = 0.0
+    down, shrink = math.log1p(-fraction), math.log1p(-p)
+    power = 0.5 * y  # r_m x**m, and r_1 x = y / 2 for both rewards
+    terms = [power / -math.expm1(shrink + down)]
+    stop = 0.125 * _EPS * abs(terms[0])
+    spread = 9.0 * abs(terms[0])  # the sum of (3m + 6) |t_m| and of |s_m|
+    for m in itertools.count(2):
+        power *= -y * (m - 1 - half) / m
+        term = power / -math.expm1(shrink + m * down)
+        if abs(term) <= stop and weight * abs(term) <= tol:
+            break
+        terms.append(term)
+        spread += (3 * m + 6) * abs(term)
+    tail = 0.0
+    for t in reversed(terms):
+        tail += t
+        spread += abs(tail)
+    return weight * tail, weight * abs(term), weight * 0.5 * spread, len(terms)
 
 
 def _fixed_point_fails_fast(

@@ -30,6 +30,7 @@ CONVEX = rw.RewardFunction.custom(
     lambda u: u * u, lambda u: 2.0 * u, lambda y: 0.5 * y, validate=False
 )
 # the awgn:1 closed forms as a custom reward, so its maximin policy inverts
+# and a fixed fraction walks its whole ladder (awgn sums the tail)
 LOG1P = next(r for r in _sample_rewards() if r.kind == "custom")
 
 # frozen series values, computed once from the level walk by hand
@@ -108,6 +109,17 @@ class _Tiring(pol.FixedFractionPolicy):
     def _evaluate(self, arr):
         self.p *= 0.999
         return self.p * arr
+
+
+class _HalfFraction(pol.FixedFractionPolicy):
+    """A fixed-fraction subclass whose kernels consume half of every level,
+    whatever its p."""
+
+    def _evaluate(self, arr):
+        return 0.5 * arr
+
+    def _consume(self, level):
+        return 0.5 * level
 
 
 class _Idle(pol.StationaryPolicy):
@@ -294,7 +306,7 @@ class TestBernoulliSeries:
         policy = pol.FixedFractionPolicy(p) if kind == "fixed_fraction" else _Idle()
         walked = _ScalarRungs(policy)
         monkeypatch.setattr(policy, "_consume", walked)
-        res = ev.bernoulli_reward(policy, AWGN1, c, p)
+        res = ev.bernoulli_reward(policy, LOG1P, c, p)
         n = len(walked.levels)
         tail = oracle.fraction_tail(1.0, p, c, n) if kind == "fixed_fraction" else 0
         assert 0 < tail <= res.residual <= 1e-15 or tail == res.value == 0.0
@@ -341,9 +353,9 @@ class TestBernoulliSeries:
         # cap; a fraction at most 1/2 never empties the battery
         started = time.perf_counter()
         with pytest.raises(ev.NonConvergenceError, match=r"tol needs \d+ rungs$") as info:
-            ev.bernoulli_reward(pol.FixedFractionPolicy(p), AWGN1, 1.0, p)
+            ev.bernoulli_reward(pol.FixedFractionPolicy(p), LOG1P, 1.0, p)
         assert time.perf_counter() - started < 0.1
-        top, start = AWGN1.value(1.0), p * AWGN1.marginal(0.0) * 1.0
+        top, start = LOG1P.value(1.0), p * LOG1P.marginal(0.0) * 1.0
         squared = math.ceil(math.log(start / 1e-15) / -(2.0 * math.log1p(-p)))
         assert squared < math.log(top / 1e-15) / -math.log1p(-p)
         assert info.value.needed == squared
@@ -359,16 +371,16 @@ class TestBernoulliSeries:
         policy = pol.FixedFractionPolicy(fraction)
         walked = _ScalarRungs(policy)
         monkeypatch.setattr(policy, "_consume", walked)
-        res = ev.bernoulli_reward(policy, AWGN1, 1.0, 0.01)
+        res = ev.bernoulli_reward(policy, LOG1P, 1.0, 0.01)
         rungs = len(walked.levels)
-        start = 0.01 * AWGN1.marginal(0.0) * 1.0
-        needed, rounding = ev._fraction_rungs(fraction, 1.0 - 0.01, AWGN1.value(1.0), start, 1e-15)
+        start = 0.01 * LOG1P.marginal(0.0) * 1.0
+        needed, rounding = ev._fraction_rungs(fraction, 1.0 - 0.01, LOG1P.value(1.0), start, 1e-15)
         assert abs(needed - rungs) <= rounding < 2.0
         monkeypatch.setattr(ev, "_SERIES_RUNGS", rungs)  # a cap the walk just meets
-        assert ev.bernoulli_reward(policy, AWGN1, 1.0, 0.01) == res
+        assert ev.bernoulli_reward(policy, LOG1P, 1.0, 0.01) == res
         monkeypatch.setattr(ev, "_SERIES_RUNGS", rungs - 1)
         with pytest.raises(ev.NonConvergenceError):
-            ev.bernoulli_reward(policy, AWGN1, 1.0, 0.01)
+            ev.bernoulli_reward(policy, LOG1P, 1.0, 0.01)
 
     def test_fixed_fraction_above_one_half_walks_to_zero(self, monkeypatch):
         # a fraction above 1/2 is not predicted, but its walk ends quickly
@@ -381,7 +393,7 @@ class TestBernoulliSeries:
         monkeypatch.setattr(policy, "_consume", walked)
         for tol, most in ((1e-15, 10), (0.0, 400)):
             walked.levels.clear()
-            res = ev.bernoulli_reward(policy, AWGN1, 1.0, 1e-7, tol)
+            res = ev.bernoulli_reward(policy, LOG1P, 1.0, 1e-7, tol)
             assert res.residual <= tol
             assert len(walked.levels) <= most
 
@@ -428,11 +440,12 @@ SERIES_REWARDS = {
 def series_policy(kind, reward, p, monkeypatch):
     """The policy of that kind; a bisection maximin answers repeated levels
     of _evaluate from memory, so a custom reward's reference walk costs no
-    second bisection."""
+    second bisection.  A fixed fraction on awgn or sqrt is the same kernel
+    in a plain StationaryPolicy, which the series walks rung by rung."""
     if kind == "greedy":
         return pol.GreedyPolicy()
-    if kind == "fixed_fraction":
-        return pol.FixedFractionPolicy(p)
+    if kind == "fixed_fraction":  # awgn and sqrt sum a FixedFractionPolicy's tail
+        return pol.FixedFractionPolicy(p) if reward.kind == "custom" else _Fraction(p)
     policy = pol.maximin_policy(reward, p)
     if isinstance(policy, pol.MaximinPolicy):
         monkeypatch.setattr(policy, "_evaluate", _Rungs(policy))
@@ -510,7 +523,7 @@ class TestSeriesBlocks:
         def peak(p):
             tracemalloc.start()
             try:
-                ev.bernoulli_reward(pol.FixedFractionPolicy(p), AWGN1, 1.0, p)
+                ev.bernoulli_reward(pol.FixedFractionPolicy(p), LOG1P, 1.0, p)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -544,6 +557,113 @@ class TestSeriesBlocks:
             res = ev.bernoulli_reward(make_policy(kind, reward, 0.5), reward, c, 0.5)
         assert math.isfinite(res.value)
         assert res.residual <= res.tolerance < math.inf
+
+
+def closed_forms(gamma):
+    """awgn:gamma, or sqrt when gamma is None, and the same closed forms as
+    a custom reward, which a fixed fraction walks to the end."""
+    if gamma is None:
+        return SQRT, rw.RewardFunction.custom(
+            lambda u: u / (np.sqrt(1.0 + u) + 1.0),
+            lambda u: 0.5 / np.sqrt(1.0 + u),
+            lambda y: (0.5 / y) ** 2 - 1.0,
+            validate=False,
+        )
+    return rw.RewardFunction.awgn(gamma), rw.RewardFunction.custom(
+        lambda u: 0.5 * np.log1p(gamma * u),
+        lambda u: gamma / (2.0 * (1.0 + gamma * u)),
+        lambda y: (gamma / (2.0 * y) - 1.0) / gamma,
+        validate=False,
+    )
+
+
+GRID_REWARDS = {name: closed_forms(gamma) for name, gamma in
+                (("awgn:0.001", 1e-3), ("awgn:1", 1.0), ("awgn:1000", 1e3), ("sqrt", None))}
+
+
+class TestFractionTail:
+    """A FixedFractionPolicy on awgn or sqrt walks a head and sums the rest
+    of its series as a power series in the level, with the sums exchanged."""
+
+    @pytest.mark.parametrize("fraction", ["p", 0.3])
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 8.0, 1e3])
+    @pytest.mark.parametrize("p", [1e-6, 1e-4, 0.01, 0.5, 0.99])
+    @pytest.mark.parametrize("reward", sorted(GRID_REWARDS))
+    def test_lies_within_its_tolerance_of_the_oracle(self, reward, p, c, fraction):
+        # and that tolerance is no larger than the walk's on the same closed
+        # forms, wherever the walk finishes within the cap
+        built, custom = GRID_REWARDS[reward]
+        f = p if fraction == "p" else fraction
+        gamma = None if built.kind == "sqrt" else built.gamma
+        res = ev.bernoulli_reward(pol.FixedFractionPolicy(f), built, c, p)
+        assert res.residual <= 1e-15
+        assert abs(mpmath.mpf(res.value) - oracle.fraction_series(gamma, p, c, f)) <= res.tolerance
+        try:
+            walk = ev.bernoulli_reward(pol.FixedFractionPolicy(f), custom, c, p)
+        except ev.NonConvergenceError as error:
+            assert error.needed is not None  # refused at once, not walked
+        else:
+            assert res.tolerance <= walk.tolerance
+
+    @pytest.mark.parametrize("reward", ["awgn:1", "sqrt"])
+    @pytest.mark.parametrize("p", [1e-5, 1e-6])
+    def test_small_p_cells_that_the_walk_refuses_finish(self, p, reward):
+        # the walk needs ~1.1e6 (p = 1e-5) or ~1.0e7 rungs; p c <= 1/2, so
+        # the whole ladder is one power series
+        built, custom = GRID_REWARDS[reward]
+        with pytest.raises(ev.NonConvergenceError):
+            ev.bernoulli_reward(pol.FixedFractionPolicy(p), custom, 1.0, p)
+        started = time.perf_counter()
+        res = ev.bernoulli_reward(pol.FixedFractionPolicy(p), built, 1.0, p)
+        assert time.perf_counter() - started < 0.1
+        gamma = None if built.kind == "sqrt" else built.gamma
+        assert abs(mpmath.mpf(res.value) - oracle.fraction_series(gamma, p, 1.0)) <= res.tolerance
+
+    @pytest.mark.parametrize("reward", ["awgn:1", "sqrt"])
+    def test_the_benchmark_cells_walk_a_short_head(self, reward, monkeypatch):
+        # the head ends at the first level L with p L <= 1/2: at once where
+        # p c <= 1/2, which is every cell at p = 0.01
+        heads = {}
+        for c in (0.5, 2.0, 8.0):
+            for p in (0.01, 0.1, 0.3, 0.5, 0.9):
+                policy = pol.FixedFractionPolicy(p)
+                walked = _ScalarRungs(policy)
+                monkeypatch.setattr(policy, "_consume", walked)
+                ev.bernoulli_reward(policy, SERIES_REWARDS[reward], c, p)
+                if walked.levels:
+                    heads[p, c] = len(walked.levels)
+        assert heads == {
+            (0.1, 8.0): 5, (0.3, 2.0): 1, (0.3, 8.0): 5, (0.5, 2.0): 1,
+            (0.5, 8.0): 3, (0.9, 2.0): 1, (0.9, 8.0): 2,
+        }
+
+    def test_a_subclass_walks_its_own_kernel(self):
+        # its p of 1e-6 would predict ~1.0e7 rungs and a power series in
+        # that fraction, but its kernel halves the level: ~50 rungs of walk
+        res = ev.bernoulli_reward(_HalfFraction(1e-6), AWGN1, 1.0, 1e-6)
+        assert res == ev.bernoulli_reward(_Fraction(0.5), AWGN1, 1.0, 1e-6)
+        assert res.tolerance < 1e-15
+
+    def test_a_stateful_subclass_keeps_the_walk(self):
+        want = ev.bernoulli_reward(_Fraction(0.3), AWGN1, 2.0, 0.3)
+        assert ev.bernoulli_reward(_Tiring(0.3), AWGN1, 2.0, 0.3) == want
+        assert ev.bernoulli_reward(pol.FixedFractionPolicy(0.3), AWGN1, 2.0, 0.3) != want
+
+    def test_a_tol_of_zero_keeps_the_walk(self):
+        # no truncation of the power series meets tol = 0
+        policy = pol.FixedFractionPolicy(0.9)
+        res = ev.bernoulli_reward(policy, AWGN1, 1.0, 0.5, 0.0)
+        assert res == ev.bernoulli_reward(policy, LOG1P, 1.0, 0.5, 0.0)
+
+    def test_a_head_past_the_cap_fails_fast(self):
+        # p c = 10 at p = 1e-6: the head needs log(20) / 1e-6 ~ 3.0e6 rungs
+        # before the level is under the power series' radius, and the walk's
+        # tail bound ~1.8e7
+        started = time.perf_counter()
+        with pytest.raises(ev.NonConvergenceError, match=r"tol needs \d+ rungs$") as info:
+            ev.bernoulli_reward(pol.FixedFractionPolicy(1e-6), AWGN1, 1e7, 1e-6)
+        assert time.perf_counter() - started < 0.1
+        assert abs(info.value.needed - math.log(20.0) / -math.log1p(-1e-6)) <= 2
 
 
 class TestDerivativeCheck:

@@ -183,9 +183,10 @@ class TestScalarKernel:
         policy = _Shaped(half)
         assert policy._consume(3.0) == 1.5 and len(calls) == 1
         calls.clear()
-        res = ev.bernoulli_reward(policy, AWGN1, 1.0, 0.5)
+        # awgn:1 as a custom reward, which a FixedFractionPolicy walks too
+        res = ev.bernoulli_reward(policy, LOG1P, 1.0, 0.5)
         assert calls and all(arr.shape == (1,) for arr in calls)
-        assert res == ev.bernoulli_reward(pol.FixedFractionPolicy(0.5), AWGN1, 1.0, 0.5)
+        assert res == ev.bernoulli_reward(pol.FixedFractionPolicy(0.5), LOG1P, 1.0, 0.5)
 
 
 class _Halved(pol.MaximinPolicy):
