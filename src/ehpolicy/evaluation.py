@@ -61,6 +61,7 @@ from .policies import (
     MaximinAwgnPolicy,
     MaximinPolicy,
     StationaryPolicy,
+    _Ladder,
     maximin_policy,
 )
 from .rewards import RewardFunction, _check_fraction, _check_positive
@@ -83,6 +84,7 @@ __all__ = [
 
 _ADMISSIBILITY_SLACK = 1e-9
 _SERIES_RUNGS = 1_000_000  # bernoulli_reward's rung cap
+_SERIES_CAP = ("Bernoulli series tail bound", "rungs")  # what NonConvergenceError names there
 _EPS = float(np.finfo(float).eps)
 # slots per simulate block and rungs per series block: a simulate block holds
 # two or three block-by-paths arrays and costs one draw call per path, a
@@ -226,14 +228,14 @@ def bernoulli_reward(
     once, naming the rungs needed, for a fixed-fraction ladder whose walk
     (or head) _fraction_rungs predicts past the cap by more than its
     rounding, and at the end of its block for a
-    ladder that reaches a fixed point (a rung that leaves the level as it
-    was, so every later rung repeats it) whose geometric count,
-    _fixed_point_fails_fast, passes the cap the same way.  Each rung runs
-    only the policy's scalar kernel _consume (levels are finite and
-    nonnegative by construction; MaximinPolicy's certifies a block of the
-    ladder's rungs ahead and serves them from it), rejects a consumption
-    that is not as reward.value would, steps the level and the survivor,
-    and takes the tail bound.  The levels and consumptions are buffered in
+    ladder that reaches a fixed point (_Ladder.fixed: a rung that leaves
+    the level as it was, so every later rung repeats it) whose geometric
+    count, _fixed_point_fails_fast, passes the cap the same way.  Each rung
+    is one step of the policy's reserve ladder (_Ladder, on levels finite
+    and nonnegative by construction: the policy's _rungs, which for
+    MaximinPolicy certifies a block of rungs at a time, and the rejection
+    of a NaN or negative consumption), the survivor's step and the tail
+    bound.  The levels and consumptions are buffered in
     blocks of _SLOT_BLOCK rungs, counted by the rung number; _fold_rungs
     rebuilds a block's survivors from its first and scores the block with
     one reward._value call.  The value, climb and drift sums below are then
@@ -286,15 +288,8 @@ def bernoulli_reward(
             edge = 0.5 / (policy.p * (reward.gamma if reward.kind == "awgn" else 1.0))
             head = c / edge
         needed, rounding = _fraction_rungs(policy.p, shrink, top, grade * c, tol, head)
-        if needed > _SERIES_RUNGS + rounding:
-            last = c * (1.0 - policy.p) ** _SERIES_RUNGS
-            raise NonConvergenceError(
-                shrink**_SERIES_RUNGS * min(top, grade * last),
-                _SERIES_RUNGS,
-                "Bernoulli series tail bound",
-                "rungs",
-                needed=needed,
-            )
+        last = c * (1.0 - policy.p) ** _SERIES_RUNGS  # the level at the cap
+        _past_the_cap(needed, rounding, shrink, min(top, grade * last))
     carry = (0.0, 0.0, 0.0)  # the value, climb_i and the drift sum w_i climb_i so far
     shift = max(math.frexp(c)[1] - 1, 0)  # climb and drift are summed in units of 2**shift
     level = c
@@ -305,16 +300,11 @@ def bernoulli_reward(
     rungs, summed = 0, c <= edge  # summed: the walk hands the rest to the power series
     if not summed:
         flush = _SLOT_BLOCK  # the rung that ends this block
-        consume = policy._consume
+        ladder = _Ladder(policy, level)
         for rungs in range(1, _SERIES_RUNGS + 1):
-            u = consume(level)
-            if level < u:  # min(u, level), without the builtin's call
-                u = level
-            if not 0.0 <= u <= level:
-                raise ValueError("u must be finite and nonnegative")
             levels.append(level)
-            spent.append(u)
-            level -= u
+            spent.append(ladder.step())
+            level = ladder.level
             survivor *= shrink
             if level == 0.0:
                 residual = 0.0
@@ -327,14 +317,12 @@ def bernoulli_reward(
                 summed = True
                 break
             if rungs == flush:
-                if level == levels[-1]:  # a fixed point: every later rung repeats this one
+                if ladder.fixed:  # every later rung repeats this one
                     _fixed_point_fails_fast(residual, rungs, shrink, tol, min(top, grade * level))
                 carry = _fold_rungs(carry, reward, p, levels, spent, first, shrink, shift)
                 first, flush = survivor, flush + _SLOT_BLOCK
         else:
-            raise NonConvergenceError(
-                residual, _SERIES_RUNGS, "Bernoulli series tail bound", "rungs"
-            )
+            raise NonConvergenceError(residual, _SERIES_RUNGS, *_SERIES_CAP)
     if levels:
         carry = _fold_rungs(carry, reward, p, levels, spent, first, shrink, shift)
     total, climb, drift = carry
@@ -484,14 +472,16 @@ def _fixed_point_fails_fast(
     if rate > 0.0:
         needed = rungs + math.ceil((math.log(residual) - math.log(tol)) / rate)
         rounding = 1.0 + 2.0 * _EPS * (needed + 2) / rate
+    _past_the_cap(needed, rounding, shrink, bound)
+
+
+def _past_the_cap(needed: float, rounding: float, shrink: float, bound: float) -> None:
+    """Raise NonConvergenceError, naming the rungs needed, when a predicted
+    walk passes the cap by more than its rounding; its tail bound at the
+    cap is shrink**_SERIES_RUNGS * bound."""
     if needed > _SERIES_RUNGS + rounding:
-        raise NonConvergenceError(
-            shrink**_SERIES_RUNGS * bound,
-            _SERIES_RUNGS,
-            "Bernoulli series tail bound",
-            "rungs",
-            needed=needed,
-        )
+        span = shrink**_SERIES_RUNGS * bound
+        raise NonConvergenceError(span, _SERIES_RUNGS, *_SERIES_CAP, needed=needed)
 
 
 def _fold_rungs(
@@ -829,37 +819,16 @@ def _estimate(totals: np.ndarray, n: int) -> EvaluationResult:
     )
 
 
-class _Ladder:
-    """The rewards of the reserve ladder's rungs from one level, walked on
-    demand with bernoulli_reward's rung step u = min(_consume(L), L),
-    L -= u, and scored once each through reward.value.
-
-    The walk ends at the first rung whose step does not lower the level: a
-    fixed point, where the level stays as it was and every later rung
-    repeats this one, or a NaN or negative consumption, which reward.value
-    then rejects.  Past its last rung the table reads that rung.
-    """
-
-    def __init__(self, policy: StationaryPolicy, reward: RewardFunction, level: float):
-        self.consume, self.reward, self.level = policy._consume, reward, level
-        self.gains = np.empty(0)
-        self.ended = False
-
-    def through(self, rung: int) -> np.ndarray:
-        """The table, walked through `rung` or to its end."""
-        spent = []
-        level, consume = self.level, self.consume
-        while not self.ended and self.gains.size + len(spent) <= rung:
-            u = consume(level)
-            if level < u:
-                u = level
-            spent.append(u)
-            self.ended = not level - u < level
-            level -= u
-        if spent:
-            self.level = level
-            self.gains = np.concatenate((self.gains, self.reward.value(np.array(spent))))
-        return self.gains
+def _walked(ladder: _Ladder, reward: RewardFunction, table: np.ndarray, rung: int) -> np.ndarray:
+    """table, the rewards of the ladder's rungs walked so far, walked on
+    through `rung` or to the ladder's fixed point, past which it reads its
+    last rung."""
+    spent = []
+    while not ladder.fixed and table.size + len(spent) <= rung:
+        spent.append(ladder.step())
+    if spent:
+        table = np.concatenate((table, reward.value(np.array(spent))))
+    return table
 
 
 def _renewal_totals(
@@ -885,9 +854,10 @@ def _renewal_totals(
     copies the marks once into a slot-major block.  Everything after runs
     over whole slot rows: each slot's 1 + slot where a path charged, a
     running maximum down the slots for the last charge, the slots since
-    it, the rewards gathered from the ladders' tables, walked only as far
-    as the longest gap seen (_Ladder), and a running sum down the slots,
-    in slot order, into the totals (_down_slots).  The counts are int32
+    it, the rewards gathered from the two ladders' reward tables, each
+    walked only as far as the longest gap seen or to its fixed point
+    (_walked), and a running sum down the slots, in slot order, into the
+    totals (_down_slots).  The counts are int32
     while n allows; the gather runs in slices of about _GATHER elements,
     since np.take widens its indices to intp.  The marks live in the other buffer's dead bytes: the
     path-major ones in the counts', the slot-major ones in the uniforms'.
@@ -899,7 +869,8 @@ def _renewal_totals(
     counts = np.empty(paths * width, dtype=count)
     last = np.zeros(paths, dtype=count)  # 1 + the slot of the last charge, 0 before one
     totals = np.zeros(paths)
-    full, empty = _Ladder(policy, reward, c), _Ladder(policy, reward, 0.0)
+    full, empty = _Ladder(policy, c), _Ladder(policy, 0.0)
+    table = fresh_table = np.empty(0)  # the rewards of the rungs from c, and from 0
     for start in range(0, n, width):
         cols = min(width, n - start)
         size = paths * cols
@@ -920,13 +891,14 @@ def _renewal_totals(
             rungs = since[fresh] - 1
             since[fresh] = 0
         gains = block[:size].reshape(cols, paths)
-        table = full.through(int(since.max()))
+        table = _walked(full, reward, table, int(since.max()))
         step = max(1, _GATHER // paths)  # slot rows per slice
         for lo in range(0, cols, step):
             hi = lo + step
             np.take(table, since[lo:hi], out=gains[lo:hi], mode="clip")
         if fresh is not None:
-            gains[fresh] = empty.through(int(rungs.max(initial=0))).take(rungs, mode="clip")
+            fresh_table = _walked(empty, reward, fresh_table, int(rungs.max(initial=0)))
+            gains[fresh] = fresh_table.take(rungs, mode="clip")
         totals = _down_slots(np.add, totals, gains)
     return totals
 

@@ -65,20 +65,25 @@ class StationaryPolicy(ABC):
         """Consumption for a 1-d array of stored-energy levels.
 
         Each level's consumption must depend on that level alone: not on the
-        other levels in the array, nor on earlier calls.  The series walk,
-        ergodic_levels and simulate's renewal path on 0-or-c arrivals step
-        one level at a time through _consume, and MaximinPolicy's _consume
-        certifies a block of the ladder's rungs in one array, where the slot
-        loop and value iteration evaluate whole arrays of unrelated levels;
-        they give the same bits only under this contract.  Every policy here
-        meets it."""
+        other levels in the array, nor on earlier calls.  The reserve ladder
+        (_Ladder, which the series walk, ergodic_levels and simulate's
+        renewal path on 0-or-c arrivals walk) asks _rungs for its rungs, and
+        MaximinPolicy's certifies a block of them in one array, where the
+        slot loop and value iteration evaluate whole arrays of unrelated
+        levels; they give the same bits only under this contract.  Every
+        policy here meets it."""
 
     def _consume(self, level: float) -> float:
-        """Consumption at one finite, nonnegative level as a Python float: the
-        kernel of the walks down the reserve ladder.  _evaluate on a
-        one-element array by default; a policy may override it with float
-        arithmetic, or work ahead down the ladder, that keeps _evaluate's bits."""
+        """Consumption at one finite, nonnegative level as a Python float.
+        _evaluate on a one-element array by default; a policy may override it
+        with float arithmetic that keeps _evaluate's bits."""
         return float(self._evaluate(np.array([level]))[0])
+
+    def _rungs(self, level: float) -> list[float]:
+        """Consumptions of the reserve ladder's rungs from one finite,
+        nonnegative level down: [_consume(level)] by default, or a block of
+        rungs, each at the level L - min(u, L) the one before leaves."""
+        return [self._consume(level)]
 
     def evaluate(self, x):
         """Energy consumed at stored level x; satisfies 0 <= result <= x."""
@@ -101,6 +106,36 @@ class StationaryPolicy(ABC):
         for _ in range(int(i)):
             out = np.maximum(out - self._evaluate(out.ravel()).reshape(out.shape), 0.0)
         return float(out) if scalar else out
+
+
+class _Ladder:
+    """The reserve ladder from one level, walked a rung at a time: a rung at
+    level L takes the next consumption kernel of policy._rungs, spends
+    u = min(kernel, L) and leaves L - u.  A NaN or negative u raises
+    ValueError.  fixed is set by a rung that leaves the level as it was, at
+    0 too: under _evaluate's per-level contract every later rung repeats it.
+    """
+
+    __slots__ = ("_rungs", "_ahead", "level", "fixed")
+
+    def __init__(self, policy: StationaryPolicy, level: float):
+        self._rungs, self._ahead = policy._rungs, iter(())
+        self.level, self.fixed = level, False
+
+    def step(self) -> float:
+        """Walk one rung and return its consumption; level is the level after it."""
+        u = next(self._ahead, None)
+        if u is None:  # the block is spent: ask for the rungs from here
+            self._ahead = iter(self._rungs(self.level))
+            u = next(self._ahead)
+        level = self.level
+        if level < u:  # min(u, level), without the builtin's call
+            u = level
+        if not 0.0 <= u:  # NaN too
+            raise ValueError("u must be finite and nonnegative")
+        self.level = level - u
+        self.fixed = self.level == level
+        return u
 
 
 class GreedyPolicy(StationaryPolicy):
@@ -144,7 +179,7 @@ class _Maximin(StationaryPolicy):
         self.scale = 1.0 / (1.0 - self.p)
         self.kinks = KinkWalk(reward, self.p)
         self._x = self._y = np.zeros(1)
-        self._cover(0.0)  # through E_1, the end of the greedy segment
+        _Maximin._cover(self, 0.0)  # through E_1, the end of the greedy segment, or raise
 
     def _cover(self, top: float) -> None:
         """Walk the kinks past top, or keep those walked and raise KinkWalk's ValueError."""
@@ -174,47 +209,48 @@ class MaximinPolicy(_Maximin):
     slope is at least 1, so either puts u within inversion_tol of the
     root, the bound behind metrics.sweep's slack r'(0) inversion_tol / p.
     Each level runs on its own, so an array gets the bits of its levels
-    one at a time, and the series walk, Monte Carlo, value iteration and
-    curve share this one path.  After 200 steps a residual above
-    1e-9 (1 + x), or a NaN one, raises RuntimeError.
+    one at a time, and the ladder walks, Monte Carlo, value iteration and
+    curve share this one path.  After 200 steps a NaN residual, or a
+    finite one above 1e-9 (1 + x), raises RuntimeError, and a +inf one,
+    whose ladder sum leaves the float range, ValueError.
 
-    The scalar kernel _consume looks ahead down the reserve ladder.  A level
-    not on the ladder it walked last runs _evaluate alone, as above, and
-    notes its next rung L - u.  When that rung is asked for, the
-    table walks on from it, a rung L -> L - min(table(L), L), for up to
-    _span rungs or until the level falls to x_1, and one _ladder_sum call
-    certifies every rung of this block.  The rungs before the first failed
-    certificate keep the table's value, the failed one is settled by the
-    chord step and regula falsi, and the block ends there; each rung is then
-    the one _evaluate gives its level alone, and the rungs after it are
-    served from the block, bit for bit.  A block that passes whole doubles
-    _span, up to _AHEAD rungs; one that fails at its k-th rung sets it to
-    k + 1.  So every certificate call runs the table check of a rung the
-    walk asks for, and a ladder whose every rung fails makes the calls of
-    one _evaluate a rung.  A subclass that overrides _evaluate is served by
-    it on every rung.
+    The reserve ladder asks _rungs for a block of rungs at a time.  From a
+    level above x_1 the table walks down the ladder, a rung
+    L -> L - min(table(L), L), for up to _span rungs or until the level
+    falls to x_1, and one _ladder_sum call certifies every rung of the
+    block.  The rungs before the first failed certificate keep the table's
+    value, the failed one is settled by the chord step and regula falsi,
+    and the block ends there; so each rung is the one _evaluate gives its
+    level alone.  A block that passes whole doubles _span, up to _AHEAD
+    rungs; one that fails at its k-th rung sets it to k + 1.  So every
+    certificate call runs the table check of a rung the walk asks for, and
+    a ladder whose every rung fails makes the calls of one _evaluate a
+    rung.  A level at or below x_1 is one rung that spends it all.  A
+    subclass that overrides _evaluate is served by it on every rung.
     """
 
     kind = "maximin_generic"
     inversion_tol = 1e-12
     _AHEAD = 1024  # most rungs a block
     _span = 16  # rungs of the next block
-    _levels: list | tuple = ()  # the block's rungs still ahead, the next one last
-    _spent: list | tuple = ()  # and their consumptions
-    _next: float | None = None  # the level after the block, where the next one starts
+
+    def _cover(self, top: float) -> None:
+        """Walk the kinks past top; past the kink cap or the float range,
+        extend the last segment to the largest float instead."""
+        try:
+            super()._cover(top)
+        except ValueError:
+            xs, ys, big = self._x, self._y, np.finfo(float).max
+            if xs[-1] < big:
+                y = ys[-1] + (big - xs[-1]) / ((xs[-1] - xs[-2]) / (ys[-1] - ys[-2]))
+                self._x, self._y = np.append(xs, big), np.append(ys, y)
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         above = arr > self._x[1]  # x itself on the greedy segment
         if not above.any():
             return arr.copy()
         x = arr[above]
-        try:
-            self._cover(float(x.max()))
-        except ValueError:  # past the kink cap or the float range: the last segment, extended
-            xs, ys, top = self._x, self._y, np.finfo(float).max
-            if xs[-1] < top:
-                y = ys[-1] + (top - xs[-1]) / ((xs[-1] - xs[-2]) / (ys[-1] - ys[-2]))
-                self._x, self._y = np.append(xs, top), np.append(ys, y)
+        self._cover(float(x.max()))
         u = np.interp(x, self._x, self._y)
         # _ladder_steps' log of a zero ratio; a ladder past the float range
         # gives a +inf residual, which brackets, or a NaN one, which stalls
@@ -227,29 +263,16 @@ class MaximinPolicy(_Maximin):
         out[above] = np.minimum(u, x)
         return out
 
-    def _consume(self, level: float) -> float:
-        levels = self._levels
-        if levels and levels[-1] == level:  # the next rung of the block
-            levels.pop()
-            return self._spent.pop()
-        if level == self._next:  # the rung after the block: certify the next one
-            return self._block(level)
-        u = super()._consume(level)  # any other level: _evaluate on it alone
-        if type(self)._evaluate is MaximinPolicy._evaluate:
-            self._levels, self._spent = (), ()
-            self._next = self._after(level, u)
-        return u
-
-    def _after(self, level: float, u: float) -> float | None:
-        """The ladder's next level after consuming u <= level, or None at or
-        below x_1 (where _evaluate certifies nothing) and after a NaN."""
-        level -= u
-        return level if level > self._x[1] else None
-
-    def _block(self, level: float) -> float:
-        """Certify a block of rungs from level down, keep the rest of it, and
-        return the consumption at level."""
-        xs, ys, x1 = self._x, self._y, float(self._x[1])
+    def _rungs(self, level: float) -> list[float]:
+        """Consumptions of a block of rungs from level down, certified
+        together; _evaluate's alone for a subclass that overrides it."""
+        if type(self)._evaluate is not MaximinPolicy._evaluate:
+            return [self._consume(level)]
+        x1 = float(self._x[1])
+        if not level > x1:  # the greedy segment: one rung spends it all
+            return [level]
+        self._cover(level)
+        xs, ys = self._x, self._y
         levels, table, spent = [], [], []
         for _ in range(self._span):
             u = float(np.interp(level, xs, ys))
@@ -268,13 +291,11 @@ class MaximinPolicy(_Maximin):
             k = int(passed.argmin())
             failed = not passed[k]
             if failed:  # keep the block through its first failed certificate
-                del levels[k + 1 :], spent[k + 1 :]
+                del spent[k + 1 :]
                 u = float(self._settle(x[k : k + 1], r[k : k + 1])[0])
                 spent[k] = levels[k] if levels[k] < u else u
         self._span = k + 1 if failed else min(2 * self._span, self._AHEAD)
-        self._levels, self._spent = levels[:0:-1], spent[:0:-1]
-        self._next = self._after(levels[-1], spent[-1])
-        return spent[0]
+        return spent
 
     def _settle(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Consumptions at levels x whose table values failed their
@@ -308,7 +329,10 @@ class MaximinPolicy(_Maximin):
             same = (fc >= 0.0) == (fb >= 0.0)
             a, fa = np.where(same, a, b), np.where(same, 0.5 * fa, fb)
             todo, x, a, fa, b, fb = (v[~done] for v in (todo, x, a, fa, c, fc))
-        worst = float(np.max(np.abs(fb)))
+        worst = float(np.max(np.abs(fb)))  # NaN if any is
+        if worst == math.inf:
+            level = float(x[np.argmax(np.abs(fb))])
+            raise ValueError(f"maximin ladder sum at level {level!r} leaves the float range")
         if not worst <= np.max(1e-9 * (1.0 + x)):  # NaN too
             raise RuntimeError(f"ladder-sum inversion stalled, residual {worst!r}")
         out[todo] = b
@@ -437,26 +461,24 @@ def awgn_endpoints(gamma: float, p: float, k_max: int) -> list[Endpoint]:
 def ergodic_levels(policy: StationaryPolicy, c: float) -> np.ndarray:
     """Battery levels a maximin policy cycles through under 0-or-full arrivals.
 
-    Starting full at c, the policy's own reserve map walks a strictly
-    decreasing ladder down to exactly 0 (then a full charge resets to c).
-    Each rung runs the policy's scalar kernel _consume, as bernoulli_reward
-    does, so the levels are that walk's, bit for bit.  Raises RuntimeError
-    when the walk does not reach 0 within _LADDER_CAP rungs.
+    Starting full at c, the policy's reserve ladder (_Ladder, which
+    bernoulli_reward walks too, so these are its levels, bit for bit) falls
+    strictly to exactly 0, then a full charge resets to c.  A NaN or
+    negative consumption raises the ladder's ValueError; a rung that leaves
+    a level above 0 as it was, or _LADDER_CAP rungs that do not reach 0,
+    raise RuntimeError.
     """
     if not isinstance(policy, _Maximin):
         raise ValueError("ergodic levels are defined for the maximin policies")
     c = _check_positive(c)
     levels = [c]
-    level = c
-    consume = policy._consume
-    while level > 0.0:
-        if len(levels) > _LADDER_CAP:
-            raise RuntimeError(f"maximin ladder from {c!r} not at 0 after {_LADDER_CAP} rungs")
-        u = consume(level)
-        if level < u:  # min(u, level), without the builtin's call
-            u = level
-        level -= u
-        levels.append(level)
+    ladder = _Ladder(policy, c)
+    while ladder.level > 0.0:
+        if ladder.fixed or len(levels) > _LADDER_CAP:
+            rungs = len(levels) - 1
+            raise RuntimeError(f"maximin ladder from {c!r} not at 0 after {rungs} rungs")
+        ladder.step()
+        levels.append(ladder.level)
     return np.asarray(levels)
 
 

@@ -408,6 +408,24 @@ def test_series_tolerance_is_finite_near_the_float_maximum(policy, capsys):
     assert out["residual"] <= out["tolerance"] < math.inf
 
 
+@pytest.mark.parametrize("p", ["0.001", "0.1"])
+def test_sqrt_maximin_at_the_float_maximum(p, capsys):
+    # the last kink segment, extended to the largest float, brackets the
+    # root, but at p = 1e-3 the ladder sum of the inversion's last iterate
+    # overflows: the cell is refused with the library's text, not a traceback
+    args = ["evaluate", "--family", "bernoulli", "--c", "1.7976931348623157e308", "--p", p,
+            "--reward", "sqrt", "--policy", "maximin", "--method", "series"]
+    rc = main(args)
+    captured = capsys.readouterr()
+    if p == "0.1":
+        assert rc == 0 and captured.err == ""
+        assert math.isfinite(json.loads(captured.out)["value"])
+        return
+    assert rc == 1 and captured.out == ""
+    assert re.fullmatch(r"error: maximin ladder sum at level \S+ leaves the float range\n",
+                        captured.err)
+
+
 class TestTopLevel:
     def test_no_subcommand_is_usage_error(self):
         assert main([]) == 1

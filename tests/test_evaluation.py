@@ -101,6 +101,21 @@ class _ScalarRungs:
         return self.seen[level]
 
 
+class _Steps:
+    """Stands in for the reserve ladder's step: lists the level of each rung
+    walked, by every ladder, while installed."""
+
+    def __init__(self, monkeypatch):
+        self.levels = []
+        step = pol._Ladder.step
+
+        def counted(ladder):
+            self.levels.append(ladder.level)
+            return step(ladder)
+
+        monkeypatch.setattr(pol._Ladder, "step", counted)
+
+
 class _Tiring(pol.FixedFractionPolicy):
     """A fixed fraction that shrinks a little each time it is asked: a
     subclass of a built-in policy whose _evaluate breaks the per-level
@@ -263,10 +278,8 @@ class TestBernoulliSeries:
         # below its first kink the policy spends the whole level, so the walk
         # stops on 0 after the rungs ergodic_levels lists, not on a tail bound
         omega = pol.MaximinPolicy(reward, p)
-        rungs = _ScalarRungs(omega)
-        monkeypatch.setattr(omega, "_consume", rungs)
         levels = pol.ergodic_levels(omega, c)
-        rungs.levels.clear()
+        rungs = _Steps(monkeypatch)
         res = ev.bernoulli_reward(omega, reward, c, p)
         assert res.residual == 0.0
         assert len(rungs.levels) == len(levels) - 1
@@ -1381,9 +1394,9 @@ class TestSimulate:
 
     def test_the_renewal_ladder_ends_at_its_fixed_point(self):
         # 0.3 L rounds to 0 once L is the least subnormal, which then stays
-        ladder = ev._Ladder(pol.FixedFractionPolicy(0.3), SQRT, 2.0)
-        gains = ladder.through(10**4)
-        assert ladder.ended and ladder.level == 5e-324
+        ladder = pol._Ladder(pol.FixedFractionPolicy(0.3), 2.0)
+        gains = ev._walked(ladder, SQRT, np.empty(0), 10**4)
+        assert ladder.fixed and ladder.level == 5e-324
         assert 2000 < gains.size < 2200
         assert gains[-1] == SQRT.value(0.0)
 

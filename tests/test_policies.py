@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from mpmath_oracle import Maximin
 
+from ehpolicy import arrivals as arr
 from ehpolicy import evaluation as ev
 from ehpolicy import policies as pol
 from ehpolicy import rewards as rw
@@ -71,8 +72,8 @@ class TestBaselines:
 
 
 class TestScalarKernel:
-    """_consume, the series walk's kernel on one float level, returns the bits
-    _evaluate returns for that level."""
+    """_consume and _rungs, the reserve ladder's kernels on one float level,
+    return the bits _evaluate returns for that level."""
 
     TINY = np.finfo(float).smallest_normal
     LEVELS = np.concatenate(
@@ -125,16 +126,16 @@ class TestScalarKernel:
     )
     def test_maximin_array_keeps_the_bits_of_each_level(self, reward, p):
         # every level is inverted on its own, so an array, the scalar
-        # evaluate and the series walk's _consume give the same bits
+        # evaluate and the first rung of the ladder's block give the same bits
         policy = pol.MaximinPolicy(reward, p)
-        assert type(policy)._consume is not pol.StationaryPolicy._consume
+        assert type(policy)._rungs is not pol.StationaryPolicy._rungs
         walk = pol.KinkWalk(reward, p)
         while len(walk.x) <= 12:
             walk.cover(walk.x[-1])
         levels = np.array(self._levels(reward, p, walk.x[12]))
         many = policy.evaluate(levels)
         assert [float(u).hex() for u in many] == [policy.evaluate(x).hex() for x in levels]
-        assert [float(u).hex() for u in many] == [policy._consume(float(x)).hex() for x in levels]
+        assert [float(u).hex() for u in many] == [policy._rungs(float(x))[0].hex() for x in levels]
 
     @pytest.mark.parametrize("gamma", [1.0, None], ids=["awgn:1", "sqrt"])
     def test_maximin_floats_keep_the_bits_of_evaluate_at_huge_levels(self, gamma):
@@ -145,7 +146,7 @@ class TestScalarKernel:
         policy = pol.MaximinPolicy(reward, 0.5)
         for x in (1e300, 1.7e308, np.finfo(float).max):
             want = policy._evaluate(np.array([x]))[0]
-            assert policy._consume(float(x)).hex() == float(want).hex(), x
+            assert policy._rungs(float(x))[0].hex() == float(want).hex(), x
             # the consumption, not the whole level: its ladder sums to x
             assert want < x
             assert rw.ladder_sum(reward, policy.scale, want) == pytest.approx(x, rel=2 * EPS)
@@ -154,7 +155,7 @@ class TestScalarKernel:
         # 1 + gamma x overflows, so the ladder is inf - inf; the stall check
         # reports the NaN rather than return the whole level
         policy = pol.MaximinPolicy(rw.RewardFunction.awgn(1e10), 0.5)
-        for run in (policy.evaluate, policy._consume):
+        for run in (policy.evaluate, policy._rungs):
             with pytest.raises(RuntimeError, match="stalled, residual nan$"):
                 run(1e300)
         assert policy.evaluate(1e290) == pytest.approx(5e289, rel=1e-12)
@@ -201,10 +202,22 @@ class _Halved(pol.MaximinPolicy):
         return 0.5 * super()._evaluate(arr)
 
 
+class _Spoilt(pol.MaximinPolicy):
+    """The sqrt maximin at p = 0.1, consuming `bad` at levels below 1: from
+    c = 4 its ladder 4, 2.37, 1.25, 0.53, 0.13, 0 meets it at the fourth rung."""
+
+    def __init__(self, bad):
+        super().__init__(SQRT, 0.1)
+        self.bad = bad
+
+    def _evaluate(self, arr):
+        return np.where(arr < 1.0, self.bad, super()._evaluate(arr))
+
+
 class TestLookAhead:
-    """MaximinPolicy._consume certifies a block of rungs down the ladder with
-    one ladder-sum call, and every rung keeps the bits that _evaluate gives
-    its level alone."""
+    """MaximinPolicy._rungs certifies a block of rungs down the ladder with
+    one ladder-sum call, and every rung the ladder walks keeps the bits that
+    _evaluate gives its level alone."""
 
     REWARDS = {"sqrt": SQRT, "awgn": AWGN1, "log1p": LOG1P, "curved": CURVED}
 
@@ -218,18 +231,17 @@ class TestLookAhead:
         return 0.5 * (walk.x[rungs - 1] + walk.x[rungs])
 
     @staticmethod
-    def step(policy, level):
-        """One rung of bernoulli_reward's walk: the level and its consumption,
-        and the level after it."""
-        u = policy._consume(level)
+    def step(ladder):
+        """One rung of the reserve ladder: its level and its consumption."""
+        level = ladder.level
+        u = ladder.step()
         assert type(u) is float
-        return (level, u), level - min(u, level)
+        return level, u
 
     def walk(self, policy, level, most=10_000):
-        rungs = []
-        while level > 0.0 and len(rungs) < most:
-            rung, level = self.step(policy, level)
-            rungs.append(rung)
+        ladder, rungs = pol._Ladder(policy, level), []
+        while ladder.level > 0.0 and len(rungs) < most:
+            rungs.append(self.step(ladder))
         return rungs
 
     @staticmethod
@@ -247,20 +259,21 @@ class TestLookAhead:
         reward = self.REWARDS[name]
         policy = pol.MaximinPolicy(reward, p)
         rungs = self.walk(policy, self.head(reward, p, 40))
-        assert len(rungs) == 40  # blocks of 16 and 32 after the first rung
+        assert len(rungs) == 40  # blocks of 16 and 32 from the head
         self.assert_alone(policy, rungs)
 
     @pytest.mark.parametrize("p", [1e-6, 0.01])
     @pytest.mark.parametrize("name", ["sqrt", "log1p"])
-    def test_a_level_off_the_ladder_is_a_miss(self, name, p):
+    def test_ladders_started_off_another_keep_their_bits(self, name, p):
         reward = self.REWARDS[name]
         policy = pol.MaximinPolicy(reward, p)
-        rungs, level = [], self.head(reward, p, 30)
+        rungs, ladder = [], pol._Ladder(policy, self.head(reward, p, 30))
         for i in range(30):
-            if i in (3, 11):  # one ulp below the next rung, then 0.9 of it
+            if i in (3, 11):  # a new ladder one ulp below the next rung, then at 0.9 of it
+                level = ladder.level
                 level = float(np.nextafter(level, 0.0)) if i == 3 else 0.9 * level
-            rung, level = self.step(policy, level)
-            rungs.append(rung)
+                ladder = pol._Ladder(policy, level)
+            rungs.append(self.step(ladder))
         self.assert_alone(policy, rungs)
 
     @pytest.mark.parametrize("p", [1e-3, 0.01])
@@ -272,7 +285,7 @@ class TestLookAhead:
         policy.evaluate(c)
         policy._y[30] += 1e-9
         starts, settled = set(), []
-        block, settle = policy._block, policy._settle
+        block, settle = policy._rungs, policy._settle
 
         def started(level):
             starts.add(level)
@@ -282,7 +295,7 @@ class TestLookAhead:
             settled.extend(x)  # each of them failed its table certificate
             return settle(x, r)
 
-        monkeypatch.setattr(policy, "_block", started)
+        monkeypatch.setattr(policy, "_rungs", started)
         monkeypatch.setattr(policy, "_settle", settling)
         rungs = self.walk(policy, c)
         assert any(level not in starts and level != c for level in settled)
@@ -290,22 +303,20 @@ class TestLookAhead:
             assert u.hex() == float(policy._evaluate(np.array([level]))[0]).hex(), level
 
     @pytest.mark.parametrize("name", ["sqrt", "curved"])
-    def test_interleaved_ladders_keep_their_bits(self, name):
-        # the renewal path walks the full ladder in stretches, with the
-        # ladder from 0 in between; here two ladders alternate rung by rung
+    def test_alternating_ladders_keep_their_bits(self, name):
+        # the renewal path walks its ladders from c and from 0 in stretches
+        # on one policy; here two ladders alternate rung by rung, and each
+        # asks for its own blocks
         reward = self.REWARDS[name]
         policy = pol.MaximinPolicy(reward, 1e-3)
-        a, b = self.head(reward, 1e-3, 35), self.head(reward, 1e-3, 20)
-        rungs = []
-        while a > 0.0 or b > 0.0:
-            for _ in range(3):
-                if a > 0.0:
-                    rung, a = self.step(policy, a)
-                    rungs.append(rung)
-            assert policy._consume(0.0) == 0.0
-            if b > 0.0:
-                rung, b = self.step(policy, b)
-                rungs.append(rung)
+        a = pol._Ladder(policy, self.head(reward, 1e-3, 35))
+        b = pol._Ladder(policy, self.head(reward, 1e-3, 20))
+        empty, rungs = pol._Ladder(policy, 0.0), []
+        while a.level > 0.0 or b.level > 0.0:
+            for ladder in (a, b):
+                if ladder.level > 0.0:
+                    rungs.append(self.step(ladder))
+            assert empty.step() == 0.0 and empty.fixed
         assert len(rungs) == 55
         self.assert_alone(policy, rungs)
 
@@ -376,11 +387,11 @@ class TestLookAheadOracle:
     def test_sqrt_rungs_against_the_oracle(self, p, c):
         policy = pol.MaximinPolicy(SQRT, p)
         exact = Maximin(None, p, c)
-        level = c
-        while level > 0.0:
-            u = policy._consume(level)
+        ladder = pol._Ladder(policy, c)
+        while ladder.level > 0.0:
+            level = ladder.level
+            u = ladder.step()
             assert abs(mpmath.mpf(u) - exact(level)) <= policy.inversion_tol, level
-            level -= min(u, level)
 
 
 class TestMaximinAwgn:
@@ -745,14 +756,14 @@ class TestErgodicLevels:
     def test_is_the_series_ladder(self, kind, p, c, monkeypatch):
         omega = pol.maximin_policy(AWGN1 if kind == "awgn" else SQRT, p)
         walked = []
-        kernel = omega._consume
+        step = pol._Ladder.step
 
-        def counted(level):
-            walked.append(level)
-            return kernel(level)
+        def counted(ladder):
+            walked.append(ladder.level)
+            return step(ladder)
 
         levels = pol.ergodic_levels(omega, c)
-        monkeypatch.setattr(omega, "_consume", counted)
+        monkeypatch.setattr(pol._Ladder, "step", counted)
         ev.bernoulli_reward(omega, omega.reward, c, p)
         assert [x.hex() for x in levels] == [x.hex() for x in walked + [0.0]]
         # and the public reserve map walks the same levels
@@ -769,6 +780,19 @@ class TestErgodicLevels:
         with pytest.raises(RuntimeError, match="not at 0 after 3 rungs"):
             pol.ergodic_levels(omega, 2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.25])
+    def test_a_bad_consumption_fails_fast(self, bad):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="^u must be finite and nonnegative$"):
+            pol.ergodic_levels(_Spoilt(bad), 4.0)
+        assert time.perf_counter() - started < 1.0
+
+    def test_a_fixed_point_above_zero_fails_fast(self):
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="not at 0 after 4 rungs$"):
+            pol.ergodic_levels(_Spoilt(0.0), 4.0)
+        assert time.perf_counter() - started < 1.0
+
     def test_small_p_awgn_matches_an_mpmath_oracle(self):
         # the exact ladder from c = 1 at p = 1e-6 has ~1414 rungs, each level
         # the exact reserve of the one before
@@ -783,6 +807,52 @@ class TestErgodicLevels:
         k = len(levels)
         worst = max(abs(mpmath.mpf(got) - w) for got, w in zip(levels, want))
         assert worst <= 5 * EPS * (k + 1 / p) * c
+
+
+class TestOneLadder:
+    """The series, the renewal path's reward table and ergodic_levels walk one
+    reserve ladder, _Ladder, so they visit the same levels, bit for bit."""
+
+    POLICIES = {
+        "greedy": (pol.GreedyPolicy(), LOG1P),
+        "fixed_fraction": (pol.FixedFractionPolicy(0.1), LOG1P),
+        "maximin_awgn": (pol.MaximinAwgnPolicy(1.0, 0.1), AWGN1),
+        "maximin-sqrt": (pol.MaximinPolicy(SQRT, 0.1), SQRT),
+        "maximin-log1p": (pol.MaximinPolicy(LOG1P, 0.1), LOG1P),
+        "maximin-curved": (pol.MaximinPolicy(CURVED, 0.1), CURVED),
+    }
+
+    @staticmethod
+    def walked(monkeypatch, run):
+        """The levels each ladder walked during run(), one list a ladder."""
+        ladders = {}
+        step = pol._Ladder.step
+
+        def counted(ladder):
+            ladders.setdefault(ladder, []).append(ladder.level.hex())
+            return step(ladder)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pol._Ladder, "step", counted)
+            run()
+        return list(ladders.values())
+
+    @pytest.mark.parametrize("c", [2.0, 8.0])
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_the_walks_share_their_levels(self, name, c, monkeypatch):
+        policy, reward = self.POLICIES[name]
+        (series,) = self.walked(monkeypatch, lambda: ev.bernoulli_reward(policy, reward, c, 0.1))
+        bernoulli = arr.from_mcr("bernoulli", c, 0.1)
+        renewal = self.walked(monkeypatch, lambda: ev.simulate(policy, bernoulli, reward, 2000, 64, 5))
+        (full,) = [levels for levels in renewal if levels[0] == c.hex()]
+        # the renewal path walks as far as its longest gap, past 0 to the fixed point there
+        assert len(full) >= min(len(series), 60)
+        n = min(len(series), len(full))
+        assert full[:n] == series[:n]
+        if isinstance(policy, pol._Maximin):
+            levels = [x.hex() for x in pol.ergodic_levels(policy, c)]
+            assert levels == series + [(0.0).hex()]
+            assert full == levels
 
 
 class TestGreedIndex:
