@@ -50,6 +50,8 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -90,6 +92,10 @@ _EPS = float(np.finfo(float).eps)
 # two or three block-by-paths arrays and costs one draw call per path, a
 # series block one reward._value call, so blocks are long but memory stays flat
 _SLOT_BLOCK = 1024
+# longest series block _fold_rungs sums in Python floats: on a 2-core Xeon VM
+# numpy's accumulates cost ~11 us a block plus ~0.07 us a rung, and a float
+# loop ~0.15-0.2 us a rung, so the two cross at 64-96 rungs
+_FLOAT_FOLD = 64
 # slots per chunk of simulate's time-parallel pass over a block
 _CHUNK = 64
 # elements per np.take in the renewal path, whose intp index copy is this
@@ -119,7 +125,9 @@ class NonConvergenceError(RuntimeError):
     predicted past its cap instead of walked: a FixedFractionPolicy ladder
     whose walk, or for awgn and sqrt whose head before the summed tail,
     passes it, or one whose level stopped moving; needed is then the rungs
-    tol would take."""
+    tol would take.  spans holds value iteration's last few spans, oldest
+    first (empty for the series), and the message gives their contraction
+    a sweep, the geometric mean of their ratios."""
 
     def __init__(
         self,
@@ -128,15 +136,20 @@ class NonConvergenceError(RuntimeError):
         measure="value iteration span",
         steps="sweeps",
         needed: float | None = None,
+        spans: Sequence[float] = (),
     ):
         message = f"{measure} {span!r} after {iterations} {steps}"
         if needed is not None:  # predicted, not walked
             message = f"{measure} would be {span!r} after {iterations} {steps}"
             message += f"; tol needs {needed} {steps}"
+        if len(spans) >= 2:
+            rho = (spans[-1] / spans[0]) ** (1.0 / (len(spans) - 1))
+            message += f"; the last {len(spans)} spans contract by {rho:.6g} a sweep"
         super().__init__(message)
         self.span = span
         self.iterations = iterations
         self.needed = needed
+        self.spans = tuple(spans)
 
 
 @dataclass(frozen=True)
@@ -237,11 +250,12 @@ def bernoulli_reward(
     of a NaN or negative consumption), the survivor's step and the tail
     bound.  The levels and consumptions are buffered in
     blocks of _SLOT_BLOCK rungs, counted by the rung number; _fold_rungs
-    rebuilds a block's survivors from its first and scores the block with
-    one reward._value call.  The value, climb and drift sums below are then
-    taken strictly in rung order from the running carry, so every partial
-    sum, and the rounding derived below, is that of a walk that scores and
-    adds one rung at a time.
+    scores a block with one reward._value call and rebuilds its survivors
+    from its first, in Python floats for a short block (a greedy ladder is
+    one rung) and with numpy's accumulates for a long one.  The value,
+    climb and drift sums below are then taken strictly in rung order from
+    the running carry, so every partial sum, and the rounding derived
+    below, is that of a walk that scores and adds one rung at a time.
 
     residual is the tail bound left when the walk stopped, 0.0 when the
     reserve hit 0, and for a summed tail the truncation bound of its power
@@ -493,15 +507,30 @@ def _fold_rungs(
     past it without overflow; an exact power of two moves no bit of a
     normal float.
 
-    The block's survivors (1-p)**(i-1) are rebuilt from the first one by one
-    multiply.accumulate with shrink = 1 - p, the walk's own chain of products.
-    One reward._value call scores the block.  Each running sum adds its carry
-    to the block's first term and then accumulates left to right (np.sum
-    would add pairwise), so every partial sum is the one a rung-at-a-time walk
-    rounds to.
+    One reward._value call scores the block.  The block's survivors
+    (1-p)**(i-1) are rebuilt from the first one by the walk's own chain of
+    products with shrink = 1 - p, and each running sum adds its carry to
+    the block's first term and then adds left to right (np.sum would add
+    pairwise), so every partial sum is the one a rung-at-a-time walk rounds
+    to.  A block of at most _FLOAT_FOLD rungs runs these chains in Python
+    floats, rung by rung; a longer one runs them as multiply.accumulate and
+    add.accumulate, whose fixed cost it outweighs.  Both take the same
+    products and sums in the same order, so they give the same bits.
     """
     total, climb, drift = carry
     n = len(levels)
+    if n <= _FLOAT_FOLD:
+        gains = reward._value(np.array(spent)).tolist()
+        unit, survivor = math.ldexp(1.0, -shift), first
+        for level, gain in zip(levels, gains):
+            weight = p * survivor
+            total += weight * gain
+            climb += level * unit
+            drift += weight * climb
+            survivor *= shrink
+        levels.clear()
+        spent.clear()
+        return total, climb, drift
     survivors = np.full(n, shrink)
     survivors[0] = first
     weights = p * np.multiply.accumulate(survivors, out=survivors)
@@ -659,8 +688,9 @@ def _streams(seed, paths: int) -> list:
     generate_state(4, np.uint64) run here once on uint32 arrays across all
     children, where uint32 products wrap as in numpy's own hash.  A PCG64
     seeded from a child's row is then that child's.  One child is checked
-    against numpy's SeedSequence on every call, so a numpy whose hash moved
-    raises RuntimeError rather than moving every result.
+    against numpy's SeedSequence on every call; where they disagree, on a
+    numpy whose hash moved, the generators come from numpy's own spawn,
+    the same ones at ~12 ms more a call, rather than moving every result.
     """
     from numpy.random import PCG64, Generator, SeedSequence
     from numpy.random.bit_generator import ISeedSequence
@@ -689,9 +719,7 @@ def _streams(seed, paths: int) -> list:
     if not np.array_equal(
         keys[last], SeedSequence(root.entropy, spawn_key=(last,)).generate_state(4, np.uint64)
     ):
-        raise RuntimeError(
-            f"simulate's stream hash does not match SeedSequence in numpy {np.__version__}"
-        )
+        return [Generator(PCG64(child)) for child in root.spawn(paths)]
 
     class Key(ISeedSequence):
         def __init__(self, key):
@@ -1059,6 +1087,9 @@ _RESTART = 60
 # what a Howard run costs, in expectations: plain sweeps go on while their
 # contraction predicts that fewer than this many reach eps
 _HOWARD_COST = 40
+# spans _relative_vi keeps: _howard_pays reads the last two, and an error
+# reports the contraction of them all
+_KEPT_SPANS = 8
 
 
 def _bias(x: np.ndarray) -> np.ndarray:
@@ -1153,7 +1184,7 @@ def _policy_bias(expected_next, rewards, actions, guess, rtol):
     return _solve(matvec, rewards[actions], guess, rtol)
 
 
-def _howard_pays(spans: list[float], eps: float) -> bool:
+def _howard_pays(spans: Sequence[float], eps: float) -> bool:
     """Whether plain sweeps would take more than _HOWARD_COST further sweeps
     to bring the last span down to eps, at the contraction rho of the last
     two spans: log(eps / span) / log(rho), unbounded when rho >= 1."""
@@ -1191,7 +1222,7 @@ def _relative_vi(
     v = np.zeros(model.states)
     if not howard:
         v = _bias(_policy_bias(expected_next, rewards, actions_for(v), v, _FINAL_RTOL))
-    spans: list[float] = []
+    spans: deque[float] = deque(maxlen=_KEPT_SPANS)
     span = np.inf
     steps = 0
     while steps < max_iter:
@@ -1226,7 +1257,7 @@ def _relative_vi(
                     break
                 actions = np.where(switch, best, actions)
             v = _bias(_policy_bias(expected_next, rewards, actions, x, _FINAL_RTOL))
-    raise NonConvergenceError(span, max_iter)
+    raise NonConvergenceError(span, max_iter, spans=spans)
 
 
 def optimal_gain(

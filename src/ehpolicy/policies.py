@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,8 +169,10 @@ class FixedFractionPolicy(StationaryPolicy):
 class _Maximin(StationaryPolicy):
     """The maximin policy's state: the reward, the ratio p, the ladder scale
     s = 1/(1-p), the kinks walked so far (through E_1 from the start) and
-    their arrays _x, _y.  inversion_tol bounds how far a computed
-    consumption may sit from the exact policy."""
+    their table: the arrays _x, _y, which the array paths interpolate, and
+    the same values as the Python lists _xs, _ys, which _table reads one
+    level at a time.  inversion_tol bounds how far a computed consumption
+    may sit from the exact policy."""
 
     inversion_tol = 0.0
 
@@ -178,17 +181,33 @@ class _Maximin(StationaryPolicy):
         self.p = _check_fraction(p)
         self.scale = 1.0 / (1.0 - self.p)
         self.kinks = KinkWalk(reward, self.p)
+        self._xs, self._ys = [0.0], [0.0]
         self._x = self._y = np.zeros(1)
         _Maximin._cover(self, 0.0)  # through E_1, the end of the greedy segment, or raise
 
     def _cover(self, top: float) -> None:
         """Walk the kinks past top, or keep those walked and raise KinkWalk's ValueError."""
-        if top >= self._x[-1]:
+        if top >= self._xs[-1]:
             try:
                 self.kinks.cover(top)
             finally:
-                if len(self.kinks.x) > self._x.size:
-                    self._x, self._y = np.array(self.kinks.x), np.array(self.kinks.y)
+                if len(self.kinks.x) > len(self._xs):
+                    self._xs, self._ys = list(self.kinks.x), list(self.kinks.y)
+                    self._x, self._y = np.array(self._xs), np.array(self._ys)
+
+    def _table(self, level: float) -> float:
+        """np.interp(level, _x, _y) as a Python float, by numpy's own
+        arithmetic, so with its bits but without its per-call cost: the
+        last kink's value at or past it, a kink's own value at that kink,
+        and otherwise the segment's slope times the distance from its left
+        kink, plus that kink's value."""
+        level = float(level)  # an np.float64 level would give np.float64 rungs
+        xs, ys = self._xs, self._ys
+        j = bisect_right(xs, level) - 1
+        if j == len(xs) - 1 or xs[j] == level:
+            return ys[j]
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        return slope * (level - xs[j]) + ys[j]
 
 
 class MaximinPolicy(_Maximin):
@@ -216,9 +235,10 @@ class MaximinPolicy(_Maximin):
 
     The reserve ladder asks _rungs for a block of rungs at a time.  From a
     level above x_1 the table walks down the ladder, a rung
-    L -> L - min(table(L), L), for up to _span rungs or until the level
-    falls to x_1, and one _ladder_sum call certifies every rung of the
-    block.  The rungs before the first failed certificate keep the table's
+    L -> L - min(table(L), L) read by _table, np.interp's bits in Python
+    floats, for up to _span rungs or until the level falls to x_1, and one
+    _ladder_sum call certifies every rung of the block.  The rungs before
+    the first failed certificate keep the table's
     value, the failed one is settled by the chord step and regula falsi,
     and the block ends there; so each rung is the one _evaluate gives its
     level alone.  A block that passes whole doubles _span, up to _AHEAD
@@ -240,10 +260,12 @@ class MaximinPolicy(_Maximin):
         try:
             super()._cover(top)
         except ValueError:
-            xs, ys, big = self._x, self._y, np.finfo(float).max
+            xs, ys, big = self._xs, self._ys, float(np.finfo(float).max)
             if xs[-1] < big:
                 y = ys[-1] + (big - xs[-1]) / ((xs[-1] - xs[-2]) / (ys[-1] - ys[-2]))
-                self._x, self._y = np.append(xs, big), np.append(ys, y)
+                xs.append(big)
+                ys.append(y)
+                self._x, self._y = np.array(xs), np.array(ys)
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         above = arr > self._x[1]  # x itself on the greedy segment
@@ -264,18 +286,18 @@ class MaximinPolicy(_Maximin):
         return out
 
     def _rungs(self, level: float) -> list[float]:
-        """Consumptions of a block of rungs from level down, certified
-        together; _evaluate's alone for a subclass that overrides it."""
+        """Consumptions of a block of rungs from level down, walked on
+        _table's Python floats and certified together in one array;
+        _evaluate's alone for a subclass that overrides it."""
         if type(self)._evaluate is not MaximinPolicy._evaluate:
             return [self._consume(level)]
-        x1 = float(self._x[1])
+        x1 = self._xs[1]
         if not level > x1:  # the greedy segment: one rung spends it all
             return [level]
         self._cover(level)
-        xs, ys = self._x, self._y
         levels, table, spent = [], [], []
         for _ in range(self._span):
-            u = float(np.interp(level, xs, ys))
+            u = self._table(level)
             levels.append(level)
             table.append(u)
             if level < u:  # np.minimum(u, level), as _evaluate takes it
@@ -345,7 +367,9 @@ class MaximinAwgnPolicy(_Maximin):
     ladder_sum is affine in the head between kinks, so the policy is linear
     between the kinks (x_k, y_k), which self.kinks walks as far as the largest
     level asked for: exactly y_k at every kink and x before E_1 (x_1 == y_1).
-    Past _LADDER_CAP kinks it raises maximin_kinks' ValueError.
+    An array of levels is one np.interp; one level, a rung of the reserve
+    ladder, is _table, the same arithmetic in Python floats.  Past
+    _LADDER_CAP kinks it raises maximin_kinks' ValueError.
     """
 
     kind = "maximin_awgn"
@@ -360,7 +384,7 @@ class MaximinAwgnPolicy(_Maximin):
 
     def _consume(self, level: float) -> float:
         self._cover(level)
-        return float(np.interp(level, self._x, self._y))  # _evaluate's bits
+        return self._table(level)  # _evaluate's bits
 
     def segment_index(self, x):
         """Index k of the segment [x_(k-1), x_k) holding x; 1 on the greedy one."""

@@ -572,6 +572,29 @@ class TestSeriesBlocks:
         assert res.residual <= res.tolerance < math.inf
 
 
+class TestFoldRungs:
+    """_fold_rungs sums a block of at most _FLOAT_FOLD rungs in Python floats
+    and a longer one with numpy's accumulates, to the same bits."""
+
+    @pytest.mark.parametrize("n", [1, ev._FLOAT_FOLD - 1, ev._FLOAT_FOLD, ev._FLOAT_FOLD + 1, 1024])
+    @pytest.mark.parametrize("c", [2.0, 1.7e308])
+    @pytest.mark.parametrize("reward", [AWGN1, SQRT, LOG1P], ids=["awgn", "sqrt", "log1p"])
+    def test_both_sums_give_the_same_bits(self, reward, c, n, monkeypatch):
+        p, shrink = 0.3, 0.7
+        shift = max(math.frexp(c)[1] - 1, 0)  # bernoulli_reward's units, 2**1023 at 1.7e308
+        levels = np.sort(np.random.default_rng(n).uniform(0.0, c, n))[::-1].tolist()
+        spent = [0.25 * level for level in levels]
+        carry = (0.125, math.ldexp(3.5 * c, -shift), 0.375)  # a block after others
+        folds = set()
+        for floats in (n - 1, n):  # numpy's accumulates, then Python floats
+            monkeypatch.setattr(ev, "_FLOAT_FOLD", floats)
+            block, used = list(levels), list(spent)
+            out = ev._fold_rungs(carry, reward, p, block, used, shrink**9, shrink, shift)
+            assert block == used == [] and all(type(v) is float for v in out)
+            folds.add(tuple(v.hex() for v in out))
+        assert len(folds) == 1, folds
+
+
 def closed_forms(gamma):
     """awgn:gamma, or sqrt when gamma is None, and the same closed forms as
     a custom reward, which a fixed fraction walks to the end."""
@@ -768,11 +791,19 @@ class TestOptimalGain:
         # from 0, as plain value iteration does, and cannot reach 1e-30
         monkeypatch.setattr(ev, "_solve", _guess)
         model = ev.build_mdp(AWGN1, arr.BernoulliArrivals(1.0, 0.5), 20)
-        message = r"^value iteration span \S+ after 25 sweeps$"
+        message = (
+            r"^value iteration span \S+ after 25 sweeps; "
+            r"the last 8 spans contract by (\S+) a sweep$"
+        )
         with pytest.raises(ev.NonConvergenceError, match=message) as info:
             ev.optimal_gain(model, eps=1e-30, max_iter=25)
         assert info.value.iterations == 25
         assert info.value.span > 1e-30
+        # only the last few spans are kept, the last of them the one reported
+        spans = info.value.spans
+        assert len(spans) == ev._KEPT_SPANS and spans[-1] == info.value.span
+        rho = float(re.match(message, str(info.value)).group(1))
+        assert rho == pytest.approx((spans[-1] / spans[0]) ** (1 / 7), rel=1e-5)
 
     def test_method_label_and_tolerance(self):
         model = ev.build_mdp(AWGN1, arr.BernoulliArrivals(1.0, 0.5), 50)
@@ -1521,9 +1552,11 @@ class TestStreams:
         "name", ["_INIT_A", "_MULT_A", "_INIT_B", "_MULT_B", "_MIX_MULT_L", "_MIX_MULT_R"]
     )
     def test_a_mutated_hash_constant_trips_the_spot_check(self, name, monkeypatch):
+        # a hash that no longer matches numpy's falls back to numpy's spawn
         monkeypatch.setattr(ev, name, getattr(ev, name) ^ 0x80)
-        with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__}")):
-            ev._streams(7, 3)
+        for paths in (3, 64):
+            got = [rng.bit_generator.state for rng in ev._streams(7, paths)]
+            assert got == [rng.bit_generator.state for rng in spawned(7, paths)]
 
     def test_import_leaves_numpy_random_out(self):
         code = "import sys, ehpolicy; print('numpy.random' in sys.modules)"

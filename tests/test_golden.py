@@ -40,13 +40,26 @@ lies 5.7e-19 from `mpmath_oracle.fraction_series(1.0, 0.01, 2.0)` (it lay
 4.9e-16 below); its residual, now the truncation bound of that power
 series, fell from 9.8e-16 to 4.9e-20, and its tolerance from 4.3e-14 to
 9.6e-18.
+
+series_bits.json is a standing grid of bits for changes that must not move
+any: every series cell of SERIES_GRID as the hex of its (value, residual,
+tolerance) or its error text, the ergodic levels of its maximin cells at
+c <= 8, and one renewal-path simulate a policy kind.  _series_bits computes
+it, and `PYTHONPATH=src python tests/test_golden.py` rewrites it.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
+from ehpolicy import evaluation as ev
+from ehpolicy import policies as pol
+from ehpolicy import rewards as rw
+from ehpolicy.arrivals import from_mcr
+from ehpolicy.checks import _sample_rewards
 from ehpolicy.cli import main
+from ehpolicy.metrics import POLICY_KINDS, make_policy
 
 DATA = Path(__file__).parent / "data"
 
@@ -93,3 +106,60 @@ def test_output_matches_golden_file(name, tmp_path):
     assert main(args) == 0
     for filename in outputs.values():
         assert (tmp_path / filename).read_bytes() == (DATA / filename).read_bytes(), filename
+
+
+# rewards x capacities x ratios of series_bits.json, every policy kind a cell
+SERIES_GRID = (
+    {
+        "awgn:1": rw.RewardFunction.awgn(1.0),
+        "awgn:2.5": rw.RewardFunction.awgn(2.5),
+        "sqrt": rw.RewardFunction.sqrt_rate(),
+        # the awgn:1 closed forms as a custom reward: its maximin inverts
+        "log1p": next(r for r in _sample_rewards() if r.kind == "custom"),
+    },
+    (0.1, 0.5, 2.0, 8.0, 50.0),
+    (1e-3, 0.01, 0.1, 0.3, 0.5, 0.9, 0.999),
+)
+
+
+def _hexes(*values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _series_bits() -> dict:
+    """The bits series_bits.json holds, keyed by cell."""
+    rewards, capacities, ratios = SERIES_GRID
+    series, levels = {}, {}
+    for name, reward in rewards.items():
+        for c in capacities:
+            for p in ratios:
+                for kind in POLICY_KINDS:
+                    key = f"{name} c={c!r} p={p!r} {kind}"
+                    try:
+                        r = ev.bernoulli_reward(make_policy(kind, reward, p), reward, c, p)
+                        series[key] = _hexes(r.value, r.residual, r.tolerance)
+                    except (ValueError, RuntimeError) as e:  # part of the record
+                        series[key] = f"{type(e).__name__}: {e}"
+                    if kind == "maximin" and c <= 8.0:
+                        policy = make_policy(kind, reward, p)
+                        levels[key] = _hexes(*pol.ergodic_levels(policy, c))
+    reward, law = rw.RewardFunction.awgn(1.0), from_mcr("bernoulli", 2.0, 0.5)
+    simulated = {}
+    for kind in POLICY_KINDS:
+        r = ev.simulate(make_policy(kind, reward, 0.5), law, reward, 2000, 64, seed=0)
+        simulated[kind] = _hexes(r.value, r.stderr, r.tolerance)
+    return {"series": series, "ergodic_levels": levels, "simulate": simulated}
+
+
+def test_series_bits_match_the_standing_grid():
+    want = json.loads((DATA / "series_bits.json").read_text())
+    got = _series_bits()
+    assert got.keys() == want.keys()
+    for part, cells in want.items():
+        assert got[part].keys() == cells.keys(), part
+        moved = [key for key, bits in cells.items() if got[part][key] != bits]
+        assert not moved, f"{part}: {len(moved)} cells moved, first {moved[:3]}"
+
+
+if __name__ == "__main__":
+    (DATA / "series_bits.json").write_text(json.dumps(_series_bits(), indent=1) + "\n")

@@ -214,6 +214,35 @@ class _Spoilt(pol.MaximinPolicy):
         return np.where(arr < 1.0, self.bad, super()._evaluate(arr))
 
 
+class TestKinkTable:
+    """_Maximin._table, the ladders' scalar lookup in the kink table, is
+    np.interp's arithmetic in Python floats, bit for bit."""
+
+    BIG = float(np.finfo(float).max)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    @pytest.mark.parametrize("name", ["awgn", "sqrt", "log1p"])
+    def test_keeps_the_bits_of_np_interp(self, name, p):
+        if name == "awgn":
+            policy = pol.MaximinAwgnPolicy(1.0, p)
+            policy._cover(1e300)
+        else:
+            policy = pol.MaximinPolicy(SQRT if name == "sqrt" else LOG1P, p)
+            policy._cover(self.BIG)  # past the float range: the last segment extended
+            assert policy._xs[-1] == self.BIG > policy.kinks.x[-1]
+        assert policy._xs == policy._x.tolist() and policy._ys == policy._y.tolist()
+        xs = policy._x
+        inside = xs[:-1] + np.random.default_rng(3).random(xs.size - 1) * np.diff(xs)
+        levels = np.concatenate(
+            [[0.0, self.BIG], xs, np.nextafter(xs, 0.0), np.nextafter(xs[:-1], np.inf), inside]
+        )
+        for level in levels.tolist():
+            got = policy._table(level)
+            assert type(got) is float
+            assert got.hex() == float(np.interp(level, policy._x, policy._y)).hex(), level
+        assert type(policy._table(np.float64(self.BIG))) is float
+
+
 class TestLookAhead:
     """MaximinPolicy._rungs certifies a block of rungs down the ladder with
     one ladder-sum call, and every rung the ladder walks keeps the bits that
@@ -279,11 +308,13 @@ class TestLookAhead:
     @pytest.mark.parametrize("p", [1e-3, 0.01])
     def test_a_certificate_that_fails_mid_block_ends_it_there(self, p, monkeypatch):
         # y_k read 1e-9 high: the table is off in segment k, so the rungs
-        # there fail their certificates after rungs that pass
+        # there fail their certificates after rungs that pass.  The walk
+        # reads the kink list and _evaluate the array: both are bumped
         policy = pol.MaximinPolicy(SQRT, p)
         c = self.head(SQRT, p, 40)
         policy.evaluate(c)
-        policy._y[30] += 1e-9
+        policy._ys[30] += 1e-9
+        policy._y[30] = policy._ys[30]
         starts, settled = set(), []
         block, settle = policy._rungs, policy._settle
 
