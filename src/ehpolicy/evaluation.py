@@ -92,10 +92,6 @@ _EPS = float(np.finfo(float).eps)
 # two or three block-by-paths arrays and costs one draw call per path, a
 # series block one reward._value call, so blocks are long but memory stays flat
 _SLOT_BLOCK = 1024
-# longest series block _fold_rungs sums in Python floats: on a 2-core Xeon VM
-# numpy's accumulates cost ~11 us a block plus ~0.07 us a rung, and a float
-# loop ~0.15-0.2 us a rung, so the two cross at 64-96 rungs
-_FLOAT_FOLD = 64
 # slots per chunk of simulate's time-parallel pass over a block
 _CHUNK = 64
 # elements per np.take in the renewal path, whose intp index copy is this
@@ -125,9 +121,10 @@ class NonConvergenceError(RuntimeError):
     predicted past its cap instead of walked: a FixedFractionPolicy ladder
     whose walk, or for awgn and sqrt whose head before the summed tail,
     passes it, or one whose level stopped moving; needed is then the rungs
-    tol would take.  spans holds value iteration's last few spans, oldest
-    first (empty for the series), and the message gives their contraction
-    a sweep, the geometric mean of their ratios."""
+    tol would take.  spans holds the spans of value iteration's last few
+    plain sweeps since any Howard run, oldest first (empty for the
+    series), and the message gives their contraction a sweep, the
+    geometric mean of their ratios."""
 
     def __init__(
         self,
@@ -248,14 +245,13 @@ def bernoulli_reward(
     and nonnegative by construction: the policy's _rungs, which for
     MaximinPolicy certifies a block of rungs at a time, and the rejection
     of a NaN or negative consumption), the survivor's step and the tail
-    bound.  The levels and consumptions are buffered in
-    blocks of _SLOT_BLOCK rungs, counted by the rung number; _fold_rungs
-    scores a block with one reward._value call and rebuilds its survivors
-    from its first, in Python floats for a short block (a greedy ladder is
-    one rung) and with numpy's accumulates for a long one.  The value,
-    climb and drift sums below are then taken strictly in rung order from
-    the running carry, so every partial sum, and the rounding derived
-    below, is that of a walk that scores and adds one rung at a time.
+    bound.  A rung adds its level to the climb and its weight times the
+    climb to the drift as it is walked; its weight and consumption are
+    buffered in blocks of _SLOT_BLOCK rungs, counted by the rung number,
+    and _fold_rungs scores a block with one reward._value call and adds it
+    to the value.  Every sum is taken in Python floats strictly in rung
+    order, so every partial sum, and the rounding derived below, is that of
+    a walk that scores and adds one rung at a time.
 
     residual is the tail bound left when the walk stopped, 0.0 when the
     reserve hit 0, and for a summed tail the truncation bound of its power
@@ -304,19 +300,23 @@ def bernoulli_reward(
         needed, rounding = _fraction_rungs(policy.p, shrink, top, grade * c, tol, head)
         last = c * (1.0 - policy.p) ** _SERIES_RUNGS  # the level at the cap
         _past_the_cap(needed, rounding, shrink, min(top, grade * last))
-    carry = (0.0, 0.0, 0.0)  # the value, climb_i and the drift sum w_i climb_i so far
+    total = climb = drift = 0.0  # the value, climb_i and the drift sum w_i climb_i so far
     shift = max(math.frexp(c)[1] - 1, 0)  # climb and drift are summed in units of 2**shift
+    unit = math.ldexp(1.0, -shift)  # so a climb past the float maximum stays finite
     level = c
-    survivor = first = 1.0  # (1-p)**(i-1), and its value at the block's first rung
+    survivor = 1.0  # (1-p)**(i-1)
     residual = 0.0
-    levels: list[float] = []  # the block's rungs, for _fold_rungs to score and sum
+    weights: list[float] = []  # the block's rung weights and consumptions, for _fold_rungs
     spent: list[float] = []
     rungs, summed = 0, c <= edge  # summed: the walk hands the rest to the power series
     if not summed:
         flush = _SLOT_BLOCK  # the rung that ends this block
         ladder = _Ladder(policy, level)
         for rungs in range(1, _SERIES_RUNGS + 1):
-            levels.append(level)
+            weight = p * survivor
+            climb += level * unit
+            drift += weight * climb
+            weights.append(weight)
             spent.append(ladder.step())
             level = ladder.level
             survivor *= shrink
@@ -333,13 +333,12 @@ def bernoulli_reward(
             if rungs == flush:
                 if ladder.fixed:  # every later rung repeats this one
                     _fixed_point_fails_fast(residual, rungs, shrink, tol, min(top, grade * level))
-                carry = _fold_rungs(carry, reward, p, levels, spent, first, shrink, shift)
-                first, flush = survivor, flush + _SLOT_BLOCK
+                total = _fold_rungs(total, reward, weights, spent)
+                flush += _SLOT_BLOCK
         else:
             raise NonConvergenceError(residual, _SERIES_RUNGS, *_SERIES_CAP)
-    if levels:
-        carry = _fold_rungs(carry, reward, p, levels, spent, first, shrink, shift)
-    total, climb, drift = carry
+    if weights:
+        total = _fold_rungs(total, reward, weights, spent)
     value, bound_error, summing = total, (rungs + 4) * residual, 0.0  # in units of eps
     if summed:
         weight = p * survivor
@@ -498,57 +497,17 @@ def _past_the_cap(needed: float, rounding: float, shrink: float, bound: float) -
         raise NonConvergenceError(span, _SERIES_RUNGS, *_SERIES_CAP, needed=needed)
 
 
-def _fold_rungs(
-    carry, reward: RewardFunction, p: float, levels, spent, first: float, shrink: float, shift: int
-):
-    """Add a block of rungs to the running (value, climb, drift) carry in rung
-    order, empty the block, and return the new carry.  Climb and drift are
-    in units of 2**shift, so a ladder from near the float maximum climbs
-    past it without overflow; an exact power of two moves no bit of a
-    normal float.
-
-    One reward._value call scores the block.  The block's survivors
-    (1-p)**(i-1) are rebuilt from the first one by the walk's own chain of
-    products with shrink = 1 - p, and each running sum adds its carry to
-    the block's first term and then adds left to right (np.sum would add
-    pairwise), so every partial sum is the one a rung-at-a-time walk rounds
-    to.  A block of at most _FLOAT_FOLD rungs runs these chains in Python
-    floats, rung by rung; a longer one runs them as multiply.accumulate and
-    add.accumulate, whose fixed cost it outweighs.  Both take the same
-    products and sums in the same order, so they give the same bits.
-    """
-    total, climb, drift = carry
-    n = len(levels)
-    if n <= _FLOAT_FOLD:
-        gains = reward._value(np.array(spent)).tolist()
-        unit, survivor = math.ldexp(1.0, -shift), first
-        for level, gain in zip(levels, gains):
-            weight = p * survivor
-            total += weight * gain
-            climb += level * unit
-            drift += weight * climb
-            survivor *= shrink
-        levels.clear()
-        spent.clear()
-        return total, climb, drift
-    survivors = np.full(n, shrink)
-    survivors[0] = first
-    weights = p * np.multiply.accumulate(survivors, out=survivors)
-    gains = weights * reward._value(np.fromiter(spent, float, n))
-    climbs = np.fromiter(levels, float, n)
-    climbs *= math.ldexp(1.0, -shift)
-    climbs[0] += climb
-    np.add.accumulate(climbs, out=climbs)
-    drifts = weights * climbs
-    gains[0] += total
-    drifts[0] += drift
-    levels.clear()
+def _fold_rungs(total: float, reward: RewardFunction, weights, spent) -> float:
+    """Add a block of rungs' weighted rewards to the running value in rung
+    order, empty the block, and return the new value.  One reward._value
+    call scores the block, and the value adds its terms left to right in
+    Python floats (np.sum would add pairwise), so every partial sum is the
+    one a rung-at-a-time walk rounds to."""
+    for weight, gain in zip(weights, reward._value(np.array(spent)).tolist()):
+        total += weight * gain
+    weights.clear()
     spent.clear()
-    return (
-        float(np.add.accumulate(gains)[-1]),
-        float(climbs[-1]),
-        float(np.add.accumulate(drifts)[-1]),
-    )
+    return total
 
 
 @dataclass(frozen=True)
@@ -1087,8 +1046,8 @@ _RESTART = 60
 # what a Howard run costs, in expectations: plain sweeps go on while their
 # contraction predicts that fewer than this many reach eps
 _HOWARD_COST = 40
-# spans _relative_vi keeps: _howard_pays reads the last two, and an error
-# reports the contraction of them all
+# spans _relative_vi keeps, of the plain sweeps since any Howard run:
+# _howard_pays reads the last two, and an error reports their contraction
 _KEPT_SPANS = 8
 
 
@@ -1257,6 +1216,7 @@ def _relative_vi(
                     break
                 actions = np.where(switch, best, actions)
             v = _bias(_policy_bias(expected_next, rewards, actions, x, _FINAL_RTOL))
+            spans.clear()  # the kept spans are consecutive plain sweeps
     raise NonConvergenceError(span, max_iter, spans=spans)
 
 

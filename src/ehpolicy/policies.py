@@ -169,10 +169,11 @@ class FixedFractionPolicy(StationaryPolicy):
 class _Maximin(StationaryPolicy):
     """The maximin policy's state: the reward, the ratio p, the ladder scale
     s = 1/(1-p), the kinks walked so far (through E_1 from the start) and
-    their table: the arrays _x, _y, which the array paths interpolate, and
-    the same values as the Python lists _xs, _ys, which _table reads one
-    level at a time.  inversion_tol bounds how far a computed consumption
-    may sit from the exact policy."""
+    their table: the lists _xs, _ys, which _table reads one level at a
+    time, are KinkWalk's own (past the kink cap, MaximinPolicy's are a copy
+    with one more point), and the arrays _x, _y hold the same values for
+    the array paths to interpolate.  inversion_tol bounds how far a
+    computed consumption may sit from the exact policy."""
 
     inversion_tol = 0.0
 
@@ -181,19 +182,18 @@ class _Maximin(StationaryPolicy):
         self.p = _check_fraction(p)
         self.scale = 1.0 / (1.0 - self.p)
         self.kinks = KinkWalk(reward, self.p)
-        self._xs, self._ys = [0.0], [0.0]
+        self._xs, self._ys = self.kinks.x, self.kinks.y
         self._x = self._y = np.zeros(1)
         _Maximin._cover(self, 0.0)  # through E_1, the end of the greedy segment, or raise
 
     def _cover(self, top: float) -> None:
         """Walk the kinks past top, or keep those walked and raise KinkWalk's ValueError."""
-        if top >= self._xs[-1]:
+        if top >= self._x[-1]:
             try:
                 self.kinks.cover(top)
             finally:
-                if len(self.kinks.x) > len(self._xs):
-                    self._xs, self._ys = list(self.kinks.x), list(self.kinks.y)
-                    self._x, self._y = np.array(self._xs), np.array(self._ys)
+                if len(self.kinks.x) > self._x.size:
+                    self._x, self._y = np.array(self.kinks.x), np.array(self.kinks.y)
 
     def _table(self, level: float) -> float:
         """np.interp(level, _x, _y) as a Python float, by numpy's own
@@ -261,11 +261,10 @@ class MaximinPolicy(_Maximin):
             super()._cover(top)
         except ValueError:
             xs, ys, big = self._xs, self._ys, float(np.finfo(float).max)
-            if xs[-1] < big:
+            if xs[-1] < big:  # KinkWalk walks no further, so this copy stays the table
                 y = ys[-1] + (big - xs[-1]) / ((xs[-1] - xs[-2]) / (ys[-1] - ys[-2]))
-                xs.append(big)
-                ys.append(y)
-                self._x, self._y = np.array(xs), np.array(ys)
+                self._xs, self._ys = [*xs, big], [*ys, y]
+                self._x, self._y = np.array(self._xs), np.array(self._ys)
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         above = arr > self._x[1]  # x itself on the greedy segment

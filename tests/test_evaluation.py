@@ -413,10 +413,12 @@ class TestBernoulliSeries:
 
 def per_rung_series(policy, reward, c, p, tol=1e-15):
     """The Bernoulli series walked one rung at a time through the public
-    evaluate and value, added with plain Python floats; returns the rung
-    count and (value, residual, tolerance)."""
+    evaluate and value, added with plain Python floats, climb and drift in
+    units of 2**shift as the walk keeps them; returns the rung count and
+    (value, residual, tolerance)."""
     top = reward.value(c)
     slope = reward.marginal(0.0)
+    shift = max(math.frexp(c)[1] - 1, 0)
     total = climb = drift = 0.0
     level, survivor, rungs = c, 1.0, 0
     while True:
@@ -426,7 +428,7 @@ def per_rung_series(policy, reward, c, p, tol=1e-15):
             raise ValueError("u must be finite and nonnegative")
         weight = p * survivor
         total += weight * reward.value(u)
-        climb += level
+        climb += math.ldexp(level, -shift)
         drift += weight * climb
         level = max(level - u, 0.0)
         survivor *= 1.0 - p
@@ -434,10 +436,13 @@ def per_rung_series(policy, reward, c, p, tol=1e-15):
         if level == 0.0 or residual <= tol:
             break
     eps = float(np.finfo(float).eps)
-    rounding = eps * (
-        1.5 * (rungs + 1) * total
-        + (rungs + 4) * residual
-        + 3.5 * slope * (drift + p * survivor * climb)
+    rounding = (
+        eps
+        * (
+            math.ldexp(1.5 * (rungs + 1) * total + (rungs + 4) * residual, -shift)
+            + 3.5 * slope * (drift + p * survivor * climb)
+        )
+        * math.ldexp(1.0, shift)
     )
     return rungs, (total, residual, residual + rounding)
 
@@ -493,6 +498,17 @@ class TestSeriesBlocks:
         _, want = per_rung_series(policy, reward, c, p)
         res = ev.bernoulli_reward(policy, reward, c, p)
         assert (res.value, res.residual, res.tolerance) == want
+
+    @pytest.mark.parametrize("kind", ["fixed_fraction", "greedy"])
+    @pytest.mark.parametrize("reward", ["awgn:1", "custom", "sqrt"])  # gamma c in range
+    def test_near_the_float_maximum_matches_the_per_rung_walk(self, reward, kind, monkeypatch):
+        # climb and drift are summed in units of 2**1023 there
+        reward, c, p = SERIES_REWARDS[reward], 1.7e308, 0.5
+        policy = series_policy(kind, reward, p, monkeypatch)
+        _, want = per_rung_series(policy, reward, c, p)
+        res = ev.bernoulli_reward(policy, reward, c, p)
+        assert (res.value, res.residual, res.tolerance) == want
+        assert math.isfinite(res.tolerance)
 
     @pytest.mark.parametrize("kind", ["maximin", "fixed_fraction"])
     @pytest.mark.parametrize("reward", sorted(SERIES_REWARDS))
@@ -573,25 +589,25 @@ class TestSeriesBlocks:
 
 
 class TestFoldRungs:
-    """_fold_rungs sums a block of at most _FLOAT_FOLD rungs in Python floats
-    and a longer one with numpy's accumulates, to the same bits."""
+    """_fold_rungs adds a block's weighted rewards in Python floats, rung by
+    rung, to the bits of numpy's sequential accumulate and of the same rungs
+    folded as two blocks."""
 
-    @pytest.mark.parametrize("n", [1, ev._FLOAT_FOLD - 1, ev._FLOAT_FOLD, ev._FLOAT_FOLD + 1, 1024])
-    @pytest.mark.parametrize("c", [2.0, 1.7e308])
+    @pytest.mark.parametrize("n", [1, 2, 37, 1024])
     @pytest.mark.parametrize("reward", [AWGN1, SQRT, LOG1P], ids=["awgn", "sqrt", "log1p"])
-    def test_both_sums_give_the_same_bits(self, reward, c, n, monkeypatch):
-        p, shrink = 0.3, 0.7
-        shift = max(math.frexp(c)[1] - 1, 0)  # bernoulli_reward's units, 2**1023 at 1.7e308
-        levels = np.sort(np.random.default_rng(n).uniform(0.0, c, n))[::-1].tolist()
-        spent = [0.25 * level for level in levels]
-        carry = (0.125, math.ldexp(3.5 * c, -shift), 0.375)  # a block after others
-        folds = set()
-        for floats in (n - 1, n):  # numpy's accumulates, then Python floats
-            monkeypatch.setattr(ev, "_FLOAT_FOLD", floats)
-            block, used = list(levels), list(spent)
-            out = ev._fold_rungs(carry, reward, p, block, used, shrink**9, shrink, shift)
-            assert block == used == [] and all(type(v) is float for v in out)
-            folds.add(tuple(v.hex() for v in out))
+    def test_a_block_sums_in_rung_order(self, reward, n):
+        weights = (0.3 * 0.7 ** np.arange(9, 9 + n)).tolist()
+        spent = np.random.default_rng(n).uniform(0.0, 2.0, n).tolist()
+        total = 0.125  # a block after others
+        block, used = list(weights), list(spent)
+        out = ev._fold_rungs(total, reward, block, used)
+        assert block == used == [] and type(out) is float
+        terms = np.array(weights) * reward._value(np.array(spent))
+        terms[0] += total
+        folds = {out.hex(), float(np.add.accumulate(terms)[-1]).hex()}
+        k = n // 2  # the first k rungs, then the rest
+        head = ev._fold_rungs(total, reward, weights[:k], spent[:k])
+        folds.add(ev._fold_rungs(head, reward, weights[k:], spent[k:]).hex())
         assert len(folds) == 1, folds
 
 
@@ -786,24 +802,33 @@ class TestOptimalGain:
         res, _ = ev.optimal_gain(model, eps=1e-9)
         assert abs(res.value - series.value) <= res.tolerance + 1e-12
 
-    def test_nonconvergence_raises(self, monkeypatch):
+    def assert_keeps_the_last_spans(self, monkeypatch, max_iter, kept):
         # with the solve returning its guess, the certificate sweeps start
-        # from 0, as plain value iteration does, and cannot reach 1e-30
+        # from 0, as plain value iteration does, and cannot reach 1e-30;
+        # three sweeps and one Howard step come first
         monkeypatch.setattr(ev, "_solve", _guess)
         model = ev.build_mdp(AWGN1, arr.BernoulliArrivals(1.0, 0.5), 20)
         message = (
-            r"^value iteration span \S+ after 25 sweeps; "
-            r"the last 8 spans contract by (\S+) a sweep$"
+            rf"^value iteration span \S+ after {max_iter} sweeps; "
+            rf"the last {kept} spans contract by (\S+) a sweep$"
         )
         with pytest.raises(ev.NonConvergenceError, match=message) as info:
-            ev.optimal_gain(model, eps=1e-30, max_iter=25)
-        assert info.value.iterations == 25
+            ev.optimal_gain(model, eps=1e-30, max_iter=max_iter)
+        assert info.value.iterations == max_iter
         assert info.value.span > 1e-30
-        # only the last few spans are kept, the last of them the one reported
+        # only the last few plain sweeps' spans are kept, the last of them
+        # the one reported, so their ratio spans kept - 1 sweeps
         spans = info.value.spans
-        assert len(spans) == ev._KEPT_SPANS and spans[-1] == info.value.span
+        assert len(spans) == kept and spans[-1] == info.value.span
         rho = float(re.match(message, str(info.value)).group(1))
-        assert rho == pytest.approx((spans[-1] / spans[0]) ** (1 / 7), rel=1e-5)
+        assert rho == pytest.approx((spans[-1] / spans[0]) ** (1 / (kept - 1)), rel=1e-5)
+
+    def test_nonconvergence_raises(self, monkeypatch):
+        self.assert_keeps_the_last_spans(monkeypatch, 25, ev._KEPT_SPANS)
+
+    def test_nonconvergence_keeps_no_span_from_before_howard(self, monkeypatch):
+        # the Howard step falls where the last 8 sweeps would be
+        self.assert_keeps_the_last_spans(monkeypatch, 8, 4)
 
     def test_method_label_and_tolerance(self):
         model = ev.build_mdp(AWGN1, arr.BernoulliArrivals(1.0, 0.5), 50)

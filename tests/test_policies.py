@@ -226,6 +226,7 @@ class TestKinkTable:
         if name == "awgn":
             policy = pol.MaximinAwgnPolicy(1.0, p)
             policy._cover(1e300)
+            assert policy._xs is policy.kinks.x and policy._ys is policy.kinks.y
         else:
             policy = pol.MaximinPolicy(SQRT if name == "sqrt" else LOG1P, p)
             policy._cover(self.BIG)  # past the float range: the last segment extended
