@@ -33,20 +33,23 @@ Three evaluators of the long-run average reward per slot:
     last policy's solved bias.  Arrivals are discretized onto the same grid,
     so post-decision transitions are exact index shifts and the transition
     matrix is never materialized; the expectation step is a correlation
-    with the arrival's support, by FFT against its spectrum held for the
-    whole call, and it is also the matvec of the restarted GMRES, in numpy,
-    that solves for a policy's gain and bias.
+    with the arrival's support, by FFT against its spectrum, which each
+    model builds once and shares across calls, and it is also the matvec of
+    the restarted GMRES, in numpy, that solves for a policy's gain and bias.
     Every reported value, span and tolerance comes from a genuine Bellman
     sweep, so the span bound holds whatever the solver did.  optimal_gain's
     maximization is a max-plus convolution of the reward table with the
-    expected next value; when both are concave it merges their slopes in
-    O(n), otherwise it scans every action exactly in O(n**2).  The merge
-    always returns one of the candidate sums, and on every concave model
-    tested it matches the scan bit for bit.
+    expected next value.  When both are concave it merges their slopes; the
+    merge returns one of the candidate sums, and on every concave model
+    tested it matches the exact scan bit for bit.  When only the reward
+    table is, a concave majorant of the expected next value brackets each
+    state's maximizers in a few actions, with the exact scan's result bit
+    for bit; otherwise it scans every action exactly in O(n**2).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -914,7 +917,9 @@ class MdpModel:
     States and actions are the grid levels i * c / cells; an action j <= i
     consumes grid[j] from state i, after which the discretized arrival k
     moves the chain to min(i - j + k, cells).  Everything stays on the grid,
-    so transitions are exact index arithmetic.
+    so transitions are exact index arithmetic.  The expectation operator
+    over the arrival (_expectation) is built once, on first use, and shared
+    by every optimal_gain and policy_gain call on the model.
     """
 
     grid: np.ndarray
@@ -930,6 +935,17 @@ class MdpModel:
     @property
     def cell(self) -> float:
         return self.grid[1] - self.grid[0]
+
+    @functools.cached_property
+    def _expected_next(self):
+        return _expectation(self.mass)
+
+    def __getstate__(self) -> dict:
+        """The fields alone: the expectation operator is a closure, which
+        does not pickle, and a copy builds its own on first use."""
+        state = self.__dict__.copy()
+        state.pop("_expected_next", None)
+        return state
 
     def transition_row(self, i: int, j: int) -> np.ndarray:
         """Explicit next-state distribution for state i, action j."""
@@ -979,14 +995,18 @@ def _expectation(mass: np.ndarray):
     numpy.fft round trip at fftconvolve's length, with that support's
     spectrum computed here once, or directly below 128 levels and for a
     one-cell support, which fftconvolve multiplies too.  With k = n that is
-    the correlation with all of mass.
+    the correlation with all of mass.  A model builds this map once
+    (MdpModel._expected_next), and each call extends v into one new array.
     """
     n = len(mass)
     k = int(np.flatnonzero(mass)[-1]) + 1
     support = mass[:k]
 
     def extend(v: np.ndarray) -> np.ndarray:
-        return np.concatenate([v, np.full(k - 1, v[-1])])
+        out = np.empty(n + k - 1)
+        out[:n] = v
+        out[n:] = v[-1]
+        return out
 
     if n < 128 or k == 1:
         return lambda v: np.correlate(extend(v), support, mode="valid")
@@ -999,7 +1019,7 @@ def _expectation(mass: np.ndarray):
     return correlate
 
 
-# candidate sums held at once by the exact scan in _best_actions (2 MiB)
+# candidate sums held at once by _scanned and _window_argmax (2 MiB)
 _SCAN_BLOCK = 2**18
 
 
@@ -1013,19 +1033,37 @@ def _best_actions(
 ) -> np.ndarray:
     """A maximizing j <= i of action_rewards[j] + w[i - j], for every state i.
 
-    When both sequences are concave this is a max-plus convolution: the best
-    sum for state i takes the i largest of the two sequences' slopes, and
-    those are a prefix of each, so j[i] counts the reward slopes among them.
-    w's slopes come first in the stable sort, so exact ties keep j smallest.
-    Otherwise an exact O(n**2) scan takes the first argmax over j of every
-    candidate sum, a block of states at a time so that each block holds at
-    most _SCAN_BLOCK sums.
+    When both sequences are concave as computed, _merged merges their slopes
+    in O(n log n).  When only the reward table is, _bracketed returns the
+    first argmax of the computed sums, as the scan does, bit for bit, from a
+    few candidates a state.  Otherwise, or when _bracketed's bound is not
+    finite, _scanned takes the first argmax of every candidate sum in O(n**2).
     """
+    if rewards_concave:
+        if _is_concave(w):
+            return _merged(action_rewards, w)
+        best = _bracketed(action_rewards, w)
+        if best is not None:
+            return best
+    return _scanned(action_rewards, w)
+
+
+def _merged(action_rewards: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The max-plus convolution's maximizers for two concave sequences: the
+    best sum for state i takes the i largest of the two sequences' slopes,
+    and those are a prefix of each, so j[i] counts the reward slopes among
+    them.  w's slopes come first in the stable sort, so exact ties keep j
+    smallest."""
     n = len(w)
-    if rewards_concave and _is_concave(w):
-        slopes = np.concatenate([np.diff(w), np.diff(action_rewards)])
-        kept = np.argsort(-slopes, kind="stable")[: n - 1]
-        return np.concatenate([[0], np.cumsum(kept >= n - 1)])
+    slopes = np.concatenate([np.diff(w), np.diff(action_rewards)])
+    kept = np.argsort(-slopes, kind="stable")[: n - 1]
+    return np.concatenate([[0], np.cumsum(kept >= n - 1)])
+
+
+def _scanned(action_rewards: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The first argmax over j <= i of every candidate sum, exactly, a block
+    of states at a time so that each block holds at most _SCAN_BLOCK sums."""
+    n = len(w)
     # shifted[i, j] = w[i - j] for j <= i and -inf above the diagonal (a view)
     padded = np.concatenate([np.full(n - 1, -np.inf), w])
     shifted = np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1]
@@ -1034,6 +1072,101 @@ def _best_actions(
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         best[lo:hi] = np.argmax(action_rewards[:hi] + shifted[lo:hi, :hi], axis=1)
+    return best
+
+
+def _bracketed(r: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+    """_scanned's result, bit for bit, for a reward table r whose slopes are
+    nonincreasing as computed and any w as long; None when the margin below
+    is not finite (a non-finite value or an overflow), and the caller scans.
+
+    hat = min(forward, backward) is a concave majorant of w: forward runs
+    from w[0] with each slope of w raised to the largest slope at or after
+    it, backward from w[-1] with each slope lowered to the smallest at or
+    before it.  The slope merge of r and hat gives each state i a candidate
+    k, and j passes the window test when
+
+        fl(r[j] + hat[i - j]) >= fl(fl(r[k] + w[i - k]) - margin).
+
+    Each side of the window is probed at k -+ 1, 2, 4, ... and ends just
+    inside the first probe that fails, or at 0 or i.  The first argmax of
+    the computed sums r[j] + w[i - j] inside the window is returned.
+
+    Why that is the scan's.  Take u = eps/2, a = max|diff(w)|, b =
+    max|diff(r)|, S = |r|max + |w|max + |hat|max, which bounds every sum,
+    and s = fl(r[k] + w[i - k]); in exact arithmetic on the stored floats:
+
+      * R(j) = r[0] + the sum of r's computed slopes below j is concave,
+        and within 0.51 eps n b of r[j]: a computed difference is within
+        u/(1 - u) of its own magnitude of the exact one;
+      * forward and backward, summed exactly from their slopes, are
+        concave and, by the same bound, above w less 0.51 eps n a, so
+        G = min(forward, backward) + 0.51 eps n a is a concave majorant of
+        w; as computed, the running sums lie within 0.51 n eps (|w|max +
+        n a) of the exact ones (Higham 2002, §4.2, for n below 1e13);
+      * F(j) = R(j) + 0.51 eps n b + G(i - j) is concave in j and at least
+        r[j] + w[i - j], and fl(r[j] + hat[i - j]) is at least F(j) less
+        1.02 eps n b + 0.51 eps n a + 0.51 n eps (|w|max + n a) + u S.
+
+    Every j whose computed sum reaches s, so every first argmax of the
+    row, and k itself have F(j) >= s - u S, and the j where F does form an
+    interval I about k.  On I the window test passes once the margin
+    covers u S, the rounding of s and of the floor (about u S each) and the
+    terms above; margin = 2 (n + 2) eps (S + (n + 1)(a + b)) covers them
+    with a factor of two to spare.  So a failing probe lies outside I, the
+    window covers I, and the first argmax inside it is the scan's.
+    """
+    n = len(w)
+    with np.errstate(all="ignore"):  # a non-finite value leaves margin non-finite
+        slopes = np.diff(w)
+        forward = np.cumsum(np.concatenate([w[:1], np.maximum.accumulate(slopes[::-1])[::-1]]))
+        backward = np.cumsum(np.concatenate([w[-1:], -np.minimum.accumulate(slopes)[::-1]]))
+        hat = np.minimum(forward, backward[::-1])
+        scale = (
+            np.abs(r).max()
+            + np.abs(w).max()
+            + np.abs(hat).max()
+            + (n + 1) * (np.abs(slopes).max(initial=0.0) + np.abs(np.diff(r)).max(initial=0.0))
+        )
+        margin = 2.0 * (n + 2) * _EPS * float(scale)
+    if not math.isfinite(margin):
+        return None
+    states = np.arange(n)
+    start = _merged(r, hat)
+    floor = r[start] + w[states - start] - margin
+    # the window edges: [0, n) the lower, [n, 2n) the upper, each state's
+    # own limit until a probe fails
+    sign = np.repeat(np.array([-1, 1]), n)
+    edge = np.concatenate([np.zeros(n, dtype=np.int64), states])
+    open_ = np.flatnonzero(np.concatenate([start, start]) != edge)
+    step = 1
+    while open_.size:
+        row = open_ % n
+        probe = start[row] + sign[open_] * step
+        inside = (probe >= 0) & (probe <= row)
+        open_, row, probe = open_[inside], row[inside], probe[inside]
+        short = r[probe] + hat[row - probe] < floor[row]
+        edge[open_[short]] = probe[short] - sign[open_[short]]
+        open_ = open_[~short]
+        step *= 2
+    return _window_argmax(r, w, edge[:n], edge[n:])
+
+
+def _window_argmax(r: np.ndarray, w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The first argmax of r[j] + w[i - j] over lo[i] <= j <= hi[i] <= i, for
+    every state i, a block of states at a time so that each block holds at
+    most _SCAN_BLOCK sums.  Each row is padded to the widest window with
+    copies of its last column, which cannot be a first argmax."""
+    n = len(w)
+    width = int((hi - lo).max()) + 1
+    columns = np.arange(width)
+    rows = max(1, _SCAN_BLOCK // width)
+    best = np.empty(n, dtype=np.int64)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        j = np.minimum(lo[a:b, None] + columns, hi[a:b, None])
+        sums = r[j] + w[np.arange(a, b)[:, None] - j]
+        best[a:b] = lo[a:b] + np.argmax(sums, axis=1)
     return best
 
 
@@ -1058,20 +1191,26 @@ def _bias(x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _solve(operator, rhs: np.ndarray, guess: np.ndarray, rtol: float) -> np.ndarray:
+def _solve(
+    operator, rhs: np.ndarray, guess: np.ndarray, rtol: float, applied=None
+) -> np.ndarray:
     """Restarted GMRES for operator(x) = rhs from guess, stopping once the
     residual estimate is at most rtol * |rhs|; 0 for a zero rhs, and the
-    guess itself when the solve ends in non-finite values.  The certificate
-    sweep checks whatever x comes back, so a breakdown costs sweeps, never
-    accuracy.
+    guess itself when the solve ends in non-finite values.  applied, when
+    given, is operator(guess), and the first residual uses it in place of a
+    matvec.  The certificate sweep checks whatever x comes back, so a
+    breakdown costs sweeps, never accuracy.
 
     Each cycle builds up to _RESTART Arnoldi vectors, orthogonalized by
     classical Gram-Schmidt run twice (CGS2), and reduces the Hessenberg
     least-squares problem with Givens rotations on Python floats, so the
     residual estimate |g[-1]| comes for free after each matvec.  About 10n
-    matvecs at most run in all.
+    matvecs at most run in all: a solve that reaches that cap without
+    meeting rtol returns its last x, whose residual is then above
+    rtol * |rhs|, and the sweeps after it converge from there.  Norms are
+    sqrt(v . v), numpy's own 2-norm of a 1-D vector.
     """
-    target = rtol * float(np.linalg.norm(rhs))
+    target = rtol * math.sqrt(rhs.dot(rhs))
     if target == 0.0:
         return np.zeros_like(rhs)
     n = len(rhs)
@@ -1080,11 +1219,12 @@ def _solve(operator, rhs: np.ndarray, guess: np.ndarray, rtol: float) -> np.ndar
     x = guess
     with np.errstate(all="ignore"):
         for _ in range(10 * n // width + 1):
-            r = rhs - operator(x)
-            beta = float(np.linalg.norm(r))
+            r = rhs - (operator(x) if applied is None else applied)
+            applied = None
+            beta = math.sqrt(r.dot(r))
             if not beta > target:  # converged, or not finite
                 break
-            basis[0] = r / beta
+            np.divide(r, beta, out=basis[0])
             g = [beta]  # the rotated right-hand side; |g[-1]| estimates |r|
             columns: list[list[float]] = []  # R of the rotated Hessenberg matrix
             rotations: list[tuple[float, float]] = []
@@ -1096,7 +1236,7 @@ def _solve(operator, rhs: np.ndarray, guess: np.ndarray, rtol: float) -> np.ndar
                 again = done @ w
                 w -= again @ done
                 column = (h + again).tolist()
-                tail = float(np.linalg.norm(w))
+                tail = math.sqrt(w.dot(w))
                 for i, (cos, sin) in enumerate(rotations):
                     column[i], column[i + 1] = (
                         cos * column[i] + sin * column[i + 1],
@@ -1113,7 +1253,7 @@ def _solve(operator, rhs: np.ndarray, guess: np.ndarray, rtol: float) -> np.ndar
                 g[j] *= cos
                 if not abs(g[-1]) > target or j + 1 == width:
                     break
-                basis[j + 1] = w / tail
+                np.divide(w, tail, out=basis[j + 1])
             y = [0.0] * len(columns)
             for i in reversed(range(len(columns))):
                 y[i] = (
@@ -1125,7 +1265,7 @@ def _solve(operator, rhs: np.ndarray, guess: np.ndarray, rtol: float) -> np.ndar
     return x if np.isfinite(x).all() else guess
 
 
-def _policy_bias(expected_next, rewards, actions, guess, rtol):
+def _policy_bias(expected_next, rewards, actions, guess, rtol, guess_next=None):
     """The gain g and bias h of the stationary policy `actions`, as one
     vector x = (g, h[1:]): the solution of
 
@@ -1133,14 +1273,20 @@ def _policy_bias(expected_next, rewards, actions, guess, rtol):
             = rewards[actions[i]],    h[0] = 0,
 
     by a GMRES solve warm-started from guess, whose matvec is one
-    expectation correlation."""
+    expectation correlation.  guess_next, when given, is
+    expected_next(_bias(guess)), and the first residual reuses it; for a
+    zero guess that is any zero vector."""
     post = np.arange(len(actions)) - actions
 
-    def matvec(x):
+    def matvec(x, x_next=None):
         h = _bias(x)
-        return x[0] + h - expected_next(h)[post]
+        expected = (expected_next(h) if x_next is None else x_next)[post]
+        h += x[0]
+        h -= expected
+        return h
 
-    return _solve(matvec, rewards[actions], guess, rtol)
+    applied = None if guess_next is None else matvec(guess, guess_next)
+    return _solve(matvec, rewards[actions], guess, rtol, applied)
 
 
 def _howard_pays(spans: Sequence[float], eps: float) -> bool:
@@ -1175,12 +1321,12 @@ def _relative_vi(
     """
     eps = _check_positive(eps, "eps")
     max_iter = int(max_iter)
-    expected_next = _expectation(model.mass)
+    expected_next = model._expected_next
     rewards = model.action_rewards
     states = np.arange(model.states)
     v = np.zeros(model.states)
-    if not howard:
-        v = _bias(_policy_bias(expected_next, rewards, actions_for(v), v, _FINAL_RTOL))
+    if not howard:  # from 0, whose expectation is 0, so no matvec for the first residual
+        v = _bias(_policy_bias(expected_next, rewards, actions_for(v), v, _FINAL_RTOL, v))
     spans: deque[float] = deque(maxlen=_KEPT_SPANS)
     span = np.inf
     steps = 0
@@ -1206,8 +1352,9 @@ def _relative_vi(
             howard = False
             x = v.copy()
             x[0] = 0.5 * (hi + lo)
+            w = None  # expected_next(_bias(x)) once a step has taken it
             while steps < max_iter - 1:
-                x = _policy_bias(expected_next, rewards, actions, x, _HOWARD_RTOL)
+                x = _policy_bias(expected_next, rewards, actions, x, _HOWARD_RTOL, w)
                 steps += 1
                 w = expected_next(_bias(x))
                 best = actions_for(w)
@@ -1215,7 +1362,7 @@ def _relative_vi(
                 if not switch.any():
                     break
                 actions = np.where(switch, best, actions)
-            v = _bias(_policy_bias(expected_next, rewards, actions, x, _FINAL_RTOL))
+            v = _bias(_policy_bias(expected_next, rewards, actions, x, _FINAL_RTOL, w))
             spans.clear()  # the kept spans are consecutive plain sweeps
     raise NonConvergenceError(span, max_iter, spans=spans)
 
@@ -1242,10 +1389,13 @@ def optimal_gain(
 
     Each sweep and Howard step maximizes rewards[j] + w[i - j] over j <= i.
     The reward table is checked for concavity once, the expected next value
-    w every time; when both are concave the maximum comes from an O(n)
-    merge of their slopes, otherwise from an exact O(n**2) scan.  The merge
-    returns an actual candidate sum, and on every concave model tested it
-    matches the scan bit for bit.
+    w every time; when both are concave the maximum comes from a merge of
+    their slopes, which returns an actual candidate sum and, on every
+    concave model tested, the scan's.  When only the reward table is
+    concave, a window about each state's candidate from a concave majorant
+    of w holds every maximizer, and the first argmax inside it is the exact
+    scan's, bit for bit (_bracketed); a reward table that is not concave
+    takes the exact O(n**2) scan.
     """
     rewards = model.action_rewards
     rewards_concave = _is_concave(rewards)

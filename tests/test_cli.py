@@ -167,7 +167,7 @@ class TestEvaluate:
         # c=2 keeps the policy below full drain, so coupling is gradual; with
         # the solve returning its guess, the sweeps start from 0 and the
         # span cannot reach 1e-30 in 10 of them
-        monkeypatch.setattr(ev, "_solve", lambda operator, rhs, guess, rtol: guess)
+        monkeypatch.setattr(ev, "_solve", lambda operator, rhs, guess, rtol, applied=None: guess)
         rc = main([
             "evaluate", "--family", "uniform", "--c", "2", "--nmcr", "0.5",
             "--method", "vi", "--grid-N", "60", "--eps", "1e-30",

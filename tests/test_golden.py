@@ -46,8 +46,18 @@ any: every series cell of SERIES_GRID as the hex of its (value, residual,
 tolerance) or its error text, the ergodic levels of its maximin cells at
 c <= 8, and one renewal-path simulate a policy kind.  _series_bits computes
 it, and `PYTHONPATH=src python tests/test_golden.py` rewrites it.
+
+vi_bits.json is the same for value iteration: for every model of VI_GRID,
+optimal_gain's (value, residual, tolerance) as hex and a digest of its
+actions, and each policy kind's policy_gain as hex, as metrics.sweep builds
+the policies.  The models are the value-iteration benchmark's five laws,
+one slow-mixing law on 2000 cells, the two laws on which a later Howard
+switch runs slower, and grids of 3, 127 and 128 cells, on both sides of
+the expectation's direct-correlation cut.  _vi_bits computes it, and the
+same command rewrites it.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -56,7 +66,7 @@ import pytest
 from ehpolicy import evaluation as ev
 from ehpolicy import policies as pol
 from ehpolicy import rewards as rw
-from ehpolicy.arrivals import from_mcr
+from ehpolicy.arrivals import from_mcr, from_nmcr
 from ehpolicy.checks import _sample_rewards
 from ehpolicy.cli import main
 from ehpolicy.metrics import POLICY_KINDS, make_policy
@@ -161,5 +171,48 @@ def test_series_bits_match_the_standing_grid():
         assert not moved, f"{part}: {len(moved)} cells moved, first {moved[:3]}"
 
 
+# name -> (arrival law, grid cells) of vi_bits.json, all with reward awgn:1
+VI_GRID = {
+    "uniform c=2 nmcr=0.1": (from_nmcr("uniform", 2.0, 0.1), 1000),
+    "uniform c=2 nmcr=0.5": (from_nmcr("uniform", 2.0, 0.5), 1000),
+    "uniform c=8 nmcr=0.1": (from_nmcr("uniform", 8.0, 0.1), 1000),
+    "uniform c=8 nmcr=0.5": (from_nmcr("uniform", 8.0, 0.5), 1000),
+    "exponential c=1 nmcr=0.5": (from_nmcr("exponential", 1.0, 0.5), 1000),
+    "uniform c=16 mcr=0.02": (from_mcr("uniform", 16.0, 0.02), 2000),
+    "uniform c=2 nmcr=0.2": (from_nmcr("uniform", 2.0, 0.2), 1000),
+    "exponential c=4 nmcr=0.1": (from_nmcr("exponential", 4.0, 0.1), 1000),
+    **{
+        f"{family} c={c!r} nmcr={r!r} cells={cells}": (from_nmcr(family, c, r), cells)
+        for family, c, r in (("uniform", 2.0, 0.1), ("exponential", 1.0, 0.5))
+        for cells in (3, 127, 128)
+    },
+}
+
+
+def _vi_bits() -> dict:
+    """The bits vi_bits.json holds, keyed by model and then by solve."""
+    reward = rw.RewardFunction.awgn(1.0)
+    bits = {}
+    for name, (law, cells) in VI_GRID.items():
+        model = ev.build_mdp(reward, law, cells)
+        best, actions = ev.optimal_gain(model)
+        digest = hashlib.sha256(actions.astype("<i8").tobytes()).hexdigest()[:16]
+        cell = {"optimal_gain": _hexes(best.value, best.residual, best.tolerance) + [digest]}
+        for kind in POLICY_KINDS:
+            r = ev.policy_gain(model, make_policy(kind, reward, law.mcr()))
+            cell[kind] = _hexes(r.value, r.residual, r.tolerance)
+        bits[name] = cell
+    return bits
+
+
+def test_vi_bits_match_the_standing_grid():
+    want = json.loads((DATA / "vi_bits.json").read_text())
+    got = _vi_bits()
+    assert got.keys() == want.keys()
+    moved = [key for key, bits in want.items() if got[key] != bits]
+    assert not moved, f"{len(moved)} models moved, first {moved[:3]}"
+
+
 if __name__ == "__main__":
     (DATA / "series_bits.json").write_text(json.dumps(_series_bits(), indent=1) + "\n")
+    (DATA / "vi_bits.json").write_text(json.dumps(_vi_bits(), indent=1) + "\n")
