@@ -18,6 +18,7 @@ already lies on {0, c}).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,17 +202,32 @@ class LimitedExponentialArrivals(ArrivalDistribution):
 
 
 def _exponential_nmcr_for_mcr(p: float) -> float:
-    """Invert t -> t (1 - exp(-1/t)), which rises from 0 toward 1."""
-    from scipy.optimize import brentq
+    """The t with t (1 - exp(-1/t)) = p, by bisection on t down to adjacent
+    floats, returning the one whose gap is the smaller.
+
+    t (1 - exp(-1/t)) = f(1/t), f(u) = (1 - e**-u) / u, rises from 0 toward
+    1, and t lies in [p, 1/(1-p)].  Above p = 1/2, where 1 - p is exact, the
+    gap compares 1 - p with 1 - f(u) = u/2! - u**2/3! + ..., summed nested
+    in powers of 1/t, where nothing cancels as p -> 1 (f(u) itself would):
+    t > 1/2 there, so u < 2, and the terms past u**23/24! sum to under
+    eps/100 of the first.
+    """
 
     def gap(t: float) -> float:
-        return t * -np.expm1(-1.0 / t) - p
+        if p <= 0.5:
+            return t * -math.expm1(-1.0 / t) - p
+        rest = 1.0
+        for k in range(24, 2, -1):
+            rest = 1.0 - rest / (k * t)
+        return (1.0 - p) - rest / (2.0 * t)
 
-    lo = p / 2.0
-    hi = max(2.0, 1.0 / (1.0 - p))
-    while gap(hi) < 0.0:
-        hi *= 2.0
-    return float(brentq(gap, lo, hi, xtol=1e-15, rtol=1e-15))
+    lo, hi = p, 1.0 / (1.0 - p)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo if abs(gap(lo)) < abs(gap(hi)) else hi
 
 
 def from_nmcr(family: str, c: float, nmcr: float) -> ArrivalDistribution:

@@ -231,9 +231,9 @@ def bernoulli_reward(
     A policy of exactly the type FixedFractionPolicy (a subclass may consume
     otherwise) with an awgn or sqrt reward and tol > 0 walks only a head:
     the walk also stops at the first level L_(J+1) with
-    gamma f L_(J+1) <= 1/2 (gamma 1 for sqrt), and _fraction_tail adds the
-    rest of the series, a power series in that level with the sums over
-    rungs and over powers exchanged.  At p = f = 0.01 and c <= 50 the head is
+    gamma f L_(J+1) <= 1/2 (gamma from RewardFunction.affine), and
+    _fraction_tail adds the rest of the series, a power series in that
+    level with the sums over rungs and over powers exchanged.  At p = f = 0.01 and c <= 50 the head is
     empty.  Custom rewards, every other policy and a tol of 0 or less,
     which no truncation meets, walk to the end.
 
@@ -297,8 +297,8 @@ def bernoulli_reward(
     edge = -1.0  # the level at or below which a power series sums the rest
     if type(policy) is FixedFractionPolicy:  # exactly: a subclass may consume otherwise
         head = math.inf  # c / edge
-        if reward.kind in ("awgn", "sqrt") and tol > 0.0:
-            edge = 0.5 / (policy.p * (reward.gamma if reward.kind == "awgn" else 1.0))
+        if reward.affine and tol > 0.0:
+            edge = 0.5 / (policy.p * reward.affine[0])
             head = c / edge
         needed, rounding = _fraction_rungs(policy.p, shrink, top, grade * c, tol, head)
         last = c * (1.0 - policy.p) ** _SERIES_RUNGS  # the level at the cap
@@ -442,11 +442,9 @@ def _fraction_tail(
     within u sum_m ((3m + 6) |t_m| + |s_m|), and the returned rounding
     bound is weight times half of that.
     """
-    y = fraction * level
-    half = 0.5  # r_(m+1) / r_m = -(m - half) / (m + 1) gamma
-    if reward.kind == "awgn":
-        y *= reward.gamma
-        half = 0.0
+    gamma, e = reward.affine
+    y = fraction * level * gamma
+    half = 0.5 if e == 2 else 0.0  # r_(m+1) / r_m = -(m - half) / (m + 1) gamma
     down, shrink = math.log1p(-fraction), math.log1p(-p)
     power = 0.5 * y  # r_m x**m, and r_1 x = y / 2 for both rewards
     terms = [power / -math.expm1(shrink + down)]
@@ -844,10 +842,13 @@ def _renewal_totals(
     copies the marks once into a slot-major block.  Everything after runs
     over whole slot rows: each slot's 1 + slot where a path charged, a
     running maximum down the slots for the last charge, the slots since
-    it, the rewards gathered from the two ladders' reward tables, each
+    it, the rewards gathered from the reward table of the ladder from c,
     walked only as far as the longest gap seen or to its fixed point
     (_walked), and a running sum down the slots, in slot order, into the
-    totals (_down_slots).  The counts are int32
+    totals (_down_slots).  The ladder from 0 is one rung: its first spends
+    min(u, 0) = 0 and is its fixed point, so every slot before a path's
+    first charge gains that rung's reward, walked (and a NaN or negative u
+    rejected) in the first block with such a slot.  The counts are int32
     while n allows; the gather runs in slices of about _GATHER elements,
     since np.take widens its indices to intp.  The marks live in the other buffer's dead bytes: the
     path-major ones in the counts', the slot-major ones in the uniforms'.
@@ -859,8 +860,9 @@ def _renewal_totals(
     counts = np.empty(paths * width, dtype=count)
     last = np.zeros(paths, dtype=count)  # 1 + the slot of the last charge, 0 before one
     totals = np.zeros(paths)
-    full, empty = _Ladder(policy, c), _Ladder(policy, 0.0)
-    table = fresh_table = np.empty(0)  # the rewards of the rungs from c, and from 0
+    full = _Ladder(policy, c)
+    table = np.empty(0)  # the rewards of the rungs from c
+    zero = None  # the reward of every rung from 0, walked at the first uncharged path
     for start in range(0, n, width):
         cols = min(width, n - start)
         size = paths * cols
@@ -878,7 +880,6 @@ def _renewal_totals(
         fresh = since == 0 if since[0].min() == 0 else None  # slots before a path's first charge
         np.subtract(slots, since, out=since)  # slots since the last charge; 1 + the slot if none
         if fresh is not None:
-            rungs = since[fresh] - 1
             since[fresh] = 0
         gains = block[:size].reshape(cols, paths)
         table = _walked(full, reward, table, int(since.max()))
@@ -887,8 +888,9 @@ def _renewal_totals(
             hi = lo + step
             np.take(table, since[lo:hi], out=gains[lo:hi], mode="clip")
         if fresh is not None:
-            fresh_table = _walked(empty, reward, fresh_table, int(rungs.max(initial=0)))
-            gains[fresh] = fresh_table.take(rungs, mode="clip")
+            if zero is None:
+                zero = reward.value(np.array([_Ladder(policy, 0.0).step()]))[0]
+            gains[fresh] = zero
         totals = _down_slots(np.add, totals, gains)
     return totals
 

@@ -189,6 +189,18 @@ class RewardFunction:
         out = np.maximum(out, 0.0)
         return _finish(out, scalar)
 
+    @property
+    def affine(self) -> tuple[float, int] | None:
+        """(gamma, e) of a built-in kind, whose ladder step at scale s
+        divides 1 + gamma x by s**e: (gamma, 1) for awgn and (1.0, 2) for
+        sqrt, whatever gamma a hand-built sqrt reward holds; None for a
+        custom reward."""
+        if self.kind == "awgn":
+            return self.gamma, 1
+        if self.kind == "sqrt":
+            return 1.0, 2
+        return None
+
     def spec_string(self) -> str:
         """Round-trippable CLI spelling of this reward."""
         if self.kind == "awgn":
@@ -203,11 +215,16 @@ def step_down_cutoff(rw: RewardFunction, s: float):
     slope at 0 caps it, so step_down returns 0 there.
     """
     s = _check_scale(s)
-    if rw.kind == "awgn":
-        return (s - 1.0) / rw.gamma
-    if rw.kind == "sqrt":
-        return s * s - 1.0
+    if rw.affine:
+        gamma, e = rw.affine
+        return (_power(s, e) - 1.0) / gamma
     return float(rw.marginal_inverse(rw.marginal(0.0) / s))
+
+
+def _power(s: float, e: int) -> float:
+    """s**e for e in (1, 2) by multiplication, which is correctly rounded
+    (pow need not be) and gives inf rather than raise past the float range."""
+    return s if e == 1 else s * s
 
 
 def step_down(rw: RewardFunction, s: float, x):
@@ -218,11 +235,9 @@ def step_down(rw: RewardFunction, s: float, x):
     """
     s = _check_scale(s)
     arr, scalar = _prepare(x)
-    if rw.kind == "awgn":
-        raw = ((1.0 + rw.gamma * arr) / s - 1.0) / rw.gamma
-        out = np.where(raw > 0.0, raw, 0.0)
-    elif rw.kind == "sqrt":
-        raw = (1.0 + arr) / (s * s) - 1.0
+    if rw.affine:
+        gamma, e = rw.affine
+        raw = ((1.0 + gamma * arr) / _power(s, e) - 1.0) / gamma
         out = np.where(raw > 0.0, raw, 0.0)
     else:
         out = _custom_step(rw, s, arr, step_down_cutoff(rw, s), rw.marginal(0.0))
@@ -256,18 +271,19 @@ def step_down_iter(rw: RewardFunction, s: float, i: int, x):
     arr, scalar = _prepare(x)
     if i == 0:
         return _finish(arr.copy(), scalar)
-    s_i = s ** int(i)
-    if not np.isfinite(s_i):
+    try:
+        s_i = s ** int(i)
+    except OverflowError:  # a float power raises rather than return inf
         return _finish(np.zeros_like(arr), scalar)
     return _finish(np.asarray(step_down(rw, s_i, arr), dtype=float), scalar)
 
 
 def _marginal_ratio(rw: RewardFunction, arr: np.ndarray) -> np.ndarray:
     """marginal(0) / marginal(x), in a form exact for the built-in kinds."""
-    if rw.kind == "awgn":
-        return 1.0 + rw.gamma * arr
-    if rw.kind == "sqrt":
-        return np.sqrt(1.0 + arr)
+    if rw.affine:
+        gamma, e = rw.affine
+        base = 1.0 + gamma * arr  # marginal(0) / marginal(x) is its e-th root
+        return base if e == 1 else np.sqrt(base)
     return np.asarray(rw.marginal(0.0) / rw._marginal(arr), dtype=float)
 
 
@@ -337,14 +353,11 @@ def _ladder_sum(rw: RewardFunction, s: float, arr: np.ndarray) -> np.ndarray:
     """ladder_sum on a float array already known finite and nonnegative and a
     checked scale s; the custom ladder finds its cutoff and marginal(0) once
     and steps its rungs with _custom_step."""
-    if rw.kind == "awgn":
+    if rw.affine:
+        # m rungs whose 1 + gamma x shrink by s**e a rung: a geometric sum
+        gamma, e = rw.affine
         m = _ladder_steps(rw, s, arr, False)
-        shrink = np.power(s, -m)
-        out = ((1.0 + rw.gamma * arr) * (1.0 - shrink) / (1.0 - 1.0 / s) - m) / rw.gamma
-    elif rw.kind == "sqrt":
-        m = _ladder_steps(rw, s, arr, False)
-        shrink = np.power(s, -2.0 * m)
-        out = (1.0 + arr) * (1.0 - shrink) / (1.0 - s ** -2.0) - m
+        out = ((1.0 + gamma * arr) * (1.0 - np.power(s, -e * m)) / (1.0 - s ** -e) - m) / gamma
     else:
         cutoff, m0 = step_down_cutoff(rw, s), rw.marginal(0.0)
         acc = np.zeros_like(arr)

@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from ehpolicy import arrivals as arr
+from ehpolicy import checks
 
 # nominal-ratio inversions frozen from an independent root-finding run
 EXP_MCR_BY_NMCR = {
@@ -102,6 +104,18 @@ class TestLimitedExponential:
         assert abs(at_cap - math.exp(-1.0)) < 0.005
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [arr.LimitedUniformArrivals(1.0, b) for b in (0.4, 1.0, 1.7, 5.0)]
+    + [arr.LimitedExponentialArrivals(c, rate) for c, rate in ((1.5, 0.3), (2.0, 0.8), (0.5, 4.0))],
+    ids=lambda d: f"{d.family}-{d.c}-{getattr(d, 'b', None) or d.rate}",
+)
+def test_verifys_gauss_legendre_integral_matches_quad(dist):
+    # the survival integral verify checks effective_mean against, piecewise
+    # smooth for a uniform law with b < c
+    assert checks._survival_integral(dist) == pytest.approx(survival_mean(dist), abs=1e-15)
+
+
 class TestRatioConstructors:
     @pytest.mark.parametrize("nmcr,mcr", sorted(EXP_MCR_BY_NMCR.items()))
     def test_exponential_ratio_values(self, nmcr, mcr):
@@ -119,13 +133,25 @@ class TestRatioConstructors:
     @pytest.mark.parametrize(
         "c, mcr, rate",
         [
-            (1.0, 0.5, "0x1.97f7c26efbf2bp+0"),
-            (2.0, 0.1, "0x1.3ffc477640122p+2"),
-            (0.5, 0.95, "0x1.a7d96b551bf02p-3"),
+            (1.0, 0.5, "0x1.97f7c26efbf2ap+0"),
+            (2.0, 0.1, "0x1.3ffc477640121p+2"),
+            (0.5, 0.95, "0x1.a7d96b551befap-3"),
         ],
     )
     def test_exponential_from_mcr_rate_is_pinned_bit_for_bit(self, c, mcr, rate):
         assert arr.from_mcr("exponential", c, mcr).rate.hex() == rate
+
+    @pytest.mark.parametrize(
+        "mcr", [1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999999, 1 - 1e-9]
+    )
+    def test_exponential_nominal_ratio_is_within_ulps_of_the_root(self, mcr):
+        # t (1 - exp(-1/t)) = mcr at 50 digits, from the float root
+        t = arr._exponential_nmcr_for_mcr(mcr)
+        with mpmath.workdps(50):
+            p = mpmath.mpf(mcr)
+            root = mpmath.findroot(lambda x: x * -mpmath.expm1(-1 / x) - p, mpmath.mpf(t))
+            ulps = float(abs(t - root)) / math.ulp(t)
+        assert ulps <= (1.0 if mcr <= 0.7 else 4.0)
 
     def test_uniform_mcr_branches(self):
         low = arr.from_mcr("uniform", 1.0, 0.25)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ehpolicy import arrivals as arr
+from ehpolicy import checks
 from ehpolicy import evaluation as ev
 from ehpolicy import metrics as mx
 from ehpolicy import policies as pol
@@ -394,6 +395,50 @@ def test_capacity_range_errors_name_the_capacity(case, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {text}\n"
+
+
+# values the CLI's own parsers refuse, each with its one error line
+_PARSE_ERRORS = {
+    "sqrt with a parameter": (
+        ["evaluate", "--reward", "sqrt:2", "--p", "0.5"],
+        "argument --reward: bad value 'sqrt:2' (sqrt reward takes no parameter)",
+    ),
+    "unknown reward": (
+        ["evaluate", "--reward", "foo", "--p", "0.5"],
+        "argument --reward: bad value 'foo' (unknown reward 'foo'; expected awgn[:gamma] or sqrt)",
+    ),
+    "range grid of two parts": (
+        ["sweep", "--family", "bernoulli", "--c-grid", "1:2", "--p", "0.5"],
+        "argument --c-grid: bad value '1:2' (range grid must be lo:hi:count)",
+    ),
+    "range grid of no points": (
+        ["sweep", "--family", "bernoulli", "--c-grid", "1:2:0", "--p", "0.5"],
+        "argument --c-grid: bad value '1:2:0' (grid count must be positive)",
+    ),
+    "empty policy list": (
+        ["sweep", "--family", "bernoulli", "--c", "1", "--p", "0.5", "--policies", ","],
+        "argument --policies: bad value ',' (empty policy list)",
+    ),
+    "negative seed": (["evaluate", "--p", "0.5", "--seed", "-1"], "seed must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PARSE_ERRORS))
+def test_value_parser_errors_print_one_line(case, capsys):
+    args, text = _PARSE_ERRORS[case]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {text}\n"
+
+
+def test_verify_failure_exits_3_and_names_the_first_counterexample(monkeypatch, capsys):
+    rows = [checks.CheckResult("kept", True, ""), checks.CheckResult("broken", False, "x = 2")]
+    monkeypatch.setattr(checks, "run_all", lambda seed: rows)
+    assert main(["verify"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "ok   kept\nFAIL broken: x = 2\n1/2 checks passed\n"
+    assert captured.err == "first counterexample: broken: x = 2\n"
 
 
 @pytest.mark.parametrize("policy", ["maximin", "fixed_fraction"])

@@ -887,6 +887,37 @@ class TestOneLadder:
             assert full == levels
 
 
+class _Twice(pol.StationaryPolicy):
+    """Asks for twice each level: the reserve ladder spends the level alone."""
+
+    kind = "twice"
+
+    def _evaluate(self, arr):
+        return 2.0 * arr
+
+
+class TestOverspending:
+    """A rung that asks for more than its level spends the level, so a policy
+    asking for twice it walks greedy's ladder, bit for bit."""
+
+    @staticmethod
+    def bits(result):
+        return result.value.hex(), result.stderr, result.residual, result.tolerance
+
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    @pytest.mark.parametrize("reward", [AWGN1, SQRT, LOG1P], ids=["awgn", "sqrt", "log1p"])
+    def test_series_gives_greedys_bits(self, reward, c):
+        twice = ev.bernoulli_reward(_Twice(), reward, c, 0.1)
+        assert self.bits(twice) == self.bits(ev.bernoulli_reward(pol.GreedyPolicy(), reward, c, 0.1))
+
+    @pytest.mark.parametrize("family", ["bernoulli", "uniform"])
+    def test_simulate_gives_greedys_bits(self, family):
+        law = arr.from_mcr(family, 2.0, 0.3)
+        twice = ev.simulate(_Twice(), law, AWGN1, 3000, 16, seed=7)
+        greedy = ev.simulate(pol.GreedyPolicy(), law, AWGN1, 3000, 16, seed=7)
+        assert self.bits(twice) == self.bits(greedy)
+
+
 class TestGreedIndex:
     def test_greedy_value(self):
         got = pol.greed_index(pol.GreedyPolicy(), AWGN1, 1.0)

@@ -262,6 +262,15 @@ class TestStepDown:
     def test_iterate_identity_at_zero(self):
         np.testing.assert_array_equal(rw.step_down_iter(AWGN1, 2.0, 0, GRID), GRID)
 
+    @pytest.mark.parametrize(
+        "reward", [AWGN1, SQRT, wrap_awgn_as_custom(1.0)], ids=["awgn", "sqrt", "custom"]
+    )
+    def test_iterate_past_the_float_range_is_zero(self, reward):
+        # 2.0**2000 overflows, and a float power raises rather than return inf
+        assert rw.step_down_iter(reward, 2.0, 2000, 5.0) == 0.0
+        out = rw.step_down_iter(reward, 2.0, 2000, np.array([0.0, 5.0, 1e300]))
+        np.testing.assert_array_equal(out, np.zeros(3))
+
     def test_custom_matches_closed_family(self):
         custom = wrap_awgn_as_custom(2.0)
         for s in (1.5, 3.0):
@@ -270,6 +279,20 @@ class TestStepDown:
                 rw.step_down(AWGN2, s, GRID),
                 atol=1e-9,
             )
+
+
+def test_a_hand_built_sqrt_reward_ignores_its_gamma():
+    # the affine pair is (1.0, 2) for sqrt whatever gamma the instance holds
+    built = rw.RewardFunction("sqrt", gamma=2.0)
+    assert built.affine == SQRT.affine == (1.0, 2)
+    assert AWGN2.affine == (2.0, 1) and wrap_awgn_as_custom(1.0).affine is None
+    s = 1.0 / (1.0 - 0.3)
+    assert rw.step_down_cutoff(built, s) == rw.step_down_cutoff(SQRT, s)
+    for fn in (rw.step_down, rw.ladder_sum, rw.depletion_steps):
+        np.testing.assert_array_equal(fn(built, s, GRID), fn(SQRT, s, GRID))
+    for p in (0.01, 0.3):
+        policy = pol.FixedFractionPolicy(p)
+        assert ev.bernoulli_reward(policy, built, 8.0, p) == ev.bernoulli_reward(policy, SQRT, 8.0, p)
 
 
 class TestDepletionSteps:
