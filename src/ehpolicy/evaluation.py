@@ -72,12 +72,9 @@ from .policies import (
 from .rewards import RewardFunction, _check_fraction, _check_positive
 
 __all__ = [
-    "SlotOutcome",
     "EvaluationResult",
     "DerivativeCheck",
-    "AdmissibilityError",
     "NonConvergenceError",
-    "step",
     "bernoulli_reward",
     "bernoulli_derivative_check",
     "simulate",
@@ -87,7 +84,6 @@ __all__ = [
     "policy_gain",
 ]
 
-_ADMISSIBILITY_SLACK = 1e-9
 _SERIES_RUNGS = 1_000_000  # bernoulli_reward's rung cap
 _SERIES_CAP = ("Bernoulli series tail bound", "rungs")  # what NonConvergenceError names there
 _EPS = float(np.finfo(float).eps)
@@ -109,10 +105,6 @@ _ROW_PATHS = 256
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-class AdmissibilityError(ValueError):
-    """Requested consumption exceeds the stored energy beyond the slack."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -150,35 +142,6 @@ class NonConvergenceError(RuntimeError):
         self.iterations = iterations
         self.needed = needed
         self.spans = tuple(spans)
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    """One slot of battery dynamics."""
-
-    before: float  # stored energy entering the slot
-    after: float   # stored energy once the arrival landed (capacity clipped)
-    consumed: float
-    carried: float  # stored energy handed to the next slot
-
-
-def step(before: float, x: float, u: float, c: float) -> SlotOutcome:
-    """Advance the battery one slot; clamps u to the stored energy.
-
-    Raises AdmissibilityError when u exceeds the post-arrival level by more
-    than the 1e-9 slack; smaller overshoot is clamped silently.
-    """
-    before, x, u = float(before), float(x), float(u)
-    c = _check_positive(c, "capacity c")
-    if x < 0 or u < 0 or before < 0 or before > c * (1 + 1e-12):
-        raise ValueError("negative energies or stored level above capacity")
-    after = min(before + x, c)
-    if u > after + _ADMISSIBILITY_SLACK:
-        raise AdmissibilityError(
-            f"consumption {u!r} exceeds stored energy {after!r}"
-        )
-    consumed = min(u, after)
-    return SlotOutcome(before=before, after=after, consumed=consumed, carried=after - consumed)
 
 
 @dataclass(frozen=True)
@@ -948,16 +911,6 @@ class MdpModel:
         state = self.__dict__.copy()
         state.pop("_expected_next", None)
         return state
-
-    def transition_row(self, i: int, j: int) -> np.ndarray:
-        """Explicit next-state distribution for state i, action j."""
-        n = self.states
-        if not 0 <= j <= i < n:
-            raise ValueError("need 0 <= action <= state < states")
-        row = np.zeros(n)
-        dest = np.minimum((i - j) + np.arange(n), n - 1)
-        np.add.at(row, dest, self.mass)
-        return row
 
 
 def build_mdp(reward: RewardFunction, arrivals: ArrivalDistribution, cells: int) -> MdpModel:

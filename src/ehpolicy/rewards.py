@@ -212,13 +212,15 @@ def step_down_cutoff(rw: RewardFunction, s: float):
     """Largest level from which one ladder step reaches 0.
 
     Below this cutoff the marginal reward cannot grow by a factor s before the
-    slope at 0 caps it, so step_down returns 0 there.
+    slope at 0 caps it, so step_down returns 0 there.  For a custom reward it
+    is inf where marginal(0) / s underflows to 0: every level steps to 0.
     """
     s = _check_scale(s)
     if rw.affine:
         gamma, e = rw.affine
         return (_power(s, e) - 1.0) / gamma
-    return float(rw.marginal_inverse(rw.marginal(0.0) / s))
+    target = rw.marginal(0.0) / s
+    return float(rw.marginal_inverse(target)) if target else math.inf
 
 
 def _power(s: float, e: int) -> float:

@@ -245,6 +245,9 @@ def test_ac10_invariant_suites_via_verify():
     lines = buffer.getvalue().splitlines()
     assert all(line.startswith("ok") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+    # a rewritten suite must not drop checks, nor run one twice by name
+    names = [line[len("ok   "):] for line in lines[:-1]]
+    assert len(names) >= 64 and len(set(names)) == len(names)
     # spot-check the named properties directly
     for p in (0.2, 0.5, 0.8):
         for c in (1.0, 4.0):

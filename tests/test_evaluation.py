@@ -21,7 +21,7 @@ from ehpolicy import arrivals as arr
 from ehpolicy import evaluation as ev
 from ehpolicy import policies as pol
 from ehpolicy import rewards as rw
-from ehpolicy.checks import _sample_rewards
+from ehpolicy.checks import _sample_rewards, evaluation_checks
 from ehpolicy.metrics import POLICY_KINDS, make_policy
 
 AWGN1 = rw.RewardFunction.awgn(1.0)
@@ -138,6 +138,20 @@ class _HalfFraction(pol.FixedFractionPolicy):
         return 0.5 * level
 
 
+def _spliced_flags(monkeypatch) -> list:
+    """Spies on simulate's _spliced_block while installed, and returns the
+    list it fills: whether each block's chunks all met their full copies."""
+    met, spliced = [], ev._spliced_block
+
+    def spy(*args):
+        out = spliced(*args)
+        met.append(out[1])
+        return out
+
+    monkeypatch.setattr(ev, "_spliced_block", spy)
+    return met
+
+
 class _Idle(pol.StationaryPolicy):
     """Consumes nothing, so the battery never empties."""
 
@@ -151,6 +165,15 @@ def _guess(operator, rhs, guess, rtol, applied=None):
     Howard steps leave its sweeps where they were, and both run as plain
     relative value iteration."""
     return guess
+
+
+def transition_row(model: ev.MdpModel, i: int, j: int) -> np.ndarray:
+    """The model's explicit next-state distribution for state i and action
+    j: arrival k moves the chain to min(i - j + k, states - 1)."""
+    n = model.states
+    row = np.zeros(n)
+    np.add.at(row, np.minimum((i - j) + np.arange(n), n - 1), model.mass)
+    return row
 
 
 def stationary_gain(P: np.ndarray, rewards_by_state: np.ndarray) -> float:
@@ -168,33 +191,10 @@ def brute_force_best(model: ev.MdpModel) -> float:
     n = model.states
     best = -np.inf
     for actions in itertools.product(*(range(i + 1) for i in range(n))):
-        P = np.vstack([model.transition_row(i, actions[i]) for i in range(n)])
+        P = np.vstack([transition_row(model, i, actions[i]) for i in range(n)])
         value = stationary_gain(P, model.action_rewards[list(actions)])
         best = max(best, value)
     return best
-
-
-class TestStep:
-    def test_overflow_clipped(self):
-        out = ev.step(0.8, 0.5, 0.3, 1.0)
-        assert out.before == 0.8
-        assert out.after == 1.0
-        assert out.consumed == pytest.approx(0.3, abs=1e-15)
-        assert out.carried == pytest.approx(0.7, abs=1e-15)
-
-    def test_exact_drain(self):
-        out = ev.step(0.4, 0.1, 0.5, 1.0)
-        assert out.after == 0.5
-        assert out.carried == 0.0
-
-    def test_slack_clamped(self):
-        out = ev.step(0.5, 0.0, 0.5 + 5e-10, 1.0)
-        assert out.consumed == 0.5
-        assert out.carried == 0.0
-
-    def test_overdraw_rejected(self):
-        with pytest.raises(ev.AdmissibilityError):
-            ev.step(0.1, 0.0, 0.5, 1.0)
 
 
 class TestBernoulliSeries:
@@ -756,22 +756,25 @@ class TestMdpModel:
         np.testing.assert_allclose(model.action_rewards, AWGN1.value(model.grid))
         assert model.cell == 0.25
 
-    def test_transition_rows_are_distributions(self):
-        model = ev.build_mdp(AWGN1, arr.LimitedUniformArrivals(1.0, 1.4), 8)
-        for i in range(model.states):
-            for j in range(i + 1):
-                row = model.transition_row(i, j)
-                assert row.sum() == pytest.approx(1.0, abs=1e-12)
-                assert np.all(row >= 0.0)
-                # nothing below the post-consumption level
-                assert np.all(row[: i - j] == 0.0)
-
-    def test_transition_row_bounds_checked(self):
-        model = ev.build_mdp(AWGN1, arr.BernoulliArrivals(1.0, 0.5), 2)
-        with pytest.raises(ValueError):
-            model.transition_row(1, 2)
-        with pytest.raises(ValueError):
-            model.transition_row(3, 0)
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            arr.BernoulliArrivals(1.0, 0.3),
+            arr.LimitedUniformArrivals(1.0, 1.4),
+            arr.LimitedExponentialArrivals(1.0, 2.0),
+        ],
+        ids=["bernoulli", "uniform", "exponential"],
+    )
+    @pytest.mark.parametrize("cells", [8, 126, 127, 300])
+    def test_expectation_is_the_chains_next_state_mean(self, dist, cells):
+        # below 128 levels (cells + 1) the operator correlates directly, and
+        # from 128 on by FFT
+        model = ev.build_mdp(AWGN1, dist, cells)
+        n = model.states
+        v = np.cumsum(np.random.default_rng(cells).random(n))
+        want = [transition_row(model, m, 0) @ v for m in range(n)]
+        got = model._expected_next(v)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15 * np.abs(v).max() * n)
 
 
 class TestOptimalGain:
@@ -1115,7 +1118,7 @@ class TestPolicyGain:
         # snap the policy to the grid exactly as the evaluator does
         h = model.cell
         actions = [int(np.floor(policy.evaluate(level) / h + 1e-9)) for level in model.grid]
-        P = np.vstack([model.transition_row(i, actions[i]) for i in range(model.states)])
+        P = np.vstack([transition_row(model, i, actions[i]) for i in range(model.states)])
         want = stationary_gain(P, model.action_rewards[actions])
         assert res.value == pytest.approx(want, abs=1e-9)
 
@@ -1147,7 +1150,7 @@ def dense_policy_system(model: ev.MdpModel, actions) -> tuple[np.ndarray, np.nda
     rhs: g + h[i] - sum_j P[i, j] h[j] = rewards[actions[i]] with h[0] = 0,
     in the unknowns x = (g, h[1:])."""
     n = model.states
-    P = np.vstack([model.transition_row(i, actions[i]) for i in range(n)])
+    P = np.vstack([transition_row(model, i, actions[i]) for i in range(n)])
     A = np.eye(n) - P
     A[:, 0] = 1.0
     return A, model.action_rewards[np.asarray(actions)]
@@ -1567,20 +1570,19 @@ class TestSimulate:
         # in time: with 2 paths first in the eighth block, with 64 in the first
         monkeypatch.setattr(ev, "_CHUNK", 3)
         monkeypatch.setattr(ev, "_SLOT_BLOCK", 8)
-        met = []
-        spliced = ev._spliced_block
-
-        def spy(*args):
-            out = spliced(*args)
-            met.append(out[1])
-            return out
-
-        monkeypatch.setattr(ev, "_spliced_block", spy)
+        met = _spliced_flags(monkeypatch)
         policy, reward, law, n = pol.FixedFractionPolicy(0.3), SQRT, SIM_LAWS["uniform"], 85
         res = ev.simulate(policy, law, reward, n, paths, seed=0)
         assert (res.value, res.stderr) == per_slot_simulate(policy, law, reward, n, paths, seed=0)
         # whether each block's chunks met; none run after the first that did not
         assert met == blocks
+
+    def test_verifys_splice_check_runs_the_splice(self, monkeypatch):
+        # verify compares the chunked path with the slot loop; were its one
+        # block's chunks not to meet, the slot loop would run on both sides
+        met = _spliced_flags(monkeypatch)
+        assert all(row.passed for row in evaluation_checks(0))
+        assert met == [True]
 
     @pytest.mark.parametrize("kind", ["greedy", "fixed_fraction", "maximin_awgn"])
     @pytest.mark.parametrize("law", ["uniform", "uniform_slow"])

@@ -114,7 +114,6 @@ _POSITIVE_CHECKS = {
     "greed_index": (lambda c: pol.greed_index(pol.GreedyPolicy(), AWGN1, c), "c"),
     "normality_check": (lambda c: pol.normality_check(pol.GreedyPolicy(), c), "c"),
     "bernoulli_reward": (lambda c: ev.bernoulli_reward(pol.GreedyPolicy(), AWGN1, c, 0.5), "c"),
-    "step": (lambda c: ev.step(0.0, 0.0, 0.0, c), "capacity c"),
     "ArrivalDistribution": (lambda c: arr.LimitedUniformArrivals(c, 1.0), "capacity c"),
     "b": (lambda b: arr.LimitedUniformArrivals(1.0, b), "b"),
     "rate": (lambda rate: arr.LimitedExponentialArrivals(1.0, rate), "rate"),
@@ -270,6 +269,23 @@ class TestStepDown:
         assert rw.step_down_iter(reward, 2.0, 2000, 5.0) == 0.0
         out = rw.step_down_iter(reward, 2.0, 2000, np.array([0.0, 5.0, 1e300]))
         np.testing.assert_array_equal(out, np.zeros(3))
+
+    def test_custom_cutoff_is_infinite_where_the_slope_underflows(self):
+        # marginal(0) / 2**1023 = 5e-21 / 9e307 underflows to 0, so every
+        # finite level steps to 0; at 2**1000 it is subnormal but positive
+        tiny = rw.RewardFunction.custom(
+            value=lambda u: 1e-20 * np.log1p(u) / 2,
+            marginal=lambda u: 0.5e-20 / (1.0 + u),
+            marginal_inverse=lambda y: 0.5e-20 / y - 1.0,
+        )
+        levels = np.array([0.0, 5.0, 1e300])
+        assert rw.step_down_cutoff(tiny, 2.0**1023) == math.inf
+        assert rw.step_down_iter(tiny, 2.0, 1023, 5.0) == 0.0
+        np.testing.assert_array_equal(rw.step_down_iter(tiny, 2.0, 1023, levels), np.zeros(3))
+        assert rw.step_down_iter(tiny, 2.0, 1000, 5.0).hex() == "0x0.0p+0"
+        np.testing.assert_array_equal(rw.ladder_sum(tiny, 2.0**1023, levels), levels)
+        with pytest.raises(ValueError, match=r"^maximin kinks at p=0.5 do not pass upto=1e\+308 "):
+            pol.maximin_kinks(tiny, 0.5, 1e308)
 
     def test_custom_matches_closed_family(self):
         custom = wrap_awgn_as_custom(2.0)
