@@ -8,7 +8,12 @@ consumed this slot, with 0 <= policy(x) <= x.  Implemented kinds:
     maximin_generic x up to the first kink, else invert ladder_sum from the
                     kink table, each level certified by its own residual
     maximin_awgn    the same policy for the awgn reward, linear between its
-                    kinks, so evaluated by interpolating the kink table
+                    kinks, so the kink table itself
+
+A policy has two kernels: _evaluate on an array of levels, and _rungs, the
+one scalar kernel, which the reserve ladder asks for its rungs.  Both maximin
+kinds are _Maximin, the kink-table policy, whose kernels interpolate the
+table and walk the ladder down it; MaximinPolicy adds only the certificate.
 
 The maximin policy maximizes the worst-case long-run average reward over all
 arrival processes whose capped mean is p times the battery capacity; the worst
@@ -61,6 +66,11 @@ class StationaryPolicy(ABC):
     kind: str = ""
     p: float | None = None
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_evaluate" in vars(cls) and "_rungs" not in vars(cls):
+            cls._rungs = StationaryPolicy._rungs  # walked through its own _evaluate
+
     @abstractmethod
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         """Consumption for a 1-d array of stored-energy levels.
@@ -68,23 +78,20 @@ class StationaryPolicy(ABC):
         Each level's consumption must depend on that level alone: not on the
         other levels in the array, nor on earlier calls.  The reserve ladder
         (_Ladder, which the series walk, ergodic_levels and simulate's
-        renewal path on 0-or-c arrivals walk) asks _rungs for its rungs, and
-        MaximinPolicy's certifies a block of them in one array, where the
-        slot loop and value iteration evaluate whole arrays of unrelated
-        levels; they give the same bits only under this contract.  Every
-        policy here meets it."""
-
-    def _consume(self, level: float) -> float:
-        """Consumption at one finite, nonnegative level as a Python float.
-        _evaluate on a one-element array by default; a policy may override it
-        with float arithmetic that keeps _evaluate's bits."""
-        return float(self._evaluate(np.array([level]))[0])
+        renewal path on 0-or-c arrivals walk) asks _rungs, the one scalar
+        kernel, for its rungs, and the kink table walks a block of them
+        ahead, where the slot loop and value iteration evaluate whole arrays
+        of unrelated levels; they give the same bits only under this
+        contract.  Every policy here meets it."""
 
     def _rungs(self, level: float) -> list[float]:
-        """Consumptions of the reserve ladder's rungs from one finite,
-        nonnegative level down: [_consume(level)] by default, or a block of
-        rungs, each at the level L - min(u, L) the one before leaves."""
-        return [self._consume(level)]
+        """The one scalar kernel: consumptions of the reserve ladder's rungs
+        from one finite, nonnegative level down, as Python floats with the
+        bits _evaluate gives each rung's level, each rung at the level
+        L - min(u, L) the one before leaves.  By default one rung, _evaluate
+        on a one-element array; a class that defines _evaluate and not _rungs
+        gets this default back, so it is walked through its own _evaluate."""
+        return [float(self._evaluate(np.array([level]))[0])]
 
     def evaluate(self, x):
         """Energy consumed at stored level x; satisfies 0 <= result <= x."""
@@ -147,8 +154,8 @@ class GreedyPolicy(StationaryPolicy):
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         return arr.copy()
 
-    def _consume(self, level: float) -> float:
-        return level
+    def _rungs(self, level: float) -> list[float]:
+        return [level]
 
 
 class FixedFractionPolicy(StationaryPolicy):
@@ -162,20 +169,32 @@ class FixedFractionPolicy(StationaryPolicy):
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         return self.p * arr
 
-    def _consume(self, level: float) -> float:
-        return self.p * level  # one correctly rounded product, as numpy's
+    def _rungs(self, level: float) -> list[float]:
+        return [self.p * level]  # one correctly rounded product, as numpy's
 
 
 class _Maximin(StationaryPolicy):
-    """The maximin policy's state: the reward, the ratio p, the ladder scale
-    s = 1/(1-p), the kinks walked so far (through E_1 from the start) and
-    their table: the lists _xs, _ys, which _table reads one level at a
-    time, are KinkWalk's own (past the kink cap, MaximinPolicy's are a copy
-    with one more point), and the arrays _x, _y hold the same values for
-    the array paths to interpolate.  inversion_tol bounds how far a
-    computed consumption may sit from the exact policy."""
+    """The maximin policy's kink table, linear between its kinks: the
+    reward, the ratio p, the ladder scale s = 1/(1-p) and the kinks walked
+    so far (through E_1 from the start).  The lists _xs, _ys, which _table
+    reads one level at a time, are KinkWalk's own (past the kink cap,
+    MaximinPolicy's are a copy with one more point), and the arrays _x, _y
+    hold the same values for np.interp.  inversion_tol bounds how far a
+    computed consumption may sit from the exact policy.
+
+    An array is one np.interp (_evaluate).  The reserve ladder walks down
+    the table a block at a time (_rungs): rungs L -> L - min(table(L), L)
+    read by _table, np.interp's bits in Python floats, for up to _span rungs
+    or until the level falls to x_1, at or below which one rung spends it
+    all.  Both kernels pass the table's values through _certify, a no-op
+    here, and a block is kept through the first rung it mends, so each rung
+    is the one _evaluate gives its level alone.  A block kept whole doubles
+    _span, up to _AHEAD rungs; one mended at its k-th rung sets it to k + 1.
+    """
 
     inversion_tol = 0.0
+    _AHEAD = 1024  # most rungs a block
+    _span = 16  # rungs of the next block
 
     def __init__(self, reward: RewardFunction, p: float):
         self.reward = reward
@@ -209,6 +228,39 @@ class _Maximin(StationaryPolicy):
         slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
         return slope * (level - xs[j]) + ys[j]
 
+    def _certify(self, x: np.ndarray, u: np.ndarray, first: bool = False) -> int:
+        """Mend in place the table's consumptions u at the levels x where
+        they miss the policy: every such level, or with first only the first
+        of them, and return its index, or x.size if none is mended.  The
+        table is the policy here, so nothing is."""
+        return x.size
+
+    def _evaluate(self, arr: np.ndarray) -> np.ndarray:
+        self._cover(float(arr.max(initial=0.0)))
+        u = np.interp(arr, self._x, self._y)
+        self._certify(arr, u)
+        return u
+
+    def _rungs(self, level: float) -> list[float]:
+        x1 = self._xs[1]
+        if not level > x1:  # the greedy segment: one rung spends it all
+            return [level]
+        self._cover(level)
+        levels, table = [], []
+        for _ in range(self._span):
+            u = self._table(level)
+            levels.append(level)
+            table.append(u)
+            if level < u:  # min(u, level), as the ladder takes it
+                u = level
+            level -= u
+            if not level > x1:
+                break
+        u = np.array(table)
+        k = self._certify(np.array(levels), u, first=True)
+        self._span = k + 1 if k < u.size else min(2 * self._span, self._AHEAD)
+        return u[: k + 1].tolist()
+
 
 class MaximinPolicy(_Maximin):
     """Maximin policy for any regular reward, via ladder-sum inversion.
@@ -233,26 +285,15 @@ class MaximinPolicy(_Maximin):
     finite one above 1e-9 (1 + x), raises RuntimeError, and a +inf one,
     whose ladder sum leaves the float range, ValueError.
 
-    The reserve ladder asks _rungs for a block of rungs at a time.  From a
-    level above x_1 the table walks down the ladder, a rung
-    L -> L - min(table(L), L) read by _table, np.interp's bits in Python
-    floats, for up to _span rungs or until the level falls to x_1, and one
-    _ladder_sum call certifies every rung of the block.  The rungs before
-    the first failed certificate keep the table's
-    value, the failed one is settled by the chord step and regula falsi,
-    and the block ends there; so each rung is the one _evaluate gives its
-    level alone.  A block that passes whole doubles _span, up to _AHEAD
-    rungs; one that fails at its k-th rung sets it to k + 1.  So every
-    certificate call runs the table check of a rung the walk asks for, and
-    a ladder whose every rung fails makes the calls of one _evaluate a
-    rung.  A level at or below x_1 is one rung that spends it all.  A
-    subclass that overrides _evaluate is served by it on every rung.
+    _certify checks an array, or a block of the ladder's rungs, with one
+    _ladder_sum call; a block keeps the table's rungs before its first
+    failed certificate and settles that one.  So every certificate call
+    checks a rung the walk asks for, and a ladder whose every rung fails
+    makes the calls of one _evaluate a rung.
     """
 
     kind = "maximin_generic"
     inversion_tol = 1e-12
-    _AHEAD = 1024  # most rungs a block
-    _span = 16  # rungs of the next block
 
     def _cover(self, top: float) -> None:
         """Walk the kinks past top; past the kink cap or the float range,
@@ -266,57 +307,21 @@ class MaximinPolicy(_Maximin):
                 self._xs, self._ys = [*xs, big], [*ys, y]
                 self._x, self._y = np.array(self._xs), np.array(self._ys)
 
-    def _evaluate(self, arr: np.ndarray) -> np.ndarray:
-        above = arr > self._x[1]  # x itself on the greedy segment
-        if not above.any():
-            return arr.copy()
-        x = arr[above]
-        self._cover(float(x.max()))
-        u = np.interp(x, self._x, self._y)
-        # _ladder_steps' log of a zero ratio; a ladder past the float range
-        # gives a +inf residual, which brackets, or a NaN one, which stalls
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            r = _ladder_sum(self.reward, self.scale, u) - x
-            fails = ~(np.abs(r) <= self.inversion_tol)
-            if fails.any():
-                u[fails] = self._settle(x[fails], r[fails])
-        out = arr.copy()
-        out[above] = np.minimum(u, x)
-        return out
-
-    def _rungs(self, level: float) -> list[float]:
-        """Consumptions of a block of rungs from level down, walked on
-        _table's Python floats and certified together in one array;
-        _evaluate's alone for a subclass that overrides it."""
-        if type(self)._evaluate is not MaximinPolicy._evaluate:
-            return [self._consume(level)]
-        x1 = self._xs[1]
-        if not level > x1:  # the greedy segment: one rung spends it all
-            return [level]
-        self._cover(level)
-        levels, table, spent = [], [], []
-        for _ in range(self._span):
-            u = self._table(level)
-            levels.append(level)
-            table.append(u)
-            if level < u:  # np.minimum(u, level), as _evaluate takes it
-                u = level
-            spent.append(u)
-            level -= u
-            if not level > x1:
-                break
-        x, u = np.array(levels), np.array(table)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            r = _ladder_sum(self.reward, self.scale, u) - x
-            passed = np.abs(r) <= self.inversion_tol
-            k = int(passed.argmin())
-            failed = not passed[k]
-            if failed:  # keep the block through its first failed certificate
-                del spent[k + 1 :]
-                u = float(self._settle(x[k : k + 1], r[k : k + 1])[0])
-                spent[k] = levels[k] if levels[k] < u else u
-        self._span = k + 1 if failed else min(2 * self._span, self._AHEAD)
-        return spent
+    def _certify(self, x: np.ndarray, u: np.ndarray, first: bool = False) -> int:
+        """Settle the table's consumptions whose certificates fail, at levels
+        above x_1 (x itself on the greedy segment), and spend at most x."""
+        i = np.flatnonzero(x > self._xs[1])
+        if i.size:
+            # _ladder_steps' log of a zero ratio; a ladder past the float range
+            # gives a +inf residual, which brackets, or a NaN one, which stalls
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                r = _ladder_sum(self.reward, self.scale, u[i]) - x[i]
+                fails = np.flatnonzero(~(np.abs(r) <= self.inversion_tol))[: 1 if first else None]
+                i, r = i[fails], r[fails]
+                if i.size:
+                    u[i] = self._settle(x[i], r)
+        np.minimum(u, x, out=u)  # x itself where they tie, -0.0 too
+        return int(i[0]) if i.size else x.size
 
     def _settle(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Consumptions at levels x whose table values failed their
@@ -361,13 +366,11 @@ class MaximinPolicy(_Maximin):
 
 
 class MaximinAwgnPolicy(_Maximin):
-    """Maximin policy for the awgn reward, by interpolating its own kinks.
+    """Maximin policy for the awgn reward: its own kink table.
 
     ladder_sum is affine in the head between kinks, so the policy is linear
     between the kinks (x_k, y_k), which self.kinks walks as far as the largest
-    level asked for: exactly y_k at every kink and x before E_1 (x_1 == y_1).
-    An array of levels is one np.interp; one level, a rung of the reserve
-    ladder, is _table, the same arithmetic in Python floats.  Past
+    level asked for, and _Maximin's table is the policy itself.  Past
     _LADDER_CAP kinks it raises maximin_kinks' ValueError.
     """
 
@@ -376,14 +379,6 @@ class MaximinAwgnPolicy(_Maximin):
     def __init__(self, gamma: float, p: float):
         super().__init__(RewardFunction.awgn(gamma), p)
         self.gamma = self.reward.gamma
-
-    def _evaluate(self, arr: np.ndarray) -> np.ndarray:
-        self._cover(float(arr.max(initial=0.0)))
-        return np.interp(arr, self._x, self._y)
-
-    def _consume(self, level: float) -> float:
-        self._cover(level)
-        return self._table(level)  # _evaluate's bits
 
     def segment_index(self, x):
         """Index k of the segment [x_(k-1), x_k) holding x; 1 on the greedy one."""
@@ -556,11 +551,13 @@ def normality_check(
     slack for float noise.
     """
     c = _check_positive(c)
+    if grid_points < 2:
+        raise ValueError("grid_points must be at least 2")
     x = np.linspace(0.0, c, int(grid_points))
     u = policy.evaluate(x)
     d1 = np.diff(u)
     d2 = u[2:] - 2.0 * u[1:-1] + u[:-2]
-    max_decrease = float(max(-d1.min(), 0.0)) if d1.size else 0.0
+    max_decrease = float(max(-d1.min(), 0.0))
     max_convexity = float(max(d2.max(), 0.0)) if d2.size else 0.0
     return NormalityReport(
         nondecreasing=bool(max_decrease <= slack),

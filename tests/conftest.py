@@ -1,4 +1,11 @@
+import os
 import sys
+from pathlib import Path
+
+# pytest puts src on sys.path (pyproject's pythonpath); the tests that start
+# a fresh interpreter inherit it from here, so no install is needed
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

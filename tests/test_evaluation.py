@@ -89,11 +89,11 @@ class _Rungs:
 
 
 class _ScalarRungs:
-    """Stands in for a policy's _consume: lists the level of each call and
+    """Stands in for a policy's _rungs: lists the level of each call and
     answers a level asked before from memory, as _Rungs does."""
 
     def __init__(self, policy):
-        self.kernel, self.levels, self.seen = policy._consume, [], {}
+        self.kernel, self.levels, self.seen = policy._rungs, [], {}
 
     def __call__(self, level):
         self.levels.append(level)
@@ -134,8 +134,8 @@ class _HalfFraction(pol.FixedFractionPolicy):
     def _evaluate(self, arr):
         return 0.5 * arr
 
-    def _consume(self, level):
-        return 0.5 * level
+    def _rungs(self, level):
+        return [0.5 * level]
 
 
 def _spliced_flags(monkeypatch) -> list:
@@ -319,7 +319,7 @@ class TestBernoulliSeries:
         # keeps its level, so r(c) is the smaller bound at p r'(0) c > r(c)
         policy = pol.FixedFractionPolicy(p) if kind == "fixed_fraction" else _Idle()
         walked = _ScalarRungs(policy)
-        monkeypatch.setattr(policy, "_consume", walked)
+        monkeypatch.setattr(policy, "_rungs", walked)
         res = ev.bernoulli_reward(policy, LOG1P, c, p)
         n = len(walked.levels)
         tail = oracle.fraction_tail(1.0, p, c, n) if kind == "fixed_fraction" else 0
@@ -384,7 +384,7 @@ class TestBernoulliSeries:
         # prediction, 1455 rungs at fraction 0.01 and 42 at 0.5
         policy = pol.FixedFractionPolicy(fraction)
         walked = _ScalarRungs(policy)
-        monkeypatch.setattr(policy, "_consume", walked)
+        monkeypatch.setattr(policy, "_rungs", walked)
         res = ev.bernoulli_reward(policy, LOG1P, 1.0, 0.01)
         rungs = len(walked.levels)
         start = 0.01 * LOG1P.marginal(0.0) * 1.0
@@ -404,7 +404,7 @@ class TestBernoulliSeries:
         # rounds up to L at the least subnormal and the level hits 0
         policy = pol.FixedFractionPolicy(0.9)
         walked = _ScalarRungs(policy)
-        monkeypatch.setattr(policy, "_consume", walked)
+        monkeypatch.setattr(policy, "_rungs", walked)
         for tol, most in ((1e-15, 10), (0.0, 400)):
             walked.levels.clear()
             res = ev.bernoulli_reward(policy, LOG1P, 1.0, 1e-7, tol)
@@ -681,7 +681,7 @@ class TestFractionTail:
             for p in (0.01, 0.1, 0.3, 0.5, 0.9):
                 policy = pol.FixedFractionPolicy(p)
                 walked = _ScalarRungs(policy)
-                monkeypatch.setattr(policy, "_consume", walked)
+                monkeypatch.setattr(policy, "_rungs", walked)
                 ev.bernoulli_reward(policy, SERIES_REWARDS[reward], c, p)
                 if walked.levels:
                     heads[p, c] = len(walked.levels)
@@ -697,10 +697,21 @@ class TestFractionTail:
         assert res == ev.bernoulli_reward(_Fraction(0.5), AWGN1, 1.0, 1e-6)
         assert res.tolerance < 1e-15
 
-    def test_a_stateful_subclass_keeps_the_walk(self):
-        want = ev.bernoulli_reward(_Fraction(0.3), AWGN1, 2.0, 0.3)
-        assert ev.bernoulli_reward(_Tiring(0.3), AWGN1, 2.0, 0.3) == want
-        assert ev.bernoulli_reward(pol.FixedFractionPolicy(0.3), AWGN1, 2.0, 0.3) != want
+    def test_a_stateful_subclass_keeps_the_walk(self, monkeypatch):
+        # walked rung by rung through its own _evaluate, which tires once a
+        # rung, and never handed to the fixed fraction's power series
+        def summed(*args):
+            raise AssertionError("the walk summed a subclass's tail")
+
+        parent = ev.bernoulli_reward(pol.FixedFractionPolicy(0.3), AWGN1, 2.0, 0.3)
+        monkeypatch.setattr(ev, "_fraction_tail", summed)
+        policy, walked = _Tiring(0.3), _Steps(monkeypatch)
+        res = ev.bernoulli_reward(policy, AWGN1, 2.0, 0.3)
+        tired = 0.3
+        for _ in walked.levels:
+            tired *= 0.999
+        assert len(walked.levels) > 1 and policy.p == tired
+        assert res.residual <= 1e-15 and res != parent
 
     def test_a_tol_of_zero_keeps_the_walk(self):
         # no truncation of the power series meets tol = 0

@@ -72,8 +72,8 @@ class TestBaselines:
 
 
 class TestScalarKernel:
-    """_consume and _rungs, the reserve ladder's kernels on one float level,
-    return the bits _evaluate returns for that level."""
+    """_rungs, the reserve ladder's one scalar kernel, returns the bits
+    _evaluate returns for its first rung's level."""
 
     TINY = np.finfo(float).smallest_normal
     LEVELS = np.concatenate(
@@ -83,20 +83,6 @@ class TestScalarKernel:
             10.0 ** np.random.default_rng(14).uniform(-320.0, 300.0, 200),
         ]
     )
-
-    @pytest.mark.parametrize(
-        "policy",
-        [pol.GreedyPolicy()]
-        + [pol.FixedFractionPolicy(f) for f in (0.01, 0.3, 1.0 / 3.0, 0.5, 0.9, 0.7261839415)],
-        ids=lambda policy: f"{policy.kind}-{policy.p}",
-    )
-    def test_float_overrides_keep_the_bits_of_evaluate(self, policy):
-        assert type(policy)._consume is not pol.StationaryPolicy._consume
-        got = [policy._consume(float(x)) for x in self.LEVELS]
-        assert all(type(u) is float for u in got)
-        want = policy._evaluate(self.LEVELS)
-        assert [u.hex() for u in got] == [float(u).hex() for u in want]
-
     P_VALUES = (1e-6, 1e-3, 0.01, 0.1, 0.5, 0.9)
 
     def _levels(self, reward, p, top, count=40):
@@ -110,15 +96,26 @@ class TestScalarKernel:
         levels += [np.nextafter(first, np.inf)] + walk.x[2:9]
         return levels + list(np.random.default_rng(15).uniform(0.0, top, count))
 
-    @pytest.mark.parametrize("p", P_VALUES)
-    @pytest.mark.parametrize("name", ["awgn-table"])
-    def test_maximin_floats_keep_the_bits_of_evaluate_on_one_level(self, name, p):
-        policy = pol.MaximinAwgnPolicy(1.0, p)
-        assert type(policy)._consume is not pol.StationaryPolicy._consume
-        for x in map(float, self._levels(AWGN1, p, 10.0)):
-            got = policy._consume(x)
-            want = policy._evaluate(np.array([x]))[0]
-            assert type(got) is float and got.hex() == float(want).hex(), x
+    @pytest.mark.parametrize(
+        "policy",
+        [pol.GreedyPolicy()]
+        + [pol.FixedFractionPolicy(f) for f in (0.01, 0.3, 1.0 / 3.0, 0.5, 0.9, 0.7261839415)]
+        + [pol.MaximinAwgnPolicy(1.0, p) for p in P_VALUES]
+        + [pol.MaximinPolicy(SQRT, p) for p in (1e-3, 0.5)],
+        ids=lambda policy: f"{policy.kind}-{policy.p}",
+    )
+    def test_the_first_rung_keeps_the_bits_of_evaluate(self, policy):
+        # the maximins' kink tables end in the float range, so they take
+        # their own kinks' neighbours instead of the huge levels
+        assert type(policy)._rungs is not pol.StationaryPolicy._rungs
+        if isinstance(policy, pol._Maximin):
+            levels = np.array(self._levels(policy.reward, policy.p, 10.0))
+        else:
+            levels = self.LEVELS
+        got = [policy._rungs(float(x))[0] for x in levels]
+        assert all(type(u) is float for u in got)
+        want = policy._evaluate(levels)
+        assert [u.hex() for u in got] == [float(u).hex() for u in want]
 
     @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.1, 0.5])
     @pytest.mark.parametrize(
@@ -160,18 +157,17 @@ class TestScalarKernel:
                 run(1e300)
         assert policy.evaluate(1e290) == pytest.approx(5e289, rel=1e-12)
 
-    def test_custom_maximin_is_walked_through_evaluate(self):
-        policy = pol.MaximinPolicy(LOG1P, 0.1)
+    def test_a_custom_maximin_subclass_is_walked_through_its_evaluate(self):
         calls = []
-        kernel = policy._evaluate
 
-        def counted(arr):
-            calls.append(arr.copy())
-            return kernel(arr)
+        class Counted(pol.MaximinPolicy):
+            def _evaluate(self, arr):
+                calls.append(arr.copy())
+                return super()._evaluate(arr)
 
-        policy._evaluate = counted
+        policy = Counted(LOG1P, 0.1)
         level = 3.0 * policy.kinks.x[1]
-        assert policy._consume(level) == kernel(np.array([level]))[0]
+        assert policy._rungs(level) == [pol.MaximinPolicy(LOG1P, 0.1)._rungs(level)[0]]
         assert len(calls) == 1 and calls[0].shape == (1,)
 
     def test_a_policy_with_only_evaluate_is_walked_through_it(self):
@@ -182,7 +178,7 @@ class TestScalarKernel:
             return 0.5 * arr
 
         policy = _Shaped(half)
-        assert policy._consume(3.0) == 1.5 and len(calls) == 1
+        assert policy._rungs(3.0) == [1.5] and len(calls) == 1
         calls.clear()
         # awgn:1 as a custom reward, which a FixedFractionPolicy walks too
         res = ev.bernoulli_reward(policy, LOG1P, 1.0, 0.5)
@@ -373,7 +369,7 @@ class TestLookAhead:
         assert policy.calls == len(rungs) > 40
         self.assert_alone(policy, rungs)
         plain = pol.MaximinPolicy(SQRT, 1e-3)
-        assert rungs[0][1] == 0.5 * plain._consume(rungs[0][0])
+        assert rungs[0][1] == 0.5 * plain._rungs(rungs[0][0])[0]
 
 
 class TestCertificateCount:
@@ -918,6 +914,66 @@ class TestOverspending:
         assert self.bits(twice) == self.bits(greedy)
 
 
+class _Plain(pol.StationaryPolicy):
+    """A plain policy whose _evaluate is another policy's."""
+
+    kind = "plain"
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def _evaluate(self, arr):
+        return self.policy._evaluate(arr)
+
+
+def _capped(base):
+    """A subclass of base that overrides _evaluate alone: base's
+    consumption, but at most 0.5."""
+
+    class Capped(base):
+        def _evaluate(self, arr):
+            return np.minimum(super()._evaluate(arr), 0.5)
+
+    return Capped
+
+
+class TestOwnEvaluate:
+    """A subclass that overrides _evaluate alone is walked through it: the
+    series, the renewal path and ergodic_levels give the bits of a plain
+    policy with that _evaluate, not those of the parent's own kernel."""
+
+    PARENTS = {
+        "greedy": (pol.GreedyPolicy, ()),
+        "fixed_fraction": (pol.FixedFractionPolicy, (0.5,)),
+        "maximin_awgn": (pol.MaximinAwgnPolicy, (1.0, 0.5)),
+    }
+
+    @staticmethod
+    def bits(result):
+        return result.value.hex(), result.stderr, result.residual, result.tolerance
+
+    @pytest.mark.parametrize("name", list(PARENTS))
+    def test_the_walks_match_a_plain_policy(self, name):
+        base, args = self.PARENTS[name]
+        policies = _capped(base)(*args), _Plain(_capped(base)(*args)), base(*args)
+        c, p = 2.0, 0.5
+        series = [self.bits(ev.bernoulli_reward(policy, AWGN1, c, p)) for policy in policies]
+        assert series[0] == series[1] != series[2]
+        law = arr.from_mcr("bernoulli", c, p)
+        runs = [self.bits(ev.simulate(policy, law, AWGN1, 2000, 16, 5)) for policy in policies]
+        assert runs[0] == runs[1] != runs[2]
+        capped, plain, parent = policies
+        if isinstance(capped, pol._Maximin):
+            ladder, walked = pol._Ladder(plain, c), [c]
+            while ladder.level > 0.0:
+                ladder.step()
+                walked.append(ladder.level)
+            levels = pol.ergodic_levels(capped, c)
+            assert [x.hex() for x in levels] == [x.hex() for x in walked]
+            assert levels.tolist() == [2.0, 1.5, 1.0, 0.5, 0.0]  # 0.5 a rung
+            assert levels.tolist() != pol.ergodic_levels(parent, c).tolist()
+
+
 class TestGreedIndex:
     def test_greedy_value(self):
         got = pol.greed_index(pol.GreedyPolicy(), AWGN1, 1.0)
@@ -952,6 +1008,13 @@ class TestNormalityCheck:
         assert not report.nondecreasing
         assert not report.passed
         assert report.max_decrease > 0.0
+
+    @pytest.mark.parametrize("grid_points", [0, 1])
+    def test_a_grid_of_fewer_than_two_points_is_rejected(self, grid_points):
+        # it would hold no difference to check, and report a pass
+        with pytest.raises(ValueError, match="^grid_points must be at least 2$"):
+            pol.normality_check(pol.GreedyPolicy(), 1.0, grid_points)
+        assert pol.normality_check(pol.GreedyPolicy(), 1.0, 2).passed
 
     def test_convex_policy_fails(self):
         c = 1.0
