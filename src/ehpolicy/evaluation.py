@@ -65,6 +65,7 @@ from .policies import (
     GreedyPolicy,
     MaximinAwgnPolicy,
     MaximinPolicy,
+    MaximinSqrtPolicy,
     StationaryPolicy,
     _Ladder,
     maximin_policy,
@@ -85,6 +86,8 @@ __all__ = [
 ]
 
 _SERIES_RUNGS = 1_000_000  # bernoulli_reward's rung cap
+# the policies simulate runs in spliced chunks, by exact type
+_CHUNKED = (GreedyPolicy, FixedFractionPolicy, MaximinPolicy, MaximinAwgnPolicy, MaximinSqrtPolicy)
 _SERIES_CAP = ("Bernoulli series tail bound", "rungs")  # what NonConvergenceError names there
 _EPS = float(np.finfo(float).eps)
 # slots per simulate block and rungs per series block: a simulate block holds
@@ -209,7 +212,8 @@ def bernoulli_reward(
     count, _fixed_point_fails_fast, passes the cap the same way.  Each rung
     is one step of the policy's reserve ladder (_Ladder, on levels finite
     and nonnegative by construction: the policy's _rungs, which for
-    MaximinPolicy certifies a block of rungs at a time, and the rejection
+    MaximinPolicy, a custom reward's maximin, certifies a block of rungs at
+    a time, and the rejection
     of a NaN or negative consumption), the survivor's step and the tail
     bound.  A rung adds its level to the climb and its weight times the
     climb to the drift as it is walked; its weight and consumption are
@@ -223,8 +227,9 @@ def bernoulli_reward(
     reserve hit 0, and for a summed tail the truncation bound of its power
     series, at most tol.  tolerance adds a bound on the walk's rounding (u = eps/2)
     for policies whose consumption and reserve are nondecreasing, 1-Lipschitz
-    and evaluated within 6u (greedy, fixed fraction, the awgn maximin's
-    interpolation) and rewards and r'(0) evaluated within 4u.  With n rungs,
+    and evaluated within 6u (greedy, fixed fraction, and the awgn and sqrt
+    maximins' interpolation in their kink tables) and rewards and r'(0)
+    evaluated within 4u.  With n rungs,
     levels L_i, weights w_i = p (1-p)**(i-1) and climb_i = L_1 + ... + L_i:
     the rounded (1-p)**(i-1) is off by 2(i-1)u, each summand by (2n + 4)u,
     and adding n nonnegative summands costs (n - 1)u of their sum S, the
@@ -413,18 +418,20 @@ def _fraction_tail(
     terms = [power / -math.expm1(shrink + down)]
     stop = 0.125 * _EPS * abs(terms[0])
     spread = 9.0 * abs(terms[0])  # the sum of (3m + 6) |t_m| and of |s_m|
+    expm1 = math.expm1
     for m in itertools.count(2):
         power *= -y * (m - 1 - half) / m
-        term = power / -math.expm1(shrink + m * down)
-        if abs(term) <= stop and weight * abs(term) <= tol:
+        term = power / -expm1(shrink + m * down)
+        size = abs(term)
+        if size <= stop and weight * size <= tol:
             break
         terms.append(term)
-        spread += (3 * m + 6) * abs(term)
+        spread += (3 * m + 6) * size
     tail = 0.0
     for t in reversed(terms):
         tail += t
         spread += abs(tail)
-    return weight * tail, weight * abs(term), weight * 0.5 * spread, len(terms)
+    return weight * tail, weight * size, weight * 0.5 * spread, len(terms)
 
 
 def _fixed_point_fails_fast(
@@ -502,8 +509,9 @@ def bernoulli_derivative_check(
     if not (c > 0 and 0 < p < 1 and 0 < h < c):
         raise ValueError("need c > 0, p in (0, 1), 0 < h < c")
     policy = maximin_policy(reward, p)
+    # evaluate walked the kinks through the first past c, or past the kink
+    # cap or the float range through the last the table extends
     analytic = p * float(reward.marginal(policy.evaluate(c)))
-    policy.kinks.cover(c)  # through the first kink past c
     nearest = min(policy.kinks.x[1:], key=lambda x: abs(x - c))
     skipped = abs(nearest - c) <= h
     fd = None
@@ -548,9 +556,11 @@ def simulate(
         the battery to exactly c, so a path's level is the rung of the
         reserve ladder from c indexed by the slots since its last charge, or
         of the ladder from 0 before its first.  See _renewal_totals.
-      * any other law, for the built-in policies (GreedyPolicy,
-        FixedFractionPolicy, MaximinPolicy and MaximinAwgnPolicy, by exact
-        type), in chunks of _CHUNK slots run side by side and spliced where
+      * any other law, for the built-in policies (_CHUNKED: GreedyPolicy,
+        FixedFractionPolicy, MaximinPolicy, MaximinAwgnPolicy and
+        MaximinSqrtPolicy, by exact type; maximin_policy and
+        metrics.make_policy return no other class), in chunks of _CHUNK
+        slots run side by side and spliced where
         a chunk's copy meets the true path.  A slot's outcome depends only
         on the stored level and the draw, under _evaluate's per-level
         contract, so two copies of a path that hold equal levels after the
@@ -578,7 +588,7 @@ def simulate(
     streams = _streams(seed, paths)
     if isinstance(arrivals, BernoulliArrivals):
         return _estimate(_renewal_totals(policy, arrivals, reward, n, streams), n)
-    chunked = type(policy) in (GreedyPolicy, FixedFractionPolicy, MaximinPolicy, MaximinAwgnPolicy)
+    chunked = type(policy) in _CHUNKED
     width = min(n, _SLOT_BLOCK)
     span = -(-width // _CHUNK) * _CHUNK
     draws = np.empty((paths, span))  # path-major, each path's draws a row

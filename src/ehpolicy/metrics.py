@@ -158,7 +158,9 @@ def sweep(
     Its reserve map has slope in [0, 1], so rung i consumes at most i d off,
     and under the series weights p (1-p)**(i-1) that costs at most
     marginal(0) d / p of reward; this slack is added to the optimal gain's
-    tolerance.
+    tolerance.  The sqrt kink table inverts nothing either, but keeps the
+    d = 1e-12 of the certified inversion it replaced until the benchmark's
+    sqrt reference rows are re-derived (ROADMAP item 1).
     """
     if policy_evaluator not in ("vi", "mc"):
         raise ValueError("policy_evaluator must be 'vi' or 'mc'")

@@ -5,15 +5,19 @@ consumed this slot, with 0 <= policy(x) <= x.  Implemented kinds:
 
     greedy          consume everything: x
     fixed_fraction  consume p * x
-    maximin_generic x up to the first kink, else invert ladder_sum from the
-                    kink table, each level certified by its own residual
-    maximin_awgn    the same policy for the awgn reward, linear between its
-                    kinks, so the kink table itself
+    maximin_awgn    the maximin policy for the awgn reward, linear between
+                    its kinks, so the kink table itself
+    maximin_sqrt    the same for the sqrt reward, whose ladder step is
+                    affine too
+    maximin_generic the maximin policy for a custom reward: x up to the first
+                    kink, else invert ladder_sum from the kink table, each
+                    level certified by its own residual
 
 A policy has two kernels: _evaluate on an array of levels, and _rungs, the
-one scalar kernel, which the reserve ladder asks for its rungs.  Both maximin
-kinds are _Maximin, the kink-table policy, whose kernels interpolate the
-table and walk the ladder down it; MaximinPolicy adds only the certificate.
+one scalar kernel, which the reserve ladder asks for its rungs.  Every
+maximin kind is _Maximin, the kink-table policy, whose kernels interpolate
+the table and walk the ladder down it; MaximinPolicy adds only the
+certificate.
 
 The maximin policy maximizes the worst-case long-run average reward over all
 arrival processes whose capped mean is p times the battery capacity; the worst
@@ -36,11 +40,14 @@ from .rewards import (
     RewardFunction,
     _check_fraction,
     _check_positive,
+    _check_scale,
     _ladder_sum,
     _prepare,
     ladder_sum,  # noqa: F401  (the public name perfbench's span recorder wraps here)
     step_down_cutoff,
 )
+
+_BIG = float(np.finfo(float).max)
 
 __all__ = [
     "StationaryPolicy",
@@ -48,6 +55,7 @@ __all__ = [
     "FixedFractionPolicy",
     "MaximinPolicy",
     "MaximinAwgnPolicy",
+    "MaximinSqrtPolicy",
     "maximin_policy",
     "Endpoint",
     "maximin_kinks",
@@ -177,19 +185,19 @@ class _Maximin(StationaryPolicy):
     """The maximin policy's kink table, linear between its kinks: the
     reward, the ratio p, the ladder scale s = 1/(1-p) and the kinks walked
     so far (through E_1 from the start).  The lists _xs, _ys, which _table
-    reads one level at a time, are KinkWalk's own (past the kink cap,
-    MaximinPolicy's are a copy with one more point), and the arrays _x, _y
-    hold the same values for np.interp.  inversion_tol bounds how far a
-    computed consumption may sit from the exact policy.
+    reads one level at a time, are KinkWalk's own, or past the kink cap or
+    the float range a copy with one more point (_cover); _arrays gives the
+    same values as arrays, for np.interp and searchsorted, built only when
+    asked for.  inversion_tol bounds how far a computed consumption may sit
+    from the exact policy.
 
-    An array is one np.interp (_evaluate).  The reserve ladder walks down
-    the table a block at a time (_rungs): rungs L -> L - min(table(L), L)
-    read by _table, np.interp's bits in Python floats, for up to _span rungs
-    or until the level falls to x_1, at or below which one rung spends it
-    all.  Both kernels pass the table's values through _certify, a no-op
-    here, and a block is kept through the first rung it mends, so each rung
-    is the one _evaluate gives its level alone.  A block kept whole doubles
-    _span, up to _AHEAD rungs; one mended at its k-th rung sets it to k + 1.
+    An array is one np.interp (_evaluate), passed through _certify, a no-op
+    here.  The reserve ladder walks down the table a block at a time
+    (_rungs): rungs L -> L - min(table(L), L) read by _table, np.interp's
+    bits in Python floats, for up to _span rungs or until the level falls
+    to x_1, at or below which one rung spends it all.  _kept returns the
+    rungs of a block that stand: here all of them, and the next block is
+    twice as long, up to _AHEAD rungs.
     """
 
     inversion_tol = 0.0
@@ -201,21 +209,43 @@ class _Maximin(StationaryPolicy):
         self.p = _check_fraction(p)
         self.scale = 1.0 / (1.0 - self.p)
         self.kinks = KinkWalk(reward, self.p)
+        self.kinks.cover(0.0)  # through E_1, the end of the greedy segment, or raise
         self._xs, self._ys = self.kinks.x, self.kinks.y
-        self._x = self._y = np.zeros(1)
-        _Maximin._cover(self, 0.0)  # through E_1, the end of the greedy segment, or raise
+        self._x = self._y = np.zeros(0)
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kink lists _xs, _ys as arrays, rebuilt once they have grown."""
+        if self._x.size != len(self._xs):
+            self._x, self._y = np.array(self._xs), np.array(self._ys)
+        return self._x, self._y
+
+    def _extends(self) -> bool:
+        """Whether the last segment, extended, stands for the table past
+        the kink cap or the float range.  Segment k's slope is
+        1 - y_(k-1)/y_k, which tends to 1 - s**-e with an error of order
+        s**-(e k) (e from RewardFunction.affine), so after K kinks the
+        extension is the policy within rounding once e K log s >= 37,
+        s**-(e K) <= 8.5e-17."""
+        return self.reward.affine[1] * (len(self.kinks.x) - 1) * -math.log1p(-self.p) >= 37.0
 
     def _cover(self, top: float) -> None:
-        """Walk the kinks past top, or keep those walked and raise KinkWalk's ValueError."""
-        if top >= self._x[-1]:
-            try:
-                self.kinks.cover(top)
-            finally:
-                if len(self.kinks.x) > self._x.size:
-                    self._x, self._y = np.array(self.kinks.x), np.array(self.kinks.y)
+        """Walk the kinks past top.  Past the kink cap or the float range,
+        extend the last segment to the largest float where _extends allows,
+        or raise KinkWalk's ValueError."""
+        if top < self._xs[-1]:
+            return
+        try:
+            self.kinks.cover(top)
+        except ValueError:
+            if not self._extends():
+                raise
+            xs, ys = self._xs, self._ys
+            if xs[-1] < _BIG:  # KinkWalk walks no further, so this copy stays the table
+                y = ys[-1] + (_BIG - xs[-1]) / ((xs[-1] - xs[-2]) / (ys[-1] - ys[-2]))
+                self._xs, self._ys = [*xs, _BIG], [*ys, y]
 
     def _table(self, level: float) -> float:
-        """np.interp(level, _x, _y) as a Python float, by numpy's own
+        """np.interp(level, *_arrays()) as a Python float, by numpy's own
         arithmetic, so with its bits but without its per-call cost: the
         last kink's value at or past it, a kink's own value at that kink,
         and otherwise the segment's slope times the distance from its left
@@ -235,9 +265,15 @@ class _Maximin(StationaryPolicy):
         table is the policy here, so nothing is."""
         return x.size
 
+    def _kept(self, levels: list[float], table: list[float]) -> list[float]:
+        """The rungs that stand of a block the table gave at levels: all of
+        them, since the table is the policy; the next block doubles."""
+        self._span = min(2 * self._span, self._AHEAD)
+        return table
+
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         self._cover(float(arr.max(initial=0.0)))
-        u = np.interp(arr, self._x, self._y)
+        u = np.interp(arr, *self._arrays())
         self._certify(arr, u)
         return u
 
@@ -256,10 +292,7 @@ class _Maximin(StationaryPolicy):
             level -= u
             if not level > x1:
                 break
-        u = np.array(table)
-        k = self._certify(np.array(levels), u, first=True)
-        self._span = k + 1 if k < u.size else min(2 * self._span, self._AHEAD)
-        return u[: k + 1].tolist()
+        return self._kept(levels, table)
 
 
 class MaximinPolicy(_Maximin):
@@ -290,22 +323,18 @@ class MaximinPolicy(_Maximin):
     failed certificate and settles that one.  So every certificate call
     checks a rung the walk asks for, and a ladder whose every rung fails
     makes the calls of one _evaluate a rung.
+
+    maximin_policy builds it for custom rewards only: awgn and sqrt, whose
+    ladder steps are affine, get their kink tables, which need no
+    certificate.
     """
 
     kind = "maximin_generic"
     inversion_tol = 1e-12
 
-    def _cover(self, top: float) -> None:
-        """Walk the kinks past top; past the kink cap or the float range,
-        extend the last segment to the largest float instead."""
-        try:
-            super()._cover(top)
-        except ValueError:
-            xs, ys, big = self._xs, self._ys, float(np.finfo(float).max)
-            if xs[-1] < big:  # KinkWalk walks no further, so this copy stays the table
-                y = ys[-1] + (big - xs[-1]) / ((xs[-1] - xs[-2]) / (ys[-1] - ys[-2]))
-                self._xs, self._ys = [*xs, big], [*ys, y]
-                self._x, self._y = np.array(self._xs), np.array(self._ys)
+    def _extends(self) -> bool:
+        """Always: the certificate mends what the extended segment misses."""
+        return True
 
     def _certify(self, x: np.ndarray, u: np.ndarray, first: bool = False) -> int:
         """Settle the table's consumptions whose certificates fail, at levels
@@ -323,10 +352,19 @@ class MaximinPolicy(_Maximin):
         np.minimum(u, x, out=u)  # x itself where they tie, -0.0 too
         return int(i[0]) if i.size else x.size
 
+    def _kept(self, levels: list[float], table: list[float]) -> list[float]:
+        """The block's rungs through its first failed certificate, settled.
+        A block kept whole doubles _span, up to _AHEAD rungs; one mended at
+        its k-th rung sets it to k + 1."""
+        u = np.array(table)
+        k = self._certify(np.array(levels), u, first=True)
+        self._span = k + 1 if k < u.size else min(2 * self._span, self._AHEAD)
+        return u[: k + 1].tolist()
+
     def _settle(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Consumptions at levels x whose table values failed their
         certificates with residuals r: the table at x - r, then _refine."""
-        u = np.interp(x - r, self._x, self._y)
+        u = np.interp(x - r, *self._arrays())
         r = _ladder_sum(self.reward, self.scale, u) - x
         fails = ~(np.abs(r) <= self.inversion_tol)
         if fails.any():
@@ -336,7 +374,7 @@ class MaximinPolicy(_Maximin):
     def _refine(self, x: np.ndarray, u: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Regula falsi in each level's kink bracket from u (residual r) and the
         bracket's far end a, whose residual the chord through (u, r) estimates."""
-        xs, ys, tol = self._x, self._y, self.inversion_tol
+        (xs, ys), tol = self._arrays(), self.inversion_tol
         k = np.searchsorted(xs, x)
         slope = (xs[k] - xs[k - 1]) / (ys[k] - ys[k - 1])
         a = np.where(r >= 0.0, ys[k - 1], ys[k])
@@ -371,7 +409,8 @@ class MaximinAwgnPolicy(_Maximin):
     ladder_sum is affine in the head between kinks, so the policy is linear
     between the kinks (x_k, y_k), which self.kinks walks as far as the largest
     level asked for, and _Maximin's table is the policy itself.  Past
-    _LADDER_CAP kinks it raises maximin_kinks' ValueError.
+    _LADDER_CAP kinks or the float range it extends its last segment where
+    _extends allows, and raises maximin_kinks' ValueError otherwise.
     """
 
     kind = "maximin_awgn"
@@ -381,11 +420,30 @@ class MaximinAwgnPolicy(_Maximin):
         self.gamma = self.reward.gamma
 
     def segment_index(self, x):
-        """Index k of the segment [x_(k-1), x_k) holding x; 1 on the greedy one."""
+        """Index k of the segment [x_(k-1), x_k) holding x; 1 on the greedy
+        one.  Past the kinks KinkWalk can walk it raises their ValueError."""
         arr, scalar = _prepare(x, "stored energy")
-        self._cover(float(arr.max(initial=0.0)))
-        m = np.searchsorted(self._x, arr, side="right")
+        self.kinks.cover(float(arr.max(initial=0.0)))
+        m = np.searchsorted(self._arrays()[0], arr, side="right")
         return int(m) if scalar else m
+
+
+class MaximinSqrtPolicy(_Maximin):
+    """Maximin policy for the sqrt reward: its own kink table.
+
+    sqrt's ladder step (1 + x)/s**2 - 1 is affine, as awgn's is, so the
+    policy is linear between its kinks and _Maximin's table is the policy,
+    with MaximinAwgnPolicy's rules past the kink cap and the float range.
+    """
+
+    kind = "maximin_sqrt"
+    # the slack of the certified inversion this table replaced for sqrt: the
+    # table needs none, but metrics.sweep's tolerances and the benchmark's sqrt
+    # reference rows still rely on it (ROADMAP item 1)
+    inversion_tol = 1e-12
+
+    def __init__(self, p: float):
+        super().__init__(RewardFunction.sqrt_rate(), p)
 
 
 def awgn_segment_index(gamma: float, p: float, x):
@@ -394,9 +452,12 @@ def awgn_segment_index(gamma: float, p: float, x):
 
 
 def maximin_policy(reward: RewardFunction, p: float) -> _Maximin:
-    """The maximin policy at ratio p: kink interpolation for awgn, inversion otherwise."""
+    """The maximin policy at ratio p: the kink table for awgn and sqrt, whose
+    ladder steps are affine, and the certified inversion for a custom reward."""
     if reward.kind == "awgn":
         return MaximinAwgnPolicy(reward.gamma, p)
+    if reward.kind == "sqrt":
+        return MaximinSqrtPolicy(p)
     return MaximinPolicy(reward, p)
 
 
@@ -430,19 +491,26 @@ class KinkWalk:
     def cover(self, upto: float) -> None:
         """Walk on until the last kink lies past upto.  Raises ValueError when
         more than _LADDER_CAP kinks, or a float overflow, lie below upto."""
-        s = 1.0 / (1.0 - self.p)
-        x = self.x[-1]
+        s = _check_scale(1.0 / (1.0 - self.p))
+        affine = self.reward.affine
+        x, k = self.x[-1], len(self.x)
         with np.errstate(over="ignore"):  # overflow is caught below and reported
-            while x <= upto and len(self.x) <= _LADDER_CAP:
+            while x <= upto and k <= _LADDER_CAP:
                 try:
-                    y = float(step_down_cutoff(self.reward, s ** len(self.x)))
+                    sk = s**k
                 except OverflowError:
                     break
+                if affine is None:
+                    y = float(step_down_cutoff(self.reward, sk))
+                else:  # step_down_cutoff's arithmetic, without its calls
+                    gamma, e = affine
+                    y = ((sk if e == 1 else sk * sk) - 1.0) / gamma
                 if not math.isfinite(x + y):
                     break
                 x += y
                 self.x.append(x)
                 self.y.append(y)
+                k += 1
         if not x > upto:
             raise ValueError(
                 f"maximin kinks at p={self.p!r} do not pass upto={upto!r} "

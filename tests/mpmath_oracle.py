@@ -68,6 +68,50 @@ def maximin_series(gamma, p, c):
         return total
 
 
+def maximin_series_closed(gamma, p, c):
+    """maximin_series from the kinks' closed forms, for capacities whose
+    ladders are too long to walk rung by rung.  With sigma = s (awgn) or
+    s**2 (sqrt) and scale = gamma (awgn) or 1 (sqrt), y_k = (sigma**k - 1) /
+    scale and x_k = (sigma (sigma**k - 1) / (sigma - 1) - k) / scale.  A
+    level x_(k-1) + t y_k in segment k consumes y_(k-1) + t (y_k - y_(k-1))
+    and leaves x_(k-2) + t y_(k-1), the same relative position t in segment
+    k - 1.  So from c, in segment K, rung i consumes y_(K-i) + t (y_(K-i+1)
+    - y_(K-i)).  Rewards fall along the ladder, so the rungs after the i-th
+    add at most (1-p)**i r(u_i); the walk stops once that is below
+    10**-30 of the sum, far below a float's rounding."""
+    with mpmath.workdps(DPS):
+        p, c = mpmath.mpf(p), mpmath.mpf(c)
+        s = 1 / (1 - p)
+        sigma = s * s if gamma is None else s
+        scale = 1 if gamma is None else mpmath.mpf(gamma)
+
+        def y(k):
+            return (sigma**k - 1) / scale
+
+        def x(k):
+            return (sigma * (sigma**k - 1) / (sigma - 1) - k) / scale
+
+        # x_k grows like sigma**(k+1) / ((sigma - 1) scale): start there
+        k = max(int(mpmath.log(c * scale * (sigma - 1) + 1) / mpmath.log(sigma)) - 1, 1)
+        while x(k - 1) > c:
+            k -= 1
+        while x(k) <= c:
+            k += 1
+        t = (c - x(k - 1)) / y(k)
+        total, weight, floor = mpmath.mpf(0), p, mpmath.mpf(10) ** -30
+        power, high = sigma**k, y(k)  # sigma**j and y_j, j the rung's segment
+        for _ in range(k):
+            power /= sigma
+            low = (power - 1) / scale
+            gain = reward(gamma, low + t * (high - low))
+            total += weight * gain
+            weight *= 1 - p
+            if weight * gain <= floor * total * p:
+                break
+            high = low
+        return total
+
+
 def fraction_series(gamma, p, c, fraction=None):
     """The same average for the fixed-fraction policy consuming f * level,
     f = fraction (p by default), which never empties the battery.  Rung

@@ -7,6 +7,8 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
+import mpmath_oracle
 import numpy as np
 import pytest
 
@@ -455,20 +457,24 @@ def test_series_tolerance_is_finite_near_the_float_maximum(policy, capsys):
 
 @pytest.mark.parametrize("p", ["0.001", "0.1"])
 def test_sqrt_maximin_at_the_float_maximum(p, capsys):
-    # the last kink segment, extended to the largest float, brackets the
-    # root, but at p = 1e-3 the ladder sum of the inversion's last iterate
-    # overflows: the cell is refused with the library's text, not a traceback
+    # past the kink cap (p = 1e-3) or the float range (p = 0.1) the kink
+    # table extends its last segment, whose slope has converged by then
     args = ["evaluate", "--family", "bernoulli", "--c", "1.7976931348623157e308", "--p", p,
             "--reward", "sqrt", "--policy", "maximin", "--method", "series"]
-    rc = main(args)
+    assert main(args) == 0
     captured = capsys.readouterr()
-    if p == "0.1":
-        assert rc == 0 and captured.err == ""
-        assert math.isfinite(json.loads(captured.out)["value"])
-        return
-    assert rc == 1 and captured.out == ""
-    assert re.fullmatch(r"error: maximin ladder sum at level \S+ leaves the float range\n",
-                        captured.err)
+    assert captured.err == ""
+    assert math.isfinite(json.loads(captured.out)["value"])
+
+
+def test_awgn_maximin_past_the_last_finite_kink(capsys):
+    # the kink after x_1022 ~ 2**1023 at p = 0.5 lies past the float maximum
+    assert main(["evaluate", "--reward", "awgn", "--c", "1.7e308", "--p", "0.5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    value = json.loads(captured.out)["value"]
+    exact = mpmath_oracle.maximin_series_closed(1.0, 0.5, 1.7e308)
+    assert abs(mpmath.mpf(value) / exact - 1) <= 5e-14
 
 
 class TestTopLevel:

@@ -515,7 +515,7 @@ class TestSeriesBlocks:
     @pytest.mark.parametrize("reward", sorted(SERIES_REWARDS))
     def test_walks_across_block_boundaries(self, reward, kind, monkeypatch):
         reward = SERIES_REWARDS[reward]
-        bisects = kind == "maximin" and reward.kind != "awgn"
+        bisects = kind == "maximin" and reward.affine is None
         if bisects:  # a bisection rung is slow, so its blocks are shortened
             monkeypatch.setattr(ev, "_SLOT_BLOCK", 8)
         block = ev._SLOT_BLOCK
@@ -575,7 +575,7 @@ class TestSeriesBlocks:
     @pytest.mark.parametrize(
         "reward, kind",
         [("sqrt", "maximin"), ("sqrt", "fixed_fraction"), ("sqrt", "greedy"),
-         ("awgn:1", "fixed_fraction"), ("awgn:1", "greedy")],
+         ("awgn:1", "maximin"), ("awgn:1", "fixed_fraction"), ("awgn:1", "greedy")],
     )
     @pytest.mark.parametrize("c", [1.7e308, float(np.finfo(float).max)])
     def test_tolerance_stays_finite_near_the_float_maximum(self, reward, kind, c):
@@ -587,6 +587,60 @@ class TestSeriesBlocks:
             res = ev.bernoulli_reward(make_policy(kind, reward, 0.5), reward, c, 0.5)
         assert math.isfinite(res.value)
         assert res.residual <= res.tolerance < math.inf
+
+
+class TestLargeCapacities:
+    """The awgn and sqrt kink tables serve large capacities in time that
+    grows with the kinks they walk, within their tolerance of the 60-digit
+    series.  Past the kink cap or the float range a table extends its last
+    segment once the segment slopes have converged, e K log s >= 37 after K
+    kinks, and refuses the level otherwise."""
+
+    BIG = float(np.finfo(float).max)
+
+    @pytest.mark.parametrize("c", [8.0, 1e4, 1e10, 1e100, 1e300])
+    @pytest.mark.parametrize("p", [1e-3, 0.01, 0.5])
+    def test_sqrt_series_within_its_tolerance(self, p, c):
+        # past 1e100 at p = 1e-3 the table walks its 10**5 kinks and extends
+        res = ev.bernoulli_reward(pol.maximin_policy(SQRT, p), SQRT, c, p)
+        exact = oracle.maximin_series_closed(None, p, c)
+        assert abs(mpmath.mpf(res.value) - exact) <= res.tolerance
+
+    @pytest.mark.parametrize(
+        "gamma, p", [(None, 1e-3), (None, 0.1), (None, 0.5), (1.0, 0.1), (1.0, 0.5)]
+    )
+    def test_the_float_maximum_is_served_near_the_oracle(self, gamma, p):
+        # the tolerance says nothing this far out (ROADMAP item 10): check
+        # the value's relative error instead
+        reward = SQRT if gamma is None else rw.RewardFunction.awgn(gamma)
+        res = ev.bernoulli_reward(pol.maximin_policy(reward, p), reward, self.BIG, p)
+        exact = oracle.maximin_series_closed(gamma, p, self.BIG)
+        assert abs(mpmath.mpf(res.value) / exact - 1) <= 5e-14
+
+    @pytest.mark.parametrize("reward", [AWGN1, SQRT], ids=["awgn", "sqrt"])
+    def test_unconverged_slopes_are_refused(self, reward):
+        # 10**5 kinks at p = 1e-5 give e K log s = 1 (awgn) or 2 (sqrt)
+        started = time.perf_counter()
+        policy = pol.maximin_policy(reward, 1e-5)
+        message = r"^maximin kinks at p=1e-05 do not pass upto=1000000\.0 within 100000 kinks"
+        with pytest.raises(ValueError, match=message):
+            ev.bernoulli_reward(policy, reward, 1e6, 1e-5)
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("cap", [50, 60])
+    def test_the_extension_waits_for_the_slopes(self, cap, monkeypatch):
+        # awgn:1 at p = 0.5 has e K log s = K log 2: 34.7 after 50 kinks and
+        # 41.6 after 60, and c lies past both caps' last kinks
+        monkeypatch.setattr(pol, "_LADDER_CAP", cap)
+        policy, c = pol.maximin_policy(AWGN1, 0.5), 1e30
+        if cap == 50:
+            with pytest.raises(ValueError, match="within 50 kinks"):
+                ev.bernoulli_reward(policy, AWGN1, c, 0.5)
+            return
+        res = ev.bernoulli_reward(policy, AWGN1, c, 0.5)
+        assert policy._xs[-1] == self.BIG and len(policy.kinks.x) == 61
+        exact = oracle.maximin_series_closed(1.0, 0.5, c)
+        assert abs(mpmath.mpf(res.value) / exact - 1) <= 5e-14
 
 
 class TestFoldRungs:
@@ -750,6 +804,14 @@ class TestDerivativeCheck:
             check = ev.bernoulli_derivative_check(AWGN1, 1e-5, kink.x)
         assert check.skipped
         assert check.nearest_kink == kink.x
+
+    def test_a_capacity_the_series_serves_past_the_last_kink(self):
+        # at p = 0.5 the awgn kink after 8.99e307 lies past the float range,
+        # so the table extends its last segment, and the check reads the
+        # kinks walked instead of asking for one past c
+        check = ev.bernoulli_derivative_check(AWGN1, 0.5, 1.7e308, h=1e300)
+        assert not check.skipped and check.nearest_kink < 1.7e308
+        assert abs(check.fd_slope / check.analytic_slope - 1.0) <= 1e-4
 
     @pytest.mark.parametrize("p", [0.3, 0.7])
     @pytest.mark.parametrize("c", [0.6, 1.7, 3.3])
@@ -1522,6 +1584,7 @@ SIM_POLICIES = {
     "fixed_fraction": (pol.FixedFractionPolicy(0.3), SQRT),
     "maximin_awgn": (pol.MaximinAwgnPolicy(1.0, 0.4), AWGN1),
     "maximin_sqrt": (pol.MaximinPolicy(SQRT, 0.4), SQRT),
+    "maximin_sqrt_table": (pol.MaximinSqrtPolicy(0.4), SQRT),
     "maximin_log1p": (pol.MaximinPolicy(LOG1P, 0.4), LOG1P),
 }
 
@@ -1615,6 +1678,17 @@ class TestSimulate:
 
         res = run(ev.simulate)
         assert (res.value, res.stderr) == run(per_slot_simulate)
+
+    @pytest.mark.parametrize("reward", [AWGN1, SQRT], ids=["awgn", "sqrt"])
+    def test_every_built_in_policy_runs_the_chunks(self, reward, monkeypatch):
+        # simulate picks the chunked path by exact type, so a class that the
+        # factories return and its tuple lacks would run the slot loop
+        met = _spliced_flags(monkeypatch)
+        made = [make_policy(kind, reward, 0.5) for kind in POLICY_KINDS]
+        for policy in [pol.maximin_policy(reward, 0.5)] + made:
+            met.clear()
+            ev.simulate(policy, SIM_LAWS["uniform"], reward, 300, 8, seed=4)
+            assert met == [True], type(policy).__name__
 
     @pytest.mark.parametrize("kind", ["greedy", "fixed_fraction", "maximin_awgn"])
     def test_the_chunks_run_on_mc_longs_law(self, kind):

@@ -10,9 +10,11 @@ import pytest
 from ehpolicy import metrics as mx
 from ehpolicy import policies as pol
 from ehpolicy import rewards as rw
+from ehpolicy.checks import _sample_rewards
 
 AWGN1 = rw.RewardFunction.awgn(1.0)
 SQRT = rw.RewardFunction.sqrt_rate()
+LOG1P = next(r for r in _sample_rewards() if r.kind == "custom")
 
 # frozen from an independent series run: fixed fraction vs maximin, c=1, p=0.5
 FRACTION_FACTOR_C1_P05 = 0.8030483115386222
@@ -54,7 +56,8 @@ class TestScalarMetrics:
 class TestMakePolicy:
     def test_kinds(self):
         assert isinstance(mx.make_policy("maximin", AWGN1, 0.5), pol.MaximinAwgnPolicy)
-        assert isinstance(mx.make_policy("maximin", SQRT, 0.5), pol.MaximinPolicy)
+        assert isinstance(mx.make_policy("maximin", SQRT, 0.5), pol.MaximinSqrtPolicy)
+        assert isinstance(mx.make_policy("maximin", LOG1P, 0.5), pol.MaximinPolicy)
         assert isinstance(mx.make_policy("fixed_fraction", AWGN1, 0.3), pol.FixedFractionPolicy)
         assert isinstance(mx.make_policy("greedy", AWGN1, 0.3), pol.GreedyPolicy)
 

@@ -1,5 +1,6 @@
 """Unit tests for the stationary control policies."""
 
+import itertools
 import math
 import re
 import subprocess
@@ -219,16 +220,14 @@ class TestKinkTable:
     @pytest.mark.parametrize("p", [0.1, 0.5])
     @pytest.mark.parametrize("name", ["awgn", "sqrt", "log1p"])
     def test_keeps_the_bits_of_np_interp(self, name, p):
-        if name == "awgn":
-            policy = pol.MaximinAwgnPolicy(1.0, p)
-            policy._cover(1e300)
-            assert policy._xs is policy.kinks.x and policy._ys is policy.kinks.y
-        else:
-            policy = pol.MaximinPolicy(SQRT if name == "sqrt" else LOG1P, p)
-            policy._cover(self.BIG)  # past the float range: the last segment extended
-            assert policy._xs[-1] == self.BIG > policy.kinks.x[-1]
-        assert policy._xs == policy._x.tolist() and policy._ys == policy._y.tolist()
-        xs = policy._x
+        # the awgn and sqrt tables, and the table the log1p inversion starts at
+        policy = pol.maximin_policy({"awgn": AWGN1, "sqrt": SQRT, "log1p": LOG1P}[name], p)
+        policy._cover(1e300)
+        assert policy._xs is policy.kinks.x and policy._ys is policy.kinks.y
+        policy._cover(self.BIG)  # past the float range: the last segment extended
+        assert policy._xs[-1] == self.BIG > policy.kinks.x[-1]
+        xs, ys = policy._arrays()
+        assert policy._xs == xs.tolist() and policy._ys == ys.tolist()
         inside = xs[:-1] + np.random.default_rng(3).random(xs.size - 1) * np.diff(xs)
         levels = np.concatenate(
             [[0.0, self.BIG], xs, np.nextafter(xs, 0.0), np.nextafter(xs[:-1], np.inf), inside]
@@ -236,8 +235,18 @@ class TestKinkTable:
         for level in levels.tolist():
             got = policy._table(level)
             assert type(got) is float
-            assert got.hex() == float(np.interp(level, policy._x, policy._y)).hex(), level
+            assert got.hex() == float(np.interp(level, xs, ys)).hex(), level
         assert type(policy._table(np.float64(self.BIG))) is float
+
+    @pytest.mark.parametrize("reward", [AWGN1, SQRT], ids=["awgn", "sqrt"])
+    def test_the_series_walk_reads_the_lists(self, reward):
+        # the arrays are built only for np.interp and searchsorted
+        policy = pol.maximin_policy(reward, 0.01)
+        ev.bernoulli_reward(policy, reward, 50.0, 0.01)
+        assert policy._x.size == 0
+        xs, ys = policy._arrays()
+        assert xs.tolist() == policy._xs and ys.tolist() == policy._ys
+        assert policy._arrays()[0] is xs  # kept until the table grows
 
 
 class TestLookAhead:
@@ -393,7 +402,8 @@ class TestCertificateCount:
 
 class TestLookAheadOracle:
     """The look-ahead's certified rungs lie within inversion_tol of the
-    60-digit policy, but where the closed form's noise floor is coarser."""
+    60-digit policy, but where the closed form's noise floor is coarser; the
+    sqrt table's rungs lie within it everywhere."""
 
     @pytest.mark.parametrize(
         "p, c",
@@ -413,7 +423,19 @@ class TestLookAheadOracle:
         ],
     )
     def test_sqrt_rungs_against_the_oracle(self, p, c):
-        policy = pol.MaximinPolicy(SQRT, p)
+        self.assert_near(pol.MaximinPolicy(SQRT, p), p, c)
+
+    @pytest.mark.parametrize("p, c", [(1e-6, 0.05), (1e-4, 1.0), (1e-3, 8.0), (0.01, 8.0)])
+    def test_sqrt_table_rungs_against_the_oracle(self, p, c):
+        # the table needs no certificate: its rungs keep within the slack
+        # at p = 1e-6 too
+        policy = pol.maximin_policy(SQRT, p)
+        assert type(policy) is pol.MaximinSqrtPolicy
+        self.assert_near(policy, p, c)
+
+    @staticmethod
+    def assert_near(policy, p, c):
+        """Every rung of the ladder from c within inversion_tol of the exact policy."""
         exact = Maximin(None, p, c)
         ladder = pol._Ladder(policy, c)
         while ladder.level > 0.0:
@@ -508,20 +530,23 @@ class TestMaximinAwgn:
             bound = 5 * EPS * (exact.segment(e.x) + 1 / p) * want_y
             assert abs(omega.evaluate(e.x) - want_y) <= bound, e.k
 
+    # gamma None is the sqrt maximin, a kink table too
     @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.1, 0.5])
-    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, None])
     def test_evaluates_its_kinks_bit_for_bit(self, gamma, p):
-        kinks = pol.maximin_kinks(rw.RewardFunction.awgn(gamma), p, 20.0)[:-1]
+        reward = SQRT if gamma is None else rw.RewardFunction.awgn(gamma)
+        kinks = pol.maximin_kinks(reward, p, 20.0)[:-1]
         x = np.array([e.x for e in kinks])
         y = np.array([e.y for e in kinks])
-        np.testing.assert_array_equal(pol.MaximinAwgnPolicy(gamma, p).evaluate(x), y)
+        np.testing.assert_array_equal(pol.maximin_policy(reward, p).evaluate(x), y)
 
     @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.1, 0.5])
-    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, None])
     def test_matches_an_mpmath_oracle(self, gamma, p):
         # within the kink bound of TestMaximinKinks, at the segment's index
+        reward = SQRT if gamma is None else rw.RewardFunction.awgn(gamma)
         x = 10.0 ** np.random.default_rng(7).uniform(-6.0, np.log10(20.0), 200)
-        got = pol.MaximinAwgnPolicy(gamma, p).evaluate(x)
+        got = pol.maximin_policy(reward, p).evaluate(x)
         exact = Maximin(gamma, p, 20.0)
         for xi, yi in zip(x, got):
             want = exact(xi)
@@ -548,8 +573,25 @@ class TestMaximinAwgn:
 
 class TestMaximinKinks:
     def test_factory_picks_closed_form_for_awgn(self):
-        assert isinstance(pol.maximin_policy(AWGN1, 0.5), pol.MaximinAwgnPolicy)
-        assert isinstance(pol.maximin_policy(SQRT, 0.5), pol.MaximinPolicy)
+        # and for sqrt: both ladder steps are affine, so both tables are the policy
+        assert type(pol.maximin_policy(AWGN1, 0.5)) is pol.MaximinAwgnPolicy
+        assert type(pol.maximin_policy(SQRT, 0.5)) is pol.MaximinSqrtPolicy
+        assert type(pol.maximin_policy(LOG1P, 0.5)) is pol.MaximinPolicy
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("gamma", [1.0, 2.5, None], ids=["awgn:1", "awgn:2.5", "sqrt"])
+    def test_affine_kinks_keep_the_bits_of_step_down_cutoff(self, gamma, p):
+        # KinkWalk computes an affine kink inline: y_k = ((s**k)**e - 1) / gamma
+        # by step_down_cutoff's arithmetic, and x_k the running sum of the y_k
+        reward = SQRT if gamma is None else rw.RewardFunction.awgn(gamma)
+        walk = pol.KinkWalk(reward, p)
+        walk.cover(50.0)
+        s = 1.0 / (1.0 - p)
+        k = range(1, len(walk.y))
+        assert walk.y[1:] == [rw.step_down_cutoff(reward, s**i) for i in k]
+        if gamma is None:
+            assert walk.y[1:] == [s**i * s**i - 1.0 for i in k]
+        assert walk.x == list(itertools.accumulate(walk.y))
 
     @pytest.mark.parametrize("p", [0.01, 0.5, 0.9])
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
