@@ -368,10 +368,6 @@ class _Scaled(pol.FixedFractionPolicy):
         self.p = fraction
 
 
-class _Plain(pol.MaximinAwgnPolicy):
-    """The awgn maximin under a type of its own, which simulate runs slot by slot."""
-
-
 def evaluation_checks(seed: int) -> list[CheckResult]:
     out: list[CheckResult] = []
     reward = rw.RewardFunction.awgn(1.0)
@@ -383,15 +379,19 @@ def evaluation_checks(seed: int) -> list[CheckResult]:
     slots = spent.reshape(2, 3).tolist()
     ok = slots == [[0.375, 0.5, 0.5], [0.75] * 3]
     out.append(_mk("slot loop caps at c and clamps to the level", ok, f"{slots!r}"))
-    uniform = arr.from_mcr("uniform", 2.0, 0.5)
-    pair = (pol.MaximinAwgnPolicy(1.0, 0.5), _Plain(1.0, 0.5))
-    spliced, looped = (ev.simulate(f, uniform, reward, 300, 4, seed).value for f in pair)
-    detail = f"spliced {spliced!r} looped {looped!r}"
-    out.append(_mk("chunked splice matches the slot loop bit for bit", spliced == looped, detail))
+    # one block of 300 slots on 4 paths, run by the chunks and by the slot loop
+    uniform, policy, cols = arr.from_mcr("uniform", 2.0, 0.5), pol.MaximinAwgnPolicy(1.0, 0.5), 300
+    draws = np.zeros((4, -(-cols // ev._CHUNK) * ev._CHUNK))
+    draws[:, :cols] = [uniform.sample(rng, cols) for rng in ev._streams(seed, 4)]
+    spliced, looped, full = (np.empty(draws.shape[::-1]) for _ in range(3))
+    end, met = ev._spliced_block(policy, draws, spliced, full, np.zeros(4), 2.0, cols)
+    carried = ev._slot_steps(policy, draws[:, :cols], looped[:cols], np.zeros(4), 2.0)
+    ok = met and np.array_equal(end, carried) and np.array_equal(spliced[:cols], looped[:cols])
+    out.append(_mk("chunked splice matches the slot loop bit for bit", ok, f"met {met!r}"))
     rejected = []
     for law in (arr.BernoulliArrivals(2.0, 0.5), uniform):
         try:
-            ev.simulate(_Scaled(math.nan), law, reward, 300, 4, seed)
+            ev.simulate(_Scaled(math.nan), law, reward, cols, 4, seed)
         except ValueError:
             rejected.append(law.family)
     out.append(_mk("simulate rejects a NaN consumption on both arrival paths", len(rejected) == 2))

@@ -20,10 +20,10 @@ Three evaluators of the long-run average reward per slot:
     all-or-nothing arrivals every charge refills the battery, so a path's
     level is a rung of the ladder the series walks, indexed by the slots
     since its last charge: each rung is scored once and each slot gathers
-    its reward.  On any other law the built-in policies run chunks of slots
-    side by side, each from a full battery, and splice each chunk onto the
-    true path where the two levels meet; other policies run the slots one
-    by one over all paths.  Rewards are evaluated once per block.
+    its reward.  On any other law chunks of slots run side by side, each
+    from a full battery, and each is spliced onto the true path where the
+    two levels meet; a block whose chunks do not all meet is finished slot
+    by slot over all paths.  Rewards are evaluated once per block.
   * optimal_gain / policy_gain: relative value iteration on the capacity
     grid; they differ only in how they pick actions.  policy_gain starts
     its sweeps from one solve of the policy's bias, so its first sweep
@@ -62,10 +62,6 @@ import numpy as np
 from .arrivals import ArrivalDistribution, BernoulliArrivals
 from .policies import (
     FixedFractionPolicy,
-    GreedyPolicy,
-    MaximinAwgnPolicy,
-    MaximinPolicy,
-    MaximinSqrtPolicy,
     StationaryPolicy,
     _Ladder,
     maximin_policy,
@@ -86,8 +82,6 @@ __all__ = [
 ]
 
 _SERIES_RUNGS = 1_000_000  # bernoulli_reward's rung cap
-# the policies simulate runs in spliced chunks, by exact type
-_CHUNKED = (GreedyPolicy, FixedFractionPolicy, MaximinPolicy, MaximinAwgnPolicy, MaximinSqrtPolicy)
 _SERIES_CAP = ("Bernoulli series tail bound", "rungs")  # what NonConvergenceError names there
 _EPS = float(np.finfo(float).eps)
 # slots per simulate block and rungs per series block: a simulate block holds
@@ -550,35 +544,27 @@ def simulate(
     Draws come in time blocks of _SLOT_BLOCK slots, each path's generator
     continuing where the last block stopped, so memory does not grow with n
     and the draws equal one n-slot draw per path.  Rewards are added to each
-    path's total in slot order.  Three paths run the slots:
+    path's total in slot order.  The slots run one of two ways, both resting
+    on _evaluate's per-level contract:
 
       * 0-or-c arrivals (BernoulliArrivals) by renewal: every charge fills
         the battery to exactly c, so a path's level is the rung of the
         reserve ladder from c indexed by the slots since its last charge, or
         of the ladder from 0 before its first.  See _renewal_totals.
-      * any other law, for the built-in policies (_CHUNKED: GreedyPolicy,
-        FixedFractionPolicy, MaximinPolicy, MaximinAwgnPolicy and
-        MaximinSqrtPolicy, by exact type; maximin_policy and
-        metrics.make_policy return no other class), in chunks of _CHUNK
-        slots run side by side and spliced where
-        a chunk's copy meets the true path.  A slot's outcome depends only
-        on the stored level and the draw, under _evaluate's per-level
-        contract, so two copies of a path that hold equal levels after the
-        same slot run on with equal bits.  See _spliced_block.  A block in
-        which a chunk's copy, other than the last chunk's, does not meet
-        within its chunk is finished slot by slot, and so is the rest of
-        the call: on slow-mixing laws this costs one block's chunk passes.
-      * any other law and policy slot by slot: a slot runs only the battery
-        arithmetic and the policy's raw kernel _evaluate, on levels finite
-        and nonnegative by construction, over all paths.  A subclass of a
-        built-in policy runs here too: it may override _evaluate without
-        keeping its per-level contract.
+      * any other law in chunks of _CHUNK slots run side by side and
+        spliced where a chunk's copy meets the true path: a slot's outcome
+        depends only on the stored level and the draw, so two copies of a
+        path that hold equal levels after the same slot run on with equal
+        bits.  See _spliced_block.  A block in which a chunk's copy, other
+        than the last chunk's, does not meet within its chunk is finished
+        by the slot loop, _slot_steps, and so is the rest of the call: on
+        slow-mixing laws this costs one block's chunk passes.
 
     Each path's generator fills its own row of the block: on 0-or-c
     arrivals with bare uniforms, which one comparison to p over the whole
     block turns into sample's charges bit for bit, and on any other law
-    through sample's out=.  All three ways score the block's consumptions
-    through reward.value, which rejects NaN or negative ones, and give the
+    through sample's out=.  Every way scores the block's consumptions
+    through reward.value, which rejects NaN or negative ones, and gives the
     same bits.
     """
     n, paths = int(n), int(paths)
@@ -588,12 +574,12 @@ def simulate(
     streams = _streams(seed, paths)
     if isinstance(arrivals, BernoulliArrivals):
         return _estimate(_renewal_totals(policy, arrivals, reward, n, streams), n)
-    chunked = type(policy) in _CHUNKED
+    chunked = True  # until a block's chunks do not all meet
     width = min(n, _SLOT_BLOCK)
     span = -(-width // _CHUNK) * _CHUNK
     draws = np.empty((paths, span))  # path-major, each path's draws a row
     spent = np.empty((span, paths))  # slot-major, each slot's consumptions a row
-    full = np.empty_like(spent) if chunked else None
+    full = np.empty_like(spent)
     stored = np.zeros(paths)
     totals = np.zeros(paths)
     for start in range(0, n, width):
@@ -721,10 +707,11 @@ def _spliced_block(policy, draws, spent, full, level, c, cols):
 
     Each step is the slot loop's arithmetic on an array of levels, each of
     one path at one slot, so it gives the slot loop's bits under
-    _evaluate's per-level contract, which the built-in policies meet.  Their
-    consumption and reserve are also nondecreasing in the level, so a copy
-    stays at or below its full copy, up to rounding, and the two meet once
-    both empty or both fill: within a few slots on most laws.
+    _evaluate's per-level contract, which every policy must meet.  Where
+    consumption and reserve are also nondecreasing in the level, as for the
+    built-in policies, a copy stays at or below its full copy, up to
+    rounding, and the two meet once both empty or both fill: within a few
+    slots on most laws.
     """
     paths, span = draws.shape
     chunks = -(-cols // _CHUNK)

@@ -40,7 +40,6 @@ from .rewards import (
     RewardFunction,
     _check_fraction,
     _check_positive,
-    _check_scale,
     _ladder_sum,
     _prepare,
     ladder_sum,  # noqa: F401  (the public name perfbench's span recorder wraps here)
@@ -84,13 +83,15 @@ class StationaryPolicy(ABC):
         """Consumption for a 1-d array of stored-energy levels.
 
         Each level's consumption must depend on that level alone: not on the
-        other levels in the array, nor on earlier calls.  The reserve ladder
-        (_Ladder, which the series walk, ergodic_levels and simulate's
-        renewal path on 0-or-c arrivals walk) asks _rungs, the one scalar
-        kernel, for its rungs, and the kink table walks a block of them
-        ahead, where the slot loop and value iteration evaluate whole arrays
-        of unrelated levels; they give the same bits only under this
-        contract.  Every policy here meets it."""
+        other levels in the array, nor on earlier calls.  Every policy must
+        meet this contract, for every evaluator relies on it: the reserve
+        ladder (_Ladder, which the series walk, ergodic_levels and
+        simulate's renewal path on 0-or-c arrivals walk) asks _rungs, the
+        one scalar kernel, for its rungs, and the kink table walks a block
+        of them ahead; simulate's chunks on other laws run many slots of a
+        path side by side, and its slot loop and value iteration evaluate
+        whole arrays of unrelated levels.  They give the same bits only
+        under this contract."""
 
     def _rungs(self, level: float) -> list[float]:
         """The one scalar kernel: consumptions of the reserve ladder's rungs
@@ -206,9 +207,8 @@ class _Maximin(StationaryPolicy):
 
     def __init__(self, reward: RewardFunction, p: float):
         self.reward = reward
-        self.p = _check_fraction(p)
-        self.scale = 1.0 / (1.0 - self.p)
-        self.kinks = KinkWalk(reward, self.p)
+        self.kinks = KinkWalk(reward, p)
+        self.p, self.scale = self.kinks.p, self.kinks.scale
         self.kinks.cover(0.0)  # through E_1, the end of the greedy segment, or raise
         self._xs, self._ys = self.kinks.x, self.kinks.y
         self._x = self._y = np.zeros(0)
@@ -305,10 +305,10 @@ class MaximinPolicy(_Maximin):
     float range, the last segment is extended to the largest float, which
     brackets the root because ladder_sum is convex.  u is the kink table
     at x, certified by its residual r = ladder_sum(u) - x on the raw kernel
-    rewards._ladder_sum.  A level whose certificate fails takes the table
-    at x - r, one step along its segment's chord slope, and then regula
-    falsi with the Illinois modification (Dowell & Jarratt, BIT 11, 1971)
-    inside its bracket, bisecting where a step leaves it.  It stops on
+    rewards._ladder_sum.  A level whose certificate fails runs regula falsi
+    with the Illinois modification (Dowell & Jarratt, BIT 11, 1971) inside
+    its kink bracket, bisecting where a step leaves it; the first step is
+    along its segment's chord slope, to the table at x - r.  It stops on
     |r| <= inversion_tol or on a bracket no wider than that: ladder_sum's
     slope is at least 1, so either puts u within inversion_tol of the
     root, the bound behind metrics.sweep's slack r'(0) inversion_tol / p.
@@ -320,7 +320,7 @@ class MaximinPolicy(_Maximin):
 
     _certify checks an array, or a block of the ladder's rungs, with one
     _ladder_sum call; a block keeps the table's rungs before its first
-    failed certificate and settles that one.  So every certificate call
+    failed certificate and refines that one.  So every certificate call
     checks a rung the walk asks for, and a ladder whose every rung fails
     makes the calls of one _evaluate a rung.
 
@@ -337,7 +337,7 @@ class MaximinPolicy(_Maximin):
         return True
 
     def _certify(self, x: np.ndarray, u: np.ndarray, first: bool = False) -> int:
-        """Settle the table's consumptions whose certificates fail, at levels
+        """Refine the table's consumptions whose certificates fail, at levels
         above x_1 (x itself on the greedy segment), and spend at most x."""
         i = np.flatnonzero(x > self._xs[1])
         if i.size:
@@ -348,12 +348,12 @@ class MaximinPolicy(_Maximin):
                 fails = np.flatnonzero(~(np.abs(r) <= self.inversion_tol))[: 1 if first else None]
                 i, r = i[fails], r[fails]
                 if i.size:
-                    u[i] = self._settle(x[i], r)
+                    u[i] = self._refine(x[i], u[i], r)
         np.minimum(u, x, out=u)  # x itself where they tie, -0.0 too
         return int(i[0]) if i.size else x.size
 
     def _kept(self, levels: list[float], table: list[float]) -> list[float]:
-        """The block's rungs through its first failed certificate, settled.
+        """The block's rungs through its first failed certificate, refined.
         A block kept whole doubles _span, up to _AHEAD rungs; one mended at
         its k-th rung sets it to k + 1."""
         u = np.array(table)
@@ -361,19 +361,10 @@ class MaximinPolicy(_Maximin):
         self._span = k + 1 if k < u.size else min(2 * self._span, self._AHEAD)
         return u[: k + 1].tolist()
 
-    def _settle(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Consumptions at levels x whose table values failed their
-        certificates with residuals r: the table at x - r, then _refine."""
-        u = np.interp(x - r, *self._arrays())
-        r = _ladder_sum(self.reward, self.scale, u) - x
-        fails = ~(np.abs(r) <= self.inversion_tol)
-        if fails.any():
-            u[fails] = self._refine(x[fails], u[fails], r[fails])
-        return u
-
     def _refine(self, x: np.ndarray, u: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Regula falsi in each level's kink bracket from u (residual r) and the
-        bracket's far end a, whose residual the chord through (u, r) estimates."""
+        bracket's far end a, whose residual the chord through (u, r) estimates,
+        so the first step is the chord step u - r / slope along the segment."""
         (xs, ys), tol = self._arrays(), self.inversion_tol
         k = np.searchsorted(xs, x)
         slope = (xs[k] - xs[k - 1]) / (ys[k] - ys[k - 1])
@@ -479,19 +470,23 @@ class KinkWalk:
     ladder from y_k is y_k plus the ladder from y_(k-1), and the stored level
     x_k = ladder_sum(reward, s, y_k) is the running sum y_1 + ... + y_k, which
     costs one cutoff per kink for every reward kind.  x and y list the kinks
-    walked so far; cover() continues the walk from the last of them.
+    walked so far; cover() continues the walk from the last of them.  A p
+    so small that s rounds to 1 is refused, since no ladder steps down.
     """
 
     def __init__(self, reward: RewardFunction, p: float):
         self.reward = reward
         self.p = _check_fraction(p)
+        self.scale = 1.0 / (1.0 - self.p)
+        if not self.scale > 1.0:
+            raise ValueError(f"p={self.p!r} is too small: its ladder scale 1/(1-p) rounds to 1")
         self.x = [0.0]
         self.y = [0.0]
 
     def cover(self, upto: float) -> None:
         """Walk on until the last kink lies past upto.  Raises ValueError when
         more than _LADDER_CAP kinks, or a float overflow, lie below upto."""
-        s = _check_scale(1.0 / (1.0 - self.p))
+        s = self.scale
         affine = self.reward.affine
         x, k = self.x[-1], len(self.x)
         with np.errstate(over="ignore"):  # overflow is caught below and reported

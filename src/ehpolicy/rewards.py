@@ -88,6 +88,8 @@ def _check_positive(value: float, name: str = "c") -> float:
     value = float(value)
     if not value > 0:
         raise ValueError(f"{name} must be positive")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite")
     return value
 
 

@@ -347,6 +347,9 @@ _CELL_ERRORS = {
                            "bernoulli arrivals have no nominal ratio; use from_mcr"),
     "nmcr zero": (["--family", "uniform", "--nmcr", "0"], "nmcr must be positive"),
     "nmcr negative": (["--family", "uniform", "--nmcr", "-2"], "nmcr must be positive"),
+    "nmcr inf": (["--family", "uniform", "--nmcr", "inf"], "nmcr must be finite"),
+    "b past the float range": (["--family", "uniform", "--c", "1.7e308", "--nmcr", "1"],
+                               "b must be finite"),
 }
 
 
@@ -465,6 +468,23 @@ def test_sqrt_maximin_at_the_float_maximum(p, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert math.isfinite(json.loads(captured.out)["value"])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["curve", "--p", "1e-17"],
+        ["evaluate", "--p", "1e-17"],
+        ["evaluate", "--family", "uniform", "--p", "1e-17", "--method", "vi"],
+        ["sweep", "--family", "bernoulli", "--c", "1", "--p", "1e-17", "--policies", "greedy"],
+    ],
+    ids=["curve", "evaluate", "evaluate-vi", "sweep"],
+)
+def test_a_p_whose_ladder_scale_rounds_to_1_is_named(args, capsys):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: p=1e-17 is too small: its ladder scale 1/(1-p) rounds to 1\n"
 
 
 def test_awgn_maximin_past_the_last_finite_kink(capsys):

@@ -1652,11 +1652,26 @@ class TestSimulate:
         assert met == blocks
 
     def test_verifys_splice_check_runs_the_splice(self, monkeypatch):
-        # verify compares the chunked path with the slot loop; were its one
-        # block's chunks not to meet, the slot loop would run on both sides
+        # verify runs one block through the chunks and through the slot loop;
+        # its NaN check that follows reaches the chunks too, which never meet
         met = _spliced_flags(monkeypatch)
         assert all(row.passed for row in evaluation_checks(0))
-        assert met == [True]
+        assert met[0] is True
+
+    @pytest.mark.parametrize("broken", ["chunk 0 from c", "carried level off"])
+    def test_verifys_splice_check_fails_on_a_broken_splice(self, broken, monkeypatch):
+        spliced = ev._spliced_block
+
+        def spoilt(policy, draws, spent, full, level, c, cols):
+            if broken == "chunk 0 from c":
+                return spliced(policy, draws, spent, full, np.full_like(level, c), c, cols)
+            end, met = spliced(policy, draws, spent, full, level, c, cols)
+            return np.nextafter(end, math.inf), met
+
+        monkeypatch.setattr(ev, "_spliced_block", spoilt)
+        rows = {row.name: row.passed for row in evaluation_checks(0)}
+        assert rows.pop("chunked splice matches the slot loop bit for bit") is False
+        assert all(rows.values())
 
     @pytest.mark.parametrize("kind", ["greedy", "fixed_fraction", "maximin_awgn"])
     @pytest.mark.parametrize("law", ["uniform", "uniform_slow"])
@@ -1668,24 +1683,24 @@ class TestSimulate:
             want = per_slot_simulate(policy, SIM_LAWS[law], reward, n, 16, seed=n)
             assert (res.value, res.stderr) == want, n
 
-    @pytest.mark.parametrize("law", ["uniform", "exponential"])
-    def test_a_stateful_subclass_keeps_the_slot_loop(self, law):
-        # its consumption depends on how often it was asked, which only the
-        # slot loop, one call a slot, reproduces
-        def run(simulator):
-            policy = _Tiring(0.3)
-            return simulator(policy, SIM_LAWS[law], SQRT, 2 * ev._SLOT_BLOCK + 9, 8, 3)
+    @pytest.mark.parametrize("law", ["uniform", "exponential", "uniform_slow"])
+    def test_a_plain_policy_runs_the_chunks(self, law, monkeypatch):
+        # a StationaryPolicy with only _evaluate, of no built-in class; on the
+        # slow-mixing law its chunks do not all meet and the slot loop takes over
+        met = _spliced_flags(monkeypatch)
+        policy, n = _Fraction(0.3), 2 * ev._SLOT_BLOCK + 9
+        res = ev.simulate(policy, SIM_LAWS[law], SQRT, n, 8, seed=3)
+        assert (res.value, res.stderr) == per_slot_simulate(policy, SIM_LAWS[law], SQRT, n, 8, 3)
+        assert met == ([False] if law == "uniform_slow" else [True] * 3)
 
-        res = run(ev.simulate)
-        assert (res.value, res.stderr) == run(per_slot_simulate)
-
-    @pytest.mark.parametrize("reward", [AWGN1, SQRT], ids=["awgn", "sqrt"])
-    def test_every_built_in_policy_runs_the_chunks(self, reward, monkeypatch):
-        # simulate picks the chunked path by exact type, so a class that the
-        # factories return and its tuple lacks would run the slot loop
+    @pytest.mark.parametrize("reward", [AWGN1, SQRT, LOG1P], ids=["awgn", "sqrt", "log1p"])
+    def test_every_policy_runs_the_chunks(self, reward, monkeypatch):
+        # every class the factories return, and policies of no built-in
+        # class or subclasses of one: simulate lists no classes
         met = _spliced_flags(monkeypatch)
         made = [make_policy(kind, reward, 0.5) for kind in POLICY_KINDS]
-        for policy in [pol.maximin_policy(reward, 0.5)] + made:
+        custom = [_Fraction(0.5), _HalfFraction(0.3), _Idle()]
+        for policy in [pol.maximin_policy(reward, 0.5)] + made + custom:
             met.clear()
             ev.simulate(policy, SIM_LAWS["uniform"], reward, 300, 8, seed=4)
             assert met == [True], type(policy).__name__
@@ -1713,9 +1728,15 @@ class TestSimulate:
         assert gains[-1] == SQRT.value(0.0)
 
     @pytest.mark.parametrize("bad", [-0.25, math.nan])
-    @pytest.mark.parametrize("calls", [0, ev._SLOT_BLOCK + 3])
-    def test_invalid_consumption_is_rejected(self, bad, calls):
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_invalid_consumption_is_rejected(self, bad, block):
+        # `bad` starts with the first call of the given block, after as many
+        # calls as a run of the blocks before it makes
         dist = arr.from_mcr("uniform", 2.0, 0.5)
+        counted = _AfterCalls(10**9, bad)
+        if block:
+            ev.simulate(counted, dist, AWGN1, block * ev._SLOT_BLOCK, 4, seed=0)
+        calls = 10**9 - counted.calls
         with pytest.raises(ValueError, match="u must be finite and nonnegative"):
             ev.simulate(_AfterCalls(calls, bad), dist, AWGN1, 2 * ev._SLOT_BLOCK, 4, seed=0)
 
@@ -1733,7 +1754,7 @@ class TestSimulate:
             ("bernoulli", "greedy"),  # the renewal path
             ("uniform", "greedy"),  # the chunks
             ("uniform", "maximin_awgn"),
-            ("uniform", "custom"),  # the slot loop
+            ("uniform", "custom"),  # the chunks, for a policy of no built-in class
         ],
     )
     def test_memory_does_not_grow_with_slots(self, law, kind):

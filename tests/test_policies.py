@@ -321,21 +321,21 @@ class TestLookAhead:
         policy.evaluate(c)
         policy._ys[30] += 1e-9
         policy._y[30] = policy._ys[30]
-        starts, settled = set(), []
-        block, settle = policy._rungs, policy._settle
+        starts, refined = set(), []
+        block, refine = policy._rungs, policy._refine
 
         def started(level):
             starts.add(level)
             return block(level)
 
-        def settling(x, r):
-            settled.extend(x)  # each of them failed its table certificate
-            return settle(x, r)
+        def refining(x, u, r):
+            refined.extend(x)  # each of them failed its table certificate
+            return refine(x, u, r)
 
         monkeypatch.setattr(policy, "_rungs", started)
-        monkeypatch.setattr(policy, "_settle", settling)
+        monkeypatch.setattr(policy, "_refine", refining)
         rungs = self.walk(policy, c)
-        assert any(level not in starts and level != c for level in settled)
+        assert any(level not in starts and level != c for level in refined)
         for level, u in rungs:  # against the same corrupt table
             assert u.hex() == float(policy._evaluate(np.array([level]))[0]).hex(), level
 
@@ -670,6 +670,23 @@ class TestMaximinKinks:
     def test_overflow_raises(self):
         with pytest.raises(ValueError, match=r"p=0\.5 .*upto=1e\+308"):
             pol.maximin_kinks(SQRT, 0.5, 1e308)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda p: pol.maximin_policy(AWGN1, p),
+            lambda p: pol.maximin_policy(SQRT, p),
+            lambda p: pol.maximin_kinks(AWGN1, p, 1.0),
+            lambda p: pol.MaximinPolicy(LOG1P, p),
+        ],
+        ids=["maximin_policy-awgn", "maximin_policy-sqrt", "maximin_kinks", "custom"],
+    )
+    @pytest.mark.parametrize("p", [1e-17, 1e-300])
+    def test_a_p_whose_scale_rounds_to_1_is_refused_by_name(self, build, p):
+        # 1/(1 - p) is 1.0 below p ~ 1.1e-16, so no ladder steps down
+        message = f"p={p!r} is too small: its ladder scale 1/(1-p) rounds to 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(p)
 
 
 class TestMaximinGeneric:

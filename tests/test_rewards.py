@@ -135,11 +135,13 @@ def test_fraction_checks_raise_the_one_message(name, value):
         run(value)
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("name", list(_POSITIVE_CHECKS))
 def test_positive_checks_raise_the_one_message(name, value):
+    # +inf is positive, but no evaluator takes it: the CLI's own wording
     run, what = _POSITIVE_CHECKS[name]
-    with pytest.raises(ValueError, match=f"^{re.escape(what)} must be positive$"):
+    word = "finite" if value == math.inf else "positive"
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} must be {word}$"):
         run(value)
 
 
