@@ -93,9 +93,10 @@ _CHUNK = 64
 # elements per np.take in the renewal path, whose intp index copy is this
 # long: 32 slot rows at 1024 paths, and a whole block at 32 paths or fewer
 _GATHER = 1 << 15
-# fewest paths at which the renewal path runs its maxima and sums one slot
-# row at a time; below it one accumulate down the slot axis is cheaper than
-# a ufunc call a row, and above it that strided accumulate is the slower
+# fewest paths at which _down_slots, simulate's running maxima and sums,
+# runs one slot row at a time; below it one accumulate down the slot axis is
+# cheaper than a ufunc call a row, and above it that strided accumulate is
+# the slower
 _ROW_PATHS = 256
 # numpy's SeedSequence hash constants (O'Neill's seed_seq_fe), which _streams
 # runs over every path's words at once
@@ -205,17 +206,17 @@ def bernoulli_reward(
     the level as it was, so every later rung repeats it) whose geometric
     count, _fixed_point_fails_fast, passes the cap the same way.  Each rung
     is one step of the policy's reserve ladder (_Ladder, on levels finite
-    and nonnegative by construction: the policy's _rungs, which for
-    MaximinPolicy, a custom reward's maximin, certifies a block of rungs at
-    a time, and the rejection
-    of a NaN or negative consumption), the survivor's step and the tail
-    bound.  A rung adds its level to the climb and its weight times the
-    climb to the drift as it is walked; its weight and consumption are
-    buffered in blocks of _SLOT_BLOCK rungs, counted by the rung number,
-    and _fold_rungs scores a block with one reward._value call and adds it
-    to the value.  Every sum is taken in Python floats strictly in rung
-    order, so every partial sum, and the rounding derived below, is that of
-    a walk that scores and adds one rung at a time.
+    and nonnegative by construction: the policy's _rung, which
+    MaximinPolicy, a custom reward's maximin, serves from a block of rungs
+    certified together, and the rejection of a NaN or negative
+    consumption), the survivor's step and the tail bound.  A rung adds its
+    level to the climb and its weight times the climb to the drift as it
+    is walked; its weight and consumption are buffered in blocks of
+    _SLOT_BLOCK rungs, counted by the rung number, and _fold_rungs scores
+    a block with one reward._value call and adds it to the value.  Every
+    sum is taken in Python floats strictly in rung order, so every partial
+    sum, and the rounding derived below, is that of a walk that scores and
+    adds one rung at a time.
 
     residual is the tail bound left when the walk stopped, 0.0 when the
     reserve hit 0, and for a summed tail the truncation bound of its power
@@ -544,8 +545,8 @@ def simulate(
     Draws come in time blocks of _SLOT_BLOCK slots, each path's generator
     continuing where the last block stopped, so memory does not grow with n
     and the draws equal one n-slot draw per path.  Rewards are added to each
-    path's total in slot order.  The slots run one of two ways, both resting
-    on _evaluate's per-level contract:
+    path's total in slot order (_down_slots).  The slots run one of two
+    ways, both resting on _evaluate's per-level contract:
 
       * 0-or-c arrivals (BernoulliArrivals) by renewal: every charge fills
         the battery to exactly c, so a path's level is the rung of the
@@ -591,8 +592,7 @@ def simulate(
         else:
             stored = _slot_steps(policy, draws[:, :cols], spent[:cols], stored, c)
         gains = reward.value(spent[:cols])
-        gains[0] += totals
-        totals = np.add.accumulate(gains, out=gains)[-1].copy()  # slot order
+        totals = _down_slots(np.add, totals, gains)
     return _estimate(totals, n)
 
 
@@ -1370,13 +1370,15 @@ def policy_gain(
 ) -> EvaluationResult:
     """Average reward of a fixed policy on the grid MDP.
 
-    The policy's consumption at each grid state is snapped down to the
-    nearest feasible grid action.  One GMRES solve gives the policy's bias,
-    and the same certificate sweep as optimal_gain's, with the actions
-    fixed, reports its gain within span/2.
+    The policy's consumption at each grid state, clamped to the state's
+    level (a NaN or negative one raises ValueError, as in the series and
+    Monte Carlo), is snapped down to the nearest feasible grid action.  One
+    GMRES solve gives the policy's bias, and the same certificate sweep as
+    optimal_gain's, with the actions fixed, reports its gain within span/2.
     """
-    u = np.asarray(policy.evaluate(model.grid), dtype=float)
-    actions = np.floor(u / model.cell + 1e-9).astype(np.int64)
-    actions = np.minimum(np.maximum(actions, 0), np.arange(model.states))
+    u = np.minimum(np.asarray(policy.evaluate(model.grid), dtype=float), model.grid)
+    if not (u >= 0.0).all():  # NaN too
+        raise ValueError("u must be finite and nonnegative")
+    actions = np.floor(u / model.cell + 1e-9).astype(np.int64)  # u <= grid[i]: at most i
     grid_term = model.slope_bound * model.cell
     return _relative_vi(model, lambda w: actions, grid_term, eps, max_iter, howard=False)[0]

@@ -119,8 +119,6 @@ def make_policy(kind: str, reward: RewardFunction, mcr: float) -> StationaryPoli
 
 
 def _cell_distribution(family: str, c: float, p: float | None, nmcr: float | None):
-    if (p is None) == (nmcr is None):
-        raise ValueError("give exactly one of p (capped ratio) or nmcr")
     if nmcr is not None:
         return from_nmcr(family, c, nmcr)
     return from_mcr(family, c, p)

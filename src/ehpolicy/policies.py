@@ -13,11 +13,11 @@ consumed this slot, with 0 <= policy(x) <= x.  Implemented kinds:
                     kink, else invert ladder_sum from the kink table, each
                     level certified by its own residual
 
-A policy has two kernels: _evaluate on an array of levels, and _rungs, the
-one scalar kernel, which the reserve ladder asks for its rungs.  Every
-maximin kind is _Maximin, the kink-table policy, whose kernels interpolate
-the table and walk the ladder down it; MaximinPolicy adds only the
-certificate.
+A policy has two kernels: _evaluate on an array of levels, and _rung, the
+one scalar kernel, which the reserve ladder asks for one consumption a rung.
+Every maximin kind is _Maximin, the kink-table policy, whose kernels
+interpolate the table; MaximinPolicy adds the certificate, and serves the
+ladder from a block of rungs certified together.
 
 The maximin policy maximizes the worst-case long-run average reward over all
 arrival processes whose capped mean is p times the battery capacity; the worst
@@ -75,8 +75,8 @@ class StationaryPolicy(ABC):
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "_evaluate" in vars(cls) and "_rungs" not in vars(cls):
-            cls._rungs = StationaryPolicy._rungs  # walked through its own _evaluate
+        if "_evaluate" in vars(cls) and "_rung" not in vars(cls):
+            cls._rung = StationaryPolicy._rung  # walked through its own _evaluate
 
     @abstractmethod
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
@@ -86,21 +86,20 @@ class StationaryPolicy(ABC):
         other levels in the array, nor on earlier calls.  Every policy must
         meet this contract, for every evaluator relies on it: the reserve
         ladder (_Ladder, which the series walk, ergodic_levels and
-        simulate's renewal path on 0-or-c arrivals walk) asks _rungs, the
-        one scalar kernel, for its rungs, and the kink table walks a block
-        of them ahead; simulate's chunks on other laws run many slots of a
-        path side by side, and its slot loop and value iteration evaluate
-        whole arrays of unrelated levels.  They give the same bits only
-        under this contract."""
+        simulate's renewal path on 0-or-c arrivals walk) asks _rung, the
+        one scalar kernel, for each rung, and MaximinPolicy certifies a
+        block of them ahead; simulate's chunks on other laws run many slots
+        of a path side by side, and its slot loop and value iteration
+        evaluate whole arrays of unrelated levels.  They give the same bits
+        only under this contract."""
 
-    def _rungs(self, level: float) -> list[float]:
-        """The one scalar kernel: consumptions of the reserve ladder's rungs
-        from one finite, nonnegative level down, as Python floats with the
-        bits _evaluate gives each rung's level, each rung at the level
-        L - min(u, L) the one before leaves.  By default one rung, _evaluate
-        on a one-element array; a class that defines _evaluate and not _rungs
-        gets this default back, so it is walked through its own _evaluate."""
-        return [float(self._evaluate(np.array([level]))[0])]
+    def _rung(self, level: float) -> float:
+        """The one scalar kernel: the consumption at one finite, nonnegative
+        level, as a Python float with the bits _evaluate gives it.  By
+        default _evaluate on a one-element array; a class that defines
+        _evaluate and not _rung gets this default back, so it is walked
+        through its own _evaluate."""
+        return float(self._evaluate(np.array([level]))[0])
 
     def evaluate(self, x):
         """Energy consumed at stored level x; satisfies 0 <= result <= x."""
@@ -127,25 +126,21 @@ class StationaryPolicy(ABC):
 
 class _Ladder:
     """The reserve ladder from one level, walked a rung at a time: a rung at
-    level L takes the next consumption kernel of policy._rungs, spends
-    u = min(kernel, L) and leaves L - u.  A NaN or negative u raises
+    level L asks policy._rung(L) for its consumption, spends
+    u = min(_rung(L), L) and leaves L - u.  A NaN or negative u raises
     ValueError.  fixed is set by a rung that leaves the level as it was, at
     0 too: under _evaluate's per-level contract every later rung repeats it.
     """
 
-    __slots__ = ("_rungs", "_ahead", "level", "fixed")
+    __slots__ = ("_rung", "level", "fixed")
 
     def __init__(self, policy: StationaryPolicy, level: float):
-        self._rungs, self._ahead = policy._rungs, iter(())
-        self.level, self.fixed = level, False
+        self._rung, self.level, self.fixed = policy._rung, level, False
 
     def step(self) -> float:
         """Walk one rung and return its consumption; level is the level after it."""
-        u = next(self._ahead, None)
-        if u is None:  # the block is spent: ask for the rungs from here
-            self._ahead = iter(self._rungs(self.level))
-            u = next(self._ahead)
         level = self.level
+        u = self._rung(level)
         if level < u:  # min(u, level), without the builtin's call
             u = level
         if not 0.0 <= u:  # NaN too
@@ -163,8 +158,8 @@ class GreedyPolicy(StationaryPolicy):
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         return arr.copy()
 
-    def _rungs(self, level: float) -> list[float]:
-        return [level]
+    def _rung(self, level: float) -> float:
+        return level
 
 
 class FixedFractionPolicy(StationaryPolicy):
@@ -178,8 +173,8 @@ class FixedFractionPolicy(StationaryPolicy):
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         return self.p * arr
 
-    def _rungs(self, level: float) -> list[float]:
-        return [self.p * level]  # one correctly rounded product, as numpy's
+    def _rung(self, level: float) -> float:
+        return self.p * level  # one correctly rounded product, as numpy's
 
 
 class _Maximin(StationaryPolicy):
@@ -192,18 +187,12 @@ class _Maximin(StationaryPolicy):
     asked for.  inversion_tol bounds how far a computed consumption may sit
     from the exact policy.
 
-    An array is one np.interp (_evaluate), passed through _certify, a no-op
-    here.  The reserve ladder walks down the table a block at a time
-    (_rungs): rungs L -> L - min(table(L), L) read by _table, np.interp's
-    bits in Python floats, for up to _span rungs or until the level falls
-    to x_1, at or below which one rung spends it all.  _kept returns the
-    rungs of a block that stand: here all of them, and the next block is
-    twice as long, up to _AHEAD rungs.
+    An array is one np.interp (_evaluate).  A rung of the reserve ladder
+    (_rung) is the whole level at or below x_1, on the greedy segment, and
+    otherwise _table's read, np.interp's bits in a Python float.
     """
 
     inversion_tol = 0.0
-    _AHEAD = 1024  # most rungs a block
-    _span = 16  # rungs of the next block
 
     def __init__(self, reward: RewardFunction, p: float):
         self.reward = reward
@@ -244,6 +233,14 @@ class _Maximin(StationaryPolicy):
                 y = ys[-1] + (_BIG - xs[-1]) / ((xs[-1] - xs[-2]) / (ys[-1] - ys[-2]))
                 self._xs, self._ys = [*xs, _BIG], [*ys, y]
 
+    def segment_index(self, x):
+        """Index k of the segment [x_(k-1), x_k) holding x; 1 on the greedy
+        one.  Past the kinks KinkWalk can walk it raises their ValueError."""
+        arr, scalar = _prepare(x, "stored energy")
+        self.kinks.cover(float(arr.max(initial=0.0)))
+        m = np.searchsorted(self._arrays()[0], arr, side="right")
+        return int(m) if scalar else m
+
     def _table(self, level: float) -> float:
         """np.interp(level, *_arrays()) as a Python float, by numpy's own
         arithmetic, so with its bits but without its per-call cost: the
@@ -258,41 +255,16 @@ class _Maximin(StationaryPolicy):
         slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
         return slope * (level - xs[j]) + ys[j]
 
-    def _certify(self, x: np.ndarray, u: np.ndarray, first: bool = False) -> int:
-        """Mend in place the table's consumptions u at the levels x where
-        they miss the policy: every such level, or with first only the first
-        of them, and return its index, or x.size if none is mended.  The
-        table is the policy here, so nothing is."""
-        return x.size
-
-    def _kept(self, levels: list[float], table: list[float]) -> list[float]:
-        """The rungs that stand of a block the table gave at levels: all of
-        them, since the table is the policy; the next block doubles."""
-        self._span = min(2 * self._span, self._AHEAD)
-        return table
-
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         self._cover(float(arr.max(initial=0.0)))
-        u = np.interp(arr, *self._arrays())
-        self._certify(arr, u)
-        return u
+        return np.interp(arr, *self._arrays())
 
-    def _rungs(self, level: float) -> list[float]:
-        x1 = self._xs[1]
-        if not level > x1:  # the greedy segment: one rung spends it all
-            return [level]
-        self._cover(level)
-        levels, table = [], []
-        for _ in range(self._span):
-            u = self._table(level)
-            levels.append(level)
-            table.append(u)
-            if level < u:  # min(u, level), as the ladder takes it
-                u = level
-            level -= u
-            if not level > x1:
-                break
-        return self._kept(levels, table)
+    def _rung(self, level: float) -> float:
+        if not level > self._xs[1]:  # the greedy segment: one rung spends it all
+            return level
+        if not level < self._xs[-1]:
+            self._cover(level)
+        return self._table(level)
 
 
 class MaximinPolicy(_Maximin):
@@ -318,11 +290,15 @@ class MaximinPolicy(_Maximin):
     finite one above 1e-9 (1 + x), raises RuntimeError, and a +inf one,
     whose ladder sum leaves the float range, ValueError.
 
-    _certify checks an array, or a block of the ladder's rungs, with one
-    _ladder_sum call; a block keeps the table's rungs before its first
-    failed certificate and refines that one.  So every certificate call
-    checks a rung the walk asks for, and a ladder whose every rung fails
-    makes the calls of one _evaluate a rung.
+    _certify checks an array with one _ladder_sum call.  The reserve ladder
+    is served from a block of rungs keyed by level (_rung): a level the
+    block holds is taken from it, and any other starts a new block of up
+    to _span table rungs down the ladder, certified with one _ladder_sum
+    call and kept through its first failed certificate, which is refined.
+    A block kept whole doubles _span, up to _AHEAD rungs; one cut at its
+    k-th rung sets it to k + 1.  So every certificate call checks a rung
+    the walk asks for, a ladder whose every rung fails makes the calls of
+    one _evaluate a rung, and ladders that interleave start new blocks.
 
     maximin_policy builds it for custom rewards only: awgn and sqrt, whose
     ladder steps are affine, get their kink tables, which need no
@@ -331,14 +307,48 @@ class MaximinPolicy(_Maximin):
 
     kind = "maximin_generic"
     inversion_tol = 1e-12
+    _AHEAD = 1024  # most rungs a block
+    _span = 16  # rungs of the next block
+
+    def __init__(self, reward: RewardFunction, p: float):
+        super().__init__(reward, p)
+        self._block: dict[float, float] = {}  # level -> certified consumption
 
     def _extends(self) -> bool:
         """Always: the certificate mends what the extended segment misses."""
         return True
 
+    def _evaluate(self, arr: np.ndarray) -> np.ndarray:
+        u = super()._evaluate(arr)
+        self._certify(arr, u)
+        return u
+
+    def _rung(self, level: float) -> float:
+        u = self._block.pop(level, None)
+        if u is not None:
+            return u
+        x1 = self._xs[1]
+        if not level > x1:  # the greedy segment: one rung spends it all
+            return level
+        self._cover(level)
+        levels, table = [], []
+        while len(levels) < self._span and level > x1:
+            u = self._table(level)
+            levels.append(level)
+            table.append(u)
+            level -= min(u, level)  # as the ladder spends it
+        u = np.array(table)
+        k = self._certify(np.array(levels), u, first=True)
+        self._span = k + 1 if k < u.size else min(2 * self._span, self._AHEAD)
+        kept = u[: k + 1].tolist()
+        self._block = dict(zip(levels[1 : k + 1], kept[1:]))
+        return kept[0]
+
     def _certify(self, x: np.ndarray, u: np.ndarray, first: bool = False) -> int:
         """Refine the table's consumptions whose certificates fail, at levels
-        above x_1 (x itself on the greedy segment), and spend at most x."""
+        above x_1 (x itself on the greedy segment), and spend at most x:
+        every failed one, or with first only the first, whose index it
+        returns, or x.size if none failed."""
         i = np.flatnonzero(x > self._xs[1])
         if i.size:
             # _ladder_steps' log of a zero ratio; a ladder past the float range
@@ -351,15 +361,6 @@ class MaximinPolicy(_Maximin):
                     u[i] = self._refine(x[i], u[i], r)
         np.minimum(u, x, out=u)  # x itself where they tie, -0.0 too
         return int(i[0]) if i.size else x.size
-
-    def _kept(self, levels: list[float], table: list[float]) -> list[float]:
-        """The block's rungs through its first failed certificate, refined.
-        A block kept whole doubles _span, up to _AHEAD rungs; one mended at
-        its k-th rung sets it to k + 1."""
-        u = np.array(table)
-        k = self._certify(np.array(levels), u, first=True)
-        self._span = k + 1 if k < u.size else min(2 * self._span, self._AHEAD)
-        return u[: k + 1].tolist()
 
     def _refine(self, x: np.ndarray, u: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Regula falsi in each level's kink bracket from u (residual r) and the
@@ -409,14 +410,6 @@ class MaximinAwgnPolicy(_Maximin):
     def __init__(self, gamma: float, p: float):
         super().__init__(RewardFunction.awgn(gamma), p)
         self.gamma = self.reward.gamma
-
-    def segment_index(self, x):
-        """Index k of the segment [x_(k-1), x_k) holding x; 1 on the greedy
-        one.  Past the kinks KinkWalk can walk it raises their ValueError."""
-        arr, scalar = _prepare(x, "stored energy")
-        self.kinks.cover(float(arr.max(initial=0.0)))
-        m = np.searchsorted(self._arrays()[0], arr, side="right")
-        return int(m) if scalar else m
 
 
 class MaximinSqrtPolicy(_Maximin):
@@ -524,18 +517,19 @@ def maximin_kinks(reward: RewardFunction, p: float, upto: float) -> list[Endpoin
 def awgn_endpoints(gamma: float, p: float, k_max: int) -> list[Endpoint]:
     """Segment endpoints E_0..E_k_max of the awgn maximin policy.
 
-    E_k has stored level ((1-p)**-k - 1) / p - k and consumption
-    (1-p)**-k - 1, both divided by gamma; E_0 is the origin.  This closed
+    E_k has consumption y_k = expm1(-k log1p(-p)) / gamma, which is
+    ((1-p)**-k - 1) / gamma, and stored level x_k = y_1 + ... + y_k, summed
+    so that it does not cancel at small p; E_0 is the origin.  This closed
     form is the independent reference for maximin_kinks and the policy.
     """
     gamma = _check_positive(gamma, "gamma")
     p = _check_fraction(p)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    out = []
-    for k in range(int(k_max) + 1):
-        g = (1.0 - p) ** (-k)
-        out.append(Endpoint(k=k, x=((g - 1.0) / p - k) / gamma, y=(g - 1.0) / gamma))
+    out = [Endpoint(k=0, x=0.0, y=0.0)]
+    for k in range(1, int(k_max) + 1):
+        y = math.expm1(-k * math.log1p(-p)) / gamma
+        out.append(Endpoint(k=k, x=out[-1].x + y, y=y))
     return out
 
 

@@ -420,6 +420,10 @@ _PARSE_ERRORS = {
         ["sweep", "--family", "bernoulli", "--c-grid", "1:2:0", "--p", "0.5"],
         "argument --c-grid: bad value '1:2:0' (grid count must be positive)",
     ),
+    "empty grid": (
+        ["sweep", "--family", "bernoulli", "--c-grid", ",", "--p", "0.5"],
+        "argument --c-grid: bad value ',' (empty grid)",
+    ),
     "empty policy list": (
         ["sweep", "--family", "bernoulli", "--c", "1", "--p", "0.5", "--policies", ","],
         "argument --policies: bad value ',' (empty policy list)",

@@ -88,12 +88,12 @@ class _Rungs:
         return self.seen[arr[0]].copy()
 
 
-class _ScalarRungs:
-    """Stands in for a policy's _rungs: lists the level of each call and
-    answers a level asked before from memory, as _Rungs does."""
+class _ScalarRung:
+    """Stands in for a policy's _rung: lists the level of each call and
+    answers a level asked before from memory."""
 
     def __init__(self, policy):
-        self.kernel, self.levels, self.seen = policy._rungs, [], {}
+        self.kernel, self.levels, self.seen = policy._rung, [], {}
 
     def __call__(self, level):
         self.levels.append(level)
@@ -134,8 +134,8 @@ class _HalfFraction(pol.FixedFractionPolicy):
     def _evaluate(self, arr):
         return 0.5 * arr
 
-    def _rungs(self, level):
-        return [0.5 * level]
+    def _rung(self, level):
+        return 0.5 * level
 
 
 def _spliced_flags(monkeypatch) -> list:
@@ -318,8 +318,8 @@ class TestBernoulliSeries:
         # from c (1-p)**n, for a policy that consumes nothing 0; the idle walk
         # keeps its level, so r(c) is the smaller bound at p r'(0) c > r(c)
         policy = pol.FixedFractionPolicy(p) if kind == "fixed_fraction" else _Idle()
-        walked = _ScalarRungs(policy)
-        monkeypatch.setattr(policy, "_rungs", walked)
+        walked = _ScalarRung(policy)
+        monkeypatch.setattr(policy, "_rung", walked)
         res = ev.bernoulli_reward(policy, LOG1P, c, p)
         n = len(walked.levels)
         tail = oracle.fraction_tail(1.0, p, c, n) if kind == "fixed_fraction" else 0
@@ -383,8 +383,8 @@ class TestBernoulliSeries:
         # the walk's count lies within _fraction_rungs' rounding of its
         # prediction, 1455 rungs at fraction 0.01 and 42 at 0.5
         policy = pol.FixedFractionPolicy(fraction)
-        walked = _ScalarRungs(policy)
-        monkeypatch.setattr(policy, "_rungs", walked)
+        walked = _ScalarRung(policy)
+        monkeypatch.setattr(policy, "_rung", walked)
         res = ev.bernoulli_reward(policy, LOG1P, 1.0, 0.01)
         rungs = len(walked.levels)
         start = 0.01 * LOG1P.marginal(0.0) * 1.0
@@ -403,8 +403,8 @@ class TestBernoulliSeries:
         # goes on until that bound rounds to 0, at the latest once 0.9 * L
         # rounds up to L at the least subnormal and the level hits 0
         policy = pol.FixedFractionPolicy(0.9)
-        walked = _ScalarRungs(policy)
-        monkeypatch.setattr(policy, "_rungs", walked)
+        walked = _ScalarRung(policy)
+        monkeypatch.setattr(policy, "_rung", walked)
         for tol, most in ((1e-15, 10), (0.0, 400)):
             walked.levels.clear()
             res = ev.bernoulli_reward(policy, LOG1P, 1.0, 1e-7, tol)
@@ -734,8 +734,8 @@ class TestFractionTail:
         for c in (0.5, 2.0, 8.0):
             for p in (0.01, 0.1, 0.3, 0.5, 0.9):
                 policy = pol.FixedFractionPolicy(p)
-                walked = _ScalarRungs(policy)
-                monkeypatch.setattr(policy, "_rungs", walked)
+                walked = _ScalarRung(policy)
+                monkeypatch.setattr(policy, "_rung", walked)
                 ev.bernoulli_reward(policy, SERIES_REWARDS[reward], c, p)
                 if walked.levels:
                     heads[p, c] = len(walked.levels)
@@ -1182,6 +1182,17 @@ class TestBestActions:
         )
 
 
+class _AboveOne(pol.StationaryPolicy):
+    """Consumes half the level at or below 1, and above it `above`, or the
+    whole level when above is None."""
+
+    def __init__(self, above=None):
+        self.above = above
+
+    def _evaluate(self, arr):
+        return np.where(arr > 1.0, arr if self.above is None else self.above, 0.5 * arr)
+
+
 class TestPolicyGain:
     def test_matches_stationary_solve(self):
         dist = arr.LimitedUniformArrivals(1.0, 1.2)
@@ -1216,6 +1227,21 @@ class TestPolicyGain:
         model = ev.build_mdp(AWGN1, arr.BernoulliArrivals(1.0, 0.5), 20)
         with pytest.raises(ev.NonConvergenceError):
             ev.policy_gain(model, pol.GreedyPolicy(), eps=1e-30, max_iter=25)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_a_nan_or_negative_consumption_raises(self, bad):
+        # as bernoulli_reward and simulate raise, where the grid's cast and
+        # clip once read NaN, and -1 as consuming 0
+        model = ev.build_mdp(AWGN1, arr.from_nmcr("uniform", 2.0, 0.5), 200)
+        with pytest.raises(ValueError, match="^u must be finite and nonnegative$"):
+            ev.policy_gain(model, _AboveOne(bad))
+
+    def test_an_infinite_consumption_spends_the_level(self):
+        model = ev.build_mdp(AWGN1, arr.from_nmcr("uniform", 2.0, 0.5), 200)
+        whole = ev.policy_gain(model, _AboveOne())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast of inf to an integer
+            assert ev.policy_gain(model, _AboveOne(math.inf)) == whole
 
 
 def dense_policy_system(model: ev.MdpModel, actions) -> tuple[np.ndarray, np.ndarray]:
@@ -1259,6 +1285,12 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 
 
 class TestSolve:
+    def test_a_zero_operator_returns_the_guess(self):
+        # its first Arnoldi vector has no new direction: no step is taken
+        guess = np.arange(5.0)
+        out = ev._solve(np.zeros_like, np.ones(5), guess, 1e-10)
+        assert out.tolist() == guess.tolist()
+
     @pytest.mark.parametrize("rtol", [1e-8, 1e-13])
     @pytest.mark.parametrize("law, cells", SOLVE_MODELS)
     @pytest.mark.parametrize(

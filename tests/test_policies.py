@@ -73,8 +73,8 @@ class TestBaselines:
 
 
 class TestScalarKernel:
-    """_rungs, the reserve ladder's one scalar kernel, returns the bits
-    _evaluate returns for its first rung's level."""
+    """_rung, the reserve ladder's one scalar kernel, returns the bits
+    _evaluate returns for its level."""
 
     TINY = np.finfo(float).smallest_normal
     LEVELS = np.concatenate(
@@ -102,18 +102,19 @@ class TestScalarKernel:
         [pol.GreedyPolicy()]
         + [pol.FixedFractionPolicy(f) for f in (0.01, 0.3, 1.0 / 3.0, 0.5, 0.9, 0.7261839415)]
         + [pol.MaximinAwgnPolicy(1.0, p) for p in P_VALUES]
+        + [pol.MaximinSqrtPolicy(p) for p in (1e-6, 0.5)]
         + [pol.MaximinPolicy(SQRT, p) for p in (1e-3, 0.5)],
         ids=lambda policy: f"{policy.kind}-{policy.p}",
     )
     def test_the_first_rung_keeps_the_bits_of_evaluate(self, policy):
         # the maximins' kink tables end in the float range, so they take
         # their own kinks' neighbours instead of the huge levels
-        assert type(policy)._rungs is not pol.StationaryPolicy._rungs
+        assert type(policy)._rung is not pol.StationaryPolicy._rung
         if isinstance(policy, pol._Maximin):
             levels = np.array(self._levels(policy.reward, policy.p, 10.0))
         else:
             levels = self.LEVELS
-        got = [policy._rungs(float(x))[0] for x in levels]
+        got = [policy._rung(float(x)) for x in levels]
         assert all(type(u) is float for u in got)
         want = policy._evaluate(levels)
         assert [u.hex() for u in got] == [float(u).hex() for u in want]
@@ -124,16 +125,16 @@ class TestScalarKernel:
     )
     def test_maximin_array_keeps_the_bits_of_each_level(self, reward, p):
         # every level is inverted on its own, so an array, the scalar
-        # evaluate and the first rung of the ladder's block give the same bits
+        # evaluate and the first rung of a certified block give the same bits
         policy = pol.MaximinPolicy(reward, p)
-        assert type(policy)._rungs is not pol.StationaryPolicy._rungs
+        assert type(policy)._rung is not pol.StationaryPolicy._rung
         walk = pol.KinkWalk(reward, p)
         while len(walk.x) <= 12:
             walk.cover(walk.x[-1])
         levels = np.array(self._levels(reward, p, walk.x[12]))
         many = policy.evaluate(levels)
         assert [float(u).hex() for u in many] == [policy.evaluate(x).hex() for x in levels]
-        assert [float(u).hex() for u in many] == [policy._rungs(float(x))[0].hex() for x in levels]
+        assert [float(u).hex() for u in many] == [policy._rung(float(x)).hex() for x in levels]
 
     @pytest.mark.parametrize("gamma", [1.0, None], ids=["awgn:1", "sqrt"])
     def test_maximin_floats_keep_the_bits_of_evaluate_at_huge_levels(self, gamma):
@@ -144,7 +145,7 @@ class TestScalarKernel:
         policy = pol.MaximinPolicy(reward, 0.5)
         for x in (1e300, 1.7e308, np.finfo(float).max):
             want = policy._evaluate(np.array([x]))[0]
-            assert policy._rungs(float(x))[0].hex() == float(want).hex(), x
+            assert policy._rung(float(x)).hex() == float(want).hex(), x
             # the consumption, not the whole level: its ladder sums to x
             assert want < x
             assert rw.ladder_sum(reward, policy.scale, want) == pytest.approx(x, rel=2 * EPS)
@@ -153,7 +154,7 @@ class TestScalarKernel:
         # 1 + gamma x overflows, so the ladder is inf - inf; the stall check
         # reports the NaN rather than return the whole level
         policy = pol.MaximinPolicy(rw.RewardFunction.awgn(1e10), 0.5)
-        for run in (policy.evaluate, policy._rungs):
+        for run in (policy.evaluate, policy._rung):
             with pytest.raises(RuntimeError, match="stalled, residual nan$"):
                 run(1e300)
         assert policy.evaluate(1e290) == pytest.approx(5e289, rel=1e-12)
@@ -168,7 +169,7 @@ class TestScalarKernel:
 
         policy = Counted(LOG1P, 0.1)
         level = 3.0 * policy.kinks.x[1]
-        assert policy._rungs(level) == [pol.MaximinPolicy(LOG1P, 0.1)._rungs(level)[0]]
+        assert policy._rung(level) == pol.MaximinPolicy(LOG1P, 0.1)._rung(level)
         assert len(calls) == 1 and calls[0].shape == (1,)
 
     def test_a_policy_with_only_evaluate_is_walked_through_it(self):
@@ -179,7 +180,7 @@ class TestScalarKernel:
             return 0.5 * arr
 
         policy = _Shaped(half)
-        assert policy._rungs(3.0) == [1.5] and len(calls) == 1
+        assert policy._rung(3.0) == 1.5 and len(calls) == 1
         calls.clear()
         # awgn:1 as a custom reward, which a FixedFractionPolicy walks too
         res = ev.bernoulli_reward(policy, LOG1P, 1.0, 0.5)
@@ -250,9 +251,9 @@ class TestKinkTable:
 
 
 class TestLookAhead:
-    """MaximinPolicy._rungs certifies a block of rungs down the ladder with
-    one ladder-sum call, and every rung the ladder walks keeps the bits that
-    _evaluate gives its level alone."""
+    """MaximinPolicy._rung serves the ladder from a block of rungs down it,
+    certified with one ladder-sum call, and every rung the ladder walks
+    keeps the bits that _evaluate gives its level alone."""
 
     REWARDS = {"sqrt": SQRT, "awgn": AWGN1, "log1p": LOG1P, "curved": CURVED}
 
@@ -322,17 +323,17 @@ class TestLookAhead:
         policy._ys[30] += 1e-9
         policy._y[30] = policy._ys[30]
         starts, refined = set(), []
-        block, refine = policy._rungs, policy._refine
+        certify, refine = policy._certify, policy._refine
 
-        def started(level):
-            starts.add(level)
-            return block(level)
+        def started(x, u, first=False):
+            starts.add(float(x[0]))  # the level that started the block
+            return certify(x, u, first)
 
         def refining(x, u, r):
             refined.extend(x)  # each of them failed its table certificate
             return refine(x, u, r)
 
-        monkeypatch.setattr(policy, "_rungs", started)
+        monkeypatch.setattr(policy, "_certify", started)
         monkeypatch.setattr(policy, "_refine", refining)
         rungs = self.walk(policy, c)
         assert any(level not in starts and level != c for level in refined)
@@ -378,7 +379,7 @@ class TestLookAhead:
         assert policy.calls == len(rungs) > 40
         self.assert_alone(policy, rungs)
         plain = pol.MaximinPolicy(SQRT, 1e-3)
-        assert rungs[0][1] == 0.5 * plain._rungs(rungs[0][0])[0]
+        assert rungs[0][1] == 0.5 * plain._rung(rungs[0][0])
 
 
 class TestCertificateCount:
@@ -496,6 +497,16 @@ class TestMaximinAwgn:
         np.testing.assert_array_equal(idx, [1, 2, 3, 4])
         assert pol.awgn_segment_index(1.0, 0.5, 2.0) == 2
 
+    @pytest.mark.parametrize("p", [1e-3, 0.1, 0.5])
+    def test_sqrt_segment_index_against_the_oracle(self, p):
+        # every kink table has it, the sqrt maximin's too
+        policy = pol.MaximinSqrtPolicy(p)
+        x = np.concatenate([[0.0], 10.0 ** np.random.default_rng(8).uniform(-3.0, 1.5, 200)])
+        exact = Maximin(None, p, float(x.max()))
+        got = policy.segment_index(x)
+        assert got.tolist() == [exact.segment(mpmath.mpf(xi)) for xi in x]
+        assert policy.segment_index(3.0) == exact.segment(3)
+
     def test_segment_index_just_inside_far_kinks_at_small_p(self):
         # the segment ending at kink E_k has index k; at p = 1e-5 the kinks
         # below x = 600 reach k = 10 758
@@ -603,6 +614,17 @@ class TestMaximinKinks:
             assert got.k == want.k
             assert abs(got.x - want.x) <= 1e-12 * want.x
             assert abs(got.y - want.y) <= 1e-12 * want.y
+
+    @pytest.mark.parametrize("p", [1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_awgn_endpoints_against_the_oracle(self, gamma, p):
+        # y_k by expm1 and x_k as a running sum: neither cancels at small p,
+        # where ((1-p)**-k - 1) / p - k once gave x_2 < 0 at p = 1e-9
+        ends = pol.awgn_endpoints(gamma, p, 40)
+        exact = Maximin(gamma, p, ends[-1].x)
+        for e in ends[1:]:
+            for got, want in ((e.x, exact.x[e.k]), (e.y, exact.y[e.k])):
+                assert abs(mpmath.mpf(got) / want - 1) <= (e.k + 1) * EPS, (e.k, got)
 
     def test_sqrt_kinks_on_curve_through_first_past_upto(self):
         kinks = pol.maximin_kinks(SQRT, 0.3, 8.0)

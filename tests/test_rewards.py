@@ -145,6 +145,42 @@ def test_positive_checks_raise_the_one_message(name, value):
         run(value)
 
 
+_NOT_COUNT = "i must be a nonnegative integer"
+# case -> (a call with one bad argument, the text it raises)
+_ARGUMENT_CHECKS = {
+    "reserve_iter": (lambda: pol.GreedyPolicy().reserve_iter(1.5, 1.0), _NOT_COUNT),
+    "step_down_iter": (lambda: rw.step_down_iter(SQRT, 2.0, 1.5, 1.0), _NOT_COUNT),
+    "awgn_endpoints": (lambda: pol.awgn_endpoints(1.0, 0.5, -1), "k_max must be nonnegative"),
+    "greed_index": (
+        lambda: pol.greed_index(pol.GreedyPolicy(), AWGN1, 1.0, grid_points=1),
+        "grid_points must be at least 2",
+    ),
+    "bernoulli_derivative_check": (
+        lambda: ev.bernoulli_derivative_check(AWGN1, 0.5, 1.0, h=2.0),
+        "need c > 0, p in (0, 1), 0 < h < c",
+    ),
+    "universal_upper_bound": (
+        lambda: mx.universal_upper_bound(AWGN1, 1.0, 1.5),
+        "need c > 0 and mcr in (0, 1]",
+    ),
+    "sweep": (
+        lambda: mx.sweep(AWGN1, ["greedy"], "uniform", [1.0], p_values=[0.5], policy_evaluator="x"),
+        "policy_evaluator must be 'vi' or 'mc'",
+    ),
+    "from_nmcr": (
+        lambda: arr.from_nmcr("poisson", 1.0, 0.5),
+        "unknown family 'poisson'; expected one of ('bernoulli', 'uniform', 'exponential')",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ARGUMENT_CHECKS))
+def test_argument_checks_raise_their_text(name):
+    run, text = _ARGUMENT_CHECKS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        run()
+
+
 _LOG1P = wrap_awgn_as_custom(1.0)
 
 # every public entry that validates a level, and the name its text gives it
@@ -398,6 +434,14 @@ class TestLadderSum:
                 rw.ladder_sum(AWGN2, s, GRID),
                 atol=1e-9,
             )
+
+    def test_custom_ladder_past_the_cap_raises(self, monkeypatch):
+        # the ladder from 7 at s = 2 walks the rungs 7, 3, 1
+        custom = wrap_awgn_as_custom(1.0)
+        assert rw.ladder_sum(custom, 2.0, 7.0) == pytest.approx(11.0, abs=1e-12)
+        monkeypatch.setattr(rw, "_LADDER_CAP", 2)
+        with pytest.raises(RuntimeError, match="^ladder did not terminate; reward is not regular$"):
+            rw.ladder_sum(custom, 2.0, 7.0)
 
 
 def bits(x) -> list[str]:
