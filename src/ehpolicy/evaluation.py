@@ -85,13 +85,13 @@ _SERIES_RUNGS = 1_000_000  # bernoulli_reward's rung cap
 _SERIES_CAP = ("Bernoulli series tail bound", "rungs")  # what NonConvergenceError names there
 _EPS = float(np.finfo(float).eps)
 # slots per simulate block and rungs per series block: a simulate block holds
-# two or three block-by-paths arrays and costs one draw call per path, a
-# series block one reward._value call, so blocks are long but memory stays flat
+# three block-by-paths arrays (one of bools by renewal) and costs one draw call
+# per path, a series block one reward._value call, so memory stays flat
 _SLOT_BLOCK = 1024
 # slots per chunk of simulate's time-parallel pass over a block
 _CHUNK = 64
-# elements per np.take in the renewal path, whose intp index copy is this
-# long: 32 slot rows at 1024 paths, and a whole block at 32 paths or fewer
+# elements per scratch buffer of the renewal path, which holds a group of
+# paths' uniforms or a slice of slot rows: 32 of them at 1024 slots or paths
 _GATHER = 1 << 15
 # fewest paths at which _down_slots, simulate's running maxima and sums,
 # runs one slot row at a time; below it one accumulate down the slot axis is
@@ -551,7 +551,8 @@ def simulate(
       * 0-or-c arrivals (BernoulliArrivals) by renewal: every charge fills
         the battery to exactly c, so a path's level is the rung of the
         reserve ladder from c indexed by the slots since its last charge, or
-        of the ladder from 0 before its first.  See _renewal_totals.
+        of the ladder from 0 before its first.  A block is held as one bool
+        a draw and scored in slices of slot rows.  See _renewal_totals.
       * any other law in chunks of _CHUNK slots run side by side and
         spliced where a chunk's copy meets the true path: a slot's outcome
         depends only on the stored level and the draw, so two copies of a
@@ -561,12 +562,11 @@ def simulate(
         by the slot loop, _slot_steps, and so is the rest of the call: on
         slow-mixing laws this costs one block's chunk passes.
 
-    Each path's generator fills its own row of the block: on 0-or-c
-    arrivals with bare uniforms, which one comparison to p over the whole
-    block turns into sample's charges bit for bit, and on any other law
-    through sample's out=.  Every way scores the block's consumptions
-    through reward.value, which rejects NaN or negative ones, and gives the
-    same bits.
+    Each path's generator fills its own row of a path-major buffer: on
+    0-or-c arrivals with bare uniforms, which a comparison to p turns into
+    sample's charges bit for bit, and on any other law through sample's
+    out=.  Every way scores the block's consumptions through reward.value,
+    which rejects NaN or negative ones, and gives the same bits.
     """
     n, paths = int(n), int(paths)
     if n < 1 or paths < 2:
@@ -758,10 +758,17 @@ def _spliced_block(policy, draws, spent, full, level, c, cols):
 
 
 def _estimate(totals: np.ndarray, n: int) -> EvaluationResult:
-    """simulate's result from each path's n-slot reward total."""
+    """simulate's result from each path's n-slot reward total.  Where the
+    largest |mean| lies outside [2**-20, 2**20], the stderr is taken over
+    the means scaled by a power of two to below 1, so that their squared
+    deviations neither underflow nor overflow, and then scaled back."""
     means = totals / n
     value = float(np.mean(means))
-    stderr = float(np.std(means, ddof=1) / np.sqrt(len(totals)))
+    top = float(np.max(np.abs(means)))
+    scaled = 0.0 < top < math.inf and not 2.0**-20 <= top <= 2.0**20
+    shift = math.frexp(top)[1] if scaled else 0  # |means| / 2**shift < 1
+    spread = np.std(np.ldexp(means, -shift), ddof=1) / np.sqrt(len(totals))
+    stderr = math.ldexp(float(spread), shift)
     return EvaluationResult(
         value=value, method="monte_carlo", stderr=stderr, tolerance=3.0 * stderr
     )
@@ -796,28 +803,33 @@ def _renewal_totals(
     is L - u and the rungs are its levels, bit for bit, for a policy whose
     consumption at a level depends on that level alone.
 
-    Each time block draws every path's uniforms into a row of a path-major
-    float block (a draw is c exactly when its uniform is below p, as in
-    BernoulliArrivals.sample), marks the charges with one comparison, and
-    copies the marks once into a slot-major block.  Everything after runs
-    over whole slot rows: each slot's 1 + slot where a path charged, a
-    running maximum down the slots for the last charge, the slots since
-    it, the rewards gathered from the reward table of the ladder from c,
-    walked only as far as the longest gap seen or to its fixed point
-    (_walked), and a running sum down the slots, in slot order, into the
-    totals (_down_slots).  The ladder from 0 is one rung: its first spends
-    min(u, 0) = 0 and is its fixed point, so every slot before a path's
-    first charge gains that rung's reward, walked (and a NaN or negative u
-    rejected) in the first block with such a slot.  The counts are int32
-    while n allows; the gather runs in slices of about _GATHER elements,
-    since np.take widens its indices to intp.  The marks live in the other buffer's dead bytes: the
-    path-major ones in the counts', the slot-major ones in the uniforms'.
+    The one block-sized array holds a time block's charges, path-major, one
+    bool a draw: groups of _GATHER // width paths draw their uniforms into a
+    float scratch, and one comparison to p marks a group's charges (a draw
+    is c exactly when its uniform is below p, as in BernoulliArrivals.sample).
+    Slices of _GATHER // paths slot rows then read the charges transposed
+    into two slot-major buffers: the counts, each slot's 1 + slot where a
+    path charged, a running maximum down the slots for the last charge and
+    the slots since it; and the rewards gathered from the reward table of
+    the ladder from c, walked only as far as the longest gap seen or to its
+    fixed point (_walked), which a running sum adds into the totals.  Each
+    path's maximum and sum go on from slice to slice in slot order
+    (_down_slots), with op.accumulate's bits.  The ladder from 0 is one
+    rung: its first spends min(u, 0) = 0 and is its fixed point, so every
+    slot before a path's first charge gains that rung's reward, walked (and a
+    NaN or negative u rejected) in the first slice with such a slot.  The
+    counts are int32 while n allows, and np.take's intp copy of them is one
+    slice: at 1 024 paths a call holds 1 MB of charges and 1 MB of scratch.
     """
     c, paths = arrivals.c, len(streams)
     width = min(n, _SLOT_BLOCK)
+    group = max(1, _GATHER // width)  # paths a float scratch holds
+    rows = min(width, max(1, _GATHER // paths))  # slot rows a slice
     count = np.int32 if n + 1 < 2**31 else np.intp
-    block = np.empty(paths * width)  # flat, so that a short last block is contiguous too
-    counts = np.empty(paths * width, dtype=count)
+    charged = np.empty((paths, width), dtype=np.bool_)  # path-major, each path's charges a row
+    uniforms = np.empty((min(group, paths), width))
+    counts = np.empty((rows, paths), dtype=count)  # slot-major, each slot a row
+    gains = np.empty((rows, paths))
     last = np.zeros(paths, dtype=count)  # 1 + the slot of the last charge, 0 before one
     totals = np.zeros(paths)
     full = _Ladder(policy, c)
@@ -825,33 +837,28 @@ def _renewal_totals(
     zero = None  # the reward of every rung from 0, walked at the first uncharged path
     for start in range(0, n, width):
         cols = min(width, n - start)
-        size = paths * cols
-        uniforms = block[:size].reshape(paths, cols)
-        for row, rng in zip(uniforms, streams):
-            rng.random(cols, out=row)
-        charged = counts.view(np.bool_)[:size].reshape(paths, cols)
-        np.less(uniforms, arrivals.p, out=charged)
-        hits = block.view(np.bool_)[:size].reshape(cols, paths)  # slot-major from here
-        np.copyto(hits, charged.T)
-        since = counts[:size].reshape(cols, paths)
-        slots = np.arange(start + 1, start + 1 + cols, dtype=count)[:, None]  # 1 + each slot
-        np.multiply(hits, slots, out=since)
-        last = _down_slots(np.maximum, last, since)  # 1 + the slot of the last charge so far
-        fresh = since == 0 if since[0].min() == 0 else None  # slots before a path's first charge
-        np.subtract(slots, since, out=since)  # slots since the last charge; 1 + the slot if none
-        if fresh is not None:
-            since[fresh] = 0
-        gains = block[:size].reshape(cols, paths)
-        table = _walked(full, reward, table, int(since.max()))
-        step = max(1, _GATHER // paths)  # slot rows per slice
-        for lo in range(0, cols, step):
-            hi = lo + step
-            np.take(table, since[lo:hi], out=gains[lo:hi], mode="clip")
-        if fresh is not None:
-            if zero is None:
-                zero = reward.value(np.array([_Ladder(policy, 0.0).step()]))[0]
-            gains[fresh] = zero
-        totals = _down_slots(np.add, totals, gains)
+        for g in range(0, paths, group):
+            batch = streams[g : g + group]
+            drawn = uniforms[: len(batch), :cols]
+            for row, rng in zip(drawn, batch):
+                rng.random(cols, out=row)
+            np.less(drawn, arrivals.p, out=charged[g : g + group, :cols])
+        for lo in range(0, cols, rows):
+            since, gain = counts[: cols - lo], gains[: cols - lo]
+            slots = np.arange(start + lo + 1, start + lo + 1 + len(since), dtype=count)[:, None]
+            np.multiply(charged[:, lo : lo + len(since)].T, slots, out=since)  # 1 + slot if charged
+            last = _down_slots(np.maximum, last, since)  # 1 + the slot of the last charge
+            fresh = since == 0 if since[0].min() == 0 else None  # slots before a first charge
+            np.subtract(slots, since, out=since)  # slots since the last charge; 1 + slot if none
+            if fresh is not None:
+                since[fresh] = 0
+            table = _walked(full, reward, table, int(since.max()))
+            np.take(table, since, out=gain, mode="clip")
+            if fresh is not None:
+                if zero is None:
+                    zero = reward.value(np.array([_Ladder(policy, 0.0).step()]))[0]
+                gain[fresh] = zero
+            totals = _down_slots(np.add, totals, gain)
     return totals
 
 

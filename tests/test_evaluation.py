@@ -1653,20 +1653,53 @@ class TestSimulate:
         res = ev.simulate(policy, law, reward, n, paths, seed=5)
         assert (res.value, res.stderr) == per_slot_simulate(policy, law, reward, n, paths, seed=5)
 
-    def test_the_renewal_block_holds_less_than_two_float_blocks(self):
-        # the uniforms' float block and the int32 counts, with the charges in
-        # their dead bytes and np.take's intp index copy a slice of rows at a
-        # time; a whole block's index copy, or a second float block, passes it
+    @pytest.mark.parametrize("paths", [7, 10])
+    def test_renewal_slices_and_groups_match_the_per_slot_loop(self, paths, monkeypatch):
+        # 24-element scratch buffers in 8-slot blocks: paths draw in groups
+        # of 3, which 7 and 10 paths leave one over, and are scored in slices
+        # of 3 or 2 slot rows; 29 slots end in a short block of 5.  The fixed
+        # fraction's ladder is long, so its table grows all through the call
+        monkeypatch.setattr(ev, "_GATHER", 24)
+        monkeypatch.setattr(ev, "_SLOT_BLOCK", 8)
+        grew, walk = [], ev._walked
+
+        def spy(ladder, reward, table, rung):
+            table_after = walk(ladder, reward, table, rung)
+            grew.append(table_after.size > table.size)
+            return table_after
+
+        monkeypatch.setattr(ev, "_walked", spy)
+        policy, reward = SIM_POLICIES["fixed_fraction"]
+        law, n, seed, rows = arr.BernoulliArrivals(2.0, 0.2), 29, 2, 24 // paths
+        res = ev.simulate(policy, law, reward, n, paths, seed)
+        assert (res.value, res.stderr) == per_slot_simulate(policy, law, reward, n, paths, seed)
+        # a path's run before its first charge crosses the first slice boundary
+        draws = [law.sample(rng, n) for rng in spawned(seed, paths)]
+        assert any(not d[: rows + 1].any() for d in draws)
+        # the table grows at a slice that starts inside a block after the
+        # first; _walked runs once a slice
+        blocks = [(start, min(8, n - start)) for start in range(0, n, 8)]
+        slices = [(start, lo) for start, cols in blocks for lo in range(0, cols, rows)]
+        assert len(grew) == len(slices)
+        assert any(g for (start, lo), g in zip(slices, grew) if start and lo)
+
+    @pytest.mark.parametrize("paths", [256, 1024])
+    def test_the_renewal_path_holds_one_bool_block(self, paths):
+        # the charges, one bool a draw, and scratch buffers of _GATHER
+        # elements: a group of paths' uniforms, and a slice's counts, gains
+        # and np.take's intp index copy, ~3.7 times 8 * _GATHER bytes in all.
+        # A whole block of float uniforms with one of int32 counts, 13 and 49
+        # times 8 * _GATHER bytes over the charges at 256 and 1 024 paths, fails
         policy, reward = SIM_POLICIES["greedy"]
-        law, paths = arr.BernoulliArrivals(2.0, 0.5), 256
-        ev.simulate(policy, law, reward, ev._SLOT_BLOCK, paths, seed=0)  # first-call allocations
+        law, streams = arr.BernoulliArrivals(2.0, 0.5), ev._streams(0, paths)
+        ev._renewal_totals(policy, law, reward, ev._SLOT_BLOCK, streams)  # first-call allocations
         tracemalloc.start()
         try:
-            ev.simulate(policy, law, reward, 3 * ev._SLOT_BLOCK, paths, seed=0)
+            ev._renewal_totals(policy, law, reward, 3 * ev._SLOT_BLOCK, streams)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * paths * ev._SLOT_BLOCK + 2**16, peak
+        assert peak <= paths * ev._SLOT_BLOCK + 5 * 8 * ev._GATHER, peak
 
     @pytest.mark.parametrize(
         "paths,blocks", [(2, [True] * 7 + [False]), (64, [False])], ids=["mid-call", "first-block"]
@@ -1831,6 +1864,25 @@ class TestSimulate:
         )
         assert res.tolerance == pytest.approx(3.0 * res.stderr, abs=1e-18)
         assert res.method == "monte_carlo"
+
+    @pytest.mark.parametrize("power", [-1000, 1000])
+    def test_stderr_scales_with_the_means_by_a_power_of_two(self, power):
+        # the squared deviations of means near 2**-1000 underflow, and those
+        # of means near 2**1000 overflow, unless the means are scaled first
+        totals = 500.0 * (1.0 + 0.01 * np.random.default_rng(0).standard_normal(16))
+        want = ev._estimate(totals, 500).stderr * 2.0**power
+        assert ev._estimate(totals * 2.0**power, 500).stderr == want
+
+    @pytest.mark.parametrize(
+        "law",
+        [arr.from_mcr("uniform", 1e-300, 0.5), arr.BernoulliArrivals(1e-300, 0.5)],
+        ids=["uniform", "bernoulli"],
+    )
+    def test_a_tiny_capacity_keeps_its_stderr(self, law):
+        # rewards ~1e-300, whose squared deviations underflow to 0
+        res = ev.simulate(pol.GreedyPolicy(), law, AWGN1, 500, 8, seed=1)
+        assert res.stderr > 0.0
+        assert res.tolerance == 3.0 * res.stderr
 
     def test_needs_two_paths(self):
         with pytest.raises(ValueError):
