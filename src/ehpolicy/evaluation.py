@@ -206,10 +206,11 @@ def bernoulli_reward(
     the level as it was, so every later rung repeats it) whose geometric
     count, _fixed_point_fails_fast, passes the cap the same way.  Each rung
     is one step of the policy's reserve ladder (_Ladder, on levels finite
-    and nonnegative by construction: the policy's _rung, which
-    MaximinPolicy, a custom reward's maximin, serves from a block of rungs
-    certified together, and the rejection of a NaN or negative
-    consumption), the survivor's step and the tail bound.  A rung adds its
+    and nonnegative by construction: the policy's _rung, given the rung
+    before's consumption, which MaximinPolicy, a custom reward's maximin,
+    steps down by the ladder step after one certified inversion at c, and
+    the rejection of a NaN or negative consumption), the survivor's step
+    and the tail bound.  A rung adds its
     level to the climb and its weight times the climb to the drift as it
     is walked; its weight and consumption are buffered in blocks of
     _SLOT_BLOCK rungs, counted by the rung number, and _fold_rungs scores
@@ -546,7 +547,8 @@ def simulate(
     continuing where the last block stopped, so memory does not grow with n
     and the draws equal one n-slot draw per path.  Rewards are added to each
     path's total in slot order (_down_slots).  The slots run one of two
-    ways, both resting on _evaluate's per-level contract:
+    ways, both resting on _evaluate's per-level contract (but for a custom
+    MaximinPolicy's ladder, see _renewal_totals):
 
       * 0-or-c arrivals (BernoulliArrivals) by renewal: every charge fills
         the battery to exactly c, so a path's level is the rung of the
@@ -801,7 +803,10 @@ def _renewal_totals(
     s the slot of the last charge, or rung t of the ladder from 0 before the
     first.  A rung L - u lies in [0, c], so the slot loop's min(L - u + 0.0, c)
     is L - u and the rungs are its levels, bit for bit, for a policy whose
-    consumption at a level depends on that level alone.
+    consumption at a level depends on that level alone.  A custom reward's
+    MaximinPolicy steps its ladder down from the one before instead, so
+    its rungs are the policy at the ladder's true levels, within
+    inversion_tol and the walk's level drift of _evaluate at the float ones.
 
     The one block-sized array holds a time block's charges, path-major, one
     bool a draw: groups of _GATHER // width paths draw their uniforms into a

@@ -11,13 +11,15 @@ consumed this slot, with 0 <= policy(x) <= x.  Implemented kinds:
                     affine too
     maximin_generic the maximin policy for a custom reward: x up to the first
                     kink, else invert ladder_sum from the kink table, each
-                    level certified by its own residual
+                    level certified by its own residual; its reserve ladder
+                    inverts only the top rung and steps down from there
 
 A policy has two kernels: _evaluate on an array of levels, and _rung, the
-one scalar kernel, which the reserve ladder asks for one consumption a rung.
-Every maximin kind is _Maximin, the kink-table policy, whose kernels
-interpolate the table; MaximinPolicy adds the certificate, and serves the
-ladder from a block of rungs certified together.
+one scalar kernel, which the reserve ladder asks for one consumption a rung,
+given the consumption of the rung before.  Every maximin kind is _Maximin,
+the kink-table policy, whose kernels interpolate the table; MaximinPolicy
+adds the certificate, and walks a custom reward's ladder by its recursion:
+the level a rung leaves consumes step_down of that rung's consumption.
 
 The maximin policy maximizes the worst-case long-run average reward over all
 arrival processes whose capped mean is p times the battery capacity; the worst
@@ -40,6 +42,7 @@ from .rewards import (
     RewardFunction,
     _check_fraction,
     _check_positive,
+    _custom_step,
     _ladder_sum,
     _prepare,
     ladder_sum,  # noqa: F401  (the public name perfbench's span recorder wraps here)
@@ -58,7 +61,6 @@ __all__ = [
     "maximin_policy",
     "Endpoint",
     "maximin_kinks",
-    "awgn_segment_index",
     "awgn_endpoints",
     "ergodic_levels",
     "greed_index",
@@ -84,21 +86,23 @@ class StationaryPolicy(ABC):
 
         Each level's consumption must depend on that level alone: not on the
         other levels in the array, nor on earlier calls.  Every policy must
-        meet this contract, for every evaluator relies on it: the reserve
-        ladder (_Ladder, which the series walk, ergodic_levels and
-        simulate's renewal path on 0-or-c arrivals walk) asks _rung, the
-        one scalar kernel, for each rung, and MaximinPolicy certifies a
-        block of them ahead; simulate's chunks on other laws run many slots
-        of a path side by side, and its slot loop and value iteration
-        evaluate whole arrays of unrelated levels.  They give the same bits
-        only under this contract."""
+        meet this contract, for every evaluator relies on it: simulate's
+        chunks on laws other than 0-or-c run many slots of a path side by
+        side, and its slot loop and value iteration evaluate whole arrays
+        of unrelated levels.  They give the same bits only under this
+        contract.  The reserve ladder (_Ladder, which the series walk,
+        ergodic_levels and simulate's renewal path on 0-or-c arrivals walk)
+        asks _rung, the one scalar kernel, for each rung instead, and hands
+        it the consumption of the rung before, which a policy may use to
+        find the next one by its own recursion (MaximinPolicy does)."""
 
-    def _rung(self, level: float) -> float:
+    def _rung(self, level: float, last: float | None = None) -> float:
         """The one scalar kernel: the consumption at one finite, nonnegative
-        level, as a Python float with the bits _evaluate gives it.  By
-        default _evaluate on a one-element array; a class that defines
-        _evaluate and not _rung gets this default back, so it is walked
-        through its own _evaluate."""
+        level, as a Python float.  last is the consumption of the ladder's
+        rung before, None on its first rung.  By default _evaluate on a
+        one-element array, whatever last is; a class that defines _evaluate
+        and not _rung gets this default back, so it is walked through its
+        own _evaluate."""
         return float(self._evaluate(np.array([level]))[0])
 
     def evaluate(self, x):
@@ -126,26 +130,30 @@ class StationaryPolicy(ABC):
 
 class _Ladder:
     """The reserve ladder from one level, walked a rung at a time: a rung at
-    level L asks policy._rung(L) for its consumption, spends
-    u = min(_rung(L), L) and leaves L - u.  A NaN or negative u raises
-    ValueError.  fixed is set by a rung that leaves the level as it was, at
-    0 too: under _evaluate's per-level contract every later rung repeats it.
+    level L asks policy._rung(L, last) for its consumption, last being the
+    rung before's (None on the first), spends u = min(_rung(L, last), L)
+    and leaves L - u.  A NaN or negative u raises ValueError.  fixed is set
+    by a rung that leaves the level as it was, at 0 too: every later rung
+    repeats it, at 0 for every policy and elsewhere under _evaluate's
+    per-level contract (a custom MaximinPolicy's ladder, which follows the
+    rung before, ends at exactly 0).
     """
 
-    __slots__ = ("_rung", "level", "fixed")
+    __slots__ = ("_rung", "level", "last", "fixed")
 
     def __init__(self, policy: StationaryPolicy, level: float):
-        self._rung, self.level, self.fixed = policy._rung, level, False
+        self._rung, self.level, self.last, self.fixed = policy._rung, level, None, False
 
     def step(self) -> float:
         """Walk one rung and return its consumption; level is the level after it."""
         level = self.level
-        u = self._rung(level)
+        u = self._rung(level, self.last)
         if level < u:  # min(u, level), without the builtin's call
             u = level
         if not 0.0 <= u:  # NaN too
             raise ValueError("u must be finite and nonnegative")
         self.level = level - u
+        self.last = u
         self.fixed = self.level == level
         return u
 
@@ -158,7 +166,7 @@ class GreedyPolicy(StationaryPolicy):
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         return arr.copy()
 
-    def _rung(self, level: float) -> float:
+    def _rung(self, level: float, last: float | None = None) -> float:
         return level
 
 
@@ -173,7 +181,7 @@ class FixedFractionPolicy(StationaryPolicy):
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         return self.p * arr
 
-    def _rung(self, level: float) -> float:
+    def _rung(self, level: float, last: float | None = None) -> float:
         return self.p * level  # one correctly rounded product, as numpy's
 
 
@@ -259,7 +267,7 @@ class _Maximin(StationaryPolicy):
         self._cover(float(arr.max(initial=0.0)))
         return np.interp(arr, *self._arrays())
 
-    def _rung(self, level: float) -> float:
+    def _rung(self, level: float, last: float | None = None) -> float:
         if not level > self._xs[1]:  # the greedy segment: one rung spends it all
             return level
         if not level < self._xs[-1]:
@@ -285,20 +293,27 @@ class MaximinPolicy(_Maximin):
     slope is at least 1, so either puts u within inversion_tol of the
     root, the bound behind metrics.sweep's slack r'(0) inversion_tol / p.
     Each level runs on its own, so an array gets the bits of its levels
-    one at a time, and the ladder walks, Monte Carlo, value iteration and
-    curve share this one path.  After 200 steps a NaN residual, or a
+    one at a time, and Monte Carlo's chunks and slot loop, value iteration
+    and curve share this one path.  After 200 steps a NaN residual, or a
     finite one above 1e-9 (1 + x), raises RuntimeError, and a +inf one,
     whose ladder sum leaves the float range, ValueError.
 
-    _certify checks an array with one _ladder_sum call.  The reserve ladder
-    is served from a block of rungs keyed by level (_rung): a level the
-    block holds is taken from it, and any other starts a new block of up
-    to _span table rungs down the ladder, certified with one _ladder_sum
-    call and kept through its first failed certificate, which is refined.
-    A block kept whole doubles _span, up to _AHEAD rungs; one cut at its
-    k-th rung sets it to k + 1.  So every certificate call checks a rung
-    the walk asks for, a ladder whose every rung fails makes the calls of
-    one _evaluate a rung, and ladders that interleave start new blocks.
+    The reserve ladder (_rung) inverts only its top rung.  At
+    x = ladder_sum(u) the policy consumes u, and the level x - u it leaves
+    is ladder_sum(f(u)), f = step_down(reward, s, .), so it consumes f(u).
+    A custom reward's ladder takes _evaluate's certified u_0 and then
+    u_i = f(u_(i-1)) by _custom_step, the step whose iterates
+    rewards._ladder_sum adds, so one certificate sums exactly the rungs
+    the walk takes.  Rung i is the exact policy at the ladder's true level
+    u_i + u_(i+1) + ..., within |r_0| <= inversion_tol of the walk's level
+    plus the drift of its `level -= u`, which bernoulli_reward's drift
+    term bounds; f is convex and below the diagonal, so 1-Lipschitz, and
+    rung i lies within inversion_tol of the exact ladder's, inside the
+    i inversion_tol that metrics.sweep's slack allows it.  A step to 0
+    ends the true ladder, and what the drift left is spent whole, so every
+    ladder ends at exactly 0.  A hand-built awgn or sqrt MaximinPolicy
+    certifies every rung: its certificate is the closed-form sum, not the
+    iterated step.
 
     maximin_policy builds it for custom rewards only: awgn and sqrt, whose
     ladder steps are affine, get their kink tables, which need no
@@ -307,60 +322,38 @@ class MaximinPolicy(_Maximin):
 
     kind = "maximin_generic"
     inversion_tol = 1e-12
-    _AHEAD = 1024  # most rungs a block
-    _span = 16  # rungs of the next block
-
-    def __init__(self, reward: RewardFunction, p: float):
-        super().__init__(reward, p)
-        self._block: dict[float, float] = {}  # level -> certified consumption
 
     def _extends(self) -> bool:
         """Always: the certificate mends what the extended segment misses."""
         return True
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
+        """The table's consumptions, each refined where its certificate fails
+        at a level above x_1 (x itself on the greedy segment), spending at
+        most x; one _ladder_sum call certifies the whole array."""
         u = super()._evaluate(arr)
-        self._certify(arr, u)
-        return u
-
-    def _rung(self, level: float) -> float:
-        u = self._block.pop(level, None)
-        if u is not None:
-            return u
-        x1 = self._xs[1]
-        if not level > x1:  # the greedy segment: one rung spends it all
-            return level
-        self._cover(level)
-        levels, table = [], []
-        while len(levels) < self._span and level > x1:
-            u = self._table(level)
-            levels.append(level)
-            table.append(u)
-            level -= min(u, level)  # as the ladder spends it
-        u = np.array(table)
-        k = self._certify(np.array(levels), u, first=True)
-        self._span = k + 1 if k < u.size else min(2 * self._span, self._AHEAD)
-        kept = u[: k + 1].tolist()
-        self._block = dict(zip(levels[1 : k + 1], kept[1:]))
-        return kept[0]
-
-    def _certify(self, x: np.ndarray, u: np.ndarray, first: bool = False) -> int:
-        """Refine the table's consumptions whose certificates fail, at levels
-        above x_1 (x itself on the greedy segment), and spend at most x:
-        every failed one, or with first only the first, whose index it
-        returns, or x.size if none failed."""
-        i = np.flatnonzero(x > self._xs[1])
+        i = np.flatnonzero(arr > self._xs[1])
         if i.size:
             # _ladder_steps' log of a zero ratio; a ladder past the float range
             # gives a +inf residual, which brackets, or a NaN one, which stalls
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                r = _ladder_sum(self.reward, self.scale, u[i]) - x[i]
-                fails = np.flatnonzero(~(np.abs(r) <= self.inversion_tol))[: 1 if first else None]
-                i, r = i[fails], r[fails]
-                if i.size:
-                    u[i] = self._refine(x[i], u[i], r)
-        np.minimum(u, x, out=u)  # x itself where they tie, -0.0 too
-        return int(i[0]) if i.size else x.size
+                r = _ladder_sum(self.reward, self.scale, u[i]) - arr[i]
+                fails = np.flatnonzero(~(np.abs(r) <= self.inversion_tol))
+                if fails.size:
+                    i = i[fails]
+                    u[i] = self._refine(arr[i], u[i], r[fails])
+        np.minimum(u, arr, out=u)  # x itself where they tie, -0.0 too
+        return u
+
+    def _rung(self, level: float, last: float | None = None) -> float:
+        x1 = self._xs[1]  # y_1, the step's cutoff at s
+        if not level > x1:  # the greedy segment: one rung spends it all
+            return level
+        if last is None or self.reward.affine:
+            return float(self._evaluate(np.array([level]))[0])
+        rw = self.reward
+        down = _custom_step(rw, self.scale, np.array([last]), x1, rw.marginal(0.0))
+        return float(down[0]) or level  # a step to 0: the drift left is spent whole
 
     def _refine(self, x: np.ndarray, u: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Regula falsi in each level's kink bracket from u (residual r) and the
@@ -428,11 +421,6 @@ class MaximinSqrtPolicy(_Maximin):
 
     def __init__(self, p: float):
         super().__init__(RewardFunction.sqrt_rate(), p)
-
-
-def awgn_segment_index(gamma: float, p: float, x):
-    """Index of the linear segment of the awgn maximin policy holding x."""
-    return MaximinAwgnPolicy(gamma, p).segment_index(x)
 
 
 def maximin_policy(reward: RewardFunction, p: float) -> _Maximin:

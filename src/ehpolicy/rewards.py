@@ -26,7 +26,9 @@ Each public ladder function validates s and x once and then runs a raw kernel
 (``_ladder_steps``, ``_ladder_sum``) on the float array; the maximin policy's
 inversion certifies each of its points with ``_ladder_sum`` directly, and a
 custom ladder steps its rungs with ``_custom_step``, finding the cutoff and
-marginal(0) once.
+marginal(0) once.  A custom reward's maximin walks its reserve ladder with
+the same ``_custom_step`` below its one certified top rung, so that
+certificate sums exactly the rungs the walk takes.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from mpmath_oracle import Maximin
+from mpmath_oracle import Maximin, maximin_series_closed
 
 from ehpolicy import arrivals as arr
 from ehpolicy import evaluation as ev
@@ -251,9 +251,10 @@ class TestKinkTable:
 
 
 class TestLookAhead:
-    """MaximinPolicy._rung serves the ladder from a block of rungs down it,
-    certified with one ladder-sum call, and every rung the ladder walks
-    keeps the bits that _evaluate gives its level alone."""
+    """The reserve ladder of a hand-built awgn or sqrt MaximinPolicy
+    certifies every rung, so each rung keeps the bits that _evaluate gives
+    its level alone; a custom reward's ladder inverts its top rung and
+    steps down from there by the ladder step."""
 
     REWARDS = {"sqrt": SQRT, "awgn": AWGN1, "log1p": LOG1P, "curved": CURVED}
 
@@ -289,21 +290,71 @@ class TestLookAhead:
             want = fresh._evaluate(np.array([level]))[0]
             assert u.hex() == float(want).hex(), level
 
+    @staticmethod
+    def assert_stepped(policy, rungs):
+        """The first rung is _evaluate's on its level, on a policy that has
+        seen nothing else, and each later rung the public step_down of the
+        one before, or the whole level at or below x_1 or after a step to 0."""
+        fresh = type(policy)(policy.reward, policy.p)
+        x1 = fresh.kinks.x[1]
+        want = float(fresh._evaluate(np.array([rungs[0][0]]))[0])
+        for i, (level, u) in enumerate(rungs):
+            if i:
+                want = rw.step_down(policy.reward, policy.scale, rungs[i - 1][1])
+            if level <= x1 or want == 0.0:
+                want = level
+            assert u.hex() == min(want, level).hex(), (i, level)
+
     @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.1, 0.5])
-    @pytest.mark.parametrize("name", list(REWARDS))
+    @pytest.mark.parametrize("name", ["sqrt", "awgn"])
     def test_whole_ladders_keep_the_bits_of_each_level(self, name, p):
         reward = self.REWARDS[name]
         policy = pol.MaximinPolicy(reward, p)
         rungs = self.walk(policy, self.head(reward, p, 40))
-        assert len(rungs) == 40  # blocks of 16 and 32 from the head
+        assert len(rungs) == 40
         self.assert_alone(policy, rungs)
 
-    @pytest.mark.parametrize("p", [1e-6, 0.01])
-    @pytest.mark.parametrize("name", ["sqrt", "log1p"])
-    def test_ladders_started_off_another_keep_their_bits(self, name, p):
+    @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.1, 0.5])
+    @pytest.mark.parametrize("name", ["log1p", "curved"])
+    def test_custom_ladders_step_down_from_one_inversion(self, name, p, monkeypatch):
         reward = self.REWARDS[name]
         policy = pol.MaximinPolicy(reward, p)
-        rungs, ladder = [], pol._Ladder(policy, self.head(reward, p, 30))
+        calls, ladder_sum = [], pol._ladder_sum
+
+        def counted(*args):
+            calls.append(args[2].size)
+            return ladder_sum(*args)
+
+        monkeypatch.setattr(pol, "_ladder_sum", counted)
+        ladder = pol._Ladder(policy, self.head(reward, p, 40))
+        rungs = [self.step(ladder)]
+        inverted = len(calls)  # the top rung's certificate and refinement
+        while ladder.level > 0.0:
+            rungs.append(self.step(ladder))
+        assert len(rungs) == 40 and inverted and len(calls) == inverted
+        self.assert_stepped(policy, rungs)
+        # the recursion's rung is the policy at the ladder's true level, within
+        # inversion_tol plus the walk's level drift, 3.5 eps times the climb
+        # L_1 + ... + L_i (bernoulli_reward's drift term), of the policy at
+        # the walk's level, which _evaluate finds within inversion_tol
+        levels = np.array([level for level, _ in rungs])
+        alone = type(policy)(reward, p)._evaluate(levels)
+        slack = 2 * policy.inversion_tol + 3.5 * EPS * np.cumsum(levels)
+        assert np.all(np.abs(np.array([u for _, u in rungs]) - alone) <= slack)
+
+    def test_a_step_to_zero_spends_the_level_left_whole(self):
+        # the float level can drift above x_1 where the true ladder ends (log1p
+        # from c = 1e18 at p = 0.1 keeps 758.9 there): the rung spends it all,
+        # so the ladder still ends at exactly 0
+        policy = pol.MaximinPolicy(LOG1P, 0.1)
+        x1 = policy.kinks.x[1]
+        assert rw.step_down(LOG1P, policy.scale, 0.5 * x1) == 0.0
+        assert policy._rung(3.0 * x1, 0.5 * x1) == 3.0 * x1
+
+    @pytest.mark.parametrize("p", [1e-6, 0.01])
+    def test_ladders_started_off_another_keep_their_bits(self, p):
+        policy = pol.MaximinPolicy(SQRT, p)
+        rungs, ladder = [], pol._Ladder(policy, self.head(SQRT, p, 30))
         for i in range(30):
             if i in (3, 11):  # a new ladder one ulp below the next rung, then at 0.9 of it
                 level = ladder.level
@@ -313,7 +364,7 @@ class TestLookAhead:
         self.assert_alone(policy, rungs)
 
     @pytest.mark.parametrize("p", [1e-3, 0.01])
-    def test_a_certificate_that_fails_mid_block_ends_it_there(self, p, monkeypatch):
+    def test_rungs_whose_certificates_fail_are_refined(self, p, monkeypatch):
         # y_k read 1e-9 high: the table is off in segment k, so the rungs
         # there fail their certificates after rungs that pass.  The walk
         # reads the kink list and _evaluate the array: both are bumped
@@ -322,21 +373,15 @@ class TestLookAhead:
         policy.evaluate(c)
         policy._ys[30] += 1e-9
         policy._y[30] = policy._ys[30]
-        starts, refined = set(), []
-        certify, refine = policy._certify, policy._refine
-
-        def started(x, u, first=False):
-            starts.add(float(x[0]))  # the level that started the block
-            return certify(x, u, first)
+        refined, refine = [], policy._refine
 
         def refining(x, u, r):
             refined.extend(x)  # each of them failed its table certificate
             return refine(x, u, r)
 
-        monkeypatch.setattr(policy, "_certify", started)
         monkeypatch.setattr(policy, "_refine", refining)
         rungs = self.walk(policy, c)
-        assert any(level not in starts and level != c for level in refined)
+        assert any(level != c for level in refined)
         for level, u in rungs:  # against the same corrupt table
             assert u.hex() == float(policy._evaluate(np.array([level]))[0]).hex(), level
 
@@ -344,19 +389,22 @@ class TestLookAhead:
     def test_alternating_ladders_keep_their_bits(self, name):
         # the renewal path walks its ladders from c and from 0 in stretches
         # on one policy; here two ladders alternate rung by rung, and each
-        # asks for its own blocks
+        # gives the rungs it gives when walked alone
         reward = self.REWARDS[name]
         policy = pol.MaximinPolicy(reward, 1e-3)
-        a = pol._Ladder(policy, self.head(reward, 1e-3, 35))
-        b = pol._Ladder(policy, self.head(reward, 1e-3, 20))
-        empty, rungs = pol._Ladder(policy, 0.0), []
+        tops = self.head(reward, 1e-3, 35), self.head(reward, 1e-3, 20)
+        a, b = (pol._Ladder(policy, top) for top in tops)
+        empty, rungs = pol._Ladder(policy, 0.0), {a: [], b: []}
         while a.level > 0.0 or b.level > 0.0:
             for ladder in (a, b):
                 if ladder.level > 0.0:
-                    rungs.append(self.step(ladder))
+                    rungs[ladder].append(self.step(ladder))
             assert empty.step() == 0.0 and empty.fixed
-        assert len(rungs) == 55
-        self.assert_alone(policy, rungs)
+        assert [len(rungs[a]), len(rungs[b])] == [35, 20]
+        for top, ladder in zip(tops, (a, b)):
+            assert rungs[ladder] == self.walk(pol.MaximinPolicy(reward, 1e-3), top)
+            if name == "sqrt":
+                self.assert_alone(policy, rungs[ladder])
 
     @pytest.mark.parametrize("top", [1e300, 1.7e308, np.finfo(float).max])
     @pytest.mark.parametrize("name", ["sqrt", "awgn"])
@@ -371,7 +419,10 @@ class TestLookAhead:
         policy = pol.MaximinPolicy(self.REWARDS[name], 0.1)
         rungs = self.walk(policy, 40.0)
         assert len(policy.kinks.x) == 5 and rungs[1][0] > policy.kinks.x[-1]
-        self.assert_alone(policy, rungs)
+        if name == "sqrt":
+            self.assert_alone(policy, rungs)
+        else:
+            self.assert_stepped(policy, rungs)
 
     def test_a_subclass_with_its_own_evaluate_is_served_by_it(self):
         policy = _Halved(SQRT, 1e-3)
@@ -382,29 +433,40 @@ class TestLookAhead:
         assert rungs[0][1] == 0.5 * plain._rung(rungs[0][0])
 
 
-class TestCertificateCount:
-    """The sqrt series certifies a block of rungs a ladder-sum call, and a
-    ladder whose every certificate fails makes no more calls than one rung
-    at a time would: the table's, then the chord's."""
+class TestCustomSeries:
+    """log1p, the awgn:1 closed forms as a custom reward, walks its series
+    with one certified inversion a ladder: a handful of _ladder_sum calls
+    a cell, within its tolerance of the awgn:1 oracle and within 1 s."""
 
-    @pytest.mark.parametrize("c, p, most", [(8.0, 0.01, 4), (8.0, 1e-3, 6), (1.0, 1e-6, 1998)])
-    def test_ladder_sum_calls_of_the_sqrt_series(self, c, p, most, monkeypatch):
-        calls = []
+    CELLS = [(p, c) for p in (1e-5, 1e-4, 1e-3, 0.01, 0.5) for c in (1.0, 8.0, 50.0)] + [
+        (p, 1e3) for p in (1e-4, 1e-3, 0.01, 0.5)
+    ]
+
+    @pytest.mark.parametrize("p, c", CELLS)
+    def test_against_the_oracle(self, p, c, monkeypatch):
+        calls, ladder_sum = [], pol._ladder_sum
 
         def counted(*args):
             calls.append(args[2].size)
             return ladder_sum(*args)
 
-        ladder_sum = pol._ladder_sum
         monkeypatch.setattr(pol, "_ladder_sum", counted)
-        ev.bernoulli_reward(pol.MaximinPolicy(SQRT, p), SQRT, c, p)
-        assert len(calls) <= most, len(calls)
+        started = time.perf_counter()
+        res = ev.bernoulli_reward(pol.MaximinPolicy(LOG1P, p), LOG1P, c, p)
+        assert time.perf_counter() - started < 1.0
+        assert len(calls) <= 4 and set(calls) <= {1}, calls
+        assert abs(mpmath.mpf(res.value) - maximin_series_closed(1.0, p, c)) <= res.tolerance
+
+    def test_ergodic_levels_fall_strictly_to_zero(self):
+        levels = pol.ergodic_levels(pol.MaximinPolicy(LOG1P, 1e-4), 50.0)
+        assert levels[0] == 50.0 and levels[-1] == 0.0
+        assert np.all(np.diff(levels) < 0.0)
 
 
 class TestLookAheadOracle:
-    """The look-ahead's certified rungs lie within inversion_tol of the
-    60-digit policy, but where the closed form's noise floor is coarser; the
-    sqrt table's rungs lie within it everywhere."""
+    """A hand-built sqrt MaximinPolicy's certified rungs lie within
+    inversion_tol of the 60-digit policy, but where the closed form's noise
+    floor is coarser; the sqrt table's rungs lie within it everywhere."""
 
     @pytest.mark.parametrize(
         "p, c",
@@ -495,7 +557,7 @@ class TestMaximinAwgn:
         omega = pol.MaximinAwgnPolicy(1.0, 0.5)
         idx = omega.segment_index(np.array([0.5, 2.0, 5.0, 20.0]))
         np.testing.assert_array_equal(idx, [1, 2, 3, 4])
-        assert pol.awgn_segment_index(1.0, 0.5, 2.0) == 2
+        assert pol.MaximinAwgnPolicy(1.0, 0.5).segment_index(2.0) == 2
 
     @pytest.mark.parametrize("p", [1e-3, 0.1, 0.5])
     def test_sqrt_segment_index_against_the_oracle(self, p):
@@ -513,7 +575,7 @@ class TestMaximinAwgn:
         kinks = pol.maximin_kinks(AWGN1, 1e-5, 600.0)
         x = np.array([e.x for e in kinks])
         inside = x[1:] - 1e-3 * np.diff(x)
-        idx = pol.awgn_segment_index(1.0, 1e-5, inside)
+        idx = pol.MaximinAwgnPolicy(1.0, 1e-5).segment_index(inside)
         np.testing.assert_array_equal(idx, [e.k for e in kinks[1:]])
 
     @pytest.mark.parametrize("p", [1e-3, 0.1, 0.5, 0.9])
@@ -529,7 +591,7 @@ class TestMaximinAwgn:
             if not past.any():
                 break
             want += past
-        got = pol.awgn_segment_index(gamma, p, x)
+        got = pol.MaximinAwgnPolicy(gamma, p).segment_index(x)
         np.testing.assert_array_equal(got[: len(grid)], want[: len(grid)])
         # the closed-form endpoint E_k and the policy's running-sum kink x_k
         # differ by ulps, so E_k lands on either side of x_k: in segment k
