@@ -50,9 +50,14 @@ class DiscretizedPMF:
 
 
 class ArrivalDistribution:
-    """Base class; subclasses fill in the continuous CDF and the atoms."""
+    """Base class; subclasses fill in the continuous CDF, the atoms and _transform."""
 
     family: str = ""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "sample" not in vars(cls):  # each family's own, so wrapping one wraps it alone
+            cls.sample = ArrivalDistribution.sample
 
     def __init__(self, c: float):
         self.c = _check_positive(c, "capacity c")
@@ -87,11 +92,17 @@ class ArrivalDistribution:
     # -- sampling and discretization -----------------------------------------
 
     def sample(self, rng: np.random.Generator, size=None, out=None):
-        """Draw capped arrivals using the supplied generator.
+        """Draw capped arrivals with the generator: _fill's raw draws through _transform.
 
         With out, a C-contiguous float64 array of shape size, the draws are
         written into it and it is returned, with the bits of a fresh draw.
         """
+        return self._transform(self._fill(rng, size, out=out), out)
+
+    def _fill(self, rng: np.random.Generator, size=None, out=None):  # the raw draws
+        return rng.random(size, out=out)
+
+    def _transform(self, raw, out=None):  # elementwise, into out (raw too) where given
         raise NotImplementedError
 
     def discretize(self, cells: int) -> DiscretizedPMF:
@@ -138,12 +149,11 @@ class BernoulliArrivals(ArrivalDistribution):
     def mcr(self) -> float:
         return self.p
 
-    def sample(self, rng: np.random.Generator, size=None, out=None):
-        """c * (u < p) for uniforms u from rng.random: a draw is exactly c
-        when its uniform is below p, else 0.0.  simulate's renewal path
-        draws the same uniforms and compares them to p without this call,
-        so its charges are these draws, bit for bit."""
-        return np.multiply(rng.random(size, out=out) < self.p, self.c, out=out)
+    def _transform(self, raw, out=None):
+        """c * (u < p): c exactly where the uniform is below p, else 0.0, so
+        simulate's renewal path, which compares its uniforms to p, has these
+        draws bit for bit."""
+        return np.multiply(raw < self.p, self.c, out=out)
 
 
 class LimitedUniformArrivals(ArrivalDistribution):
@@ -169,9 +179,8 @@ class LimitedUniformArrivals(ArrivalDistribution):
     def nmcr(self) -> float:
         return self.b / (2.0 * self.c)
 
-    def sample(self, rng: np.random.Generator, size=None, out=None):
-        drawn = np.multiply(rng.random(size, out=out), self.b, out=out)
-        return np.minimum(drawn, self.c, out=out)
+    def _transform(self, raw, out=None):
+        return np.minimum(np.multiply(raw, self.b, out=out), self.c, out=out)
 
 
 class LimitedExponentialArrivals(ArrivalDistribution):
@@ -195,10 +204,12 @@ class LimitedExponentialArrivals(ArrivalDistribution):
     def nmcr(self) -> float:
         return 1.0 / (self.rate * self.c)
 
-    def sample(self, rng: np.random.Generator, size=None, out=None):
+    def _fill(self, rng: np.random.Generator, size=None, out=None):
+        return rng.standard_exponential(size, out=out)
+
+    def _transform(self, raw, out=None):
         # rng.exponential(scale) is scale times the standard draw, bit for bit
-        drawn = np.multiply(rng.standard_exponential(size, out=out), 1.0 / self.rate, out=out)
-        return np.minimum(drawn, self.c, out=out)
+        return np.minimum(np.multiply(raw, 1.0 / self.rate, out=out), self.c, out=out)
 
 
 def _exponential_nmcr_for_mcr(p: float) -> float:

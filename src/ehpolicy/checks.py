@@ -375,17 +375,17 @@ def evaluation_checks(seed: int) -> list[CheckResult]:
     # one path, three slots of 0.75 at c = 1: the second is capped at c
     spent = np.empty((2, 3, 1))
     for rows, policy in zip(spent, (pol.FixedFractionPolicy(0.5), _Scaled(2.0))):
-        ev._slot_steps(policy, np.full((1, 3), 0.75), rows, np.zeros(1), 1.0)
+        ev._slot_steps(policy._evaluate, np.full((3, 1), 0.75), rows, np.zeros(1), 1.0)
     slots = spent.reshape(2, 3).tolist()
     ok = slots == [[0.375, 0.5, 0.5], [0.75] * 3]
     out.append(_mk("slot loop caps at c and clamps to the level", ok, f"{slots!r}"))
     # one block of 300 slots on 4 paths, run by the chunks and by the slot loop
     uniform, policy, cols = arr.from_mcr("uniform", 2.0, 0.5), pol.MaximinAwgnPolicy(1.0, 0.5), 300
-    draws = np.zeros((4, -(-cols // ev._CHUNK) * ev._CHUNK))
-    draws[:, :cols] = [uniform.sample(rng, cols) for rng in ev._streams(seed, 4)]
-    spliced, looped, full = (np.empty(draws.shape[::-1]) for _ in range(3))
-    end, met = ev._spliced_block(policy, draws, spliced, full, np.zeros(4), 2.0, cols)
-    carried = ev._slot_steps(policy, draws[:, :cols], looped[:cols], np.zeros(4), 2.0)
+    draws = np.zeros((-(-cols // ev._CHUNK) * ev._CHUNK, 4))  # slot-major
+    draws[:cols] = np.transpose([uniform.sample(rng, cols) for rng in ev._streams(seed, 4)])
+    spliced, looped, full = (np.empty(draws.shape) for _ in range(3))
+    end, met = ev._spliced_block(policy._evaluate, draws, spliced, full, np.zeros(4), 2.0, cols)
+    carried = ev._slot_steps(policy._evaluate, draws[:cols], looped[:cols], np.zeros(4), 2.0)
     ok = met and np.array_equal(end, carried) and np.array_equal(spliced[:cols], looped[:cols])
     out.append(_mk("chunked splice matches the slot loop bit for bit", ok, f"met {met!r}"))
     rejected = []

@@ -64,6 +64,7 @@ from .policies import (
     FixedFractionPolicy,
     StationaryPolicy,
     _Ladder,
+    _Maximin,
     maximin_policy,
 )
 from .rewards import RewardFunction, _check_fraction, _check_positive
@@ -84,17 +85,17 @@ __all__ = [
 _SERIES_RUNGS = 1_000_000  # bernoulli_reward's rung cap
 _SERIES_CAP = ("Bernoulli series tail bound", "rungs")  # what NonConvergenceError names there
 _EPS = float(np.finfo(float).eps)
-# slots per simulate block and rungs per series block: a simulate block holds
-# three block-by-paths arrays (one of bools by renewal) and costs one draw call
-# per path, a series block one reward._value call, so memory stays flat
+# rungs per series block (one reward._value call) and the fewest slots per
+# simulate block (one draw call a path), so memory stays flat: a chunked
+# block is max(_SLOT_BLOCK, 4 * _GATHER // paths) slots, 2 048 at 64 paths
 _SLOT_BLOCK = 1024
 # slots per chunk of simulate's time-parallel pass over a block
 _CHUNK = 64
-# elements per scratch buffer of the renewal path, which holds a group of
-# paths' uniforms or a slice of slot rows: 32 of them at 1024 slots or paths
+# elements per scratch buffer of simulate, which holds a group of paths' raw
+# draws or a slice of slot rows to score: 32 of them at 1024 slots or paths
 _GATHER = 1 << 15
-# fewest paths at which _down_slots, simulate's running maxima and sums,
-# runs one slot row at a time; below it one accumulate down the slot axis is
+# fewest paths at which _down_slots, the renewal path's running maximum, runs
+# one slot row at a time; below it one accumulate down the slot axis is
 # cheaper than a ufunc call a row, and above it that strided accumulate is
 # the slower
 _ROW_PATHS = 256
@@ -538,17 +539,16 @@ def simulate(
 
     Runs `paths` independent n-slot trajectories started with an empty
     battery and averages their per-slot rewards.  Path i draws from the
-    generator of SeedSequence(seed).spawn(paths)[i], bit for bit, so a seed
-    fixes the result bit for bit; _streams hashes all the children at once
-    and spot-checks one against numpy's own SeedSequence.  stderr is the
-    sample standard error over paths.
+    generator of SeedSequence(seed).spawn(paths)[i] (_streams), so a seed
+    fixes the result bit for bit.  stderr is the sample standard error over
+    paths.
 
-    Draws come in time blocks of _SLOT_BLOCK slots, each path's generator
-    continuing where the last block stopped, so memory does not grow with n
-    and the draws equal one n-slot draw per path.  Rewards are added to each
-    path's total in slot order (_down_slots).  The slots run one of two
-    ways, both resting on _evaluate's per-level contract (but for a custom
-    MaximinPolicy's ladder, see _renewal_totals):
+    Draws come in time blocks, each path's generator continuing where the
+    last block stopped, so memory does not grow with n and the draws equal
+    one n-slot draw per path.  Rewards are added to each path's total in
+    slot order (_summed).  The slots run one of two ways, both resting on
+    _evaluate's per-level contract (but for a custom MaximinPolicy's ladder,
+    see _renewal_totals):
 
       * 0-or-c arrivals (BernoulliArrivals) by renewal: every charge fills
         the battery to exactly c, so a path's level is the rung of the
@@ -564,11 +564,11 @@ def simulate(
         by the slot loop, _slot_steps, and so is the rest of the call: on
         slow-mixing laws this costs one block's chunk passes.
 
-    Each path's generator fills its own row of a path-major buffer: on
-    0-or-c arrivals with bare uniforms, which a comparison to p turns into
-    sample's charges bit for bit, and on any other law through sample's
-    out=.  Every way scores the block's consumptions through reward.value,
-    which rejects NaN or negative ones, and gives the same bits.
+    Paths draw in groups into a float scratch, one generator call a path:
+    bare uniforms, which a comparison to p turns into 0-or-c charges, or
+    _fill's raw draws, which the law's _transform maps once a group into a
+    slot-major block of draws.  Both ways score the consumptions through
+    reward.value, which rejects NaN or negative ones, in slices of slot rows.
     """
     n, paths = int(n), int(paths)
     if n < 1 or paths < 2:
@@ -577,25 +577,41 @@ def simulate(
     streams = _streams(seed, paths)
     if isinstance(arrivals, BernoulliArrivals):
         return _estimate(_renewal_totals(policy, arrivals, reward, n, streams), n)
+    evaluate = policy._evaluate  # the array kernel of the chunks and the slot loop
+    if getattr(evaluate, "__func__", None) is _Maximin._evaluate:  # a kink table's:
+        policy._cover(c)  # once, as _evaluate would at the first chunk pass's top level c
+        evaluate = functools.partial(np.interp, xp=policy._arrays()[0], fp=policy._arrays()[1])
     chunked = True  # until a block's chunks do not all meet
-    width = min(n, _SLOT_BLOCK)
+    width = min(n, max(_SLOT_BLOCK, 4 * _GATHER // paths))
     span = -(-width // _CHUNK) * _CHUNK
-    draws = np.empty((paths, span))  # path-major, each path's draws a row
-    spent = np.empty((span, paths))  # slot-major, each slot's consumptions a row
-    full = np.empty_like(spent)
+    group = min(paths, max(1, _GATHER // width))  # paths a draw scratch holds
+    rows = max(1, _GATHER // paths)  # slot rows a scored slice
+    draws, spent, full = (np.empty((span, paths)) for _ in range(3))  # slot-major
     stored = np.zeros(paths)
     totals = np.zeros(paths)
     for start in range(0, n, width):
         cols = min(width, n - start)
-        for row, rng in zip(draws, streams):
-            arrivals.sample(rng, cols, out=row[:cols])
+        for g in range(0, paths, group):  # the scratch is full's, which pass 1 writes afresh
+            raw = full.ravel()[: group * cols].reshape(group, cols)[: paths - g]
+            for row, rng in zip(raw, streams[g:]):
+                arrivals._fill(rng, cols, out=row)
+            draws[:cols, g : g + len(raw)] = arrivals._transform(raw, out=raw).T
         if chunked:
-            stored, chunked = _spliced_block(policy, draws, spent, full, stored, c, cols)
+            stored, chunked = _spliced_block(evaluate, draws, spent, full, stored, c, cols)
         else:
-            stored = _slot_steps(policy, draws[:, :cols], spent[:cols], stored, c)
-        gains = reward.value(spent[:cols])
-        totals = _down_slots(np.add, totals, gains)
+            stored = _slot_steps(evaluate, draws[:cols], spent[:cols], stored, c)
+        for lo in range(0, cols, rows):
+            totals = _summed(totals, reward.value(spent[lo : min(lo + rows, cols)]))
     return _estimate(totals, n)
+
+
+def _summed(totals: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """totals plus each path's gains, summed down the slot-major gains in
+    slot order: numpy sums pairwise only along the fast axis, and down the
+    slots of a C-contiguous block by rows, so with each path's loop's bits."""
+    gains = np.require(gains, requirements="CW")  # a custom value_fn's result too
+    gains[0] += totals
+    return np.add.reduce(gains, axis=0)
 
 
 def _streams(seed, paths: int) -> list:
@@ -675,37 +691,37 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value
 
 
-def _slot_steps(policy, draws, spent, level, c):
+def _slot_steps(evaluate, draws, spent, level, c):
     """Run the slots one by one over all paths from `level`, reading each
-    slot's draws from a column of draws and writing its consumptions into
-    a row of spent, and return the level carried out of the last."""
-    for col, row in zip(draws.T, spent):
-        lvl = np.minimum(level + col, c)
-        np.minimum(policy._evaluate(lvl), lvl, out=row)
+    slot's draws from a row of draws and writing its consumptions, by the
+    array kernel evaluate, into a row of spent; return the level left."""
+    for drawn, row in zip(draws, spent):
+        lvl = np.minimum(level + drawn, c)
+        np.minimum(evaluate(lvl), lvl, out=row)
         level = lvl - row
     return level
 
 
-def _spliced_block(policy, draws, spent, full, level, c, cols):
+def _spliced_block(evaluate, draws, spent, full, level, c, cols):
     """simulate's time-parallel pass over one block of `cols` slots, whose
-    draws are in the path-major draws[:, :cols]: writes the slots'
-    consumptions into spent[:cols] and returns the level carried out of the
-    block, and whether every chunk but the last met its full copy.
+    draws are in the slot-major draws[:cols]: writes the consumptions by
+    the array kernel evaluate into spent[:cols] and returns the level
+    carried out of the block, and whether every chunk but the last met.
 
     The block is cut into chunks of _CHUNK slots, the last one possibly
     short.  Pass 1 runs a copy of every chunk of every path from a full
-    battery, all side by side, keeping each slot's consumption in spent and
-    its stored level in full.  Pass 2 starts a spliced copy of chunk 0 from
-    `level` and of chunk k from the end of chunk k - 1's full copy, and runs
-    them side by side, writing a copy's consumptions until, after some slot,
-    its level equals its full copy's bit for bit (==).  From that slot on
-    the two meet the same draws from the same level, so the full copy's
-    consumptions stand.  If every chunk but the last met, each spliced copy
-    started from the true level, by induction from chunk 0, and spent holds
-    the true consumptions; the last chunk's copy is written to the block's
-    end wherever it did not meet.  Otherwise the earliest chunk that did
-    not meet started from the true level, and the slot loop reruns the
-    block from there.
+    battery, all side by side in one reused level buffer, keeping each
+    slot's consumption in spent and its stored level in full.  Pass 2
+    starts a spliced copy of chunk 0 from `level` and of chunk k from the
+    end of chunk k - 1's full copy, and runs them side by side, writing a
+    copy's consumptions until, after some slot, its level equals its full
+    copy's bit for bit (==).  From then on the two meet the same draws
+    from the same level, so the full copy's consumptions stand.  If every
+    chunk but the last met, each spliced copy started from the true level,
+    by induction from chunk 0, and spent holds the true consumptions; the
+    last chunk's copy is written to the block's end wherever it did not
+    meet.  Otherwise the slot loop reruns the block from the earliest chunk
+    that did not meet, which started from the true level.
 
     Each step is the slot loop's arithmetic on an array of levels, each of
     one path at one slot, so it gives the slot loop's bits under
@@ -715,33 +731,31 @@ def _spliced_block(policy, draws, spent, full, level, c, cols):
     rounding, and the two meet once both empty or both fill: within a few
     slots on most laws.
     """
-    paths, span = draws.shape
+    paths = draws.shape[1]
     chunks = -(-cols // _CHUNK)
     tail = cols - (chunks - 1) * _CHUNK  # the slots of the last chunk
-    # (chunk, slot in the chunk, path) views of the three buffers
-    d3 = draws.reshape(paths, -1, _CHUNK)[:, :chunks].transpose(1, 2, 0)
-    s3, f3 = (a.reshape(-1, _CHUNK, paths)[:chunks] for a in (spent, full))
-    stored = np.full((chunks, paths), c)
+    # (chunk, slot in the chunk, path) views of the three blocks
+    d3, s3, f3 = (a.reshape(-1, _CHUNK, paths)[:chunks] for a in (draws, spent, full))
+    levels, stored = np.empty((chunks, paths)), np.full((chunks, paths), c)
     for s in range(_CHUNK):
         k = chunks if s < tail else chunks - 1
         if k == 0:
             break
-        lvl = np.minimum(stored[:k] + d3[:k, s], c)
-        u = policy._evaluate(lvl.ravel()).reshape(lvl.shape)
+        lvl = np.minimum(np.add(stored[:k], d3[:k, s], out=levels[:k]), c, out=levels[:k])
+        u = evaluate(lvl.ravel()).reshape(lvl.shape)
         stored = np.subtract(lvl, np.minimum(u, lvl, out=s3[:k, s]), out=f3[:k, s])
     starts = np.concatenate((level, f3[:-1, -1].ravel()))  # chunk k's spliced start
     end = f3[-1, tail - 1].copy()
-    # the copies still going: their chunk and path, the flat offsets of
-    # their chunk's first draw and first consumption, and their levels
+    # the copies still going: their chunk and path, the flat offset of their
+    # chunk's first slot in the three blocks, and their levels
     chunk, path = np.divmod(np.arange(chunks * paths), paths)
-    at_draw = path * span + chunk * _CHUNK
     offset = chunk * (_CHUNK * paths) + path
     x = starts
     d1, s1, f1 = draws.ravel(), spent.ravel(), full.ravel()
     for s in range(_CHUNK):
         at = offset + s * paths
-        lvl = np.minimum(x + d1.take(at_draw + s), c)
-        u = np.minimum(policy._evaluate(lvl), lvl)
+        lvl = np.minimum(x + d1.take(at), c)
+        u = np.minimum(evaluate(lvl), lvl)
         s1[at] = u
         x = lvl - u
         going = x != f1.take(at)
@@ -750,13 +764,13 @@ def _spliced_block(policy, draws, spent, full, level, c, cols):
             end[path[last]] = x[last]
             going &= ~last
         if not going.all():
-            chunk, path, offset, at_draw, x = (v[going] for v in (chunk, path, offset, at_draw, x))
+            chunk, path, offset, x = (v[going] for v in (chunk, path, offset, x))
             if not x.size:
                 return end, True
     first = int(chunk.min())
     lo = first * _CHUNK
     level = starts[first * paths : (first + 1) * paths]
-    return _slot_steps(policy, draws[:, lo:cols], spent[lo:cols], level, c), False
+    return _slot_steps(evaluate, draws[lo:cols], spent[lo:cols], level, c), False
 
 
 def _estimate(totals: np.ndarray, n: int) -> EvaluationResult:
@@ -811,20 +825,20 @@ def _renewal_totals(
     The one block-sized array holds a time block's charges, path-major, one
     bool a draw: groups of _GATHER // width paths draw their uniforms into a
     float scratch, and one comparison to p marks a group's charges (a draw
-    is c exactly when its uniform is below p, as in BernoulliArrivals.sample).
+    is c exactly when its uniform is below p, as in BernoulliArrivals' map).
     Slices of _GATHER // paths slot rows then read the charges transposed
     into two slot-major buffers: the counts, each slot's 1 + slot where a
     path charged, a running maximum down the slots for the last charge and
     the slots since it; and the rewards gathered from the reward table of
     the ladder from c, walked only as far as the longest gap seen or to its
-    fixed point (_walked), which a running sum adds into the totals.  Each
+    fixed point (_walked), which one reduce adds into the totals.  Each
     path's maximum and sum go on from slice to slice in slot order
-    (_down_slots), with op.accumulate's bits.  The ladder from 0 is one
-    rung: its first spends min(u, 0) = 0 and is its fixed point, so every
-    slot before a path's first charge gains that rung's reward, walked (and a
-    NaN or negative u rejected) in the first slice with such a slot.  The
-    counts are int32 while n allows, and np.take's intp copy of them is one
-    slice: at 1 024 paths a call holds 1 MB of charges and 1 MB of scratch.
+    (_down_slots, _summed).  The ladder from 0 is one rung: its first
+    spends min(u, 0) = 0 and is its fixed point, so every slot before a
+    path's first charge gains that rung's reward, walked (and a NaN or
+    negative u rejected) in the first slice with such a slot.  The counts
+    are int32 while n allows, and np.take's intp copy of them is one slice:
+    at 1 024 paths a call holds 1 MB of charges and 1 MB of scratch.
     """
     c, paths = arrivals.c, len(streams)
     width = min(n, _SLOT_BLOCK)
@@ -843,16 +857,15 @@ def _renewal_totals(
     for start in range(0, n, width):
         cols = min(width, n - start)
         for g in range(0, paths, group):
-            batch = streams[g : g + group]
-            drawn = uniforms[: len(batch), :cols]
-            for row, rng in zip(drawn, batch):
+            drawn = uniforms[: paths - g, :cols]  # the group's paths, one row each
+            for row, rng in zip(drawn, streams[g:]):
                 rng.random(cols, out=row)
             np.less(drawn, arrivals.p, out=charged[g : g + group, :cols])
         for lo in range(0, cols, rows):
             since, gain = counts[: cols - lo], gains[: cols - lo]
             slots = np.arange(start + lo + 1, start + lo + 1 + len(since), dtype=count)[:, None]
             np.multiply(charged[:, lo : lo + len(since)].T, slots, out=since)  # 1 + slot if charged
-            last = _down_slots(np.maximum, last, since)  # 1 + the slot of the last charge
+            last = _down_slots(last, since)  # 1 + the slot of the last charge
             fresh = since == 0 if since[0].min() == 0 else None  # slots before a first charge
             np.subtract(slots, since, out=since)  # slots since the last charge; 1 + slot if none
             if fresh is not None:
@@ -863,24 +876,20 @@ def _renewal_totals(
                 if zero is None:
                     zero = reward.value(np.array([_Ladder(policy, 0.0).step()]))[0]
                 gain[fresh] = zero
-            totals = _down_slots(np.add, totals, gain)
+            totals = _summed(totals, gain)
     return totals
 
 
-def _down_slots(op: np.ufunc, first: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Run op down a slot-major block in place and in slot order, from
-    op(first, rows[0]) to op(rows[t - 1], rows[t]) at each later slot t, and
-    return a copy of the last row.  Each path's chain of op calls is that of
-    op.accumulate along it, so a running sum keeps its bits, whether the
-    block goes by one strided accumulate (under _ROW_PATHS paths) or by one
-    call a slot row."""
-    op(first, rows[0], out=rows[0])
+def _down_slots(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Run the maximum down a slot-major block in place from first, by one strided
+    accumulate under _ROW_PATHS paths, else a call a row; return the last row's copy."""
+    np.maximum(first, rows[0], out=rows[0])
     if rows.shape[1] < _ROW_PATHS:
-        op.accumulate(rows, axis=0, out=rows)
+        np.maximum.accumulate(rows, axis=0, out=rows)
     else:
         prev = rows[0]
         for row in rows[1:]:
-            prev = op(prev, row, out=row)
+            prev = np.maximum(prev, row, out=row)
     return rows[-1].copy()
 
 

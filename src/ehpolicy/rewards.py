@@ -56,14 +56,14 @@ _LADDER_CAP = 100_000
 def _prepare(x, name: str = "x") -> tuple[np.ndarray, bool]:
     """x as a float array, and whether it is 0-d; raises ValueError unless
     every entry is finite and nonnegative.  A 0-d array is checked with one
-    comparison of its float (NaN fails it, -0.0 passes), an array with two
-    reductions."""
+    comparison of its float, an array with min and max from 0.0, with no
+    temporaries: NaN runs through both, and -0.0 and an empty array pass."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
         if not 0.0 <= float(arr) < math.inf:
             raise ValueError(f"{name} must be finite and nonnegative")
         return arr, True
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0):
+    if not (0.0 <= arr.min(initial=0.0) and arr.max(initial=0.0) < math.inf):
         raise ValueError(f"{name} must be finite and nonnegative")
     return arr, False
 

@@ -256,3 +256,33 @@ class TestSampleInto:
         assert hexes(row[:size]) == hexes(want)
         assert (row[size:] == -1.0).all()
         assert rng.random() == plain.random()  # both generators stand at the same place
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            arr.BernoulliArrivals(2.0, 0.3),
+            arr.LimitedUniformArrivals(2.0, 3.0),
+            arr.LimitedExponentialArrivals(3.0, 0.1),
+        ],
+        ids=lambda d: d.family,
+    )
+    @pytest.mark.parametrize("size", [None, 7, 1024])
+    def test_sample_is_the_raw_fill_then_the_map(self, dist, size):
+        # one definition: sample is _fill's raw draws through _transform, and
+        # the map run in place over a block of rows, as simulate runs it on a
+        # group of paths, gives each row's sample bit for bit
+        def hexes(x):
+            return [v.hex() for v in np.ravel(x).tolist()]
+
+        want = dist._transform(dist._fill(np.random.default_rng(5), size))
+        assert hexes(dist.sample(np.random.default_rng(5), size)) == hexes(want)
+        if size is None:
+            return
+        rows = np.empty((3, size + 2))[:, :size]  # a group's scratch, wider than the draw
+        for seed, row in enumerate(rows):
+            dist._fill(np.random.default_rng(seed), size, out=row)
+        assert dist._transform(rows, out=rows) is rows
+        for seed, row in enumerate(rows):
+            into = np.empty(size)
+            dist.sample(np.random.default_rng(seed), size, out=into)
+            assert hexes(row) == hexes(into) == hexes(dist.sample(np.random.default_rng(seed), size))

@@ -123,6 +123,15 @@ class _HalfFraction(pol.FixedFractionPolicy):
         return 0.5 * level
 
 
+def _blocks_of(monkeypatch, slots, paths):
+    """Cuts simulate's blocks to `slots` slots at `paths` paths: the renewal
+    path's through _SLOT_BLOCK, and the chunked path's, which hold
+    4 * _GATHER slot-paths where that is more, through _GATHER too, which
+    also shrinks their draw groups and scored slices."""
+    monkeypatch.setattr(ev, "_SLOT_BLOCK", slots)
+    monkeypatch.setattr(ev, "_GATHER", max(1, slots * paths // 4))
+
+
 def _spliced_flags(monkeypatch) -> list:
     """Spies on simulate's _spliced_block while installed, and returns the
     list it fills: whether each block's chunks all met their full copies."""
@@ -1627,9 +1636,9 @@ class TestSimulate:
         # the inverting policies are slow per slot, so their blocks are
         # shortened; the block boundaries are then crossed as often as at full
         # length, and on 0-or-c arrivals so are the slot counts since a charge
-        if kind in ("maximin_sqrt", "maximin_log1p"):
-            monkeypatch.setattr(ev, "_SLOT_BLOCK", 8)
-        block, chunk = ev._SLOT_BLOCK, ev._CHUNK
+        block = 8 if kind in ("maximin_sqrt", "maximin_log1p") else ev._SLOT_BLOCK
+        _blocks_of(monkeypatch, block, paths)
+        chunk = ev._CHUNK
         policy, reward = SIM_POLICIES[kind]
         # chunk boundaries, and a short last chunk in a short last block
         chunks = (chunk - 1, chunk, chunk + 1, 2 * block + chunk + 5)
@@ -1706,7 +1715,7 @@ class TestSimulate:
         # with 3-slot chunks the fixed fraction's copies often do not meet
         # in time: with 2 paths first in the eighth block, with 64 in the first
         monkeypatch.setattr(ev, "_CHUNK", 3)
-        monkeypatch.setattr(ev, "_SLOT_BLOCK", 8)
+        _blocks_of(monkeypatch, 8, paths)
         met = _spliced_flags(monkeypatch)
         policy, reward, law, n = pol.FixedFractionPolicy(0.3), SQRT, SIM_LAWS["uniform"], 85
         res = ev.simulate(policy, law, reward, n, paths, seed=0)
@@ -1739,7 +1748,7 @@ class TestSimulate:
     @pytest.mark.parametrize("kind", ["greedy", "fixed_fraction", "maximin_awgn"])
     @pytest.mark.parametrize("law", ["uniform", "uniform_slow"])
     def test_blocks_shorter_than_a_chunk(self, kind, law, monkeypatch):
-        monkeypatch.setattr(ev, "_SLOT_BLOCK", 8)
+        _blocks_of(monkeypatch, 8, 16)
         policy, reward = SIM_POLICIES[kind]
         for n in (7, 8, 9, 100):
             res = ev.simulate(policy, SIM_LAWS[law], reward, n, 16, seed=n)
@@ -1750,6 +1759,7 @@ class TestSimulate:
     def test_a_plain_policy_runs_the_chunks(self, law, monkeypatch):
         # a StationaryPolicy with only _evaluate, of no built-in class; on the
         # slow-mixing law its chunks do not all meet and the slot loop takes over
+        _blocks_of(monkeypatch, ev._SLOT_BLOCK, 8)
         met = _spliced_flags(monkeypatch)
         policy, n = _Fraction(0.3), 2 * ev._SLOT_BLOCK + 9
         res = ev.simulate(policy, SIM_LAWS[law], SQRT, n, 8, seed=3)
@@ -1782,6 +1792,74 @@ class TestSimulate:
             del policy._evaluate
         assert 0 < len(calls) <= n / 4, len(calls)
 
+    @pytest.mark.parametrize("law", ["uniform", "exponential", "uniform_slow"])
+    @pytest.mark.parametrize("kind", ["greedy", "fixed_fraction", "maximin_awgn", "maximin_log1p"])
+    @pytest.mark.parametrize("paths,gather", [(7, 24), (11, 48), (64, 64)])
+    def test_chunked_blocks_groups_and_slices_match_the_per_slot_loop(
+        self, law, kind, paths, gather, monkeypatch
+    ):
+        # 5-slot chunks in blocks of max(_SLOT_BLOCK, 4 * _GATHER // paths)
+        # slots: 13, 17 and 8, the _SLOT_BLOCK floor.  Paths draw in groups
+        # of _GATHER // width, 1, 2 with one over, and 8, and are scored in
+        # slices of _GATHER // paths slot rows, 3, 4 and 1; 45 slots end in
+        # a short block, and 4 in one short chunk
+        monkeypatch.setattr(ev, "_CHUNK", 5)
+        monkeypatch.setattr(ev, "_SLOT_BLOCK", 8)
+        monkeypatch.setattr(ev, "_GATHER", gather)
+        policy, reward = SIM_POLICIES[kind]
+        for n in (4, 45):
+            res = ev.simulate(policy, SIM_LAWS[law], reward, n, paths, seed=n)
+            want = per_slot_simulate(policy, SIM_LAWS[law], reward, n, paths, seed=n)
+            assert (res.value, res.stderr) == want, n
+
+    @pytest.mark.parametrize("kind", ["greedy", "fixed_fraction", "maximin_awgn"])
+    def test_mc_longs_blocks_match_the_per_slot_loop(self, kind):
+        # at 64 paths a block is 4 * _GATHER // 64 = 2 048 slots, drawn in 4
+        # groups of 16 paths and scored in 4 slices of 512 slot rows
+        policy, reward = SIM_POLICIES[kind]
+        law, n = SIM_LAWS["uniform"], 2 * (4 * ev._GATHER // 64) + 7
+        res = ev.simulate(policy, law, reward, n, 64, seed=1)
+        assert (res.value, res.stderr) == per_slot_simulate(policy, law, reward, n, 64, seed=1)
+
+    def test_a_kink_table_is_covered_once_a_call(self, monkeypatch):
+        # the chunks and the slot loop, which 2-slot chunks reach, run the
+        # bare np.interp on the kinks covered to c; a custom MaximinPolicy
+        # keeps its certified _evaluate, which covers them at every call
+        covers, cover = [], pol._Maximin._cover
+
+        def counted(policy, top):
+            covers.append(type(policy))
+            return cover(policy, top)
+
+        monkeypatch.setattr(pol._Maximin, "_cover", counted)
+        monkeypatch.setattr(ev, "_CHUNK", 2)  # so that some copies do not meet in time
+        met = _spliced_flags(monkeypatch)
+        for kind in ("maximin_awgn", "maximin_sqrt_table", "maximin_log1p"):
+            policy, reward = SIM_POLICIES[kind]
+            met.clear()
+            ev.simulate(policy, SIM_LAWS["uniform_slow"], reward, 3 * ev._SLOT_BLOCK, 64, seed=1)
+            assert met[-1] is False, kind  # the slot loop ran
+        assert covers.count(pol.MaximinAwgnPolicy) == covers.count(pol.MaximinSqrtPolicy) == 1
+        assert covers.count(pol.MaximinPolicy) > 64
+
+    def test_the_chunked_path_holds_three_blocks(self):
+        # three slot-major float blocks of width x paths (draws, consumptions
+        # and pass 1's levels, which hold a group's raw draws first), and
+        # buffers of _GATHER elements, a scored slice's rewards and their
+        # temporaries.  Scoring a whole block at once, 4 such buffers more at
+        # 64 paths, fails
+        policy, reward = SIM_POLICIES["maximin_awgn"]
+        law, paths = SIM_LAWS["uniform"], 64
+        width = max(ev._SLOT_BLOCK, 4 * ev._GATHER // paths)
+        ev.simulate(policy, law, reward, width, paths, seed=0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            ev.simulate(policy, law, reward, 3 * width, paths, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * width * paths + 4 * 8 * ev._GATHER, peak
+
     def test_the_renewal_ladder_ends_at_its_fixed_point(self):
         # 0.3 L rounds to 0 once L is the least subnormal, which then stays
         ladder = pol._Ladder(pol.FixedFractionPolicy(0.3), 2.0)
@@ -1792,9 +1870,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("bad", [-0.25, math.nan])
     @pytest.mark.parametrize("block", [0, 1])
-    def test_invalid_consumption_is_rejected(self, bad, block):
+    def test_invalid_consumption_is_rejected(self, bad, block, monkeypatch):
         # `bad` starts with the first call of the given block, after as many
         # calls as a run of the blocks before it makes
+        _blocks_of(monkeypatch, ev._SLOT_BLOCK, 4)
         dist = arr.from_mcr("uniform", 2.0, 0.5)
         counted = _AfterCalls(10**9, bad)
         if block:
@@ -1832,8 +1911,9 @@ class TestSimulate:
             finally:
                 tracemalloc.stop()
 
-        peak(ev._SLOT_BLOCK)  # first-call allocations
-        short, long = peak(2 * ev._SLOT_BLOCK), peak(20 * ev._SLOT_BLOCK)
+        block = max(ev._SLOT_BLOCK, 4 * ev._GATHER // 16)  # the chunked path's at 16 paths
+        peak(block)  # first-call allocations
+        short, long = peak(2 * block), peak(20 * block)
         assert long <= 1.1 * short, (short, long)
 
     def test_agrees_with_series(self):
@@ -1905,6 +1985,31 @@ class TestSimulate:
 def spawned(seed, paths):
     """numpy's own generators for the children of SeedSequence(seed)."""
     return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(paths)]
+
+
+class TestSummed:
+    @pytest.mark.parametrize("paths", [2, 3, 64, 1024])
+    def test_each_paths_sum_is_the_sequential_one(self, paths):
+        # one reduce down the slots adds row by row: each path's sum is the
+        # plain loop's, bit for bit, where numpy's pairwise summation along a
+        # path's own row moves some sums at 64 paths and more
+        rng = np.random.default_rng(paths)
+        gains = 10.0 ** rng.uniform(-8.0, 8.0, (300, paths))
+        totals = 10.0 ** rng.uniform(-8.0, 8.0, paths)
+        want = []
+        for total, column in zip(totals.tolist(), gains.T.tolist()):
+            for gain in column:
+                total += gain
+            want.append(total)
+        # a custom reward may return a read-only array or one in Fortran
+        # order, down whose slot axis numpy would sum pairwise
+        frozen = gains.copy()
+        frozen.flags.writeable = False
+        for given in (frozen, np.asfortranarray(gains), gains):
+            assert ev._summed(totals, given).tolist() == want
+        if paths >= 64:
+            pairwise = np.column_stack((totals, gains.T)).sum(axis=1)
+            assert pairwise.tolist() != want
 
 
 class TestStreams:

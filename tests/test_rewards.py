@@ -195,8 +195,10 @@ _LEVEL_CHECKS = {
 
 class TestScalarRangeCheck:
     """_prepare checks a 0-d input with one comparison of its float and an
-    array with two reductions; both refuse and accept the same values, with
-    the same text, and the 0-d path keeps the 0-d kernels' bits."""
+    array with two reductions, arr.min and arr.max from an initial 0.0;
+    both refuse and accept the same values, with the same text, wherever
+    in the array a bad value sits, an empty array passes, and the 0-d path
+    keeps the 0-d kernels' bits."""
 
     BAD = [math.nan, math.inf, -math.inf, -1e-300]
 
@@ -241,6 +243,23 @@ class TestScalarRangeCheck:
                     got = reward.value(spelled), reward.marginal(spelled)
                     want = reward._value(zero_d), reward._marginal(zero_d)
                     assert [v.hex() for v in got] == [float(v).hex() for v in want], x
+
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_an_empty_array_passes(self, shape):
+        arr, scalar = rw._prepare(np.empty(shape))
+        assert not scalar and arr.shape == shape
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("at", [0, 499, 999], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("shape", [(1000,), (10, 100)])
+    def test_a_bad_entry_fails_wherever_it_sits(self, bad, at, shape):
+        x = np.linspace(0.0, 5.0, 1000)
+        x[at] = bad
+        with pytest.raises(ValueError, match="^x must be finite and nonnegative$"):
+            rw._prepare(x.reshape(shape))
+        x[at] = -0.0
+        assert rw._prepare(x.reshape(shape))[0].shape == shape
 
 
 class TestStepDown:
