@@ -381,12 +381,14 @@ def evaluation_checks(seed: int) -> list[CheckResult]:
     out.append(_mk("slot loop caps at c and clamps to the level", ok, f"{slots!r}"))
     # one block of 300 slots on 4 paths, run by the chunks and by the slot loop
     uniform, policy, cols = arr.from_mcr("uniform", 2.0, 0.5), pol.MaximinAwgnPolicy(1.0, 0.5), 300
-    draws = np.zeros((-(-cols // ev._CHUNK) * ev._CHUNK, 4))  # slot-major
-    draws[:cols] = np.transpose([uniform.sample(rng, cols) for rng in ev._streams(seed, 4)])
-    spliced, looped, full = (np.empty(draws.shape) for _ in range(3))
+    drawn = np.array([uniform.sample(rng, cols) for rng in ev._streams(seed, 4)])  # path-major
+    draws, spliced, full = (np.zeros((ev._CHUNK, -(-cols // ev._CHUNK), 4)) for _ in range(3))
+    ev._interleave(draws, drawn, 0)  # slot k * _CHUNK + s at [s, k]
     end, met = ev._spliced_block(policy._evaluate, draws, spliced, full, np.zeros(4), 2.0, cols)
-    carried = ev._slot_steps(policy._evaluate, draws[:cols], looped[:cols], np.zeros(4), 2.0)
-    ok = met and np.array_equal(end, carried) and np.array_equal(spliced[:cols], looped[:cols])
+    looped = np.empty((cols, 4))
+    carried = ev._slot_steps(policy._evaluate, drawn.T, looped, np.zeros(4), 2.0)
+    slots = spliced.transpose(1, 0, 2).reshape(-1, 4)[:cols]  # back to slot-major
+    ok = met and np.array_equal(end, carried) and np.array_equal(slots, looped)
     out.append(_mk("chunked splice matches the slot loop bit for bit", ok, f"met {met!r}"))
     rejected = []
     for law in (arr.BernoulliArrivals(2.0, 0.5), uniform):

@@ -92,7 +92,7 @@ _SLOT_BLOCK = 1024
 # slots per chunk of simulate's time-parallel pass over a block
 _CHUNK = 64
 # elements per scratch buffer of simulate, which holds a group of paths' raw
-# draws or a slice of slot rows to score: 32 of them at 1024 slots or paths
+# draws or a slice of consumptions to score: 32 rows at 1024 slots or paths
 _GATHER = 1 << 15
 # fewest paths at which _down_slots, the renewal path's running maximum, runs
 # one slot row at a time; below it one accumulate down the slot axis is
@@ -253,6 +253,20 @@ def bernoulli_reward(
     Its truncation bound is off by (2J + 3M + 9)u of itself, where M terms
     were summed: (2J + 1)u in weight, (3M + 7)u in t_(M+1) and one u in the
     product, so (1.5 M + J + 7) eps residual.
+
+    The terms above are relative, and a product, quotient or function
+    value that underflows to a subnormal is off by up to 2**-1075
+    absolutely instead (Higham 2002, §2.1); sums and differences are exact
+    there.  A rung rounds the survivor and its weight, each moving the
+    value by at most r(c), as the later weights sum to at most 1; its
+    consumption, within 4 such roundings, moving it and the later levels,
+    so the value by at most r'(0) each; its reward, within 4; and the
+    weighted reward and the tail bound, one each.  A summed tail's term
+    rounds its power and its quotient, each moving the weighted tail by
+    at most 2 of them, as the powers shrink at least by half and the
+    weight over 1 - q g**m is at most 1.  So the tolerance also adds
+    2**-1074 (n + 2M + 2)(3 + r(c) + 2 r'(0)), M = 0 without a summed
+    tail, which moves no tolerance above ~1e-290 by a bit.
     """
     c, p = _check_positive(c), _check_fraction(p)
     top = float(reward.value(c))
@@ -307,7 +321,7 @@ def bernoulli_reward(
             raise NonConvergenceError(residual, _SERIES_RUNGS, *_SERIES_CAP)
     if weights:
         total = _fold_rungs(total, reward, weights, spent)
-    value, bound_error, summing = total, (rungs + 4) * residual, 0.0  # in units of eps
+    value, bound_error, summing, terms = total, (rungs + 4) * residual, 0.0, 0  # units of eps
     if summed:
         weight = p * survivor
         tail, residual, spread, terms = _fraction_tail(reward, policy.p, p, level, weight, tol)
@@ -322,8 +336,12 @@ def bernoulli_reward(
         )
         * math.ldexp(1.0, shift)  # a product, which overflows to inf where ldexp raises
     )
+    underflow = math.ldexp((rungs + 2 * terms + 2) * (3.0 + top + 2.0 * slope), -1074)
     return EvaluationResult(
-        value=value, method="bernoulli_series", residual=residual, tolerance=residual + rounding
+        value=value,
+        method="bernoulli_series",
+        residual=residual,
+        tolerance=residual + rounding + underflow,
     )
 
 
@@ -559,17 +577,27 @@ def simulate(
         spliced where a chunk's copy meets the true path: a slot's outcome
         depends only on the stored level and the draw, so two copies of a
         path that hold equal levels after the same slot run on with equal
-        bits.  See _spliced_block.  A block in which a chunk's copy, other
+        bits.  See _spliced_block.  A block's draws, consumptions and full
+        copies' levels are three flat buffers viewed chunk-interleaved as
+        (_CHUNK, chunks, paths), so that slot s of every chunk of every
+        path is one contiguous row.  A block in which a chunk's copy, other
         than the last chunk's, does not meet within its chunk is finished
-        by the slot loop, _slot_steps, and so is the rest of the call: on
-        slow-mixing laws this costs one block's chunk passes.
+        by the slot loop, chunk by chunk (_chunk_steps), and so is the rest
+        of the call: on slow-mixing laws this costs one block's chunk passes.
 
     Paths draw in groups into a float scratch, one generator call a path:
     bare uniforms, which a comparison to p turns into 0-or-c charges, or
-    _fill's raw draws, which the law's _transform maps once a group into a
-    slot-major block of draws.  Both ways score the consumptions through
-    reward.value, which rejects NaN or negative ones, in slices of slot rows.
+    _fill's raw draws, which the law's _transform maps once a group into
+    the block of draws (_interleave).  Both ways score the consumptions
+    through reward.value, which rejects NaN or negative ones: the renewal
+    path in slices of slot rows, the chunks in place in slices of at most
+    _GATHER elements, each chunk's rows then added to the totals.
+
+    n and paths must be integers; integral floats and numpy integers pass.
     """
+    for name, value in (("n", n), ("paths", paths)):
+        if not float(value).is_integer():
+            raise ValueError(f"{name} must be an integer, not {value!r}")
     n, paths = int(n), int(paths)
     if n < 1 or paths < 2:
         raise ValueError("need n >= 1, paths >= 2")
@@ -585,31 +613,43 @@ def simulate(
     width = min(n, max(_SLOT_BLOCK, 4 * _GATHER // paths))
     span = -(-width // _CHUNK) * _CHUNK
     group = min(paths, max(1, _GATHER // width))  # paths a draw scratch holds
-    rows = max(1, _GATHER // paths)  # slot rows a scored slice
-    draws, spent, full = (np.empty((span, paths)) for _ in range(3))  # slot-major
+    # draws, consumptions (then rewards) and pass 1's levels, chunk-interleaved
+    flats = [np.empty(span * paths) for _ in range(3)]
     stored = np.zeros(paths)
     totals = np.zeros(paths)
     for start in range(0, n, width):
         cols = min(width, n - start)
+        chunks = -(-cols // _CHUNK)
+        tail = cols - (chunks - 1) * _CHUNK  # the slots of the last chunk
+        size = _CHUNK * chunks * paths
+        draws, spent, full = (a[:size].reshape(_CHUNK, chunks, paths) for a in flats)
         for g in range(0, paths, group):  # the scratch is full's, which pass 1 writes afresh
-            raw = full.ravel()[: group * cols].reshape(group, cols)[: paths - g]
+            raw = flats[2][: group * cols].reshape(group, cols)[: paths - g]
             for row, rng in zip(raw, streams[g:]):
                 arrivals._fill(rng, cols, out=row)
-            draws[:cols, g : g + len(raw)] = arrivals._transform(raw, out=raw).T
+            _interleave(draws, arrivals._transform(raw, out=raw), g)
         if chunked:
             stored, chunked = _spliced_block(evaluate, draws, spent, full, stored, c, cols)
         else:
-            stored = _slot_steps(evaluate, draws[:cols], spent[:cols], stored, c)
-        for lo in range(0, cols, rows):
-            totals = _summed(totals, reward.value(spent[lo : min(lo + rows, cols)]))
+            stored = _chunk_steps(evaluate, draws, spent, stored, c, cols, 0)
+        spent[tail:, -1] = 0.0  # past the block's end: scored, never summed
+        scored = spent.reshape(-1)  # the rewards replace the consumptions
+        for lo in range(0, size, _GATHER):
+            scored[lo : lo + _GATHER] = reward.value(scored[lo : lo + _GATHER])
+        for k in range(chunks):  # each path's rewards in slot order
+            totals = _summed(totals, spent[: _CHUNK if k < chunks - 1 else tail, k])
     return _estimate(totals, n)
 
 
 def _summed(totals: np.ndarray, gains: np.ndarray) -> np.ndarray:
     """totals plus each path's gains, summed down the slot-major gains in
-    slot order: numpy sums pairwise only along the fast axis, and down the
-    slots of a C-contiguous block by rows, so with each path's loop's bits."""
-    gains = np.require(gains, requirements="CW")  # a custom value_fn's result too
+    slot order: numpy sums pairwise only along the fast axis, so one reduce
+    down the slots of writable gains whose paths lie side by side, a
+    C-contiguous block or a view of one such as a chunk's rows of a
+    chunk-interleaved block, adds them row by row, with each path's loop's
+    bits.  Other gains, read-only or in Fortran order, are copied first."""
+    if not gains.flags.writeable or gains.strides[1] != gains.itemsize:
+        gains = np.array(gains, order="C")
     gains[0] += totals
     return np.add.reduce(gains, axis=0)
 
@@ -702,26 +742,54 @@ def _slot_steps(evaluate, draws, spent, level, c):
     return level
 
 
+def _interleave(block, raw, first):
+    """Write raw, a group of paths' draws, path-major from path `first` on,
+    into a chunked block (_CHUNK, chunks, paths): slot k * _CHUNK + s of a
+    path to [s, k, path], by one transposed assignment for the whole chunks
+    and one for the last, possibly short, chunk."""
+    group, cols = raw.shape
+    whole = (block.shape[1] - 1) * _CHUNK  # the slots of the whole chunks before the last
+    at = slice(first, first + group)
+    block[:, :-1, at] = raw[:, :whole].reshape(group, -1, _CHUNK).transpose(2, 1, 0)
+    block[: cols - whole, -1, at] = raw[:, whole:].T
+
+
+def _chunk_steps(evaluate, draws, spent, level, c, cols, first):
+    """The slot loop over a chunked block of `cols` slots (see _spliced_block),
+    chunk by chunk in time order from chunk `first`, each on its
+    (_CHUNK, paths) views of draws and spent; returns the level left."""
+    for k in range(first, draws.shape[1]):
+        slots = min(_CHUNK, cols - k * _CHUNK)
+        level = _slot_steps(evaluate, draws[:slots, k], spent[:slots, k], level, c)
+    return level
+
+
 def _spliced_block(evaluate, draws, spent, full, level, c, cols):
-    """simulate's time-parallel pass over one block of `cols` slots, whose
-    draws are in the slot-major draws[:cols]: writes the consumptions by
-    the array kernel evaluate into spent[:cols] and returns the level
-    carried out of the block, and whether every chunk but the last met.
+    """simulate's time-parallel pass over one block of `cols` slots: writes
+    the consumptions by the array kernel evaluate into spent and returns
+    the level carried out of the block, and whether every chunk but the
+    last met.
 
     The block is cut into chunks of _CHUNK slots, the last one possibly
-    short.  Pass 1 runs a copy of every chunk of every path from a full
-    battery, all side by side in one reused level buffer, keeping each
-    slot's consumption in spent and its stored level in full.  Pass 2
+    short, and draws, spent and full are views (_CHUNK, chunks, paths) of
+    flat buffers, chunk-interleaved: [s, k, path] holds slot k * _CHUNK + s
+    of the path, so slot s of every chunk of every path is one contiguous
+    row [s].  Past the last chunk's end its entries are left as they were.
+    Pass 1 runs a copy of every chunk of every path from a full battery,
+    all side by side, step s on row s: it keeps each slot's consumption in
+    spent and its stored level in full, which the next step reads.  Pass 2
     starts a spliced copy of chunk 0 from `level` and of chunk k from the
     end of chunk k - 1's full copy, and runs them side by side, writing a
     copy's consumptions until, after some slot, its level equals its full
-    copy's bit for bit (==).  From then on the two meet the same draws
-    from the same level, so the full copy's consumptions stand.  If every
-    chunk but the last met, each spliced copy started from the true level,
-    by induction from chunk 0, and spent holds the true consumptions; the
-    last chunk's copy is written to the block's end wherever it did not
-    meet.  Otherwise the slot loop reruns the block from the earliest chunk
-    that did not meet, which started from the true level.
+    copy's bit for bit (==).  A copy is its flat offset k * paths + path in
+    a row, and its slot s sits s rows further on.  From then on the two
+    meet the same draws from the same level, so the full copy's
+    consumptions stand.  If every chunk but the last met, each spliced copy
+    started from the true level, by induction from chunk 0, and spent holds
+    the true consumptions; the last chunk's copy is written to the block's
+    end wherever it did not meet.  Otherwise the slot loop reruns the block
+    from the earliest chunk that did not meet, which started from the true
+    level (_chunk_steps).
 
     Each step is the slot loop's arithmetic on an array of levels, each of
     one path at one slot, so it gives the slot loop's bits under
@@ -731,46 +799,41 @@ def _spliced_block(evaluate, draws, spent, full, level, c, cols):
     rounding, and the two meet once both empty or both fill: within a few
     slots on most laws.
     """
-    paths = draws.shape[1]
-    chunks = -(-cols // _CHUNK)
+    _, chunks, paths = draws.shape
     tail = cols - (chunks - 1) * _CHUNK  # the slots of the last chunk
-    # (chunk, slot in the chunk, path) views of the three blocks
-    d3, s3, f3 = (a.reshape(-1, _CHUNK, paths)[:chunks] for a in (draws, spent, full))
-    levels, stored = np.empty((chunks, paths)), np.full((chunks, paths), c)
+    lead = (chunks - 1) * paths  # the entries of a row before the last chunk's
+    d2, s2, f2 = (a.reshape(_CHUNK, -1) for a in (draws, spent, full))
     for s in range(_CHUNK):
-        k = chunks if s < tail else chunks - 1
-        if k == 0:
+        run = chunks * paths if s < tail else lead  # the entries of row s still in the block
+        if run == 0:
             break
-        lvl = np.minimum(np.add(stored[:k], d3[:k, s], out=levels[:k]), c, out=levels[:k])
-        u = evaluate(lvl.ravel()).reshape(lvl.shape)
-        stored = np.subtract(lvl, np.minimum(u, lvl, out=s3[:k, s]), out=f3[:k, s])
-    starts = np.concatenate((level, f3[:-1, -1].ravel()))  # chunk k's spliced start
-    end = f3[-1, tail - 1].copy()
-    # the copies still going: their chunk and path, the flat offset of their
-    # chunk's first slot in the three blocks, and their levels
-    chunk, path = np.divmod(np.arange(chunks * paths), paths)
-    offset = chunk * (_CHUNK * paths) + path
+        lvl = f2[s, :run]
+        np.minimum(np.add(f2[s - 1, :run] if s else c, d2[s, :run], out=lvl), c, out=lvl)
+        np.subtract(lvl, np.minimum(evaluate(lvl), lvl, out=s2[s, :run]), out=lvl)
+    starts = np.concatenate((level, f2[-1, :lead]))  # chunk k's spliced start
+    end = f2[tail - 1, lead:].copy()
+    # the copies still going, in order: their flat offsets in a row, and levels
+    offset = np.arange(chunks * paths)
     x = starts
-    d1, s1, f1 = draws.ravel(), spent.ravel(), full.ravel()
+    d1, s1, f1 = (a.reshape(-1) for a in (draws, spent, full))
     for s in range(_CHUNK):
-        at = offset + s * paths
+        at = offset + s * (chunks * paths)
         lvl = np.minimum(x + d1.take(at), c)
         u = np.minimum(evaluate(lvl), lvl)
         s1[at] = u
         x = lvl - u
         going = x != f1.take(at)
         if s == tail - 1:  # the last chunk ends here
-            last = chunk == chunks - 1
-            end[path[last]] = x[last]
+            last = offset >= lead
+            end[offset[last] - lead] = x[last]
             going &= ~last
         if not going.all():
-            chunk, path, offset, x = (v[going] for v in (chunk, path, offset, x))
+            offset, x = offset[going], x[going]
             if not x.size:
                 return end, True
-    first = int(chunk.min())
-    lo = first * _CHUNK
+    first = int(offset[0]) // paths
     level = starts[first * paths : (first + 1) * paths]
-    return _slot_steps(evaluate, draws[lo:cols], spent[lo:cols], level, c), False
+    return _chunk_steps(evaluate, draws, spent, level, c, cols, first), False
 
 
 def _estimate(totals: np.ndarray, n: int) -> EvaluationResult:

@@ -304,6 +304,24 @@ class TestBernoulliSeries:
         res = ev.bernoulli_reward(policy, AWGN1, c, p)
         assert abs(mpmath.mpf(res.value) - exact(1.0, p, c)) <= res.tolerance
 
+    @pytest.mark.parametrize("kind", ["maximin", "greedy", "fixed_fraction"])
+    @pytest.mark.parametrize("c", [1e-300, 1e-310])
+    @pytest.mark.parametrize("p", [1e-9, 1e-6, 1e-3, 0.5])
+    @pytest.mark.parametrize("gamma", [1e-6, 1.0])
+    def test_subnormal_results_keep_a_tolerance(self, gamma, p, c, kind):
+        # results at or near the subnormal range are off by up to ~2**-1074
+        # absolutely, which no relative rounding term covers: 36 of these
+        # cells reported tolerance 0.0 for errors of 2.5e-326 to 4.4e-324.
+        # awgn only: the sqrt oracle rounds sqrt(1 + u) - 1 to 0 at u = 1e-300
+        policy, exact = {
+            "maximin": (pol.MaximinAwgnPolicy(gamma, p), oracle.maximin_series),
+            "greedy": (pol.GreedyPolicy(), oracle.greedy_series),
+            "fixed_fraction": (pol.FixedFractionPolicy(p), oracle.fraction_series),
+        }[kind]
+        res = ev.bernoulli_reward(policy, rw.RewardFunction.awgn(gamma), c, p)
+        assert 0.0 < res.tolerance <= 1e-14 * res.value + 100 * 2.0**-1074
+        assert abs(mpmath.mpf(res.value) - exact(gamma, p, c)) <= res.tolerance
+
     @pytest.mark.parametrize("kind", ["fixed_fraction", "idle"])
     @pytest.mark.parametrize("c", [0.5, 2.0, 8.0, 20.0])
     @pytest.mark.parametrize("p", [1e-3, 0.01, 0.1, 0.5, 0.9])
@@ -1821,6 +1839,65 @@ class TestSimulate:
         res = ev.simulate(policy, law, reward, n, 64, seed=1)
         assert (res.value, res.stderr) == per_slot_simulate(policy, law, reward, n, 64, seed=1)
 
+    @pytest.mark.parametrize("law", ["uniform", "exponential"])
+    @pytest.mark.parametrize("kind", ["fixed_fraction", "maximin_awgn"])
+    def test_wide_chunked_blocks_match_the_per_slot_loop(self, law, kind, monkeypatch):
+        # at 1 024 paths a block is _SLOT_BLOCK = 1 024 slots, 16 chunks, so
+        # each pass-1 step runs a row of 16 384 levels and pass 2 offsets
+        # up to 16 384; 2 055 slots end in a block of one 7-slot chunk
+        met = _spliced_flags(monkeypatch)
+        policy, reward = SIM_POLICIES[kind]
+        n, paths = 2 * 1024 + 7, 1024
+        res = ev.simulate(policy, SIM_LAWS[law], reward, n, paths, seed=6)
+        assert (res.value, res.stderr) == per_slot_simulate(
+            policy, SIM_LAWS[law], reward, n, paths, seed=6
+        )
+        assert met == [True] * 3
+
+    @pytest.mark.parametrize("policy", [pol.GreedyPolicy(), pol.FixedFractionPolicy(0.3)])
+    def test_pass_one_hands_evaluate_contiguous_rows(self, policy, monkeypatch):
+        # a pass-1 step runs slot s of every chunk of every path, one
+        # contiguous row of the block of full copies' levels: the whole row
+        # while the last chunk runs, and the row before its entries after
+        fulls, spliced = [], ev._spliced_block
+
+        def spy(evaluate, draws, spent, full, level, c, cols):
+            fulls.append((full, cols, []))
+            return spliced(evaluate, draws, spent, full, level, c, cols)
+
+        def kernel(arr, evaluate=policy._evaluate):
+            if fulls and np.shares_memory(arr, fulls[-1][0]):
+                fulls[-1][2].append((arr.flags.c_contiguous, arr.size))
+            return evaluate(arr)
+
+        monkeypatch.setattr(ev, "_spliced_block", spy)
+        monkeypatch.setattr(policy, "_evaluate", kernel)
+        paths, n = 64, 2 * (4 * ev._GATHER // 64) + 100  # 2 048-slot blocks, then 100 slots
+        ev.simulate(policy, SIM_LAWS["uniform"], SQRT, n, paths, seed=2)
+        assert len(fulls) == 3
+        for full, cols, steps in fulls:
+            chunks = -(-cols // ev._CHUNK)
+            tail = cols - (chunks - 1) * ev._CHUNK
+            want = [(True, chunks * paths)] * tail + [(True, (chunks - 1) * paths)] * (
+                ev._CHUNK - tail
+            )
+            assert steps == want, cols
+
+    @pytest.mark.parametrize("arg", ["n", "paths"])
+    @pytest.mark.parametrize("value", [2.7, 4.9, math.nan, math.inf])
+    def test_n_and_paths_must_be_integers(self, arg, value):
+        # they were truncated: n = 2.7 ran 2 slots, paths = 4.9 ran 4 paths
+        given = {"n": 100, "paths": 4, arg: value}
+        for law in (SIM_LAWS["bernoulli"], SIM_LAWS["uniform"]):
+            with pytest.raises(ValueError, match=f"^{arg} must be an integer"):
+                ev.simulate(pol.GreedyPolicy(), law, AWGN1, given["n"], given["paths"], seed=0)
+
+    def test_integral_floats_and_numpy_integers_pass(self):
+        law = SIM_LAWS["uniform"]
+        want = ev.simulate(pol.GreedyPolicy(), law, AWGN1, 100, 4, seed=0)
+        for n, paths in ((100.0, 4.0), (np.int64(100), np.int32(4)), (np.float64(100), 4)):
+            assert ev.simulate(pol.GreedyPolicy(), law, AWGN1, n, paths, seed=0) == want
+
     def test_a_kink_table_is_covered_once_a_call(self, monkeypatch):
         # the chunks and the slot loop, which 2-slot chunks reach, run the
         # bare np.interp on the kinks covered to c; a custom MaximinPolicy
@@ -2010,6 +2087,30 @@ class TestSummed:
         if paths >= 64:
             pairwise = np.column_stack((totals, gains.T)).sum(axis=1)
             assert pairwise.tolist() != want
+
+    @pytest.mark.parametrize("paths", [2, 3, 64, 1024])
+    def test_a_chunks_strided_rows_sum_sequentially(self, paths):
+        # simulate adds each chunk's rewards from its (_CHUNK, paths) view of
+        # a chunk-interleaved block, whose rows lie chunks * paths apart:
+        # the reduce still adds row by row, chunk after chunk, with no copy
+        rng = np.random.default_rng(paths)
+        chunks, tail = 5, 7
+        block = 10.0 ** rng.uniform(-8.0, 8.0, (ev._CHUNK, chunks, paths))
+        totals = 10.0 ** rng.uniform(-8.0, 8.0, paths)
+        slots = block.transpose(1, 0, 2).reshape(-1, paths)[: (chunks - 1) * ev._CHUNK + tail]
+        want = []
+        for total, column in zip(totals.tolist(), slots.T.tolist()):
+            for gain in column:
+                total += gain
+            want.append(total)
+        got = totals
+        for k in range(chunks):
+            rows = block[: ev._CHUNK if k < chunks - 1 else tail, k]
+            assert not rows.flags.c_contiguous
+            first = rows[0] + got
+            got = ev._summed(got, rows)
+            assert np.array_equal(rows[0], first)  # added in place, not in a copy
+        assert got.tolist() == want
 
 
 class TestStreams:
