@@ -379,21 +379,21 @@ def evaluation_checks(seed: int) -> list[CheckResult]:
     slots = spent.reshape(2, 3).tolist()
     ok = slots == [[0.375, 0.5, 0.5], [0.75] * 3]
     out.append(_mk("slot loop caps at c and clamps to the level", ok, f"{slots!r}"))
-    # one block of 300 slots on 4 paths, run by the chunks and by the slot loop
-    uniform, policy, cols = arr.from_mcr("uniform", 2.0, 0.5), pol.MaximinAwgnPolicy(1.0, 0.5), 300
-    drawn = np.array([uniform.sample(rng, cols) for rng in ev._streams(seed, 4)])  # path-major
-    draws, spliced, full = (np.zeros((ev._CHUNK, -(-cols // ev._CHUNK), 4)) for _ in range(3))
-    ev._interleave(draws, drawn, 0)  # slot k * _CHUNK + s at [s, k]
-    end, met = ev._spliced_block(policy._evaluate, draws, spliced, full, np.zeros(4), 2.0, cols)
-    looped = np.empty((cols, 4))
+    # one block of 5 chunks on 4 paths, run by the chunks and by the slot loop
+    uniform, policy = arr.from_mcr("uniform", 2.0, 0.5), pol.MaximinAwgnPolicy(1.0, 0.5)
+    drawn = np.array([uniform.sample(rng, 5 * ev._CHUNK) for rng in ev._streams(seed, 4)])
+    draws, spliced, full = (np.zeros((ev._CHUNK, 5, 4)) for _ in range(3))
+    draws[:] = drawn.reshape(4, 5, ev._CHUNK).T  # path-major: slot k * _CHUNK + s at [s, k]
+    end, met = ev._spliced_block(policy._evaluate, draws, spliced, full, np.zeros(4), 2.0)
+    looped = np.empty((5 * ev._CHUNK, 4))
     carried = ev._slot_steps(policy._evaluate, drawn.T, looped, np.zeros(4), 2.0)
-    slots = spliced.transpose(1, 0, 2).reshape(-1, 4)[:cols]  # back to slot-major
+    slots = spliced.transpose(1, 0, 2).reshape(-1, 4)  # back to slot-major
     ok = met and np.array_equal(end, carried) and np.array_equal(slots, looped)
     out.append(_mk("chunked splice matches the slot loop bit for bit", ok, f"met {met!r}"))
     rejected = []
     for law in (arr.BernoulliArrivals(2.0, 0.5), uniform):
         try:
-            ev.simulate(_Scaled(math.nan), law, reward, cols, 4, seed)
+            ev.simulate(_Scaled(math.nan), law, reward, 300, 4, seed)
         except ValueError:
             rejected.append(law.family)
     out.append(_mk("simulate rejects a NaN consumption on both arrival paths", len(rejected) == 2))

@@ -87,12 +87,14 @@ _SERIES_CAP = ("Bernoulli series tail bound", "rungs")  # what NonConvergenceErr
 _EPS = float(np.finfo(float).eps)
 # rungs per series block (one reward._value call) and the fewest slots per
 # simulate block (one draw call a path), so memory stays flat: a chunked
-# block is max(_SLOT_BLOCK, 4 * _GATHER // paths) slots, 2 048 at 64 paths
+# block is max(_SLOT_BLOCK, 4 * _GATHER // paths) slots rounded up to whole
+# chunks, 2 048 at 64 paths
 _SLOT_BLOCK = 1024
 # slots per chunk of simulate's time-parallel pass over a block
 _CHUNK = 64
 # elements per scratch buffer of simulate, which holds a group of paths' raw
-# draws or a slice of consumptions to score: 32 rows at 1024 slots or paths
+# draws, padded to whole chunks, or a slice of consumptions to score: 32 rows
+# at 1024 slots or paths
 _GATHER = 1 << 15
 # fewest paths at which _down_slots, the renewal path's running maximum, runs
 # one slot row at a time; below it one accumulate down the slot axis is
@@ -205,7 +207,7 @@ def bernoulli_reward(
     rounding, and at the end of its block for a
     ladder that reaches a fixed point (_Ladder.fixed: a rung that leaves
     the level as it was, so every later rung repeats it) whose geometric
-    count, _fixed_point_fails_fast, passes the cap the same way.  Each rung
+    count passes the cap the same way (_past_the_cap).  Each rung
     is one step of the policy's reserve ladder (_Ladder, on levels finite
     and nonnegative by construction: the policy's _rung, given the rung
     before's consumption, which MaximinPolicy, a custom reward's maximin,
@@ -279,9 +281,9 @@ def bernoulli_reward(
         if reward.affine and tol > 0.0:
             edge = 0.5 / (policy.p * reward.affine[0])
             head = c / edge
-        needed, rounding = _fraction_rungs(policy.p, shrink, top, grade * c, tol, head)
+        needed, rate = _fraction_rungs(policy.p, shrink, top, grade * c, tol, head)
         last = c * (1.0 - policy.p) ** _SERIES_RUNGS  # the level at the cap
-        _past_the_cap(needed, rounding, shrink, min(top, grade * last))
+        _past_the_cap(needed, rate, shrink, min(top, grade * last))
     total = climb = drift = 0.0  # the value, climb_i and the drift sum w_i climb_i so far
     shift = max(math.frexp(c)[1] - 1, 0)  # climb and drift are summed in units of 2**shift
     unit = math.ldexp(1.0, -shift)  # so a climb past the float maximum stays finite
@@ -313,8 +315,15 @@ def bernoulli_reward(
                 summed = True
                 break
             if rungs == flush:
-                if ladder.fixed:  # every later rung repeats this one
-                    _fixed_point_fails_fast(residual, rungs, shrink, tol, min(top, grade * level))
+                # every later rung repeats this one, so the tail bound falls by
+                # shrink a rung and drops to tol after log(residual / tol) / rate
+                # more, rate = -log(shrink): never where shrink rounds to 1.  No
+                # prediction for a tol <= 0, which only an underflow meets
+                if ladder.fixed and tol > 0.0:
+                    rate, needed = -math.log(shrink), math.inf
+                    if rate > 0.0:
+                        needed = rungs + math.ceil((math.log(residual) - math.log(tol)) / rate)
+                    _past_the_cap(needed, rate, shrink, min(top, grade * level))
                 total = _fold_rungs(total, reward, weights, spent)
                 flush += _SLOT_BLOCK
         else:
@@ -349,7 +358,8 @@ def _fraction_rungs(
     fraction: float, shrink: float, top: float, start: float, tol: float, head: float = math.inf
 ) -> tuple[float, float]:
     """The rungs a fixed-fraction walk takes before its tail bound drops to
-    tol, and how far rounding may move the walk's own count; (0, 0.0) when
+    tol, and the slowest decay its count uses, from which _past_the_cap
+    takes how far rounding may move the walk's own count; (0, 0.0) when
     the ladder may end at 0 first, or tol is not in (0, top).
 
     With fraction <= 1/2 it never does: fraction * L rounds to at most
@@ -384,10 +394,8 @@ def _fraction_rungs(
         decay = -math.log1p(-fraction)
         needed = min(needed, max(math.log(head), 0.0) / decay)
         rate = min(rate, decay)
-    if needed == math.inf:  # r'(0) not finite and shrink 1.0: no bound falls
-        return math.inf, 0.0
-    needed = math.ceil(needed)
-    return needed, 1.0 + 2.0 * _EPS * (needed + 2) / rate
+    # inf where r'(0) is not finite and shrink is 1.0: no bound falls
+    return (needed if needed == math.inf else math.ceil(needed)), rate
 
 
 def _fraction_tail(
@@ -449,36 +457,18 @@ def _fraction_tail(
     return weight * tail, weight * size, weight * 0.5 * spread, len(terms)
 
 
-def _fixed_point_fails_fast(
-    residual: float, rungs: int, shrink: float, tol: float, bound: float
-) -> None:
-    """Raise NonConvergenceError, naming the rungs needed, when a walk whose
-    level stopped moving at rung `rungs` would pass the cap by more than its
-    rounding before its tail bound drops to tol.
-
-    From then on the tail bound is the walk's survivor times bound, so it
-    falls by shrink a rung and drops to tol after log(residual / tol) / rate
-    more rungs, rate = -log(shrink), rounded up; never when shrink rounds to
-    1.  The survivor is shrink**n within (n + 1) eps/2 relative, so, as in
-    _fraction_rungs, the walk crosses within 1 + 2 eps (n + 2) / rate rungs
-    of that count.  No prediction for tol <= 0, which only an underflow of
-    the survivor meets.
-    """
-    if not tol > 0.0:
-        return
-    rate = -math.log(shrink)
-    needed, rounding = math.inf, 0.0
-    if rate > 0.0:
-        needed = rungs + math.ceil((math.log(residual) - math.log(tol)) / rate)
-        rounding = 1.0 + 2.0 * _EPS * (needed + 2) / rate
-    _past_the_cap(needed, rounding, shrink, bound)
-
-
-def _past_the_cap(needed: float, rounding: float, shrink: float, bound: float) -> None:
+def _past_the_cap(needed: float, rate: float, shrink: float, bound: float) -> None:
     """Raise NonConvergenceError, naming the rungs needed, when a predicted
     walk passes the cap by more than its rounding; its tail bound at the
-    cap is shrink**_SERIES_RUNGS * bound."""
-    if needed > _SERIES_RUNGS + rounding:
+    cap is shrink**_SERIES_RUNGS * bound.
+
+    A walk whose tail bound falls at `rate` a rung, at least, crosses tol
+    within 1 + 2 eps (needed + 2) / rate rungs of the count (see
+    _fraction_rungs); a walk that needs infinitely many rungs passes the cap.
+    """
+    if needed > _SERIES_RUNGS and (
+        needed == math.inf or needed > _SERIES_RUNGS + (1.0 + 2.0 * _EPS * (needed + 2) / rate)
+    ):
         span = shrink**_SERIES_RUNGS * bound
         raise NonConvergenceError(span, _SERIES_RUNGS, *_SERIES_CAP, needed=needed)
 
@@ -577,26 +567,32 @@ def simulate(
         spliced where a chunk's copy meets the true path: a slot's outcome
         depends only on the stored level and the draw, so two copies of a
         path that hold equal levels after the same slot run on with equal
-        bits.  See _spliced_block.  A block's draws, consumptions and full
-        copies' levels are three flat buffers viewed chunk-interleaved as
-        (_CHUNK, chunks, paths), so that slot s of every chunk of every
-        path is one contiguous row.  A block in which a chunk's copy, other
-        than the last chunk's, does not meet within its chunk is finished
-        by the slot loop, chunk by chunk (_chunk_steps), and so is the rest
-        of the call: on slow-mixing laws this costs one block's chunk passes.
+        bits.  See _spliced_block.  A block is whole chunks: its width is
+        rounded up to a multiple of _CHUNK, and the call's last block, cut
+        to its slots rounded up the same way, is padded with zero arrivals,
+        whose consumptions are zeroed before scoring and never summed.  A
+        block's draws, consumptions and full copies' levels are three flat
+        buffers viewed chunk-interleaved as (_CHUNK, chunks, paths), so that
+        slot s of every chunk of every path is one contiguous row.  A block
+        in which a chunk's copy, other than the last chunk's, does not meet
+        within its chunk is finished by the slot loop, chunk by chunk
+        (_chunk_steps), and so is the rest of the call: on slow-mixing laws
+        this costs one block's chunk passes.
 
     Paths draw in groups into a float scratch, one generator call a path:
     bare uniforms, which a comparison to p turns into 0-or-c charges, or
-    _fill's raw draws, which the law's _transform maps once a group into
-    the block of draws (_interleave).  Both ways score the consumptions
+    _fill's raw draws, which the law's _transform maps once a group, and
+    one transposed assignment writes into the block of draws.  Each path
+    draws exactly its n values.  Both ways score the consumptions
     through reward.value, which rejects NaN or negative ones: the renewal
     path in slices of slot rows, the chunks in place in slices of at most
     _GATHER elements, each chunk's rows then added to the totals.
 
-    n and paths must be integers; integral floats and numpy integers pass.
+    n, paths and seed must be integers; integral floats and numpy integers
+    pass.
     """
-    for name, value in (("n", n), ("paths", paths)):
-        if not float(value).is_integer():
+    for name, value in (("n", n), ("paths", paths), ("seed", seed)):
+        if not (isinstance(value, int) or float(value).is_integer()):  # ints past the floats pass
             raise ValueError(f"{name} must be an integer, not {value!r}")
     n, paths = int(n), int(paths)
     if n < 1 or paths < 2:
@@ -610,46 +606,43 @@ def simulate(
         policy._cover(c)  # once, as _evaluate would at the first chunk pass's top level c
         evaluate = functools.partial(np.interp, xp=policy._arrays()[0], fp=policy._arrays()[1])
     chunked = True  # until a block's chunks do not all meet
-    width = min(n, max(_SLOT_BLOCK, 4 * _GATHER // paths))
-    span = -(-width // _CHUNK) * _CHUNK
+    width = -(-min(n, max(_SLOT_BLOCK, 4 * _GATHER // paths)) // _CHUNK) * _CHUNK
     group = min(paths, max(1, _GATHER // width))  # paths a draw scratch holds
     # draws, consumptions (then rewards) and pass 1's levels, chunk-interleaved
-    flats = [np.empty(span * paths) for _ in range(3)]
+    flats = [np.empty(width * paths) for _ in range(3)]
     stored = np.zeros(paths)
     totals = np.zeros(paths)
     for start in range(0, n, width):
-        cols = min(width, n - start)
+        cols = min(width, n - start)  # the call's slots; the last block is padded to a chunk
         chunks = -(-cols // _CHUNK)
-        tail = cols - (chunks - 1) * _CHUNK  # the slots of the last chunk
         size = _CHUNK * chunks * paths
         draws, spent, full = (a[:size].reshape(_CHUNK, chunks, paths) for a in flats)
         for g in range(0, paths, group):  # the scratch is full's, which pass 1 writes afresh
-            raw = flats[2][: group * cols].reshape(group, cols)[: paths - g]
+            raw = flats[2][: group * chunks * _CHUNK].reshape(group, -1)[: paths - g]
             for row, rng in zip(raw, streams[g:]):
-                arrivals._fill(rng, cols, out=row)
-            _interleave(draws, arrivals._transform(raw, out=raw), g)
+                arrivals._fill(rng, cols, out=row[:cols])
+            arrivals._transform(raw[:, :cols], out=raw[:, :cols])
+            raw[:, cols:] = 0.0  # zero arrivals in the padded slots
+            draws[:, :, g : g + group] = raw.reshape(-1, chunks, _CHUNK).transpose(2, 1, 0)
         if chunked:
-            stored, chunked = _spliced_block(evaluate, draws, spent, full, stored, c, cols)
+            stored, chunked = _spliced_block(evaluate, draws, spent, full, stored, c)
         else:
-            stored = _chunk_steps(evaluate, draws, spent, stored, c, cols, 0)
-        spent[tail:, -1] = 0.0  # past the block's end: scored, never summed
+            stored = _chunk_steps(evaluate, draws, spent, stored, c, 0)
+        spent[cols - (chunks - 1) * _CHUNK :, -1] = 0.0  # padded: scored, never summed
         scored = spent.reshape(-1)  # the rewards replace the consumptions
         for lo in range(0, size, _GATHER):
             scored[lo : lo + _GATHER] = reward.value(scored[lo : lo + _GATHER])
-        for k in range(chunks):  # each path's rewards in slot order
-            totals = _summed(totals, spent[: _CHUNK if k < chunks - 1 else tail, k])
+        for k in range(chunks):  # each path's rewards in slot order, to the call's end
+            totals = _summed(totals, spent[: cols - k * _CHUNK, k])
     return _estimate(totals, n)
 
 
 def _summed(totals: np.ndarray, gains: np.ndarray) -> np.ndarray:
     """totals plus each path's gains, summed down the slot-major gains in
-    slot order: numpy sums pairwise only along the fast axis, so one reduce
-    down the slots of writable gains whose paths lie side by side, a
-    C-contiguous block or a view of one such as a chunk's rows of a
-    chunk-interleaved block, adds them row by row, with each path's loop's
-    bits.  Other gains, read-only or in Fortran order, are copied first."""
-    if not gains.flags.writeable or gains.strides[1] != gains.itemsize:
-        gains = np.array(gains, order="C")
+    slot order, in place: numpy sums pairwise only along the fast axis, so
+    one reduce down the slots of gains whose paths lie side by side, such
+    as a chunk's rows of a chunk-interleaved block, adds them row by row,
+    with each path's loop's bits."""
     gains[0] += totals
     return np.add.reduce(gains, axis=0)
 
@@ -742,54 +735,40 @@ def _slot_steps(evaluate, draws, spent, level, c):
     return level
 
 
-def _interleave(block, raw, first):
-    """Write raw, a group of paths' draws, path-major from path `first` on,
-    into a chunked block (_CHUNK, chunks, paths): slot k * _CHUNK + s of a
-    path to [s, k, path], by one transposed assignment for the whole chunks
-    and one for the last, possibly short, chunk."""
-    group, cols = raw.shape
-    whole = (block.shape[1] - 1) * _CHUNK  # the slots of the whole chunks before the last
-    at = slice(first, first + group)
-    block[:, :-1, at] = raw[:, :whole].reshape(group, -1, _CHUNK).transpose(2, 1, 0)
-    block[: cols - whole, -1, at] = raw[:, whole:].T
-
-
-def _chunk_steps(evaluate, draws, spent, level, c, cols, first):
-    """The slot loop over a chunked block of `cols` slots (see _spliced_block),
-    chunk by chunk in time order from chunk `first`, each on its
-    (_CHUNK, paths) views of draws and spent; returns the level left."""
+def _chunk_steps(evaluate, draws, spent, level, c, first):
+    """The slot loop over a chunked block (see _spliced_block), chunk by
+    chunk in time order from chunk `first`, each on its (_CHUNK, paths)
+    views of draws and spent; returns the level left."""
     for k in range(first, draws.shape[1]):
-        slots = min(_CHUNK, cols - k * _CHUNK)
-        level = _slot_steps(evaluate, draws[:slots, k], spent[:slots, k], level, c)
+        level = _slot_steps(evaluate, draws[:, k], spent[:, k], level, c)
     return level
 
 
-def _spliced_block(evaluate, draws, spent, full, level, c, cols):
-    """simulate's time-parallel pass over one block of `cols` slots: writes
+def _spliced_block(evaluate, draws, spent, full, level, c):
+    """simulate's time-parallel pass over one block of whole chunks: writes
     the consumptions by the array kernel evaluate into spent and returns
     the level carried out of the block, and whether every chunk but the
     last met.
 
-    The block is cut into chunks of _CHUNK slots, the last one possibly
-    short, and draws, spent and full are views (_CHUNK, chunks, paths) of
-    flat buffers, chunk-interleaved: [s, k, path] holds slot k * _CHUNK + s
-    of the path, so slot s of every chunk of every path is one contiguous
-    row [s].  Past the last chunk's end its entries are left as they were.
-    Pass 1 runs a copy of every chunk of every path from a full battery,
-    all side by side, step s on row s: it keeps each slot's consumption in
-    spent and its stored level in full, which the next step reads.  Pass 2
-    starts a spliced copy of chunk 0 from `level` and of chunk k from the
-    end of chunk k - 1's full copy, and runs them side by side, writing a
-    copy's consumptions until, after some slot, its level equals its full
-    copy's bit for bit (==).  A copy is its flat offset k * paths + path in
-    a row, and its slot s sits s rows further on.  From then on the two
-    meet the same draws from the same level, so the full copy's
-    consumptions stand.  If every chunk but the last met, each spliced copy
-    started from the true level, by induction from chunk 0, and spent holds
-    the true consumptions; the last chunk's copy is written to the block's
-    end wherever it did not meet.  Otherwise the slot loop reruns the block
-    from the earliest chunk that did not meet, which started from the true
-    level (_chunk_steps).
+    The block is cut into chunks of _CHUNK slots, and draws, spent and full
+    are views (_CHUNK, chunks, paths) of flat buffers, chunk-interleaved:
+    [s, k, path] holds slot k * _CHUNK + s of the path, so slot s of every
+    chunk of every path is one contiguous row [s].  Pass 1 runs a copy of
+    every chunk of every path from a full battery, all side by side, step
+    s on row s: it keeps each slot's consumption in spent and its stored
+    level in full, which the next step reads.  Pass 2 starts a spliced copy
+    of chunk 0 from `level` and of chunk k from the end of chunk k - 1's
+    full copy, and runs them side by side, writing a copy's consumptions
+    until, after some slot, its level equals its full copy's bit for bit
+    (==).  A copy is its flat offset k * paths + path in a row, and its
+    slot s sits s rows further on.  From then on the two meet the same
+    draws from the same level, so the full copy's consumptions stand.  If
+    every chunk but the last met, each spliced copy started from the true
+    level, by induction from chunk 0, and spent holds the true
+    consumptions; the last chunk's copy is written to the block's end
+    wherever it did not meet, and its level there is the one carried out.
+    Otherwise the slot loop reruns the block from the earliest chunk that
+    did not meet, which started from the true level (_chunk_steps).
 
     Each step is the slot loop's arithmetic on an array of levels, each of
     one path at one slot, so it gives the slot loop's bits under
@@ -800,18 +779,14 @@ def _spliced_block(evaluate, draws, spent, full, level, c, cols):
     slots on most laws.
     """
     _, chunks, paths = draws.shape
-    tail = cols - (chunks - 1) * _CHUNK  # the slots of the last chunk
     lead = (chunks - 1) * paths  # the entries of a row before the last chunk's
     d2, s2, f2 = (a.reshape(_CHUNK, -1) for a in (draws, spent, full))
     for s in range(_CHUNK):
-        run = chunks * paths if s < tail else lead  # the entries of row s still in the block
-        if run == 0:
-            break
-        lvl = f2[s, :run]
-        np.minimum(np.add(f2[s - 1, :run] if s else c, d2[s, :run], out=lvl), c, out=lvl)
-        np.subtract(lvl, np.minimum(evaluate(lvl), lvl, out=s2[s, :run]), out=lvl)
+        lvl = f2[s]
+        np.minimum(np.add(f2[s - 1] if s else c, d2[s], out=lvl), c, out=lvl)
+        np.subtract(lvl, np.minimum(evaluate(lvl), lvl, out=s2[s]), out=lvl)
     starts = np.concatenate((level, f2[-1, :lead]))  # chunk k's spliced start
-    end = f2[tail - 1, lead:].copy()
+    end = f2[-1, lead:].copy()
     # the copies still going, in order: their flat offsets in a row, and levels
     offset = np.arange(chunks * paths)
     x = starts
@@ -823,17 +798,16 @@ def _spliced_block(evaluate, draws, spent, full, level, c, cols):
         s1[at] = u
         x = lvl - u
         going = x != f1.take(at)
-        if s == tail - 1:  # the last chunk ends here
-            last = offset >= lead
-            end[offset[last] - lead] = x[last]
-            going &= ~last
         if not going.all():
             offset, x = offset[going], x[going]
             if not x.size:
                 return end, True
+    if offset[0] >= lead:  # only the last chunk's copies did not meet
+        end[offset - lead] = x
+        return end, True
     first = int(offset[0]) // paths
     level = starts[first * paths : (first + 1) * paths]
-    return _chunk_steps(evaluate, draws, spent, level, c, cols, first), False
+    return _chunk_steps(evaluate, draws, spent, level, c, first), False
 
 
 def _estimate(totals: np.ndarray, n: int) -> EvaluationResult:

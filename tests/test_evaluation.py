@@ -369,8 +369,44 @@ class TestBernoulliSeries:
         # the idle walk at p = 0.01 needs ~2 900 rungs, past one block, and
         # keeps the bits of the walk that has no fixed-point prediction
         want = ev.bernoulli_reward(_Idle(), AWGN1, 1.0, 0.01)
-        monkeypatch.setattr(ev, "_fixed_point_fails_fast", lambda *args: None)
+        monkeypatch.setattr(ev, "_past_the_cap", lambda *args: None)
         assert ev.bernoulli_reward(_Idle(), AWGN1, 1.0, 0.01) == want
+
+    def test_a_fixed_point_whose_survivor_never_falls_fails_fast(self):
+        # at p = 1e-17, 1 - p rounds to 1, so the idle walk's tail bound
+        # min(r(c), p r'(0) c) = 5e-15 never falls: infinitely many rungs,
+        # named at the end of the first block
+        started = time.perf_counter()
+        with pytest.raises(ev.NonConvergenceError, match=r"tol needs inf rungs$") as info:
+            ev.bernoulli_reward(_Idle(), AWGN1, 1e3, 1e-17)
+        assert time.perf_counter() - started < 1.0
+        assert info.value.needed == math.inf
+        assert info.value.iterations == ev._SERIES_RUNGS
+        assert info.value.span == 1e-17 * AWGN1.marginal(0.0) * 1e3
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_a_fixed_point_with_no_positive_tol_walks_to_the_cap(self, tol, monkeypatch):
+        # no count is predicted for a tol <= 0, which only an underflow of
+        # the survivor meets: the idle walk passes its fixed point at the
+        # end of the first block and meets the cap, 0.99**2000 far from 0
+        monkeypatch.setattr(ev, "_SERIES_RUNGS", 2000)
+        with pytest.raises(ev.NonConvergenceError, match=r"after 2000 rungs$") as info:
+            ev.bernoulli_reward(_Idle(), AWGN1, 1.0, 0.01, tol)
+        assert info.value.needed is None
+        assert info.value.iterations == 2000
+
+    def test_a_fixed_fraction_whose_bounds_never_fall_fails_fast(self):
+        # r'(0) is infinite for r(u) = sqrt(u), so the p r'(0) L bound is, and
+        # at p = 1e-17 the survivor's r(c) bound stays 1.0: no count is finite
+        root = rw.RewardFunction.custom(
+            np.sqrt, lambda u: 0.5 / np.sqrt(u), lambda y: 0.25 / y**2, validate=False
+        )
+        with np.errstate(divide="ignore"):  # r'(0) = 0.5 / sqrt(0)
+            with pytest.raises(ev.NonConvergenceError, match=r"tol needs inf rungs$") as info:
+                ev.bernoulli_reward(pol.FixedFractionPolicy(0.3), root, 1.0, 1e-17)
+        assert info.value.needed == math.inf
+        assert info.value.iterations == ev._SERIES_RUNGS
+        assert info.value.span == 1.0
 
     @pytest.mark.parametrize("p", [1e-5, 1e-6])
     def test_fixed_fraction_past_the_cap_fails_fast(self, p):
@@ -392,7 +428,7 @@ class TestBernoulliSeries:
     def test_fixed_fraction_walks_that_finish_within_the_cap_still_run(
         self, fraction, monkeypatch
     ):
-        # the walk's count lies within _fraction_rungs' rounding of its
+        # the walk's count lies within the rounding _past_the_cap allows its
         # prediction, 1455 rungs at fraction 0.01 and 42 at 0.5
         policy = pol.FixedFractionPolicy(fraction)
         walked = _ScalarRung(policy)
@@ -400,7 +436,8 @@ class TestBernoulliSeries:
         res = ev.bernoulli_reward(policy, LOG1P, 1.0, 0.01)
         rungs = len(walked.levels)
         start = 0.01 * LOG1P.marginal(0.0) * 1.0
-        needed, rounding = ev._fraction_rungs(fraction, 1.0 - 0.01, LOG1P.value(1.0), start, 1e-15)
+        needed, rate = ev._fraction_rungs(fraction, 1.0 - 0.01, LOG1P.value(1.0), start, 1e-15)
+        rounding = 1.0 + 2.0 * ev._EPS * (needed + 2) / rate
         assert abs(needed - rungs) <= rounding < 2.0
         monkeypatch.setattr(ev, "_SERIES_RUNGS", rungs)  # a cap the walk just meets
         assert ev.bernoulli_reward(policy, LOG1P, 1.0, 0.01) == res
@@ -1727,11 +1764,13 @@ class TestSimulate:
         assert peak <= paths * ev._SLOT_BLOCK + 5 * 8 * ev._GATHER, peak
 
     @pytest.mark.parametrize(
-        "paths,blocks", [(2, [True] * 7 + [False]), (64, [False])], ids=["mid-call", "first-block"]
+        "paths,blocks", [(2, [True] * 5 + [False]), (64, [False])], ids=["mid-call", "first-block"]
     )
     def test_the_slot_loop_takes_over_where_a_chunk_does_not_meet(self, paths, blocks, monkeypatch):
         # with 3-slot chunks the fixed fraction's copies often do not meet
-        # in time: with 2 paths first in the eighth block, with 64 in the first
+        # in time: with 2 paths first in the sixth block, with 64 in the
+        # first.  8-slot blocks round up to 3 whole chunks, 9 slots, so 85
+        # slots end in a block of 4 slots padded to 6
         monkeypatch.setattr(ev, "_CHUNK", 3)
         _blocks_of(monkeypatch, 8, paths)
         met = _spliced_flags(monkeypatch)
@@ -1752,10 +1791,10 @@ class TestSimulate:
     def test_verifys_splice_check_fails_on_a_broken_splice(self, broken, monkeypatch):
         spliced = ev._spliced_block
 
-        def spoilt(policy, draws, spent, full, level, c, cols):
+        def spoilt(policy, draws, spent, full, level, c):
             if broken == "chunk 0 from c":
-                return spliced(policy, draws, spent, full, np.full_like(level, c), c, cols)
-            end, met = spliced(policy, draws, spent, full, level, c, cols)
+                return spliced(policy, draws, spent, full, np.full_like(level, c), c)
+            end, met = spliced(policy, draws, spent, full, level, c)
             return np.nextafter(end, math.inf), met
 
         monkeypatch.setattr(ev, "_spliced_block", spoilt)
@@ -1854,34 +1893,44 @@ class TestSimulate:
         )
         assert met == [True] * 3
 
+    @pytest.mark.parametrize("law", ["uniform", "exponential"])
+    @pytest.mark.parametrize("kind", ["fixed_fraction", "maximin_awgn"])
+    @pytest.mark.parametrize("paths", [3, 64])
+    def test_a_padded_last_block_matches_the_per_slot_loop(self, paths, kind, law):
+        # blocks hold whole 64-slot chunks and the call's last block is
+        # padded with zero arrivals to its chunk's end: at 64 paths blocks
+        # are 2 048 slots, so 2 049 slots end in a block of one slot and
+        # 25 037, as mc_long's 25 000, in one of 461 slots; at 3 paths one
+        # block of 43 712 slots holds each n here, padded
+        policy, reward = SIM_POLICIES[kind]
+        for n in (1, 63, 65, 2049, 25037):
+            res = ev.simulate(policy, SIM_LAWS[law], reward, n, paths, seed=n)
+            want = per_slot_simulate(policy, SIM_LAWS[law], reward, n, paths, seed=n)
+            assert (res.value, res.stderr) == want, n
+
     @pytest.mark.parametrize("policy", [pol.GreedyPolicy(), pol.FixedFractionPolicy(0.3)])
     def test_pass_one_hands_evaluate_contiguous_rows(self, policy, monkeypatch):
         # a pass-1 step runs slot s of every chunk of every path, one
         # contiguous row of the block of full copies' levels: the whole row
-        # while the last chunk runs, and the row before its entries after
+        # at every step, in the padded last block too
         fulls, spliced = [], ev._spliced_block
 
-        def spy(evaluate, draws, spent, full, level, c, cols):
-            fulls.append((full, cols, []))
-            return spliced(evaluate, draws, spent, full, level, c, cols)
+        def spy(evaluate, draws, spent, full, level, c):
+            fulls.append((full, []))
+            return spliced(evaluate, draws, spent, full, level, c)
 
         def kernel(arr, evaluate=policy._evaluate):
             if fulls and np.shares_memory(arr, fulls[-1][0]):
-                fulls[-1][2].append((arr.flags.c_contiguous, arr.size))
+                fulls[-1][1].append((arr.flags.c_contiguous, arr.size))
             return evaluate(arr)
 
         monkeypatch.setattr(ev, "_spliced_block", spy)
         monkeypatch.setattr(policy, "_evaluate", kernel)
         paths, n = 64, 2 * (4 * ev._GATHER // 64) + 100  # 2 048-slot blocks, then 100 slots
         ev.simulate(policy, SIM_LAWS["uniform"], SQRT, n, paths, seed=2)
-        assert len(fulls) == 3
-        for full, cols, steps in fulls:
-            chunks = -(-cols // ev._CHUNK)
-            tail = cols - (chunks - 1) * ev._CHUNK
-            want = [(True, chunks * paths)] * tail + [(True, (chunks - 1) * paths)] * (
-                ev._CHUNK - tail
-            )
-            assert steps == want, cols
+        assert [full.shape[1] for full, _ in fulls] == [32, 32, 2]
+        for full, steps in fulls:
+            assert steps == [(True, full.shape[1] * paths)] * ev._CHUNK
 
     @pytest.mark.parametrize("arg", ["n", "paths"])
     @pytest.mark.parametrize("value", [2.7, 4.9, math.nan, math.inf])
@@ -1897,6 +1946,17 @@ class TestSimulate:
         want = ev.simulate(pol.GreedyPolicy(), law, AWGN1, 100, 4, seed=0)
         for n, paths in ((100.0, 4.0), (np.int64(100), np.int32(4)), (np.float64(100), 4)):
             assert ev.simulate(pol.GreedyPolicy(), law, AWGN1, n, paths, seed=0) == want
+
+    @pytest.mark.parametrize("law", ["bernoulli", "uniform"])
+    def test_a_seed_must_be_an_integer(self, law):
+        # it was truncated: seed = 1.5 and 1.9999 ran seed 1's bits
+        for seed in (1.5, 1.9999, -1.5):
+            with pytest.raises(ValueError, match="^seed must be an integer"):
+                ev.simulate(pol.GreedyPolicy(), SIM_LAWS[law], AWGN1, 100, 4, seed=seed)
+        want = ev.simulate(pol.GreedyPolicy(), SIM_LAWS[law], AWGN1, 100, 4, seed=3)
+        for seed in (3.0, np.int64(3), np.float64(3.0)):
+            assert ev.simulate(pol.GreedyPolicy(), SIM_LAWS[law], AWGN1, 100, 4, seed) == want
+        ev.simulate(pol.GreedyPolicy(), SIM_LAWS[law], AWGN1, 100, 4, 2**1100)  # past the floats
 
     def test_a_kink_table_is_covered_once_a_call(self, monkeypatch):
         # the chunks and the slot loop, which 2-slot chunks reach, run the
@@ -2078,21 +2138,17 @@ class TestSummed:
             for gain in column:
                 total += gain
             want.append(total)
-        # a custom reward may return a read-only array or one in Fortran
-        # order, down whose slot axis numpy would sum pairwise
-        frozen = gains.copy()
-        frozen.flags.writeable = False
-        for given in (frozen, np.asfortranarray(gains), gains):
-            assert ev._summed(totals, given).tolist() == want
-        if paths >= 64:
-            pairwise = np.column_stack((totals, gains.T)).sum(axis=1)
+        if paths >= 64:  # each path's own C-contiguous row, summed pairwise
+            pairwise = np.ascontiguousarray(np.column_stack((totals, gains.T))).sum(axis=1)
             assert pairwise.tolist() != want
+        assert ev._summed(totals, gains).tolist() == want
 
     @pytest.mark.parametrize("paths", [2, 3, 64, 1024])
     def test_a_chunks_strided_rows_sum_sequentially(self, paths):
         # simulate adds each chunk's rewards from its (_CHUNK, paths) view of
-        # a chunk-interleaved block, whose rows lie chunks * paths apart:
-        # the reduce still adds row by row, chunk after chunk, with no copy
+        # a chunk-interleaved block, whose rows lie chunks * paths apart, and
+        # of the call's last chunk its rows up to the call's end: the reduce
+        # still adds row by row, chunk after chunk, with no copy
         rng = np.random.default_rng(paths)
         chunks, tail = 5, 7
         block = 10.0 ** rng.uniform(-8.0, 8.0, (ev._CHUNK, chunks, paths))
@@ -2125,7 +2181,7 @@ class TestStreams:
         got = [rng.bit_generator.state for rng in ev._streams(seed, 3)]
         assert got == [rng.bit_generator.state for rng in spawned(int(seed), 3)]
 
-    @pytest.mark.parametrize("seed", [-1, -(2**40), -1.5])
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])  # -1.5 is not an integer (TestSimulate)
     def test_negative_seeds_raise_numpys_error(self, seed):
         dist = arr.BernoulliArrivals(1.0, 0.5)
         with pytest.raises(ValueError, match="expected non-negative integer"):
